@@ -179,31 +179,37 @@ def alignment_loss(pairs: list[tuple[int, int]],
     return diff.mean_all(hinge)
 
 
+def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=()
+                      ) -> list[tuple[int, int]]:
+    """Up to `limit` (row, column) picks by descending value, using each row
+    and column at most once and none already taken. Ties break on (row,
+    column) ascending, the order of the flat index row * cols + col."""
+    picks: list[tuple[int, int]] = []
+    if limit <= 0:
+        return picks
+    rows, cols = values.shape
+    row_used = np.zeros(rows, dtype=bool)
+    col_used = np.zeros(cols, dtype=bool)
+    row_used[list(taken_rows)] = True
+    col_used[list(taken_cols)] = True
+    for position in np.argsort(-values.reshape(-1), kind="stable"):
+        r, c = divmod(int(position), cols)
+        if row_used[r] or col_used[c]:
+            continue
+        row_used[r] = col_used[c] = True
+        picks.append((r, c))
+        if len(picks) == limit:
+            break
+    return picks
+
+
 def greedy_match(matrix: AlignmentMatrix | np.ndarray) -> list[tuple[int, int, float]]:
-    """Repeatedly take the largest remaining entry, emitting one-to-one pairs
-    until rows or columns run out. Ties break on (row, column) ascending."""
+    """One-to-one pairs by descending similarity until rows or columns run
+    out, each with its score."""
     values = matrix.values if isinstance(matrix, AlignmentMatrix) else np.asarray(matrix)
     if not np.all(np.isfinite(values)):
         raise AlignmentError("greedy matching requires a finite matrix")
-    rows, cols = values.shape
-    flat = values.reshape(-1)
-    row_of = np.arange(flat.size) // cols
-    col_of = np.arange(flat.size) % cols
-    order = np.lexsort((col_of, row_of, -flat))
-    row_used = np.zeros(rows, dtype=bool)
-    col_used = np.zeros(cols, dtype=bool)
-    matches: list[tuple[int, int, float]] = []
-    for position in order:
-        r = int(row_of[position])
-        c = int(col_of[position])
-        if row_used[r] or col_used[c]:
-            continue
-        row_used[r] = True
-        col_used[c] = True
-        matches.append((r, c, float(flat[position])))
-        if len(matches) == min(rows, cols):
-            break
-    return matches
+    return [(r, c, float(values[r, c])) for r, c in greedy_one_to_one(values, min(values.shape))]
 
 
 def write_matches(matches: list[tuple[int, int, float]], source_labels: list[str],

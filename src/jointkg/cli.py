@@ -17,11 +17,11 @@ from pathlib import Path
 
 from . import __version__
 from .alignment import build_alignment_matrix, greedy_match, write_matches
-from .errors import JointKgError, TrainError
+from .errors import JointKgError
 from .evaluate import evaluate_kga, evaluate_kgc, write_results
 from .kgdata import load_multikg, write_transfer_sidecar
 from .synth import SynthSpec, generate, write_dataset
-from .train import Checkpoint, TrainConfig, fit, resume
+from .train import Checkpoint, TrainConfig, fit, read_json, resume
 
 ENV_PREFIX = "JOINTKG_"
 
@@ -61,8 +61,7 @@ def apply_env_overrides(data: dict, environ=None) -> dict:
 
 
 def _resolved_config(args) -> TrainConfig:
-    data = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    data = apply_env_overrides(data)
+    data = apply_env_overrides(read_json(args.config, "config file"))
     if args.ablation:
         data["ablations"] = sorted(set(data.get("ablations", [])) | set(args.ablation))
     if args.seed is not None:
@@ -86,22 +85,27 @@ def _data_inputs(data_dir: Path) -> list[Path]:
     return sorted(p for p in Path(data_dir).glob("*.tsv"))
 
 
-def cmd_train(args) -> int:
-    config = _resolved_config(args)
-    multikg = load_multikg(Path(args.data))
-    out_dir = Path(args.out)
+def _fit_and_save(multikg, config: TrainConfig, out_dir: Path) -> Checkpoint:
+    """Train, then write checkpoint.json, metrics.tsv and config.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
-
     log_lines: list[str] = []
     checkpoint = fit(multikg, config, log_lines=log_lines)
     checkpoint.save(out_dir / "checkpoint.json")
     (out_dir / "metrics.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     config.to_file(out_dir / "config.json")
+    return checkpoint
+
+
+def cmd_train(args) -> int:
+    config = _resolved_config(args)
+    multikg = load_multikg(Path(args.data))
+    out_dir = Path(args.out)
+    checkpoint = _fit_and_save(multikg, config, out_dir)
     if config.entr_active:
         for kg in multikg.kgs:
             write_transfer_sidecar(kg, out_dir / f"transferred_{kg.id}.tsv")
-    _write_manifest(out_dir, "train", config.to_dict() | {"ablations": list(config.ablations)},
-                    _data_inputs(args.data), config.rng_seed)
+    _write_manifest(out_dir, "train", config.to_dict(), _data_inputs(args.data),
+                    config.rng_seed)
     print(f"best epoch {checkpoint.epoch} with validation MRR {checkpoint.val_mrr:.4f}")
     return 0
 
@@ -137,9 +141,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    grid_spec = json.loads(Path(args.grid).read_text(encoding="utf-8"))
-    base = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    base = apply_env_overrides(base)
+    grid_spec = read_json(args.grid, "grid file")
+    base = apply_env_overrides(read_json(args.config, "config file"))
     names = sorted(grid_spec)
     multikg_path = Path(args.data)
     out_dir = Path(args.out)
@@ -150,14 +153,8 @@ def cmd_grid(args) -> int:
         data = dict(base)
         data.update(dict(zip(names, combo)))
         config = TrainConfig.from_dict(data, require_all=True)
-        run_dir = out_dir / f"run_{index:03d}"
-        run_dir.mkdir(parents=True, exist_ok=True)
-        multikg = load_multikg(multikg_path)
-        log_lines: list[str] = []
-        checkpoint = fit(multikg, config, log_lines=log_lines)
-        checkpoint.save(run_dir / "checkpoint.json")
-        (run_dir / "metrics.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
-        config.to_file(run_dir / "config.json")
+        checkpoint = _fit_and_save(load_multikg(multikg_path), config,
+                                   out_dir / f"run_{index:03d}")
         rows.append((checkpoint.val_mrr, index, dict(zip(names, combo))))
         print(f"run_{index:03d}: val MRR {checkpoint.val_mrr:.4f} {dict(zip(names, combo))}")
 

@@ -3,7 +3,6 @@ margin ranking loss over corrupted triples, and the seed-pair constraint that
 pulls aligned entities' completion embeddings together."""
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -14,15 +13,6 @@ from .errors import CompletionError
 from .rgnn import LayerEmbeddings
 
 _RETRY_LIMIT = 100
-
-
-@dataclass(frozen=True)
-class ScoredTriple:
-    """Per-layer and total scores of one triple; total == sum of layers."""
-
-    triple: tuple[int, int, int]
-    layer_scores: tuple[float, ...]
-    total: float
 
 
 class NegativeBatch(NamedTuple):
@@ -46,28 +36,6 @@ def score_batch(heads, relations, tails, layers: LayerEmbeddings, layer: int) ->
     return score_layer(
         diff.gather_rows(e, heads), diff.gather_rows(r, relations), diff.gather_rows(e, tails)
     )
-
-
-def score(head: int, relation: int, tail: int, layers: LayerEmbeddings) -> Tensor:
-    """Total score: layer scores summed over layers 0..K."""
-    total = None
-    idx_h = np.array([head])
-    idx_r = np.array([relation])
-    idx_t = np.array([tail])
-    for k in range(layers.layer_count + 1):
-        f_k = score_batch(idx_h, idx_r, idx_t, layers, k)
-        total = f_k if total is None else diff.add(total, f_k)
-    return diff.reshape(total, ())
-
-
-def score_triple(head: int, relation: int, tail: int,
-                 layers: LayerEmbeddings) -> ScoredTriple:
-    """Scores of one triple broken out per layer."""
-    idx = (np.array([head]), np.array([relation]), np.array([tail]))
-    with diff.no_grad():
-        per_layer = tuple(float(score_batch(*idx, layers, k).values[0])
-                          for k in range(layers.layer_count + 1))
-    return ScoredTriple((head, relation, tail), per_layer, sum(per_layer))
 
 
 def score_all_tails(head: int, relation: int, entity_values: list[np.ndarray],

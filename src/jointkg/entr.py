@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import AlignmentMatrix
+from .alignment import AlignmentMatrix, greedy_one_to_one
 from .errors import EnTrError
 from .kgdata import ENLARGED, GIVEN, TRANSFERRED, MultiKg, SeedSet
 
@@ -53,37 +53,14 @@ def seed_budget(h_tilde: float, h_current: float, beta: float,
 
 
 def enlarge_seeds(matrix: AlignmentMatrix, q: int, seed_set: SeedSet) -> SeedSet:
-    """Given train pairs plus up to q fresh pairs picked by descending
-    similarity, skipping any entity already claimed; ties break on (row,
-    column). Previously enlarged pairs are discarded and recomputed."""
+    """Given train pairs plus up to q fresh pairs picked greedily by
+    descending similarity (greedy_one_to_one), skipping any entity already
+    claimed. Previously enlarged pairs are discarded and recomputed."""
     if q < 0:
         raise EnTrError(f"negative enlargement budget {q}")
     given = seed_set.given_pairs()
-    pairs = list(given)
-    provenance = [GIVEN] * len(given)
-    if q > 0:
-        used_left = {a for a, _ in given}
-        used_right = {b for _, b in given}
-        values = matrix.values
-        cols = values.shape[1]
-        flat = values.reshape(-1)
-        row_of = np.arange(flat.size) // cols
-        col_of = np.arange(flat.size) % cols
-        order = np.lexsort((col_of, row_of, -flat))
-        chosen = 0
-        for position in order:
-            r = int(row_of[position])
-            c = int(col_of[position])
-            if r in used_left or c in used_right:
-                continue
-            used_left.add(r)
-            used_right.add(c)
-            pairs.append((r, c))
-            provenance.append(ENLARGED)
-            chosen += 1
-            if chosen == q:
-                break
-    return SeedSet(seed_set.kg_pair, pairs, provenance)
+    fresh = greedy_one_to_one(matrix.values, q, [a for a, _ in given], [b for _, b in given])
+    return SeedSet(seed_set.kg_pair, given + fresh, [GIVEN] * len(given) + [ENLARGED] * len(fresh))
 
 
 def _derive(keys: list[TripleKey], mapping: dict[int, int]) -> list[TripleKey]:

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .alignment import build_alignment_matrix
 from .completion import score_all_tails
 from .errors import EvalError
 from .kgdata import MultiKg, SeedSet
@@ -120,14 +121,6 @@ def evaluate_kgc(multikg: MultiKg, entity_layer_values: list[np.ndarray],
     return results
 
 
-def cosine_similarity_block(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    norms_s = np.sqrt((source * source).sum(axis=1))
-    norms_t = np.sqrt((target * target).sum(axis=1))
-    if np.any(norms_s == 0.0) or np.any(norms_t == 0.0):
-        raise EvalError("zero-norm final embedding")
-    return (source / norms_s[:, None]) @ (target / norms_t[:, None]).T
-
-
 def evaluate_kga(multikg: MultiKg, entity_finals: np.ndarray,
                  test_seeds: dict[tuple[str, str], SeedSet],
                  k_list: tuple[int, ...] = (1, 10)) -> dict[tuple[str, str], dict[str, float]]:
@@ -140,10 +133,10 @@ def evaluate_kga(multikg: MultiKg, entity_finals: np.ndarray,
         right = multikg.by_id[pair[1]]
         off_l = multikg.entity_offset(left.id)
         off_r = multikg.entity_offset(right.id)
-        block = cosine_similarity_block(
+        block = build_alignment_matrix(
             entity_finals[off_l:off_l + left.entity_count],
             entity_finals[off_r:off_r + right.entity_count],
-        )
+        ).values
         ranks = [kga_rank(block[e], e_star).rank for e, e_star in seed_set.pairs]
         metrics = aggregate(ranks, k_list)
         metrics["count"] = float(len(ranks))

@@ -75,7 +75,6 @@ class Kg:
         self.duplicate_count = 0
         self.transfer_epoch: dict[tuple[int, int, int], int] = {}
         self._keys: set[tuple[int, int, int]] = set()
-        self._neighbors: dict[int, list[tuple[int, int, str]]] | None = None
 
     @property
     def entity_count(self) -> int:
@@ -106,7 +105,6 @@ class Kg:
         self.triples.append(Triple(head, relation, tail, origin))
         if origin == TRANSFERRED:
             self.transfer_epoch[key] = -1 if epoch is None else epoch
-        self._neighbors = None
         return True
 
     def remove_transferred(self, keys: set[tuple[int, int, int]]) -> int:
@@ -118,7 +116,6 @@ class Kg:
         for key in doomed:
             self._keys.discard(key)
             del self.transfer_epoch[key]
-        self._neighbors = None
         return len(doomed)
 
     def loaded_triples(self) -> list[Triple]:
@@ -127,31 +124,16 @@ class Kg:
     def transferred_triples(self) -> list[Triple]:
         return [t for t in self.triples if t.origin == TRANSFERRED]
 
-    def neighbor_index(self) -> dict[int, list[tuple[int, int, str]]]:
-        """N(e): deduplicated (neighbor, relation, direction) adjacency.
+    def neighbor_index(self) -> np.ndarray:
+        """N(e) as int64 rows (center, neighbor, relation), sorted and unique.
 
-        direction is 'out' when (e, r, e') is a triple, 'in' when (e', r, e)
-        is, and 'both' when both exist. Covers loaded and transferred triples.
+        A row is present when (center, relation, neighbor) or (neighbor,
+        relation, center) is a triple, loaded or transferred; a self-loop
+        gives one row.
         """
-        if self._neighbors is None:
-            self._neighbors = self._build_neighbors()
-        return self._neighbors
-
-    def rebuild_neighbor_index(self) -> dict[int, list[tuple[int, int, str]]]:
-        self._neighbors = self._build_neighbors()
-        return self._neighbors
-
-    def _build_neighbors(self) -> dict[int, list[tuple[int, int, str]]]:
-        directions: dict[tuple[int, int, int], set[str]] = {}
-        for t in self.triples:
-            directions.setdefault((t.head, t.tail, t.relation), set()).add("out")
-            directions.setdefault((t.tail, t.head, t.relation), set()).add("in")
-        index: dict[int, list[tuple[int, int, str]]] = {e: [] for e in range(self.entity_count)}
-        for (center, neighbor, relation) in sorted(directions):
-            tags = directions[(center, neighbor, relation)]
-            tag = "both" if len(tags) == 2 else next(iter(tags))
-            index[center].append((neighbor, relation, tag))
-        return index
+        keys = np.array([t.key for t in self.triples], dtype=np.int64).reshape(-1, 3)
+        both_ways = np.concatenate([keys[:, [0, 2, 1]], keys[:, [2, 0, 1]]])
+        return np.unique(both_ways, axis=0)
 
 
 @dataclass
@@ -178,9 +160,6 @@ class SeedSet:
 
     def given_pairs(self) -> list[tuple[int, int]]:
         return [p for p, tag in zip(self.pairs, self.provenance) if tag == GIVEN]
-
-    def enlarged_pairs(self) -> list[tuple[int, int]]:
-        return [p for p, tag in zip(self.pairs, self.provenance) if tag == ENLARGED]
 
     def mapping(self) -> dict[int, int]:
         return dict(self.pairs)
@@ -217,12 +196,6 @@ class MultiKg:
 
     def entity_offset(self, kg_id: str) -> int:
         return self._offsets[kg_id]
-
-    def globalize(self, kg_id: str, local_id: int) -> int:
-        return self._offsets[kg_id] + local_id
-
-    def pair_ids(self) -> list[tuple[str, str]]:
-        return sorted(self.seed_sets)
 
     def set_kgc_split(self, kg_id: str, split: str, triples: list[tuple[int, int, int]]) -> None:
         self.kgc_splits[kg_id][split] = list(triples)
@@ -438,20 +411,6 @@ def load_multikg(data_dir: Path) -> MultiKg:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-
-def kg_to_lines(kg: Kg) -> list[str]:
-    """Loaded triples in original order, ready to re-parse into the same Kg."""
-    lines = []
-    for t in kg.loaded_triples():
-        lines.append(
-            f"{kg.entity_labels[t.head]}\t{kg.relations.labels[t.relation]}\t{kg.entity_labels[t.tail]}"
-        )
-    return lines
-
-
-def write_kg(kg: Kg, path: Path) -> None:
-    Path(path).write_text("\n".join(kg_to_lines(kg)) + "\n", encoding="utf-8")
 
 
 def write_transfer_sidecar(kg: Kg, path: Path) -> None:

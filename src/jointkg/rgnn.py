@@ -12,7 +12,7 @@ feed the next one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -44,25 +44,18 @@ class EdgeList:
 
 
 def build_edges(multikg: MultiKg) -> EdgeList:
-    """Edge rows for every KG in one id space, sorted for fixed reductions."""
-    centers: list[int] = []
-    neighbors: list[int] = []
-    relations: list[int] = []
+    """Every KG's N(e) rows (Kg.neighbor_index) in one id space.
+
+    Each KG's rows are sorted by (center, neighbor, relation) and KGs occupy
+    consecutive id blocks, so the stacked rows stay sorted, which fixes the
+    order of every reduction over them.
+    """
+    rows = [np.empty((0, 3), dtype=np.int64)]
     for kg in multikg.kgs:
         offset = multikg.entity_offset(kg.id)
-        index = kg.neighbor_index()
-        for center in range(kg.entity_count):
-            for neighbor, relation, _ in index[center]:
-                centers.append(offset + center)
-                neighbors.append(offset + neighbor)
-                relations.append(relation)
-    order = np.lexsort((relations, neighbors, centers))
-    return EdgeList(
-        centers=np.asarray(centers, dtype=np.int64)[order],
-        neighbors=np.asarray(neighbors, dtype=np.int64)[order],
-        relations=np.asarray(relations, dtype=np.int64)[order],
-        num_entities=multikg.total_entities,
-    )
+        rows.append(kg.neighbor_index() + [offset, offset, 0])
+    centers, neighbors, relations = np.ascontiguousarray(np.concatenate(rows).T)
+    return EdgeList(centers, neighbors, relations, num_entities=multikg.total_entities)
 
 
 @dataclass
@@ -160,34 +153,6 @@ class EncoderParams:
             named += self.att[k].named_parameters(f"{prefix}/layer{k}/att")
             named += self.g[k].named_parameters(f"{prefix}/layer{k}/g")
         return named
-
-
-def message(neighbor_vec: Tensor, relation_vec: Tensor, params: EncoderParams,
-            layer: int) -> Tensor:
-    """Neighbor embedding minus the composed relation embedding.
-
-    Accepts single vectors or row-aligned batches.
-    """
-    if not params.relation_aware:
-        return neighbor_vec
-    return diff.sub(neighbor_vec, params.comp[layer](relation_vec))
-
-
-def attention(center_vec: Tensor, messages: Sequence[Tensor], params: EncoderParams,
-              layer: int) -> Tensor:
-    """Softmax weights over one entity's incoming messages."""
-    if not messages:
-        raise EncoderError("attention needs at least one message")
-    if not params.relation_aware:
-        return diff.tensor(np.full(len(messages), 1.0 / len(messages)))
-    rows = diff.concat(
-        [diff.reshape(diff.concat([center_vec, m], axis=0), (1, 2 * params.dim))
-         for m in messages],
-        axis=0,
-    )
-    logits = params.att[layer](rows)
-    weights = diff.softmax_row(diff.reshape(logits, (1, len(messages))))
-    return diff.reshape(weights, (len(messages),))
 
 
 def layer_forward(edges: EdgeList, entity_k: Tensor, relation_k: Tensor,

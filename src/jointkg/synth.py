@@ -100,9 +100,6 @@ class SynthResult:
     seeds: list[tuple[int, int]]
     splits: dict[str, dict[str, list[tuple[int, int, int]]]]
 
-    def kept_count(self, kg_id: str) -> int:
-        return sum(len(rows) for rows in self.splits[kg_id].values())
-
 
 def _sweep_into_train(splits: dict[str, list[tuple[int, int, int]]]) -> None:
     """Move held-out triples into train until every entity and relation of

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import base64
 import json
+from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .completion import alignment_constraint_loss, completion_loss, ranking_loss
 from .entr import EntropyState, enlarge_seeds, matrix_entropy, prune_stale_transfers, seed_budget, transfer_triples
 from .errors import TrainError
 from .evaluate import evaluate_kgc, overall_mean
-from .kgdata import ENLARGED, GIVEN, MultiKg, SeedSet, split_seeds
+from .kgdata import TRANSFERRED, MultiKg, SeedSet, split_seeds
 from .rgnn import EncoderParams, build_edges, encode
 from .seeding import substream
 
@@ -90,7 +91,9 @@ class TrainConfig:
         return not (self.flag("no_entr") or self.flag("no_align"))
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """Field values ready for JSON (ablations as a list)."""
+        return ({f.name: getattr(self, f.name) for f in fields(self)}
+                | {"ablations": list(self.ablations)})
 
     @classmethod
     def from_dict(cls, data: dict, require_all: bool = False) -> "TrainConfig":
@@ -107,21 +110,19 @@ class TrainConfig:
             converted["ablations"] = tuple(converted["ablations"])
         return cls(**converted)
 
-    @classmethod
-    def from_file(cls, path: Path) -> "TrainConfig":
-        try:
-            data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise TrainError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
-            raise TrainError(f"config file {path} is not valid JSON: {exc}") from None
-        return cls.from_dict(data, require_all=True)
-
     def to_file(self, path: Path) -> None:
-        payload = self.to_dict()
-        payload["ablations"] = list(payload["ablations"])
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
                               encoding="utf-8")
+
+
+def read_json(path: Path, what: str):
+    """Parse a JSON file; a missing or malformed file raises TrainError."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise TrainError(f"{what} not found: {path}") from None
+    except json.JSONDecodeError as exc:
+        raise TrainError(f"{what} {path} is not valid JSON: {exc}") from None
 
 
 class JointModel:
@@ -207,9 +208,7 @@ class TrainState:
     # ---- forward helpers -------------------------------------------------
 
     def completion_layers(self, tape: bool):
-        if tape:
-            return encode(self.edges, self.model.completion_encoder)
-        with diff.no_grad():
+        with nullcontext() if tape else diff.no_grad():
             return encode(self.edges, self.model.completion_encoder)
 
     def fusion_hook(self):
@@ -221,12 +220,8 @@ class TrainState:
     def alignment_layers_and_finals(self, tape: bool, hook="fresh"):
         if hook == "fresh":
             hook = self.fusion_hook()
-        encoder = self.model.alignment_side_encoder
-        if tape:
-            layers = encode(self.edges, encoder, hook)
-            return final_embeddings(layers, self.model.heads)
-        with diff.no_grad():
-            layers = encode(self.edges, encoder, hook)
+        with nullcontext() if tape else diff.no_grad():
+            layers = encode(self.edges, self.model.alignment_side_encoder, hook)
             return final_embeddings(layers, self.model.heads)
 
     def pair_blocks(self, pair: tuple[str, str], finals: np.ndarray):
@@ -260,8 +255,8 @@ class TrainState:
             per_kg.append((kg.id, loaded, transferred))
         return per_kg
 
-    def completion_step(self) -> float:
-        """One completion update.
+    def completion_step(self) -> tuple[float, float]:
+        """One completion update; returns (total loss, ranking loss).
 
         Corruptions of a KG's loaded positives come from a stream keyed by
         (kg, epoch, step); those of its transferred positives come from the
@@ -468,6 +463,17 @@ def _seed_set_from_json(payload: dict) -> SeedSet:
                    list(payload["provenance"]))
 
 
+def _copy_seed_sets(seed_sets: dict[tuple[str, str], SeedSet]) -> dict[tuple[str, str], SeedSet]:
+    return {pair: SeedSet(s.kg_pair, list(s.pairs), list(s.provenance))
+            for pair, s in seed_sets.items()}
+
+
+def _map_adam(state: dict, convert) -> dict:
+    """An Adam state dict with `convert` applied to every moment array."""
+    return {**{k: state[k] for k in ("t", "lr", "beta1", "beta2", "eps")},
+            "m": [convert(a) for a in state["m"]], "v": [convert(a) for a in state["v"]]}
+
+
 @dataclass
 class Checkpoint:
     """Everything needed to evaluate or bit-identically resume a run."""
@@ -485,21 +491,15 @@ class Checkpoint:
     transferred: dict[str, list[tuple[int, int, int, int]]]
 
     def save(self, path: Path) -> None:
-        adam_json = lambda s: {
-            "t": s["t"], "lr": s["lr"], "beta1": s["beta1"], "beta2": s["beta2"],
-            "eps": s["eps"],
-            "m": [_array_to_json(a) for a in s["m"]],
-            "v": [_array_to_json(a) for a in s["v"]],
-        }
         payload = {
             "version": CHECKPOINT_VERSION,
-            "config": {**self.config.to_dict(), "ablations": list(self.config.ablations)},
+            "config": self.config.to_dict(),
             "vocab_hash": self.vocab_hash,
             "epoch": self.epoch,
             "val_mrr": self.val_mrr,
             "parameters": {k: _array_to_json(v) for k, v in sorted(self.parameters.items())},
-            "adam_completion": adam_json(self.adam_completion),
-            "adam_alignment": adam_json(self.adam_alignment),
+            "adam_completion": _map_adam(self.adam_completion, _array_to_json),
+            "adam_alignment": _map_adam(self.adam_alignment, _array_to_json),
             "entropy": {
                 "h_tilde": {f"{a}|{b}": v for (a, b), v in sorted(self.entropy.h_tilde.items())},
                 "h_current": {f"{a}|{b}": v for (a, b), v in sorted(self.entropy.h_current.items())},
@@ -516,18 +516,9 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: Path) -> "Checkpoint":
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise TrainError(f"checkpoint not found: {path}") from None
+        payload = read_json(path, "checkpoint")
         if payload.get("version") != CHECKPOINT_VERSION:
             raise TrainError(f"unsupported checkpoint version {payload.get('version')}")
-        adam_state = lambda s: {
-            "t": s["t"], "lr": s["lr"], "beta1": s["beta1"], "beta2": s["beta2"],
-            "eps": s["eps"],
-            "m": [_array_from_json(a) for a in s["m"]],
-            "v": [_array_from_json(a) for a in s["v"]],
-        }
         unpair = lambda key: tuple(key.split("|"))
         entropy = EntropyState(
             h_tilde={unpair(k): v for k, v in payload["entropy"]["h_tilde"].items()},
@@ -539,8 +530,8 @@ class Checkpoint:
             epoch=payload["epoch"],
             val_mrr=payload["val_mrr"],
             parameters={k: _array_from_json(v) for k, v in payload["parameters"].items()},
-            adam_completion=adam_state(payload["adam_completion"]),
-            adam_alignment=adam_state(payload["adam_alignment"]),
+            adam_completion=_map_adam(payload["adam_completion"], _array_from_json),
+            adam_alignment=_map_adam(payload["adam_alignment"], _array_from_json),
             entropy=entropy,
             train_seeds={unpair(k): _seed_set_from_json(v)
                          for k, v in payload["train_seeds"].items()},
@@ -562,10 +553,8 @@ def snapshot(state: TrainState, val_mrr: float) -> Checkpoint:
         adam_completion=state.adam_completion.state_dict(),
         adam_alignment=state.adam_alignment.state_dict(),
         entropy=EntropyState(dict(state.entropy.h_tilde), dict(state.entropy.h_current)),
-        train_seeds={pair: SeedSet(s.kg_pair, list(s.pairs), list(s.provenance))
-                     for pair, s in state.train_seeds.items()},
-        test_seeds={pair: SeedSet(s.kg_pair, list(s.pairs), list(s.provenance))
-                    for pair, s in state.test_seeds.items()},
+        train_seeds=_copy_seed_sets(state.train_seeds),
+        test_seeds=_copy_seed_sets(state.test_seeds),
         transferred={kg.id: [(t.head, t.relation, t.tail, kg.transfer_epoch[t.key])
                              for t in kg.transferred_triples()]
                      for kg in state.multikg.kgs},
@@ -591,15 +580,13 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
     state.entropy = EntropyState(dict(checkpoint.entropy.h_tilde),
                                  dict(checkpoint.entropy.h_current))
     state.epoch = checkpoint.epoch
-    state.train_seeds = {pair: SeedSet(s.kg_pair, list(s.pairs), list(s.provenance))
-                         for pair, s in checkpoint.train_seeds.items()}
-    state.test_seeds = {pair: SeedSet(s.kg_pair, list(s.pairs), list(s.provenance))
-                        for pair, s in checkpoint.test_seeds.items()}
+    state.train_seeds = _copy_seed_sets(checkpoint.train_seeds)
+    state.test_seeds = _copy_seed_sets(checkpoint.test_seeds)
     for kg in multikg.kgs:
         existing = {t.key for t in kg.transferred_triples()}
         if existing:
             kg.remove_transferred(existing)
         for h, r, t, epoch in checkpoint.transferred[kg.id]:
-            kg.add_triple(h, r, t, origin="transferred", epoch=epoch)
+            kg.add_triple(h, r, t, origin=TRANSFERRED, epoch=epoch)
     state.refresh_edges()
     return state

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from jointkg import alignment as al
 from jointkg import diff
@@ -11,6 +14,7 @@ from jointkg.alignment import (
     build_alignment_matrix,
     final_embeddings,
     greedy_match,
+    greedy_one_to_one,
     make_fusion_hook,
     nearest_negatives,
     sir_fuse,
@@ -18,7 +22,7 @@ from jointkg.alignment import (
 from jointkg.errors import AlignmentError
 from jointkg.rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 
-from .util import const_mlp, identity_mlp, single_kg, weight_mlp
+from .util import const_mlp, identity_mlp, reference_greedy, single_kg, weight_mlp
 
 
 def layers_of(entity_tables, relation_tables):
@@ -248,6 +252,43 @@ class TestGreedyMatch:
     def test_non_finite_matrix_rejected(self):
         with pytest.raises(AlignmentError, match="finite"):
             greedy_match(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+
+@st.composite
+def greedy_cases(draw):
+    """Matrices rounded to 0-2 decimals (so ties are common), random taken
+    rows and columns, and every limit from 0 to min(n, m) + 1."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    values = draw(arrays(np.float64, (rows, cols), elements=st.floats(-1, 1)))
+    values = np.round(values, draw(st.integers(0, 2)))
+    taken_rows = draw(st.lists(st.integers(0, rows - 1), unique=True)) if rows else []
+    taken_cols = draw(st.lists(st.integers(0, cols - 1), unique=True)) if cols else []
+    limit = draw(st.integers(0, min(rows, cols) + 1))
+    return values, limit, taken_rows, taken_cols
+
+
+class TestGreedyOneToOne:
+    @settings(max_examples=300, deadline=None)
+    @given(greedy_cases())
+    def test_equals_reference_loop(self, case):
+        values, limit, taken_rows, taken_cols = case
+        assert (greedy_one_to_one(values, limit, taken_rows, taken_cols)
+                == reference_greedy(values, limit, taken_rows, taken_cols))
+
+    @settings(max_examples=100, deadline=None)
+    @given(greedy_cases())
+    def test_greedy_match_equals_reference_loop(self, case):
+        values = case[0]
+        matches = greedy_match(values)
+        assert [(r, c) for r, c, _ in matches] == reference_greedy(values, min(values.shape))
+        assert all(score == values[r, c] for r, c, score in matches)
+
+    def test_zero_limit_returns_before_sorting(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sorted with a zero limit")
+
+        monkeypatch.setattr(np, "argsort", refuse)
+        assert greedy_one_to_one(np.ones((3, 3)), 0) == []
 
 
 class TestMatchesFile:

@@ -163,3 +163,41 @@ class TestEnvOverrides:
         assert main(["train", "--config", str(config_path), "--data", str(dataset),
                      "--out", str(out)]) == 0
         assert json.loads((out / "config.json").read_text())["epochs"] == 1
+
+
+class TestBadJsonInputs:
+    def run(self, argv, capsys):
+        code = main(argv)
+        return code, capsys.readouterr().err
+
+    def test_missing_config_file(self, dataset, tmp_path, capsys):
+        code, err = self.run(["train", "--config", str(tmp_path / "missing.json"),
+                              "--data", str(dataset), "--out", str(tmp_path / "run")], capsys)
+        assert code == 1
+        assert "error [train]: config file not found" in err
+
+    def test_malformed_config_file(self, dataset, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text('{"layers": 1,')
+        code, err = self.run(["train", "--config", str(config_path), "--data", str(dataset),
+                              "--out", str(tmp_path / "run")], capsys)
+        assert code == 1
+        assert "error [train]: config file" in err and "is not valid JSON" in err
+
+    def test_malformed_grid_file(self, dataset, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload(epochs=1)))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text('{"layers": [1')
+        code, err = self.run(["grid", "--grid", str(grid_path), "--config", str(config_path),
+                              "--data", str(dataset), "--out", str(tmp_path / "grid")], capsys)
+        assert code == 1
+        assert "error [train]: grid file" in err and "is not valid JSON" in err
+
+    def test_malformed_checkpoint(self, dataset, tmp_path, capsys):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text('{"version": 1')
+        code, err = self.run(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+                              "--out", str(tmp_path / "eval")], capsys)
+        assert code == 1
+        assert "error [train]: checkpoint" in err and "is not valid JSON" in err

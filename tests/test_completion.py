@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from jointkg import completion, diff
+from jointkg import diff
 from jointkg.completion import (
     alignment_constraint_loss,
     completion_loss,
     ranking_loss,
     sample_negatives,
-    score,
     score_all_tails,
     score_batch,
     score_layer,
@@ -15,7 +14,7 @@ from jointkg.completion import (
 from jointkg.errors import CompletionError
 from jointkg.rgnn import LayerEmbeddings
 
-from .util import pack_params
+from .util import pack_params, score
 
 
 def layers_from_arrays(entity_tables, relation_tables, requires_grad=False):
@@ -184,10 +183,13 @@ class TestScoredTriple:
         rng = np.random.default_rng(8)
         layers = layers_from_arrays([rng.normal(size=(4, 3)) for _ in range(3)],
                                     [rng.normal(size=(2, 3)) for _ in range(3)])
-        scored = completion.score_triple(0, 1, 2, layers)
-        assert scored.total == pytest.approx(sum(scored.layer_scores))
-        assert scored.total == pytest.approx(score(0, 1, 2, layers).item())
-        assert len(scored.layer_scores) == 3
+        tails = np.arange(4)
+        per_layer = [score_batch(np.zeros(4, dtype=int), np.ones(4, dtype=int), tails, layers,
+                                 k).values for k in range(3)]
+        totals = score_all_tails(0, 1, layers.entity_values(), layers.relation_values(),
+                                 offset=0, count=4)
+        assert totals == pytest.approx(sum(per_layer), abs=1e-12)
+        assert totals[2] == pytest.approx(score(0, 1, 2, layers).item(), abs=1e-12)
 
 
 class TestTranslationIdentity:

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from jointkg import diff, rgnn
-from jointkg.rgnn import EncoderParams, attention, build_edges, encode, layer_forward, message
+from jointkg import diff
+from jointkg.kgdata import TRANSFERRED, Kg, MultiKg, RelationVocab
+from jointkg.rgnn import EncoderParams, build_edges, encode, layer_forward
 
 from .util import (
     const_mlp,
     identity_mlp,
     manual_encoder,
     pack_params,
+    reference_build_edges,
     rewire_encoder,
     single_kg,
     weight_mlp,
-    zero_mlp,
 )
 
 
@@ -20,61 +23,127 @@ def chain_graph(length, relation=0):
     return single_kg([(i, relation, i + 1) for i in range(length - 1)])
 
 
+def star_update(leaves, center=None, relation0=None, relations=None, **blocks):
+    """What layer_forward adds to center 0 of a star whose leaf i (entity
+    i + 1) hangs off relations[i]: the attention-weighted sum of the
+    center's messages, read through an identity g."""
+    leaves = np.asarray(leaves, dtype=np.float64)
+    dim = leaves.shape[1]
+    center = np.zeros(dim) if center is None else np.asarray(center, dtype=np.float64)
+    relations = relations or [0] * len(leaves)
+    if relation0 is None:
+        relation0 = np.zeros((max(relations) + 1, dim))
+    multikg = single_kg([(0, r, i + 1) for i, r in enumerate(relations)])
+    params = manual_encoder(1, dim, np.vstack([center, leaves]), relation0,
+                            g=lambda k: identity_mlp(dim), **blocks)
+    entity, _ = layer_forward(build_edges(multikg), params.entity0, params.relation0,
+                              params, 0)
+    return entity.values[0] - center
+
+
 class TestMessage:
     def test_zero_composition_returns_neighbor(self):
-        params = manual_encoder(1, 2, np.zeros((3, 2)), np.zeros((1, 2)))
-        neighbor = diff.tensor([1.0, 2.0])
-        out = message(neighbor, diff.tensor([9.0, -9.0]), params, 0)
-        assert out.values.tolist() == [1.0, 2.0]
+        out = star_update([[1.0, 2.0]], relation0=np.array([[9.0, -9.0]]))
+        assert out.tolist() == [1.0, 2.0]
 
     def test_forced_composition_hand_value(self):
-        params = manual_encoder(
-            1, 2, np.zeros((3, 2)), np.zeros((1, 2)),
-            comp=lambda k: const_mlp(2, [0.5, 0.5]),
-        )
-        out = message(diff.tensor([1.0, 2.0]), diff.tensor([3.0, 4.0]), params, 0)
-        assert out.values.tolist() == [0.5, 1.5]
+        out = star_update([[1.0, 2.0]], relation0=np.array([[3.0, 4.0]]),
+                          comp=lambda k: const_mlp(2, [0.5, 0.5]))
+        assert out.tolist() == [0.5, 1.5]
 
     def test_equal_relations_give_equal_messages(self):
+        # centers 0 and 1 see equal neighbors (2 and 3) over the same relation
         rng = np.random.default_rng(0)
-        params = EncoderParams.create(1, 4, 3, 2, rng)
-        neighbor = diff.tensor(rng.normal(size=4))
-        r = rng.normal(size=4)
-        m1 = message(neighbor, diff.tensor(r.copy()), params, 0)
-        m2 = message(neighbor, diff.tensor(r.copy()), params, 0)
-        assert np.array_equal(m1.values, m2.values)
+        params = EncoderParams.create(1, 4, 4, 2, rng)
+        params.entity0.values[1] = params.entity0.values[0]
+        params.entity0.values[3] = params.entity0.values[2]
+        edges = build_edges(single_kg([(0, 1, 2), (1, 1, 3)]))
+        entity, _ = layer_forward(edges, params.entity0, params.relation0, params, 0)
+        assert np.array_equal(entity.values[0], entity.values[1])
 
 
 class TestAttention:
     def test_single_neighbor_gets_weight_one(self):
         rng = np.random.default_rng(1)
-        params = EncoderParams.create(1, 3, 2, 1, rng)
-        w = attention(diff.tensor(rng.normal(size=3)), [diff.tensor(rng.normal(size=3))],
-                      params, 0)
-        assert w.values.tolist() == pytest.approx([1.0])
+        leaf = rng.normal(size=3)
+        att_w = rng.normal(size=(6, 1))
+        out = star_update([leaf], center=rng.normal(size=3), att=lambda k: weight_mlp(att_w))
+        assert out == pytest.approx(leaf, abs=1e-12)
 
     def test_identical_messages_split_evenly(self):
+        # the attention map reads the center and message coordinate 0 only,
+        # which the two messages share, so their logits are identical
         rng = np.random.default_rng(2)
-        params = EncoderParams.create(1, 3, 2, 1, rng)
-        m = rng.normal(size=3)
-        w = attention(diff.tensor(rng.normal(size=3)),
-                      [diff.tensor(m.copy()), diff.tensor(m.copy())], params, 0)
-        assert w.values.tolist() == pytest.approx([0.5, 0.5])
+        att_w = rng.normal(size=(4, 1))
+        att_w[3, 0] = 0.0
+        out = star_update([[0.3, 1.0], [0.3, -3.0]], center=rng.normal(size=2),
+                          att=lambda k: weight_mlp(att_w))
+        assert out == pytest.approx([0.3, -1.0], abs=1e-12)
 
     def test_constructed_logits_give_quarter_three_quarters(self):
         # logits 0 and ln 3 via an attention map reading one message coordinate
         att_w = np.zeros((4, 1))
         att_w[3, 0] = np.log(3.0)
-        params = manual_encoder(1, 2, np.zeros((2, 2)), np.zeros((1, 2)),
-                                att=lambda k: weight_mlp(att_w))
-        center = diff.tensor([0.0, 0.0])
-        w = attention(center, [diff.tensor([0.0, 0.0]), diff.tensor([0.0, 1.0])], params, 0)
-        assert w.values.tolist() == pytest.approx([0.25, 0.75])
+        out = star_update([[0.0, 0.0], [0.0, 1.0]], att=lambda k: weight_mlp(att_w))
+        assert out == pytest.approx([0.0, 0.75], abs=1e-12)
 
-    def test_empty_message_list_rejected(self):
-        params = manual_encoder(1, 2, np.zeros((2, 2)), np.zeros((1, 2)))
-        with pytest.raises(Exception, match="at least one message"):
-            attention(diff.tensor([0.0, 0.0]), [], params, 0)
+
+@st.composite
+def multi_kg_data(draw):
+    """1-3 KGs over one relation vocabulary, with self-loops, reciprocal
+    triples and transferred triples."""
+    relation_count = draw(st.integers(1, 3))
+    vocab = RelationVocab()
+    for r in range(relation_count):
+        vocab.intern(f"r{r}")
+    kgs = []
+    for k in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 7))
+        kg = Kg(f"k{k}", vocab)
+        for e in range(n):
+            kg.intern_entity(f"e{e}")
+        triple = st.tuples(st.integers(0, n - 1), st.integers(0, relation_count - 1),
+                           st.integers(0, n - 1))
+        for h, r, t in draw(st.lists(triple, max_size=12)):
+            kg.add_triple(h, r, t)
+            if draw(st.booleans()):
+                kg.add_triple(t, r, h)
+        for e, r in draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, relation_count - 1)), max_size=3)):
+            kg.add_triple(e, r, e)
+        for h, r, t in draw(st.lists(triple, max_size=4)):
+            kg.add_triple(h, r, t, origin=TRANSFERRED, epoch=1)
+        kgs.append(kg)
+    return MultiKg(kgs, vocab)
+
+
+def assert_same_edges(got, want):
+    assert got.num_entities == want.num_entities
+    for name in ("centers", "neighbors", "relations"):
+        fast, slow = getattr(got, name), getattr(want, name)
+        assert fast.dtype == slow.dtype == np.int64
+        assert np.array_equal(fast, slow), name
+
+
+class TestBuildEdgesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(multi_kg_data())
+    def test_equals_tagged_reference(self, multikg):
+        assert_same_edges(build_edges(multikg), reference_build_edges(multikg))
+
+    @settings(max_examples=50, deadline=None)
+    @given(multi_kg_data(), st.data())
+    def test_follows_transfers_and_their_removal(self, multikg, data):
+        kg = multikg.kgs[-1]
+        n = kg.entity_count
+        build_edges(multikg)
+        added = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.just(0),
+                                             st.integers(0, n - 1)), min_size=1, max_size=4))
+        for key in added:
+            kg.add_triple(*key, origin=TRANSFERRED, epoch=2)
+        assert_same_edges(build_edges(multikg), reference_build_edges(multikg))
+        kg.remove_transferred(set(added))
+        assert_same_edges(build_edges(multikg), reference_build_edges(multikg))
 
 
 class TestLayerForward:
@@ -231,17 +300,17 @@ class TestInvariants:
 
 class TestAblation:
     def test_without_relation_awareness_messages_are_neighbors(self):
-        params = manual_encoder(1, 2, np.zeros((2, 2)), np.zeros((1, 2)),
-                                relation_aware=False)
-        out = message(diff.tensor([1.0, 2.0]), diff.tensor([5.0, 5.0]), params, 0)
-        assert out.values.tolist() == [1.0, 2.0]
+        out = star_update([[1.0, 2.0]], relation0=np.array([[5.0, 5.0]]),
+                          comp=lambda k: const_mlp(2, [0.5, 0.5]), relation_aware=False)
+        assert out.tolist() == [1.0, 2.0]
 
     def test_without_relation_awareness_weights_are_uniform(self):
         rng = np.random.default_rng(12)
-        params = EncoderParams.create(1, 3, 4, 2, rng, relation_aware=False)
-        w = attention(diff.tensor(rng.normal(size=3)),
-                      [diff.tensor(rng.normal(size=3)) for _ in range(4)], params, 0)
-        assert w.values.tolist() == pytest.approx([0.25] * 4)
+        leaves = rng.normal(size=(4, 3))
+        out = star_update(leaves, center=rng.normal(size=3),
+                          att=lambda k: weight_mlp(rng.normal(size=(6, 1))),
+                          relation_aware=False)
+        assert out == pytest.approx(leaves.mean(axis=0), abs=1e-12)
 
     def test_uniform_weights_in_layer_forward(self):
         e0 = np.array([[1.0, 0.0], [0.0, 2.0], [4.0, 4.0]])

@@ -9,6 +9,7 @@ from jointkg.train import (
     TrainConfig,
     TrainState,
     fit,
+    read_json,
     resume,
     snapshot,
     train_epoch,
@@ -38,20 +39,21 @@ class TestTrainConfig:
         with pytest.raises(TrainError, match="unknown ablation"):
             TrainConfig(ablations=("no_such_flag",))
 
-    def test_from_file_requires_every_field(self, tmp_path):
+    def test_from_dict_requires_every_field(self, tmp_path):
         config = small_config()
         path = tmp_path / "config.json"
         config.to_file(path)
-        loaded = TrainConfig.from_file(path)
-        assert loaded == config
+        data = read_json(path, "config file")
+        assert TrainConfig.from_dict(data, require_all=True) == config
 
-        import json
-
-        data = json.loads(path.read_text())
         del data["beta"]
-        path.write_text(json.dumps(data))
         with pytest.raises(TrainError, match="missing config field: beta"):
-            TrainConfig.from_file(path)
+            TrainConfig.from_dict(data, require_all=True)
+
+    def test_to_dict_lists_ablations(self):
+        config = small_config(ablations=("no_sir", "no_entr"))
+        assert config.to_dict()["ablations"] == ["no_sir", "no_entr"]
+        assert TrainConfig.from_dict(config.to_dict()) == config
 
     def test_unknown_field_is_named(self):
         with pytest.raises(TrainError, match="unknown config field: betamax"):

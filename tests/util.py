@@ -1,10 +1,14 @@
-"""Shared construction helpers for the test suite."""
+"""Shared construction helpers and reference implementations for the test
+suite."""
+from pathlib import Path
+
 import numpy as np
 
 from jointkg import diff
+from jointkg.completion import score_batch
 from jointkg.diff import Mlp, Tensor
 from jointkg.kgdata import Kg, MultiKg, RelationVocab
-from jointkg.rgnn import EncoderParams, build_edges
+from jointkg.rgnn import EdgeList, EncoderParams, LayerEmbeddings
 
 
 def zero_mlp(dims, activations):
@@ -165,3 +169,93 @@ def rewire_encoder(params: EncoderParams, stand_ins):
         g.append(clone_mlp(params.g[k]))
     return EncoderParams(params.layer_count, params.dim, entity0, relation0,
                          comp, rel, att, g, relation_aware=params.relation_aware)
+
+
+# ---------------------------------------------------------------------------
+# reference implementations (oracles for the vectorised program paths)
+
+
+def score(head: int, relation: int, tail: int, layers: LayerEmbeddings) -> Tensor:
+    """Total score of one triple: layer scores summed over layers 0..K."""
+    total = None
+    idx_h = np.array([head])
+    idx_r = np.array([relation])
+    idx_t = np.array([tail])
+    for k in range(layers.layer_count + 1):
+        f_k = score_batch(idx_h, idx_r, idx_t, layers, k)
+        total = f_k if total is None else diff.add(total, f_k)
+    return diff.reshape(total, ())
+
+
+def kg_to_lines(kg: Kg) -> list[str]:
+    """Loaded triples in original order, ready to re-parse into the same Kg."""
+    return [f"{kg.entity_labels[t.head]}\t{kg.relations.labels[t.relation]}"
+            f"\t{kg.entity_labels[t.tail]}" for t in kg.loaded_triples()]
+
+
+def write_kg(kg: Kg, path: Path) -> None:
+    Path(path).write_text("\n".join(kg_to_lines(kg)) + "\n", encoding="utf-8")
+
+
+def tagged_neighbor_index(kg: Kg) -> dict[int, list[tuple[int, int, str]]]:
+    """N(e) as per-entity (neighbor, relation, direction) lists: 'out' when
+    (e, r, e') is a triple, 'in' when (e', r, e) is, 'both' when both are."""
+    directions: dict[tuple[int, int, int], set[str]] = {}
+    for t in kg.triples:
+        directions.setdefault((t.head, t.tail, t.relation), set()).add("out")
+        directions.setdefault((t.tail, t.head, t.relation), set()).add("in")
+    index: dict[int, list[tuple[int, int, str]]] = {e: [] for e in range(kg.entity_count)}
+    for (center, neighbor, relation) in sorted(directions):
+        tags = directions[(center, neighbor, relation)]
+        tag = "both" if len(tags) == 2 else next(iter(tags))
+        index[center].append((neighbor, relation, tag))
+    return index
+
+
+def reference_build_edges(multikg: MultiKg) -> EdgeList:
+    """Edge rows gathered entity by entity from the tagged index, then
+    lexsorted by (center, neighbor, relation)."""
+    centers: list[int] = []
+    neighbors: list[int] = []
+    relations: list[int] = []
+    for kg in multikg.kgs:
+        offset = multikg.entity_offset(kg.id)
+        index = tagged_neighbor_index(kg)
+        for center in range(kg.entity_count):
+            for neighbor, relation, _ in index[center]:
+                centers.append(offset + center)
+                neighbors.append(offset + neighbor)
+                relations.append(relation)
+    order = np.lexsort((relations, neighbors, centers))
+    return EdgeList(
+        centers=np.asarray(centers, dtype=np.int64)[order],
+        neighbors=np.asarray(neighbors, dtype=np.int64)[order],
+        relations=np.asarray(relations, dtype=np.int64)[order],
+        num_entities=multikg.total_entities,
+    )
+
+
+def reference_greedy(values: np.ndarray, limit: int, taken_rows=(), taken_cols=()
+                     ) -> list[tuple[int, int]]:
+    """Greedy one-to-one picks over every entry lexsorted by (-value, row,
+    column), skipping rows and columns already used."""
+    picks: list[tuple[int, int]] = []
+    if limit <= 0:
+        return picks
+    used_rows = set(taken_rows)
+    used_cols = set(taken_cols)
+    cols = values.shape[1]
+    flat = values.reshape(-1)
+    row_of = np.arange(flat.size) // cols
+    col_of = np.arange(flat.size) % cols
+    for position in np.lexsort((col_of, row_of, -flat)):
+        r = int(row_of[position])
+        c = int(col_of[position])
+        if r in used_rows or c in used_cols:
+            continue
+        used_rows.add(r)
+        used_cols.add(c)
+        picks.append((r, c))
+        if len(picks) == limit:
+            break
+    return picks
