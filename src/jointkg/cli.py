@@ -18,7 +18,7 @@ from pathlib import Path
 from . import __version__
 from .alignment import build_alignment_matrix, greedy_match, write_matches
 from .errors import JointKgError
-from .evaluate import evaluate_kga, evaluate_kgc, write_results
+from .evaluate import evaluate_kgc, kga_metrics, write_results
 from .kgdata import load_multikg, write_transfer_sidecar
 from .synth import SynthSpec, generate, write_dataset
 from .train import Checkpoint, TrainConfig, fit, read_json, resume
@@ -125,11 +125,13 @@ def cmd_eval(args) -> int:
                                    split="test")
     if args.task in ("kga", "both"):
         finals, _ = state.alignment_layers_and_finals(tape=False)
-        kga_results = evaluate_kga(multikg, finals.values, state.test_seeds)
-        for pair in sorted(state.test_seeds):
+        kga_results = {}
+        for pair, seed_set in sorted(state.test_seeds.items()):
             src, tgt, _, _ = state.pair_blocks(pair, finals.values)
-            matches = greedy_match(build_alignment_matrix(src, tgt, pair))
-            write_matches(matches, multikg.by_id[pair[0]].entity_labels,
+            matrix = build_alignment_matrix(src, tgt, pair)
+            if seed_set.pairs:
+                kga_results[pair] = kga_metrics(matrix.values, seed_set)
+            write_matches(greedy_match(matrix), multikg.by_id[pair[0]].entity_labels,
                           multikg.by_id[pair[1]].entity_labels,
                           out_dir / f"matches_{pair[0]}_{pair[1]}.tsv")
     summary = write_results(out_dir / "results.tsv", kgc_results, kga_results)

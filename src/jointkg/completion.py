@@ -25,7 +25,7 @@ class NegativeBatch(NamedTuple):
 
 
 def score_layer(c_h: Tensor, c_r: Tensor, c_t: Tensor) -> Tensor:
-    """Negative L1 length of head + relation - tail (single rows or batches)."""
+    """Negative L1 length of head + relation - tail, per row of a batch."""
     return diff.scale(diff.l1_norm_row(diff.sub(diff.add(c_h, c_r), c_t)), -1.0)
 
 

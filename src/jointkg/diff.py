@@ -3,9 +3,10 @@
 Covers exactly the operations the encoder and loss graphs need: affine maps,
 pointwise nonlinearities, row softmax, L1 norms, cosine distance, and the
 gather/scatter/segment primitives of full-graph message passing. Graphs are
-recorded eagerly; `backward` on a scalar accumulates gradients into every
-reachable tensor with `requires_grad` set. Calling `backward` again without
-zeroing adds a second contribution on top.
+recorded eagerly; `backward` on a scalar accumulates gradients into the
+`.grad` of every reachable leaf made by `param` (intermediates get none) and
+frees each intermediate gradient once propagated. Calling `backward` again
+without zeroing adds a second contribution on top.
 
 All values are 64-bit floats and every reduction runs in a fixed order, so
 identical inputs give bit-identical forwards and gradients.
@@ -45,10 +46,6 @@ class Tensor:
         self._grad_fn: Callable[[np.ndarray], tuple] | None = None
         self._op = ""
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.values.shape
-
     def item(self) -> float:
         if self.values.size != 1:
             raise DiffError(f"item() on tensor of shape {self.values.shape}")
@@ -57,33 +54,8 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.values.copy())
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, op={self._op or 'leaf'})"
-
-    def __add__(self, other):
-        return add(self, _ensure(other))
-
-    def __radd__(self, other):
-        return add(_ensure(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _ensure(other))
-
-    def __rsub__(self, other):
-        return sub(_ensure(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def tensor(values) -> Tensor:
@@ -94,10 +66,6 @@ def tensor(values) -> Tensor:
 def param(values) -> Tensor:
     """Trainable tensor: participates in graphs and receives gradients."""
     return Tensor(values, requires_grad=True)
-
-
-def _ensure(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _result(values: np.ndarray, parents: Sequence[Tensor], grad_fn, op: str) -> Tensor:
@@ -272,21 +240,14 @@ def softmax_row(a: Tensor) -> Tensor:
 
 def l1_norm_row(a: Tensor) -> Tensor:
     x = a.values
-    if x.ndim == 1:
-        out = np.abs(x).sum()
+    if x.ndim != 2:
+        raise DiffError(f"l1_norm_row expects a matrix, got shape {x.shape}")
+    out = np.abs(x).sum(axis=1)
 
-        def grad_fn(g):
-            return (np.sign(x) * float(g),)
+    def grad_fn(g):
+        return (np.sign(x) * g[:, None],)
 
-        return _result(np.asarray(out), (a,), grad_fn, "l1_norm_row")
-    if x.ndim == 2:
-        out = np.abs(x).sum(axis=1)
-
-        def grad_fn(g):
-            return (np.sign(x) * g[:, None],)
-
-        return _result(out, (a,), grad_fn, "l1_norm_row")
-    raise DiffError(f"l1_norm_row expects a vector or matrix, got shape {x.shape}")
+    return _result(out, (a,), grad_fn, "l1_norm_row")
 
 
 def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
@@ -416,33 +377,27 @@ def _topo(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(tensor) into .grad of every reachable tensor."""
+    """Accumulate d(loss)/d(leaf) into .grad of every reachable `param` leaf,
+    in one reverse-topological pass that frees each node's gradient once its
+    grad_fn has propagated it. Intermediate tensors get no .grad."""
     if loss.values.shape != ():
         raise DiffError(f"backward requires a scalar loss, got shape {loss.values.shape}")
-    order = _topo(loss)
     # stored arrays are never mutated in place (accumulation always rebinds),
     # so grad_fn outputs can be kept without defensive copies
-    local: dict[int, np.ndarray] = {id(loss): np.ones(())}
-    for node in reversed(order):
-        g = local.get(id(node))
-        if g is None or node._grad_fn is None:
+    pending: dict[int, np.ndarray] = {id(loss): np.ones(())}
+    for node in reversed(_topo(loss)):
+        g = pending.pop(id(node), None)
+        if g is None:
             continue
-        for parent, pg in zip(node._parents, node._grad_fn(g)):
-            if not parent.requires_grad or pg is None:
-                continue
-            key = id(parent)
-            if key in local:
-                local[key] = local[key] + pg
-            else:
-                local[key] = pg
-    for node in order:
-        contribution = local.get(id(node))
-        if contribution is None or not node.requires_grad:
-            continue
-        if node.grad is None:
-            node.grad = np.asarray(contribution, dtype=np.float64).reshape(node.values.shape)
-        else:
-            node.grad = node.grad + contribution.reshape(node.values.shape)
+        if node._grad_fn is not None:
+            for parent, pg in zip(node._parents, node._grad_fn(g)):
+                if not parent.requires_grad or pg is None:
+                    continue
+                key = id(parent)
+                pending[key] = pending[key] + pg if key in pending else pg
+        elif node.requires_grad:
+            g = g.reshape(node.values.shape)
+            node.grad = g if node.grad is None else node.grad + g
 
 
 def grad_check(function: Callable[[Tensor], Tensor], x0, step: float = 1e-5) -> float:
@@ -483,7 +438,7 @@ class Mlp:
     """Affine layers with per-layer activations from {identity, tanh, leakyrelu}."""
 
     def __init__(self, weights: list[Tensor], biases: list[Tensor],
-                 activations: Sequence[str], leaky_slope: float = 0.01):
+                 activations: Sequence[str]):
         if not (len(weights) == len(biases) == len(activations)):
             raise DiffError("Mlp layer lists must have equal length")
         for act in activations:
@@ -492,11 +447,10 @@ class Mlp:
         self.weights = weights
         self.biases = biases
         self.activations = tuple(activations)
-        self.leaky_slope = leaky_slope
 
     @classmethod
     def create(cls, dims: Sequence[int], activations: Sequence[str],
-               rng: np.random.Generator, leaky_slope: float = 0.01) -> "Mlp":
+               rng: np.random.Generator) -> "Mlp":
         """Glorot-uniform weights, zero biases; dims = [in, hidden..., out]."""
         if len(dims) < 2 or len(activations) != len(dims) - 1:
             raise DiffError("Mlp.create needs len(dims) - 1 activations")
@@ -505,7 +459,7 @@ class Mlp:
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(param(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
             biases.append(param(np.zeros(fan_out)))
-        return cls(weights, biases, activations, leaky_slope)
+        return cls(weights, biases, activations)
 
     @property
     def in_dim(self) -> int:
@@ -516,17 +470,13 @@ class Mlp:
         return self.weights[-1].values.shape[1]
 
     def __call__(self, x: Tensor) -> Tensor:
-        vector_input = x.values.ndim == 1
-        out = reshape(x, (1, x.values.shape[0])) if vector_input else x
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            out = add(matmul(out, w), b)
+            x = add(matmul(x, w), b)
             if act == "tanh":
-                out = tanh(out)
+                x = tanh(x)
             elif act == "leakyrelu":
-                out = leakyrelu(out, self.leaky_slope)
-        if vector_input:
-            out = reshape(out, (out.values.shape[1],))
-        return out
+                x = leakyrelu(x)
+        return x
 
     def parameters(self) -> list[Tensor]:
         params = []

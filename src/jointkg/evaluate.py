@@ -72,8 +72,6 @@ def kgc_rank(test_triple: TripleKey, entity_count: int,
         raise EvalError(f"expected {entity_count} candidate scores, got {scores.shape}")
     filtered = set(known.get((h, r), set()))
     filtered.discard(t)
-    if t in filtered:
-        raise EvalError("true tail filtered out")
     rank, candidates = pessimistic_rank(scores, t, filtered)
     return RankResult(query=test_triple, rank=rank, candidate_count=candidates)
 
@@ -121,6 +119,15 @@ def evaluate_kgc(multikg: MultiKg, entity_layer_values: list[np.ndarray],
     return results
 
 
+def kga_metrics(similarities: np.ndarray, seed_set: SeedSet,
+                k_list: tuple[int, ...] = (1, 10)) -> dict[str, float]:
+    """Metrics of one pair's seed pairs ranked in its (source x target) block."""
+    ranks = [kga_rank(similarities[e], e_star).rank for e, e_star in seed_set.pairs]
+    metrics = aggregate(ranks, k_list)
+    metrics["count"] = float(len(ranks))
+    return metrics
+
+
 def evaluate_kga(multikg: MultiKg, entity_finals: np.ndarray,
                  test_seeds: dict[tuple[str, str], SeedSet],
                  k_list: tuple[int, ...] = (1, 10)) -> dict[tuple[str, str], dict[str, float]]:
@@ -137,10 +144,7 @@ def evaluate_kga(multikg: MultiKg, entity_finals: np.ndarray,
             entity_finals[off_l:off_l + left.entity_count],
             entity_finals[off_r:off_r + right.entity_count],
         ).values
-        ranks = [kga_rank(block[e], e_star).rank for e, e_star in seed_set.pairs]
-        metrics = aggregate(ranks, k_list)
-        metrics["count"] = float(len(ranks))
-        results[pair] = metrics
+        results[pair] = kga_metrics(block, seed_set, k_list)
     return results
 
 

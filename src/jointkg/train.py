@@ -338,8 +338,8 @@ class TrainState:
         self.adam_completion.zero_grad()
         return value
 
-    def entr_step(self) -> tuple[int, int]:
-        entity_finals, _ = self.alignment_layers_and_finals(tape=False)
+    def entr_step(self, hook="fresh") -> tuple[int, int]:
+        entity_finals, _ = self.alignment_layers_and_finals(tape=False, hook=hook)
         finals_values = entity_finals.values
         budget_total = 0
         for pair in sorted(self.train_seeds):
@@ -387,7 +387,7 @@ def train_epoch(state: TrainState) -> dict:
         for _ in range(config.steps_per_epoch):
             metrics["loss_alignment"] = state.alignment_step(hook=hook)
         if config.entr_active and state.epoch % config.entr_period == 0:
-            metrics["budget"], metrics["transferred"] = state.entr_step()
+            metrics["budget"], metrics["transferred"] = state.entr_step(hook=hook)
     return metrics
 
 

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from jointkg import alignment, cli, evaluate
 from jointkg.cli import apply_env_overrides, main
-from jointkg.train import TrainConfig
+from jointkg.kgdata import load_multikg
+from jointkg.train import Checkpoint, TrainConfig, resume
 
 
 def config_payload(**overrides):
@@ -112,6 +114,48 @@ class TestEvalCommand:
         assert (out / "matches_kg1_kg2.tsv").exists()
         printed = capsys.readouterr().out
         assert "kgc" in printed and "kga" in printed
+
+    def test_each_pair_matrix_is_built_once(self, dataset, tmp_path, monkeypatch):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload()))
+        run = tmp_path / "run"
+        main(["train", "--config", str(config_path), "--data", str(dataset),
+              "--out", str(run)])
+        # expected outputs from evaluate_kga plus a second matrix for matching
+        expected = tmp_path / "expected"
+        expected.mkdir()
+        multikg = load_multikg(dataset)
+        state = resume(Checkpoint.load(run / "checkpoint.json"), multikg)
+        layers = state.completion_layers(tape=False)
+        finals, _ = state.alignment_layers_and_finals(tape=False)
+        evaluate.write_results(
+            expected / "results.tsv",
+            evaluate.evaluate_kgc(multikg, layers.entity_values(), layers.relation_values()),
+            evaluate.evaluate_kga(multikg, finals.values, state.test_seeds))
+        for pair in sorted(state.test_seeds):
+            src, tgt, _, _ = state.pair_blocks(pair, finals.values)
+            alignment.write_matches(
+                alignment.greedy_match(alignment.build_alignment_matrix(src, tgt, pair)),
+                multikg.by_id[pair[0]].entity_labels, multikg.by_id[pair[1]].entity_labels,
+                expected / f"matches_{pair[0]}_{pair[1]}.tsv")
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return alignment.build_alignment_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_alignment_matrix", counted)
+        monkeypatch.setattr(evaluate, "build_alignment_matrix", counted)
+        out = tmp_path / "eval"
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                     "--data", str(dataset), "--out", str(out), "--task", "both"])
+        assert code == 0
+        assert len(calls) == len(state.test_seeds) >= 1
+        written = sorted(p.name for p in expected.iterdir())
+        assert "results.tsv" in written and len(written) == 1 + len(state.test_seeds)
+        for name in written:
+            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
 
     def test_checkpoint_data_mismatch_errors(self, dataset, tmp_path, capsys):
         config_path = tmp_path / "config.json"

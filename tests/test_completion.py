@@ -25,18 +25,18 @@ def layers_from_arrays(entity_tables, relation_tables, requires_grad=False):
 
 class TestScoreLayer:
     def test_all_zero_vectors(self):
-        z = diff.tensor(np.zeros(3))
-        assert score_layer(z, z, z).item() == 0.0
+        z = diff.tensor(np.zeros((1, 3)))
+        assert diff.sum_all(score_layer(z, z, z)).item() == 0.0
 
     def test_exact_translation(self):
-        out = score_layer(diff.tensor([1.0, 0.0]), diff.tensor([0.5, 0.5]),
-                          diff.tensor([1.5, 0.5]))
-        assert out.item() == 0.0
+        out = score_layer(diff.tensor([[1.0, 0.0]]), diff.tensor([[0.5, 0.5]]),
+                          diff.tensor([[1.5, 0.5]]))
+        assert diff.sum_all(out).item() == 0.0
 
     def test_hand_l1(self):
-        out = score_layer(diff.tensor([1.0, 0.0]), diff.tensor([0.0, 0.0]),
-                          diff.tensor([0.0, 1.0]))
-        assert out.item() == -2.0
+        out = score_layer(diff.tensor([[1.0, 0.0]]), diff.tensor([[0.0, 0.0]]),
+                          diff.tensor([[0.0, 1.0]]))
+        assert diff.sum_all(out).item() == -2.0
 
 
 class TestScore:

@@ -5,7 +5,18 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jointkg import diff
+from jointkg.alignment import (
+    FusionParams,
+    HeadParams,
+    alignment_loss,
+    final_embeddings,
+    make_fusion_hook,
+)
+from jointkg.completion import alignment_constraint_loss, completion_loss, ranking_loss
 from jointkg.errors import DiffError
+from jointkg.rgnn import EncoderParams, build_edges, encode
+
+from .util import reference_backward, single_kg
 
 TOL = 1e-4
 STEP = 1e-5
@@ -35,7 +46,7 @@ def test_cosine_distance_zero_vector_errors():
 
 
 def test_l1_norm_row_hand_value():
-    assert diff.l1_norm_row(diff.tensor([1.0, -2.0, 0.5])).item() == 3.5
+    assert diff.sum_all(diff.l1_norm_row(diff.tensor([[1.0, -2.0, 0.5]]))).item() == 3.5
 
 
 def test_l1_norm_row_matrix():
@@ -60,10 +71,11 @@ def test_tanh_gradient_matches_finite_difference_at_half():
 
 
 def test_l1_gradient_is_signs():
-    x = diff.param(np.array([2.0, -3.0]))
-    diff.backward(diff.l1_norm_row(x))
-    assert x.grad.tolist() == [1.0, -1.0]
-    err = diff.grad_check(diff.l1_norm_row, np.array([2.0, -3.0]), step=STEP)
+    x = diff.param(np.array([[2.0, -3.0]]))
+    diff.backward(diff.sum_all(diff.l1_norm_row(x)))
+    assert x.grad.tolist() == [[1.0, -1.0]]
+    err = diff.grad_check(lambda t: diff.sum_all(diff.l1_norm_row(t)),
+                          np.array([[2.0, -3.0]]), step=STEP)
     assert err < TOL
 
 
@@ -194,6 +206,85 @@ def test_forward_and_gradients_are_deterministic():
     assert np.array_equal(a, a2) and np.array_equal(b, b2) and np.array_equal(c, c2)
 
 
+def _model_losses(seed):
+    """Criterion-2-style graphs on a 6-entity KG: an encoder functional, the
+    completion loss, and the alignment loss through a SIR fusion hook. Each
+    entry is (name, loss, leaves): every parameter the graphs can reach."""
+    rng = np.random.default_rng(seed)
+    triples = sorted({(int(rng.integers(6)), int(rng.integers(2)), int(rng.integers(6)))
+                      for _ in range(9)} | {(0, 0, 1), (2, 1, 3), (4, 0, 5)})
+    edges = build_edges(single_kg(triples, entity_count=6))
+    completion = EncoderParams.create(2, 3, 6, 2, rng)
+    alignment_side = EncoderParams.create(2, 3, 6, 2, rng)
+    fusion = FusionParams.create(2, 3, rng)
+    heads = HeadParams.create(2, 3, rng)
+
+    layers = encode(edges, completion)
+    encoder = diff.sum_all(diff.mul(layers.entities[2], diff.tensor(rng.normal(size=(6, 3)))))
+    positives = (np.array([0, 2]), np.array([0, 1]), np.array([1, 3]))
+    negatives = (np.array([4, 2]), np.array([0, 1]), np.array([1, 5]), np.array([0, 1]))
+    completion_total = completion_loss(
+        ranking_loss(positives, negatives, 1.0, layers),
+        alignment_constraint_loss(np.array([[0, 3], [1, 4]]), layers))
+    with diff.no_grad():
+        hook = make_fusion_hook(encode(edges, completion), fusion)
+    finals, _ = final_embeddings(encode(edges, alignment_side, hook), heads)
+    alignment_total = alignment_loss([(0, 3), (1, 4)],
+                                     [(0, (2, 3)), (0, (0, 5)), (1, (5, 4)), (1, (1, 2))],
+                                     0.5, finals)
+    every = (completion.parameters() + alignment_side.parameters() + fusion.parameters()
+             + heads.parameters())
+    return [("encoder", encoder, every), ("completion", completion_total, every),
+            ("alignment", alignment_total, every)]
+
+
+class TestBackwardOracle:
+    """The one-pass `backward` against the two-pass `reference_backward`."""
+
+    @staticmethod
+    def _assert_same(got, leaves, name):
+        for g, leaf in zip(got, leaves):
+            assert (g is None) == (leaf.grad is None), name
+            if g is not None:
+                assert g.dtype == np.float64 and g.shape == leaf.values.shape, name
+                assert np.array_equal(g, leaf.grad), name
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [8000, 8001, 8002])
+    def test_leaf_gradients_match_reference_bitwise(self, seed, which):
+        # one fresh model per graph: the three graphs share intermediates,
+        # and the reference leaves a .grad on those
+        name, loss, leaves = _model_losses(seed)[which]
+        diff.backward(loss)
+        once = [leaf.grad for leaf in leaves]
+        assert any(g is not None for g in once), name
+        for node in diff._topo(loss):
+            if node._grad_fn is not None:
+                assert node.grad is None, f"{name}: {node!r} kept a gradient"
+        diff.backward(loss)
+        twice = [leaf.grad for leaf in leaves]
+
+        for leaf in leaves:
+            leaf.grad = None
+        reference_backward(loss)
+        self._assert_same(once, leaves, name)
+        reference_backward(loss)
+        self._assert_same(twice, leaves, name)
+
+    def test_constant_root_sets_nothing(self):
+        x = diff.param(np.array([1.0, -2.0]))
+        with diff.no_grad():
+            root = diff.sum_all(diff.tanh(x))
+        diff.backward(root)
+        assert root.grad is None and x.grad is None
+
+    def test_parameter_root_gets_unit_gradient(self):
+        x = diff.param(np.asarray(2.0))
+        diff.backward(x)
+        diff.backward(x)
+        assert x.grad == 2.0
+
+
 class TestMlp:
     def test_dims_and_forward_shape(self):
         rng = np.random.default_rng(0)
@@ -201,12 +292,6 @@ class TestMlp:
         assert mlp.in_dim == 4 and mlp.out_dim == 2
         out = mlp(diff.tensor(np.ones((3, 4))))
         assert out.values.shape == (3, 2)
-
-    def test_vector_input_round_trips(self):
-        rng = np.random.default_rng(1)
-        mlp = diff.Mlp.create([4, 4], ("tanh",), rng)
-        out = mlp(diff.tensor(np.ones(4)))
-        assert out.values.shape == (4,)
 
     def test_biases_start_at_zero(self):
         mlp = diff.Mlp.create([3, 3], ("identity",), np.random.default_rng(2))

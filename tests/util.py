@@ -157,7 +157,7 @@ def rewire_encoder(params: EncoderParams, stand_ins):
 
     def clone_mlp(mlp):
         tensors = [next(it) for _ in range(2 * len(mlp.weights))]
-        return Mlp(tensors[0::2], tensors[1::2], mlp.activations, mlp.leaky_slope)
+        return Mlp(tensors[0::2], tensors[1::2], mlp.activations)
 
     entity0 = next(it)
     relation0 = next(it)
@@ -233,6 +233,34 @@ def reference_build_edges(multikg: MultiKg) -> EdgeList:
         relations=np.asarray(relations, dtype=np.int64)[order],
         num_entities=multikg.total_entities,
     )
+
+
+def reference_backward(loss: Tensor) -> None:
+    """Two-pass reverse mode: every node's gradient is kept until the pass
+    ends, then written onto the .grad of every reachable tensor that
+    requires grad, intermediates included."""
+    order = diff._topo(loss)
+    local: dict[int, np.ndarray] = {id(loss): np.ones(())}
+    for node in reversed(order):
+        g = local.get(id(node))
+        if g is None or node._grad_fn is None:
+            continue
+        for parent, pg in zip(node._parents, node._grad_fn(g)):
+            if not parent.requires_grad or pg is None:
+                continue
+            key = id(parent)
+            if key in local:
+                local[key] = local[key] + pg
+            else:
+                local[key] = pg
+    for node in order:
+        contribution = local.get(id(node))
+        if contribution is None or not node.requires_grad:
+            continue
+        if node.grad is None:
+            node.grad = np.asarray(contribution, dtype=np.float64).reshape(node.values.shape)
+        else:
+            node.grad = node.grad + contribution.reshape(node.values.shape)
 
 
 def reference_greedy(values: np.ndarray, limit: int, taken_rows=(), taken_cols=()
