@@ -9,7 +9,10 @@ frees each intermediate gradient once propagated. Calling `backward` again
 without zeroing adds a second contribution on top.
 
 All values are 64-bit floats and every reduction runs in a fixed order, so
-identical inputs give bit-identical forwards and gradients.
+identical inputs give bit-identical forwards and gradients. The row
+scatter-sums (the backward of `gather_rows`, the forward of
+`scatter_weighted_sum`) add each target's rows sequentially in ascending
+input position, the order of `np.add.at`.
 """
 from __future__ import annotations
 
@@ -287,18 +290,23 @@ def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
 # graph aggregation primitives
 
 
-def _row_scatter_sum(index: np.ndarray, rows: np.ndarray, num_rows: int,
-                     width: int) -> np.ndarray:
-    """Sum `rows` into an accumulator by row index (sort + reduceat; the
-    stable sort keeps summation order deterministic)."""
-    acc = np.zeros((num_rows, width))
-    if index.size == 0:
-        return acc
-    order = np.argsort(index, kind="stable")
-    sorted_index = index[order]
-    boundaries = np.flatnonzero(np.r_[True, sorted_index[1:] != sorted_index[:-1]])
-    acc[sorted_index[boundaries]] = np.add.reduceat(rows[order], boundaries, axis=0)
-    return acc
+def _row_scatter_sum(index: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[s] = sum of rows[i] over i with index[i] == s, for 1-D or 2-D `rows`.
+
+    One sparse product with a plan of unit entries: plan row s lists, in
+    ascending input position, the i with index[i] == s (a stable argsort), so
+    each target starts from 0.0 and adds its rows sequentially in input order,
+    exactly as `np.add.at` into zeros does. Every product term is x * 1.0, so
+    the result is exact per term and does not depend on FMA contraction.
+    """
+    # imported here, not at module top, so `import jointkg` stays cheap
+    from scipy.sparse import csr_matrix
+
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=num_rows), out=indptr[1:])
+    plan = csr_matrix((np.ones(index.size), np.argsort(index, kind="stable"), indptr),
+                      shape=(num_rows, index.size))
+    return plan @ rows
 
 
 def gather_rows(a: Tensor, index) -> Tensor:
@@ -309,9 +317,7 @@ def gather_rows(a: Tensor, index) -> Tensor:
         raise DiffError("gather_rows index out of range")
 
     def grad_fn(g):
-        if a.values.ndim == 1:
-            return (np.bincount(idx, weights=g, minlength=a.values.shape[0]),)
-        return (_row_scatter_sum(idx, g, a.values.shape[0], a.values.shape[1]),)
+        return (_row_scatter_sum(idx, g, a.values.shape[0]),)
 
     return _result(a.values[idx], (a,), grad_fn, "gather_rows")
 
@@ -325,8 +331,8 @@ def scatter_weighted_sum(messages: Tensor, weights: Tensor, segments, num_segmen
         )
     if seg.shape != (messages.values.shape[0],):
         raise DiffError("scatter_weighted_sum segment vector must match message count")
-    out = _row_scatter_sum(seg, weights.values[:, None] * messages.values,
-                           num_segments, messages.values.shape[1])
+    # weights stay out of the scatter plan, whose unit entries keep each term exact
+    out = _row_scatter_sum(seg, weights.values[:, None] * messages.values, num_segments)
 
     def grad_fn(g):
         picked = g[seg]

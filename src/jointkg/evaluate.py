@@ -36,18 +36,13 @@ class RankResult:
 def pessimistic_rank(scores: np.ndarray, true_index: int, excluded: set[int]) -> tuple[int, int]:
     """Rank of true_index among the non-excluded candidates, counting every
     tie as scoring higher; returns (rank, candidate count)."""
-    true_score = scores[true_index]
-    better_or_equal = 0
-    candidates = 0
-    for candidate, value in enumerate(scores):
-        if candidate == true_index:
-            continue
-        if candidate in excluded:
-            continue
-        candidates += 1
-        if value >= true_score:
-            better_or_equal += 1
-    return better_or_equal + 1, candidates + 1
+    keep = np.ones(scores.shape[0], dtype=bool)
+    keep[true_index] = False
+    keep[list(excluded)] = False
+    candidates = scores[keep]
+    # NaN compares False either way, so a NaN candidate never outranks
+    better_or_equal = int(np.count_nonzero(candidates >= scores[true_index]))
+    return better_or_equal + 1, candidates.size + 1
 
 
 def known_tails(multikg: MultiKg, kg_id: str) -> dict[tuple[int, int], set[int]]:

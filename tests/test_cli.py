@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jointkg
 from jointkg import alignment, cli, evaluate
 from jointkg.cli import apply_env_overrides, main
 from jointkg.kgdata import load_multikg
@@ -245,3 +250,13 @@ class TestBadJsonInputs:
                               "--out", str(tmp_path / "eval")], capsys)
         assert code == 1
         assert "error [train]: checkpoint" in err and "is not valid JSON" in err
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy loads at the first scatter-sum, so start-up does not pay for it."""
+    src = str(Path(jointkg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, jointkg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

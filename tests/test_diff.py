@@ -285,6 +285,64 @@ class TestBackwardOracle:
         assert x.grad == 2.0
 
 
+# magnitudes far apart make the sum depend on its order; -0.0 checks the start value
+_SCATTER_VALUES = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, 3.0, 1e-17, 1e16, -1e16]),
+                            st.floats(-1e6, 1e6))
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@st.composite
+def _scatter_case(draw, one_dim_allowed=True):
+    """(index, rows, num_rows): 1-row and 3-row tables and wider ones, with
+    empty, repeated and sparse indices (rows never hit)."""
+    num_rows = draw(st.one_of(st.sampled_from([1, 3]), st.integers(1, 12)))
+    count = draw(st.integers(0, 80))
+    index = np.asarray(draw(st.lists(st.integers(0, num_rows - 1), min_size=count,
+                                     max_size=count)), dtype=np.int64)
+    widths = [None, 1, 4] if one_dim_allowed else [1, 4]
+    width = draw(st.sampled_from(widths))
+    shape = (count,) if width is None else (count, width)
+    rows = draw(arrays(np.float64, shape, elements=_SCATTER_VALUES))
+    return index, rows, num_rows
+
+
+class TestRowScatterSum:
+    """The scatter plan against `np.add.at` into zeros, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scatter_case())
+    def test_equals_add_at(self, case):
+        index, rows, num_rows = case
+        expected = np.zeros((num_rows,) + rows.shape[1:])
+        np.add.at(expected, index, rows)
+        got = diff._row_scatter_sum(index, rows, num_rows)
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert np.array_equal(_bits(got), _bits(expected))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3)])
+    def test_empty_index_gives_zeros(self, shape):
+        got = diff._row_scatter_sum(np.zeros(0, dtype=np.int64), np.zeros(shape), 4)
+        assert np.array_equal(_bits(got), _bits(np.zeros((4,) + shape[1:])))
+
+    def test_negative_zero_sums_to_positive_zero(self):
+        got = diff._row_scatter_sum(np.array([1, 1]), np.array([-0.0, -0.0]), 3)
+        assert np.array_equal(_bits(got), _bits(np.zeros(3)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scatter_case(one_dim_allowed=False), st.data())
+    def test_scatter_weighted_sum_forward_equals_add_at(self, case, data):
+        segments, messages, num_segments = case
+        weights = data.draw(arrays(np.float64, segments.shape, elements=_SCATTER_VALUES))
+        expected = np.zeros((num_segments, messages.shape[1]))
+        np.add.at(expected, segments, weights[:, None] * messages)
+        got = diff.scatter_weighted_sum(diff.tensor(messages), diff.tensor(weights),
+                                        segments, num_segments).values
+        assert np.array_equal(_bits(got), _bits(expected))
+
+
 class TestMlp:
     def test_dims_and_forward_shape(self):
         rng = np.random.default_rng(0)

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointkg import evaluate as ev
 from jointkg.completion import score_all_tails
 from jointkg.errors import EvalError
 from jointkg.evaluate import aggregate, kga_rank, kgc_rank, pessimistic_rank
+
+from .util import reference_pessimistic_rank
 
 
 def brute_force_kgc_rank(scores, true_tail, filtered_tails):
@@ -112,6 +116,20 @@ class TestOracleEquivalence:
             mine = kga_rank(sims, true_target)
             oracle_rank, _ = brute_force_kgc_rank(sims, true_target, set())
             assert mine.rank == oracle_rank
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_pessimistic_rank_equals_reference_loop(self, data):
+        # one-decimal scores force ties; NaN never counts as scoring higher
+        score = st.one_of(st.floats(-2, 2).map(lambda x: round(x, 1)),
+                          st.sampled_from([-0.0, np.nan]))
+        scores = np.array(data.draw(st.lists(score, min_size=1, max_size=40)))
+        true_index = data.draw(st.integers(0, scores.size - 1))
+        excluded = data.draw(st.sets(st.integers(0, scores.size - 1)))
+        expected = reference_pessimistic_rank(scores, true_index, excluded)
+        got = pessimistic_rank(scores, true_index, excluded)
+        assert got == expected
+        assert all(type(value) is int for value in got)
 
 
 class TestMonotonicity:

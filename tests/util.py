@@ -287,3 +287,21 @@ def reference_greedy(values: np.ndarray, limit: int, taken_rows=(), taken_cols=(
         if len(picks) == limit:
             break
     return picks
+
+
+def reference_pessimistic_rank(scores: np.ndarray, true_index: int, excluded: set[int]
+                               ) -> tuple[int, int]:
+    """Candidate-by-candidate loop: skip the true index and the excluded ones,
+    count the rest and those scoring at least the true score."""
+    true_score = scores[true_index]
+    better_or_equal = 0
+    candidates = 0
+    for candidate, value in enumerate(scores):
+        if candidate == true_index:
+            continue
+        if candidate in excluded:
+            continue
+        candidates += 1
+        if value >= true_score:
+            better_or_equal += 1
+    return better_or_equal + 1, candidates + 1
