@@ -4,6 +4,7 @@ similarity matrix, nearest-entity negatives, the margin loss over aligned
 pairs, and greedy one-to-one matching."""
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -179,27 +180,85 @@ def alignment_loss(pairs: list[tuple[int, int]],
     return diff.mean_all(hinge)
 
 
+# Each free row starts with at least this many candidate columns, taken in
+# blocks of at most _GREEDY_ROW_BLOCK rows so no temporary spans the matrix.
+_GREEDY_CANDIDATES = 32
+_GREEDY_ROW_BLOCK = 256
+
+
+def _candidate_lists(values: np.ndarray, rows: np.ndarray, free_cols: np.ndarray
+                     ) -> list[np.ndarray]:
+    """Per row, the free columns whose value is at least the row's
+    _GREEDY_CANDIDATES-th largest among them (ties at that value included),
+    ordered by value descending, then column ascending: a prefix of the row's
+    full order over the free columns."""
+    kth = free_cols.size - min(_GREEDY_CANDIDATES, free_cols.size)
+    lists: list[np.ndarray] = []
+    for start in range(0, rows.size, _GREEDY_ROW_BLOCK):
+        # take() keeps the block C-ordered, so the partition runs along contiguous rows
+        block = values[rows[start:start + _GREEDY_ROW_BLOCK]].take(free_cols, axis=1)
+        kept = block >= np.partition(block, kth, axis=1)[:, kth, None]
+        r, c = np.nonzero(kept)
+        ordered = free_cols[c[np.lexsort((c, -block[r, c], r))]]
+        lists += np.split(ordered, np.cumsum(np.count_nonzero(kept, axis=1))[:-1])
+    return lists
+
+
 def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=()
                       ) -> list[tuple[int, int]]:
-    """Up to `limit` (row, column) picks by descending value, using each row
-    and column at most once and none already taken. Ties break on (row,
-    column) ascending, the order of the flat index row * cols + col."""
+    """Up to `limit` (row, column) picks, using each row and column at most
+    once and none already taken.
+
+    The picks are those of a walk over every entry in the order (value
+    descending, row ascending, column ascending) that takes each entry whose
+    row and column are both still free. It runs as a lazy heap of row heads:
+    each free row holds a candidate list (see `_candidate_lists`), the heap
+    pops the least (-value, row, column) head, a head whose column was taken
+    meanwhile advances to the row's next candidate, and a row whose list runs
+    out refills with its full order over the columns still free. With a
+    positive limit, a non-finite matrix raises AlignmentError, since NaN has
+    no place in that order.
+    """
     picks: list[tuple[int, int]] = []
     if limit <= 0:
         return picks
-    rows, cols = values.shape
-    row_used = np.zeros(rows, dtype=bool)
-    col_used = np.zeros(cols, dtype=bool)
+    if not np.all(np.isfinite(values)):
+        raise AlignmentError("greedy matching requires a finite matrix")
+    n_rows, n_cols = values.shape
+    row_used = np.zeros(n_rows, dtype=bool)
+    col_used = np.zeros(n_cols, dtype=bool)
     row_used[list(taken_rows)] = True
     col_used[list(taken_cols)] = True
-    for position in np.argsort(-values.reshape(-1), kind="stable"):
-        r, c = divmod(int(position), cols)
-        if row_used[r] or col_used[c]:
+    free_rows = np.flatnonzero(~row_used)
+    free_cols = np.flatnonzero(~col_used)
+    if free_rows.size == 0 or free_cols.size == 0:
+        return picks
+
+    candidates = dict(zip(free_rows.tolist(), _candidate_lists(values, free_rows, free_cols)))
+    position = dict.fromkeys(candidates, 0)
+    heap = [(-float(values[r, cols[0]]), r, int(cols[0])) for r, cols in candidates.items()]
+    heapq.heapify(heap)
+    while heap:
+        _, r, c = heapq.heappop(heap)
+        if not col_used[c]:
+            col_used[c] = True
+            picks.append((r, c))
+            if len(picks) == limit:
+                break
             continue
-        row_used[r] = col_used[c] = True
-        picks.append((r, c))
-        if len(picks) == limit:
-            break
+        cols = candidates[r]
+        at = position[r] + 1
+        while at < cols.size and col_used[cols[at]]:
+            at += 1
+        if at == cols.size:
+            free = np.flatnonzero(~col_used)
+            cols = candidates[r] = free[np.argsort(-values[r, free], kind="stable")]
+            at = 0
+            if cols.size == 0:
+                continue
+        position[r] = at
+        c = int(cols[at])
+        heapq.heappush(heap, (-float(values[r, c]), r, c))
     return picks
 
 
@@ -207,8 +266,6 @@ def greedy_match(matrix: AlignmentMatrix | np.ndarray) -> list[tuple[int, int, f
     """One-to-one pairs by descending similarity until rows or columns run
     out, each with its score."""
     values = matrix.values if isinstance(matrix, AlignmentMatrix) else np.asarray(matrix)
-    if not np.all(np.isfinite(values)):
-        raise AlignmentError("greedy matching requires a finite matrix")
     return [(r, c, float(values[r, c])) for r, c in greedy_one_to_one(values, min(values.shape))]
 
 

@@ -127,7 +127,7 @@ def cmd_eval(args) -> int:
         finals, _ = state.alignment_layers_and_finals(tape=False)
         kga_results = {}
         for pair, seed_set in sorted(state.test_seeds.items()):
-            src, tgt, _, _ = state.pair_blocks(pair, finals.values)
+            src, tgt, _, _ = multikg.pair_blocks(pair, finals.values)
             matrix = build_alignment_matrix(src, tgt, pair)
             if seed_set.pairs:
                 kga_results[pair] = kga_metrics(matrix.values, seed_set)

@@ -13,6 +13,8 @@ from .errors import CompletionError
 from .rgnn import LayerEmbeddings
 
 _RETRY_LIMIT = 100
+# queries per cdist call in score_all_tails, so its temporaries stay small
+_QUERY_BLOCK = 256
 
 
 class NegativeBatch(NamedTuple):
@@ -38,14 +40,26 @@ def score_batch(heads, relations, tails, layers: LayerEmbeddings, layer: int) ->
     )
 
 
-def score_all_tails(head: int, relation: int, entity_values: list[np.ndarray],
+def score_all_tails(heads: np.ndarray, relations: np.ndarray, entity_values: list[np.ndarray],
                     relation_values: list[np.ndarray], offset: int, count: int) -> np.ndarray:
-    """Plain-array total scores of (head, relation, t) for every candidate
-    tail t in one KG's id block; used by ranking evaluation."""
-    total = np.zeros(count)
-    for ek, rk in zip(entity_values, relation_values):
-        translated = ek[head] + rk[relation]
-        total -= np.abs(translated[None, :] - ek[offset:offset + count]).sum(axis=1)
+    """Plain-array total scores, one row per query (heads[i], relations[i])
+    and one column per candidate tail in one KG's id block
+    [offset, offset + count); used by ranking evaluation.
+
+    Each layer subtracts the L1 distances from head + relation to every
+    candidate, computed by `cdist` in blocks of _QUERY_BLOCK queries.
+    """
+    # imported here, not at module top, so `import jointkg` stays cheap
+    from scipy.spatial.distance import cdist
+
+    heads = np.asarray(heads, dtype=np.int64)
+    relations = np.asarray(relations, dtype=np.int64)
+    total = np.zeros((heads.size, count))
+    for start in range(0, heads.size, _QUERY_BLOCK):
+        rows = slice(start, start + _QUERY_BLOCK)
+        for ek, rk in zip(entity_values, relation_values):
+            translated = ek[heads[rows]] + rk[relations[rows]]
+            total[rows] -= cdist(translated, ek[offset:offset + count], "cityblock")
     return total
 
 

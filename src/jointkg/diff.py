@@ -309,12 +309,16 @@ def _row_scatter_sum(index: np.ndarray, rows: np.ndarray, num_rows: int) -> np.n
     return plan @ rows
 
 
+def _check_range(index: np.ndarray, size: int, what: str) -> None:
+    if index.size and (index.min() < 0 or index.max() >= size):
+        raise DiffError(f"{what} out of range")
+
+
 def gather_rows(a: Tensor, index) -> Tensor:
     idx = np.asarray(index, dtype=np.int64)
     if idx.ndim != 1:
         raise DiffError("gather_rows index must be one-dimensional")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.values.shape[0]):
-        raise DiffError("gather_rows index out of range")
+    _check_range(idx, a.values.shape[0], "gather_rows index")
 
     def grad_fn(g):
         return (_row_scatter_sum(idx, g, a.values.shape[0]),)
@@ -331,6 +335,7 @@ def scatter_weighted_sum(messages: Tensor, weights: Tensor, segments, num_segmen
         )
     if seg.shape != (messages.values.shape[0],):
         raise DiffError("scatter_weighted_sum segment vector must match message count")
+    _check_range(seg, num_segments, "scatter_weighted_sum segment")
     # weights stay out of the scatter plan, whose unit entries keep each term exact
     out = _row_scatter_sum(seg, weights.values[:, None] * messages.values, num_segments)
 
@@ -346,6 +351,7 @@ def segment_softmax(logits: Tensor, segments, num_segments: int) -> Tensor:
     seg = np.asarray(segments, dtype=np.int64)
     if logits.values.ndim != 1 or seg.shape != logits.values.shape:
         raise DiffError("segment_softmax expects matching 1-d logits and segments")
+    _check_range(seg, num_segments, "segment_softmax segment")
     seg_max = np.full(num_segments, -np.inf)
     np.maximum.at(seg_max, seg, logits.values)
     e = np.exp(logits.values - seg_max[seg])

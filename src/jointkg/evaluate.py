@@ -2,8 +2,12 @@
 
 Completion: each test triple competes against every same-KG entity as a tail
 candidate; candidates forming another known-true triple are removed first
-(filtered protocol) and ties count against the model. Alignment: the true
-counterpart is ranked among all target entities by cosine similarity.
+(filtered protocol) and ties count against the model. A KG's whole split is
+scored in one `score_all_tails` call: a (queries x candidates) matrix that
+starts at 0.0 and subtracts, layer by layer in order, scipy's cityblock
+distance from head + relation to each candidate (summed over dimensions in
+order). Each row is then ranked on its own. Alignment: the true counterpart
+is ranked among all target entities by cosine similarity.
 """
 from __future__ import annotations
 
@@ -103,11 +107,11 @@ def evaluate_kgc(multikg: MultiKg, entity_layer_values: list[np.ndarray],
             continue
         offset = multikg.entity_offset(kg.id)
         known = known_tails(multikg, kg.id)
-        ranks = []
-        for h, r, t in triples:
-            scores = score_all_tails(offset + h, r, entity_layer_values,
-                                     relation_layer_values, offset, kg.entity_count)
-            ranks.append(kgc_rank((h, r, t), kg.entity_count, known, scores).rank)
+        heads, relations, _ = np.asarray(triples, dtype=np.int64).T
+        scores = score_all_tails(offset + heads, relations, entity_layer_values,
+                                 relation_layer_values, offset, kg.entity_count)
+        ranks = [kgc_rank(triple, kg.entity_count, known, row).rank
+                 for triple, row in zip(triples, scores)]
         metrics = aggregate(ranks, k_list)
         metrics["count"] = float(len(ranks))
         results[kg.id] = metrics
@@ -131,14 +135,8 @@ def evaluate_kga(multikg: MultiKg, entity_finals: np.ndarray,
     for pair, seed_set in sorted(test_seeds.items()):
         if not seed_set.pairs:
             continue
-        left = multikg.by_id[pair[0]]
-        right = multikg.by_id[pair[1]]
-        off_l = multikg.entity_offset(left.id)
-        off_r = multikg.entity_offset(right.id)
-        block = build_alignment_matrix(
-            entity_finals[off_l:off_l + left.entity_count],
-            entity_finals[off_r:off_r + right.entity_count],
-        ).values
+        source, target, _, _ = multikg.pair_blocks(pair, entity_finals)
+        block = build_alignment_matrix(source, target).values
         results[pair] = kga_metrics(block, seed_set, k_list)
     return results
 

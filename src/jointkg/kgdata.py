@@ -197,6 +197,15 @@ class MultiKg:
     def entity_offset(self, kg_id: str) -> int:
         return self._offsets[kg_id]
 
+    def pair_blocks(self, pair: tuple[str, str], finals: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """The two KGs' row blocks of a table over all entities, and their
+        offsets: (left rows, right rows, left offset, right offset)."""
+        off_l = self._offsets[pair[0]]
+        off_r = self._offsets[pair[1]]
+        return (finals[off_l:off_l + self.by_id[pair[0]].entity_count],
+                finals[off_r:off_r + self.by_id[pair[1]].entity_count], off_l, off_r)
+
     def set_kgc_split(self, kg_id: str, split: str, triples: list[tuple[int, int, int]]) -> None:
         self.kgc_splits[kg_id][split] = list(triples)
         self._check_split_disjoint(kg_id)

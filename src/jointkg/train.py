@@ -225,12 +225,7 @@ class TrainState:
             return final_embeddings(layers, self.model.heads)
 
     def pair_blocks(self, pair: tuple[str, str], finals: np.ndarray):
-        left = self.multikg.by_id[pair[0]]
-        right = self.multikg.by_id[pair[1]]
-        off_l = self.multikg.entity_offset(left.id)
-        off_r = self.multikg.entity_offset(right.id)
-        return (finals[off_l:off_l + left.entity_count],
-                finals[off_r:off_r + right.entity_count], off_l, off_r)
+        return self.multikg.pair_blocks(pair, finals)
 
     def global_seed_pairs(self) -> np.ndarray:
         rows = []

@@ -283,6 +283,44 @@ class TestGreedyOneToOne:
         assert [(r, c) for r, c, _ in matches] == reference_greedy(values, min(values.shape))
         assert all(score == values[r, c] for r, c, score in matches)
 
+    @settings(max_examples=300, deadline=None)
+    @given(greedy_cases(), st.integers(1, 3), st.integers(1, 3))
+    def test_small_candidate_lists_equal_reference_loop(self, case, width, row_block):
+        """1-3 candidates per row in blocks of 1-3 rows: rows refill and ties
+        straddle the candidate cut, at every limit."""
+        values, _, taken_rows, taken_cols = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(al, "_GREEDY_CANDIDATES", width)
+            patch.setattr(al, "_GREEDY_ROW_BLOCK", row_block)
+            for limit in range(min(values.shape) + 2):
+                assert (greedy_one_to_one(values, limit, taken_rows, taken_cols)
+                        == reference_greedy(values, limit, taken_rows, taken_cols))
+
+    def test_refill_breaks_ties_on_column(self, monkeypatch):
+        # row 1's only candidate is column 0; its refill is three tied zeros
+        monkeypatch.setattr(al, "_GREEDY_CANDIDATES", 1)
+        values = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        assert greedy_one_to_one(values, 2) == [(0, 0), (1, 1)]
+
+    def test_collapsed_matrix_equals_reference_loop(self):
+        """Near-identical rows, as collapsed finals give: a rank-one matrix
+        makes every row rank the columns alike, so the rows picked last find
+        all their default-width candidates taken and refill (rounding adds
+        ties)."""
+        rng = np.random.default_rng(11)
+        values = np.round(0.999 + 1e-3 * np.outer(rng.random(40), rng.random(50)), 6)
+        taken_rows, taken_cols = [3, 7], [0, 49]
+        for limit in (1, 17, 38, 39):
+            assert (greedy_one_to_one(values, limit, taken_rows, taken_cols)
+                    == reference_greedy(values, limit, taken_rows, taken_cols))
+        assert greedy_one_to_one(values.T, 40) == reference_greedy(values.T, 40)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_matrix_rejected(self, bad):
+        values = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(AlignmentError, match="finite"):
+            greedy_one_to_one(values, 1, taken_rows=[1])
+
     def test_zero_limit_returns_before_sorting(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("sorted with a zero limit")

@@ -64,7 +64,7 @@ class TestScore:
         entities = [rng.normal(size=(4, 3)) for _ in range(3)]
         relations = [rng.normal(size=(2, 3)) for _ in range(3)]
         layers = layers_from_arrays(entities, relations)
-        fast = score_all_tails(1, 0, entities, relations, offset=0, count=4)
+        fast = score_all_tails([1], [0], entities, relations, offset=0, count=4)[0]
         for t in range(4):
             assert fast[t] == pytest.approx(score(1, 0, t, layers).item(), abs=1e-12)
 
@@ -186,8 +186,8 @@ class TestScoredTriple:
         tails = np.arange(4)
         per_layer = [score_batch(np.zeros(4, dtype=int), np.ones(4, dtype=int), tails, layers,
                                  k).values for k in range(3)]
-        totals = score_all_tails(0, 1, layers.entity_values(), layers.relation_values(),
-                                 offset=0, count=4)
+        totals = score_all_tails([0], [1], layers.entity_values(), layers.relation_values(),
+                                 offset=0, count=4)[0]
         assert totals == pytest.approx(sum(per_layer), abs=1e-12)
         assert totals[2] == pytest.approx(score(0, 1, 2, layers).item(), abs=1e-12)
 
@@ -204,7 +204,7 @@ class TestTranslationIdentity:
             rels.append(r)
         layers = layers_from_arrays(tables, rels)
         assert score(0, 0, 2, layers).item() == pytest.approx(0.0, abs=1e-12)
-        scores = score_all_tails(0, 0, tables, rels, 0, 5)
+        scores = score_all_tails([0], [0], tables, rels, 0, 5)[0]
         assert np.argmax(scores) == 2
         assert all(scores[t] < 0 for t in range(5) if t != 2)
 

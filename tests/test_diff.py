@@ -309,6 +309,15 @@ def _scatter_case(draw, one_dim_allowed=True):
     return index, rows, num_rows
 
 
+@pytest.mark.parametrize("segments", [[0, 1, 5], [0, -1, 1]])
+def test_out_of_range_segments_rejected(segments):
+    messages = diff.tensor(np.ones((3, 2)))
+    with pytest.raises(DiffError, match="scatter_weighted_sum segment out of range"):
+        diff.scatter_weighted_sum(messages, diff.tensor(np.ones(3)), segments, 3)
+    with pytest.raises(DiffError, match="segment_softmax segment out of range"):
+        diff.segment_softmax(diff.tensor(np.zeros(3)), segments, 3)
+
+
 class TestRowScatterSum:
     """The scatter plan against `np.add.at` into zeros, bit for bit."""
 

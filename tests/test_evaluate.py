@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jointkg import completion
 from jointkg import evaluate as ev
 from jointkg.completion import score_all_tails
 from jointkg.errors import EvalError
 from jointkg.evaluate import aggregate, kga_rank, kgc_rank, pessimistic_rank
+from jointkg.kgdata import load_multikg
+from jointkg.synth import SynthSpec, generate, write_dataset
 
-from .util import reference_pessimistic_rank
+from .util import reference_pessimistic_rank, reference_score_all_tails
 
 
 def brute_force_kgc_rank(scores, true_tail, filtered_tails):
@@ -203,3 +206,63 @@ class TestWholeDatasetSweeps:
         assert any(line.startswith("kgc\txx\tMRR\t") for line in lines)
         assert any(line.startswith("kgc\toverall\tMRR\t") for line in lines)
         assert "kgc" in summary
+
+
+@st.composite
+def scoring_cases(draw):
+    """Random layer tables, 0-12 queries, a candidate block inside the
+    entity table and a query block of 1-3 rows, so blocks split the queries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers, entities = draw(st.integers(1, 3)), draw(st.integers(1, 9))
+    relations, dim = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    entity_values = [rng.normal(size=(entities, dim)) for _ in range(layers)]
+    relation_values = [rng.normal(size=(relations, dim)) for _ in range(layers)]
+    offset = draw(st.integers(0, entities - 1))
+    count = draw(st.integers(1, entities - offset))
+    queries = draw(st.integers(0, 12))
+    heads = rng.integers(entities, size=queries)
+    rels = rng.integers(relations, size=queries)
+    block = draw(st.integers(1, 3))
+    return heads, rels, entity_values, relation_values, offset, count, block
+
+
+def reference_sweep(multikg, entity_values, relation_values, split):
+    """evaluate_kgc's metrics from one reference score row per query."""
+    results = {}
+    for kg in multikg.kgs:
+        offset = multikg.entity_offset(kg.id)
+        known = ev.known_tails(multikg, kg.id)
+        ranks = [kgc_rank((h, r, t), kg.entity_count, known,
+                          reference_score_all_tails(offset + h, r, entity_values,
+                                                    relation_values, offset,
+                                                    kg.entity_count)).rank
+                 for h, r, t in multikg.kgc_splits[kg.id][split]]
+        results[kg.id] = dict(aggregate(ranks), count=float(len(ranks)))
+    return results
+
+
+class TestBatchedScoring:
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_cases())
+    def test_score_all_tails_equals_per_query_loop(self, case):
+        heads, rels, entity_values, relation_values, offset, count, block = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(completion, "_QUERY_BLOCK", block)
+            scores = score_all_tails(heads, rels, entity_values, relation_values, offset, count)
+        assert scores.shape == (heads.size, count)
+        for row, h, r in zip(scores, heads, rels):
+            expected = reference_score_all_tails(h, r, entity_values, relation_values,
+                                                 offset, count)
+            assert np.max(np.abs(row - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_evaluate_kgc_equals_per_query_sweep(self, tmp_path, seed):
+        write_dataset(generate(SynthSpec(entity_count=60, missing_rate=0.2, rng_seed=seed)),
+                      tmp_path)
+        multikg = load_multikg(tmp_path)
+        rng = np.random.default_rng(seed)
+        entity_values = [rng.normal(size=(multikg.total_entities, 4)) for _ in range(3)]
+        relation_values = [rng.normal(size=(len(multikg.relations), 4)) for _ in range(3)]
+        for split in ("valid", "test"):
+            assert (ev.evaluate_kgc(multikg, entity_values, relation_values, split=split)
+                    == reference_sweep(multikg, entity_values, relation_values, split))

@@ -225,6 +225,10 @@ class TestMultiKg:
         assert m.entity_offset("aa") == 0
         assert m.entity_offset("bb") == 2
         assert m.total_entities == 5
+        table = np.arange(5)[:, None] * 10
+        left, right, off_l, off_r = m.pair_blocks(("bb", "aa"), table)
+        assert (left.ravel().tolist(), right.ravel().tolist(), off_l, off_r) == (
+            [20, 30, 40], [0, 10], 2, 0)
 
     def test_split_overlap_errors(self):
         vocab = RelationVocab()

@@ -305,3 +305,15 @@ def reference_pessimistic_rank(scores: np.ndarray, true_index: int, excluded: se
         if value >= true_score:
             better_or_equal += 1
     return better_or_equal + 1, candidates + 1
+
+
+def reference_score_all_tails(head: int, relation: int, entity_values: list[np.ndarray],
+                              relation_values: list[np.ndarray], offset: int, count: int
+                              ) -> np.ndarray:
+    """One query at a time: per layer, subtract the numpy row sums of
+    |head + relation - tail| over the candidate block."""
+    total = np.zeros(count)
+    for ek, rk in zip(entity_values, relation_values):
+        translated = ek[head] + rk[relation]
+        total -= np.abs(translated[None, :] - ek[offset:offset + count]).sum(axis=1)
+    return total
