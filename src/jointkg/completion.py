@@ -26,20 +26,6 @@ class NegativeBatch(NamedTuple):
     positive_index: np.ndarray
 
 
-def score_layer(c_h: Tensor, c_r: Tensor, c_t: Tensor) -> Tensor:
-    """Negative L1 length of head + relation - tail, per row of a batch."""
-    return diff.scale(diff.l1_norm_row(diff.sub(diff.add(c_h, c_r), c_t)), -1.0)
-
-
-def score_batch(heads, relations, tails, layers: LayerEmbeddings, layer: int) -> Tensor:
-    """Layer-k scores for aligned index arrays of triples."""
-    e = layers.entities[layer]
-    r = layers.relations[layer]
-    return score_layer(
-        diff.gather_rows(e, heads), diff.gather_rows(r, relations), diff.gather_rows(e, tails)
-    )
-
-
 def score_all_tails(heads: np.ndarray, relations: np.ndarray, entity_values: list[np.ndarray],
                     relation_values: list[np.ndarray], offset: int, count: int) -> np.ndarray:
     """Plain-array total scores, one row per query (heads[i], relations[i])
@@ -68,16 +54,19 @@ def ranking_loss(positives: tuple[np.ndarray, np.ndarray, np.ndarray],
                  gamma_c: float, layers: LayerEmbeddings) -> Tensor:
     """Hinge gamma_c - f_k(pos) + f_k(neg), averaged over pos-neg pairs and
     summed over layers. `negatives` carries a positive-index column pairing
-    each corruption with its source triple."""
+    each corruption with its source triple. Each layer scores positives and
+    negatives in one `translation_l1` call."""
     pos_h, pos_r, pos_t = positives
     neg_h, neg_r, neg_t, pair_of = negatives
+    heads = np.concatenate([pos_h, neg_h])
+    relations = np.concatenate([pos_r, neg_r])
+    tails = np.concatenate([pos_t, neg_t])
+    negative_rows = len(pos_h) + np.arange(len(neg_h))
     total = None
     for k in range(layers.layer_count + 1):
-        f_pos = score_batch(pos_h, pos_r, pos_t, layers, k)
-        f_neg = score_batch(neg_h, neg_r, neg_t, layers, k)
-        hinge = diff.relu(
-            diff.add(diff.sub(diff.tensor(gamma_c), diff.gather_rows(f_pos, pair_of)), f_neg)
-        )
+        f = diff.translation_l1(layers.entities[k], layers.relations[k], heads, relations, tails)
+        hinge = diff.relu(diff.add(diff.sub(diff.tensor(gamma_c), diff.gather_rows(f, pair_of)),
+                                   diff.gather_rows(f, negative_rows)))
         layer_loss = diff.mean_all(hinge)
         total = layer_loss if total is None else diff.add(total, layer_loss)
     return total

@@ -1,18 +1,27 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Covers exactly the operations the encoder and loss graphs need: affine maps,
-pointwise nonlinearities, row softmax, L1 norms, cosine distance, and the
-gather/scatter/segment primitives of full-graph message passing. Graphs are
-recorded eagerly; `backward` on a scalar accumulates gradients into the
-`.grad` of every reachable leaf made by `param` (intermediates get none) and
-frees each intermediate gradient once propagated. Calling `backward` again
-without zeroing adds a second contribution on top.
+pointwise nonlinearities, row softmax, L1 norms, cosine distance, the fused
+translation score, and the gather/scatter/segment primitives of full-graph
+message passing. Graphs are recorded eagerly; `backward` on a scalar
+accumulates gradients into the `.grad` of every reachable leaf made by
+`param` (intermediates get none) and frees each intermediate gradient once
+propagated. Calling `backward` again without zeroing adds a second
+contribution on top.
 
 All values are 64-bit floats and every reduction runs in a fixed order, so
 identical inputs give bit-identical forwards and gradients. The row
 scatter-sums (the backward of `gather_rows`, the forward of
 `scatter_weighted_sum`) add each target's rows sequentially in ascending
 input position, the order of `np.add.at`.
+
+`translation_l1` gives -sum_j |e[h] + r[rel] - e[t]|_j per row, the same
+values as three gathers, add, sub, `l1_norm_row` and `scale(-1)`; its node
+keeps only the int8 signs and the index arrays. Its backward forms
+u = sign * -g once. In the entity gradient each target adds +u[i] for the
+rows i it heads, in ascending i, then -u[i] for the rows i it tails, in
+ascending i (a self-loop adds +u[i], later -u[i]); in the relation gradient
+it adds +u[i] in ascending i.
 """
 from __future__ import annotations
 
@@ -290,22 +299,26 @@ def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
 # graph aggregation primitives
 
 
-def _row_scatter_sum(index: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
-    """out[s] = sum of rows[i] over i with index[i] == s, for 1-D or 2-D `rows`.
+def _row_scatter_sum(index: np.ndarray, rows: np.ndarray, num_rows: int,
+                     signs: np.ndarray | None = None) -> np.ndarray:
+    """out[s] = sum of signs[i] * rows[i % len(rows)] over i with index[i] == s,
+    for 1-D or 2-D `rows`; `signs` (entries +1 or -1) defaults to all +1, and
+    `index` may cover `rows` a whole number of times over.
 
-    One sparse product with a plan of unit entries: plan row s lists, in
+    One sparse product with a plan of +-1 entries: plan row s lists, in
     ascending input position, the i with index[i] == s (a stable argsort), so
     each target starts from 0.0 and adds its rows sequentially in input order,
-    exactly as `np.add.at` into zeros does. Every product term is x * 1.0, so
-    the result is exact per term and does not depend on FMA contraction.
+    exactly as `np.add.at` into zeros does. Every product term is x * +-1.0,
+    so the result is exact per term and does not depend on FMA contraction.
     """
     # imported here, not at module top, so `import jointkg` stays cheap
     from scipy.sparse import csr_matrix
 
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(index, minlength=num_rows), out=indptr[1:])
-    plan = csr_matrix((np.ones(index.size), np.argsort(index, kind="stable"), indptr),
-                      shape=(num_rows, index.size))
+    order = np.argsort(index, kind="stable")
+    entries = np.ones(index.size) if signs is None else signs[order].astype(np.float64)
+    plan = csr_matrix((entries, order % rows.shape[0], indptr), shape=(num_rows, rows.shape[0]))
     return plan @ rows
 
 
@@ -324,6 +337,33 @@ def gather_rows(a: Tensor, index) -> Tensor:
         return (_row_scatter_sum(idx, g, a.values.shape[0]),)
 
     return _result(a.values[idx], (a,), grad_fn, "gather_rows")
+
+
+def translation_l1(entities: Tensor, relations: Tensor, heads, rels, tails) -> Tensor:
+    """-sum_j |entities[heads] + relations[rels] - entities[tails]|_j per row."""
+    h = np.asarray(heads, dtype=np.int64)
+    r = np.asarray(rels, dtype=np.int64)
+    t = np.asarray(tails, dtype=np.int64)
+    e, rel = entities.values, relations.values
+    if h.ndim != 1 or not h.shape == r.shape == t.shape:
+        raise DiffError("translation_l1 needs three one-dimensional index arrays of one length")
+    if e.ndim != 2 or rel.ndim != 2 or e.shape[1] != rel.shape[1]:
+        raise DiffError(f"translation_l1 table mismatch {e.shape} / {rel.shape}")
+    _check_range(h, e.shape[0], "translation_l1 head")
+    _check_range(r, rel.shape[0], "translation_l1 relation")
+    _check_range(t, e.shape[0], "translation_l1 tail")
+    delta = e[h] + rel[r]
+    delta -= e[t]
+    sign = np.sign(delta).astype(np.int8)
+    out = np.abs(delta, out=delta).sum(axis=1) * -1.0
+
+    def grad_fn(g):
+        u = sign * (-g)[:, None]
+        ends_sign = np.repeat(np.array([1, -1], dtype=np.int8), h.size)
+        return (_row_scatter_sum(np.concatenate([h, t]), u, e.shape[0], ends_sign),
+                _row_scatter_sum(r, u, rel.shape[0]))
+
+    return _result(out, (entities, relations), grad_fn, "translation_l1")
 
 
 def scatter_weighted_sum(messages: Tensor, weights: Tensor, segments, num_segments: int) -> Tensor:

@@ -29,16 +29,19 @@ class EntropyState:
 
 
 def matrix_entropy(matrix: AlignmentMatrix | np.ndarray) -> float:
-    """Shannon entropy (natural log) of the row softmax, summed over rows."""
+    """Shannon entropy (natural log) of the row softmax, summed over rows; a
+    probability that underflows to 0 adds 0, the limit of p log p."""
     values = matrix.values if isinstance(matrix, AlignmentMatrix) else np.asarray(matrix)
     if values.ndim != 2 or values.size == 0:
         raise EnTrError(f"entropy needs a non-empty matrix, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
         raise EnTrError("entropy requires a finite matrix")
-    shifted = values - values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=1, keepdims=True)
-    return float(-(p * np.log(p)).sum())
+    p = values - values.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    p_log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
+    p_log_p *= p
+    return float(-p_log_p.sum())
 
 
 def seed_budget(h_tilde: float, h_current: float, beta: float,

@@ -266,7 +266,9 @@ class TrainState:
         """
         self.step_in_epoch += 1
         layers = self.completion_layers(tape=True)
-        heads, relations, tails, neg_h, neg_r, neg_t, pair_of = [], [], [], [], [], [], []
+        # per KG and stream: heads, relations, tails, then the negatives' heads,
+        # relations, tails and positive index
+        blocks = []
         base = 0
         for kg_id, loaded, transferred in self.completion_positives():
             kg = self.multikg.by_id[kg_id]
@@ -280,21 +282,14 @@ class TrainState:
                 nh, nr, nt, np_of = sample_negatives(
                     positives, kg.entity_count, known,
                     self.config.negatives_per_positive, rng)
-                heads += [offset + h for h, _, _ in positives]
-                relations += [r for _, r, _ in positives]
-                tails += [offset + t for _, _, t in positives]
-                neg_h += (nh + offset).tolist()
-                neg_r += nr.tolist()
-                neg_t += (nt + offset).tolist()
-                pair_of += (np_of + base).tolist()
+                pos = np.asarray(positives, dtype=np.int64)
+                blocks.append((pos[:, 0] + offset, pos[:, 1], pos[:, 2] + offset,
+                               nh + offset, nr, nt + offset, np_of + base))
                 base += len(positives)
-        if not heads:
+        if not blocks:
             raise TrainError("no completion training triples in any KG")
-        positives_arrays = (np.asarray(heads), np.asarray(relations), np.asarray(tails))
-        negatives_arrays = (np.asarray(neg_h), np.asarray(neg_r), np.asarray(neg_t),
-                            np.asarray(pair_of))
-        ranking = ranking_loss(positives_arrays, negatives_arrays,
-                               self.config.gamma_completion, layers)
+        columns = tuple(np.concatenate(column) for column in zip(*blocks))
+        ranking = ranking_loss(columns[:3], columns[3:], self.config.gamma_completion, layers)
         constraint = alignment_constraint_loss(self.global_seed_pairs(), layers)
         loss = completion_loss(ranking, constraint)
         value = loss.item()

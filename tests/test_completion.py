@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointkg import diff
 from jointkg.completion import (
@@ -8,13 +10,18 @@ from jointkg.completion import (
     ranking_loss,
     sample_negatives,
     score_all_tails,
-    score_batch,
-    score_layer,
 )
 from jointkg.errors import CompletionError
-from jointkg.rgnn import LayerEmbeddings
+from jointkg.rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 
-from .util import pack_params, score
+from .util import (
+    pack_params,
+    reference_ranking_loss,
+    score,
+    score_batch,
+    score_layer,
+    single_kg,
+)
 
 
 def layers_from_arrays(entity_tables, relation_tables, requires_grad=False):
@@ -106,6 +113,60 @@ class TestRankingLoss:
         positives = (np.array([0, 1]), np.array([0, 1]), np.array([2, 3]))
         negatives = (np.array([0, 1]), np.array([0, 1]), np.array([4, 0]), np.array([0, 1]))
         assert ranking_loss(positives, negatives, 2.0, layers).item() >= 0.0
+
+
+class TestFusedRankingLoss:
+    """`ranking_loss` (one `translation_l1` per layer) against the unfused
+    per-layer gathers and `score_batch` calls of `reference_ranking_loss`."""
+
+    @staticmethod
+    def _encoder_case(seed, negatives_per_positive):
+        rng = np.random.default_rng(seed)
+        triples = sorted({(int(rng.integers(6)), int(rng.integers(3)), int(rng.integers(6)))
+                          for _ in range(10)} | {(0, 0, 1), (2, 1, 2)})
+        params = EncoderParams.create(2, 4, 6, 3, rng)
+        edges = build_edges(single_kg(triples, entity_count=6))
+        positives = triples[:6]
+        batch = sample_negatives(positives, 6, set(triples), negatives_per_positive, rng)
+        pos = np.asarray(positives, dtype=np.int64)
+        return params, edges, (pos[:, 0], pos[:, 1], pos[:, 2]), tuple(batch)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 4), st.sampled_from([0.5, 2.0, 5.0]))
+    def test_loss_bitwise_and_gradients_match_unfused(self, seed, m, gamma):
+        results = []
+        for loss_fn in (ranking_loss, reference_ranking_loss):
+            params, edges, positives, negatives = self._encoder_case(seed, m)
+            loss = loss_fn(positives, negatives, gamma, encode(edges, params))
+            diff.backward(loss)
+            results.append((loss.values, [p.grad for p in params.parameters()]))
+        (fused, fused_grads), (unfused, unfused_grads) = results
+        assert np.array_equal(fused, unfused)
+        for got, want in zip(fused_grads, unfused_grads):
+            assert (got is None) == (want is None)
+            if got is not None:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_tape_holds_no_per_negative_float_matrix(self):
+        params, edges, positives, negatives = self._encoder_case(3, 4)
+        rows = {len(negatives[0]), len(positives[0]) + len(negatives[0])}
+        layers = encode(edges, params)
+        encoder_nodes = {id(node) for table in layers.entities + layers.relations
+                         for node in diff._topo(table)}
+        loss = ranking_loss(positives, negatives, 2.0, layers)
+        scoring_nodes = 0
+        for node in diff._topo(loss):
+            if id(node) in encoder_nodes:
+                continue
+            held = [node.values]
+            for cell in (node._grad_fn.__closure__ or ()) if node._grad_fn else ():
+                held.append(cell.cell_contents)
+            for array in held:
+                if (isinstance(array, np.ndarray) and array.ndim == 2
+                        and array.dtype == np.float64 and array.shape[0] in rows):
+                    raise AssertionError(f"{node!r} holds a {array.shape} float64 array")
+            scoring_nodes += node._op == "translation_l1"
+        assert scoring_nodes == 3
 
 
 class TestConstraintLoss:

@@ -16,7 +16,7 @@ from jointkg.completion import alignment_constraint_loss, completion_loss, ranki
 from jointkg.errors import DiffError
 from jointkg.rgnn import EncoderParams, build_edges, encode
 
-from .util import reference_backward, single_kg
+from .util import reference_backward, score_layer, single_kg
 
 TOL = 1e-4
 STEP = 1e-5
@@ -331,6 +331,24 @@ class TestRowScatterSum:
         assert got.dtype == np.float64 and got.shape == expected.shape
         assert np.array_equal(_bits(got), _bits(expected))
 
+    @settings(max_examples=200, deadline=None)
+    @given(_scatter_case(), st.data())
+    def test_signed_and_repeated_equals_add_at(self, case, data):
+        # the index covers the rows twice over; entry i reads rows[i % len(rows)]
+        index, rows, num_rows = case
+        second = np.asarray(data.draw(st.lists(st.integers(0, num_rows - 1),
+                                               min_size=index.size, max_size=index.size)),
+                            dtype=np.int64)
+        both = np.concatenate([index, second])
+        signs = np.asarray(data.draw(st.lists(st.sampled_from([1, -1]), min_size=both.size,
+                                              max_size=both.size)), dtype=np.int8)
+        column = signs.reshape((both.size,) + (1,) * (rows.ndim - 1))
+        signed = column * np.concatenate([rows, rows])
+        expected = np.zeros((num_rows,) + rows.shape[1:])
+        np.add.at(expected, both, signed)
+        got = diff._row_scatter_sum(both, rows, num_rows, signs)
+        assert np.array_equal(_bits(got), _bits(expected))
+
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_empty_index_gives_zeros(self, shape):
         got = diff._row_scatter_sum(np.zeros(0, dtype=np.int64), np.zeros(shape), 4)
@@ -350,6 +368,93 @@ class TestRowScatterSum:
         got = diff.scatter_weighted_sum(diff.tensor(messages), diff.tensor(weights),
                                         segments, num_segments).values
         assert np.array_equal(_bits(got), _bits(expected))
+
+
+class TestTranslationL1:
+    """The fused translation score against gathers plus the unfused
+    `score_layer`, and its backward against `np.add.at` in the documented
+    order."""
+
+    # rows 1 and 3 repeat heads, row 2 is a self-loop (0, 1, 0), row 4 a
+    # self-loop on a repeated relation
+    HEADS = np.array([0, 2, 0, 2, 3])
+    RELS = np.array([1, 0, 1, 1, 1])
+    TAILS = np.array([1, 1, 0, 3, 3])
+
+    @classmethod
+    def _tables(cls, seed):
+        """Tables whose every |e[h] + r[rel] - e[t]| coordinate is at least
+        0.05, so the L1 kinks stay far from the finite-difference steps."""
+        rng = np.random.default_rng(seed)
+        while True:
+            e = rng.normal(size=(4, 3))
+            r = rng.normal(size=(2, 3))
+            delta = e[cls.HEADS] + r[cls.RELS] - e[cls.TAILS]
+            if np.abs(delta).min() >= 0.05:
+                return e, r
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_grad_check_both_tables(self, seed):
+        e, r = self._tables(seed)
+        weights = diff.tensor(np.random.default_rng(100 + seed).normal(size=self.HEADS.size))
+
+        def weighted(entities, relations):
+            f = diff.translation_l1(entities, relations, self.HEADS, self.RELS, self.TAILS)
+            return diff.sum_all(diff.mul(f, weights))
+
+        assert diff.grad_check(lambda t: weighted(t, diff.tensor(r)), e, step=STEP) < TOL
+        assert diff.grad_check(lambda t: weighted(diff.tensor(e), t), r, step=STEP) < TOL
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_unfused_and_add_at_bitwise(self, data):
+        entity_count = data.draw(st.integers(1, 6))
+        relation_count = data.draw(st.integers(1, 3))
+        dim = data.draw(st.integers(1, 4))
+        count = data.draw(st.integers(0, 30))
+        ids = st.lists(st.integers(0, entity_count - 1), min_size=count, max_size=count)
+        heads = np.asarray(data.draw(ids), dtype=np.int64)
+        tails = np.asarray(data.draw(ids), dtype=np.int64)
+        rels = np.asarray(data.draw(st.lists(st.integers(0, relation_count - 1),
+                                             min_size=count, max_size=count)), dtype=np.int64)
+        values = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(-1e3, 1e3))
+        e = data.draw(arrays(np.float64, (entity_count, dim), elements=values))
+        r = data.draw(arrays(np.float64, (relation_count, dim), elements=values))
+        g = data.draw(arrays(np.float64, (count,), elements=values))
+
+        entities, relations = diff.param(e), diff.param(r)
+        fused = diff.translation_l1(entities, relations, heads, rels, tails)
+        unfused = score_layer(diff.tensor(e[heads]), diff.tensor(r[rels]),
+                              diff.tensor(e[tails]))
+        assert fused.values.shape == (count,)
+        assert np.array_equal(_bits(fused.values), _bits(unfused.values))
+
+        if count:
+            diff.backward(diff.sum_all(diff.mul(fused, diff.tensor(g))))
+            u = np.sign(e[heads] + r[rels] - e[tails]) * -g[:, None]
+            expected_e = np.zeros_like(e)
+            np.add.at(expected_e, np.concatenate([heads, tails]), np.concatenate([u, -u]))
+            expected_r = np.zeros_like(r)
+            np.add.at(expected_r, rels, u)
+            assert np.array_equal(_bits(entities.grad), _bits(expected_e))
+            assert np.array_equal(_bits(relations.grad), _bits(expected_r))
+
+    @pytest.mark.parametrize("which, bad", [("head", [0, 4]), ("head", [-1, 0]),
+                                            ("relation", [0, 2]), ("relation", [-1, 0]),
+                                            ("tail", [4, 0]), ("tail", [0, -2])])
+    def test_out_of_range_indices_rejected(self, which, bad):
+        e, r = self._tables(0)
+        index = {"head": [0, 1], "relation": [0, 1], "tail": [1, 2], which: bad}
+        with pytest.raises(DiffError, match=f"translation_l1 {which} out of range"):
+            diff.translation_l1(diff.param(e), diff.param(r), index["head"],
+                                index["relation"], index["tail"])
+
+    def test_shape_errors(self):
+        e, r = self._tables(0)
+        with pytest.raises(DiffError, match="one length"):
+            diff.translation_l1(diff.tensor(e), diff.tensor(r), [0, 1], [0], [1, 2])
+        with pytest.raises(DiffError, match="table mismatch"):
+            diff.translation_l1(diff.tensor(e), diff.tensor(r[:, :2]), [0], [0], [1])
 
 
 class TestMlp:

@@ -62,6 +62,15 @@ class TestMatrixEntropy:
         h = matrix_entropy(values)
         assert 0.0 <= h <= 4 * np.log(6) + 1e-9
 
+    @pytest.mark.parametrize("values, expected", [
+        ([[0.0, -1000.0]], 0.0),
+        ([[0.0, -1000.0], [3.0, 3.0]], np.log(2.0)),
+        ([[-800.0, 0.0, 0.0, -900.0]], np.log(2.0)),
+    ])
+    def test_underflowed_probabilities_count_as_zero(self, values, expected):
+        # exp(-1000) is 0.0 in float64; 0 log 0 is the limit 0, not NaN
+        assert matrix_entropy(np.array(values)) == pytest.approx(expected, abs=1e-15)
+
     def test_accepts_alignment_matrix(self):
         m = AlignmentMatrix(("aa", "bb"), np.zeros((2, 2)))
         assert matrix_entropy(m) == pytest.approx(2 * np.log(2))

@@ -5,7 +5,6 @@ from pathlib import Path
 import numpy as np
 
 from jointkg import diff
-from jointkg.completion import score_batch
 from jointkg.diff import Mlp, Tensor
 from jointkg.kgdata import Kg, MultiKg, RelationVocab
 from jointkg.rgnn import EdgeList, EncoderParams, LayerEmbeddings
@@ -173,6 +172,39 @@ def rewire_encoder(params: EncoderParams, stand_ins):
 
 # ---------------------------------------------------------------------------
 # reference implementations (oracles for the vectorised program paths)
+
+
+def score_layer(c_h: Tensor, c_r: Tensor, c_t: Tensor) -> Tensor:
+    """Unfused translation score: negative L1 length of head + relation - tail
+    per row, from add, sub, `l1_norm_row` and scale nodes."""
+    return diff.scale(diff.l1_norm_row(diff.sub(diff.add(c_h, c_r), c_t)), -1.0)
+
+
+def score_batch(heads, relations, tails, layers: LayerEmbeddings, layer: int) -> Tensor:
+    """Unfused layer-k scores for aligned index arrays of triples: three
+    gathers into `score_layer`."""
+    e = layers.entities[layer]
+    r = layers.relations[layer]
+    return score_layer(
+        diff.gather_rows(e, heads), diff.gather_rows(r, relations), diff.gather_rows(e, tails)
+    )
+
+
+def reference_ranking_loss(positives, negatives, gamma_c: float,
+                           layers: LayerEmbeddings) -> Tensor:
+    """The ranking loss from unfused scores, positives and negatives scored
+    separately per layer."""
+    pos_h, pos_r, pos_t = positives
+    neg_h, neg_r, neg_t, pair_of = negatives
+    total = None
+    for k in range(layers.layer_count + 1):
+        f_pos = score_batch(pos_h, pos_r, pos_t, layers, k)
+        f_neg = score_batch(neg_h, neg_r, neg_t, layers, k)
+        hinge = diff.relu(
+            diff.add(diff.sub(diff.tensor(gamma_c), diff.gather_rows(f_pos, pair_of)), f_neg))
+        layer_loss = diff.mean_all(hinge)
+        total = layer_loss if total is None else diff.add(total, layer_loss)
+    return total
 
 
 def score(head: int, relation: int, tail: int, layers: LayerEmbeddings) -> Tensor:
