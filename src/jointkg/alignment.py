@@ -198,8 +198,9 @@ def _candidate_lists(values: np.ndarray, rows: np.ndarray, free_cols: np.ndarray
         # take() keeps the block C-ordered, so the partition runs along contiguous rows
         block = values[rows[start:start + _GREEDY_ROW_BLOCK]].take(free_cols, axis=1)
         kept = block >= np.partition(block, kth, axis=1)[:, kth, None]
+        # nonzero lists each row's columns ascending, and lexsort is stable
         r, c = np.nonzero(kept)
-        ordered = free_cols[c[np.lexsort((c, -block[r, c], r))]]
+        ordered = free_cols[c[np.lexsort((-block[r, c], r))]]
         lists += np.split(ordered, np.cumsum(np.count_nonzero(kept, axis=1))[:-1])
     return lists
 
@@ -247,9 +248,8 @@ def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=
                 break
             continue
         cols = candidates[r]
-        at = position[r] + 1
-        while at < cols.size and col_used[cols[at]]:
-            at += 1
+        free_after = np.flatnonzero(~col_used[cols[position[r] + 1:]])
+        at = position[r] + 1 + int(free_after[0]) if free_after.size else cols.size
         if at == cols.size:
             free = np.flatnonzero(~col_used)
             cols = candidates[r] = free[np.argsort(-values[r, free], kind="stable")]

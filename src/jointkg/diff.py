@@ -2,12 +2,12 @@
 
 Covers exactly the operations the encoder and loss graphs need: affine maps,
 pointwise nonlinearities, row softmax, L1 norms, cosine distance, the fused
-translation score, and the gather/scatter/segment primitives of full-graph
-message passing. Graphs are recorded eagerly; `backward` on a scalar
-accumulates gradients into the `.grad` of every reachable leaf made by
-`param` (intermediates get none) and frees each intermediate gradient once
-propagated. Calling `backward` again without zeroing adds a second
-contribution on top.
+translation score, the fused neighbor attention of one encoder layer, and
+the gather/scatter/segment primitives of full-graph message passing. Graphs
+are recorded eagerly; `backward` on a scalar accumulates gradients into the
+`.grad` of every reachable leaf made by `param` (intermediates get none) and
+frees each intermediate gradient once propagated. Calling `backward` again
+without zeroing adds a second contribution on top.
 
 All values are 64-bit floats and every reduction runs in a fixed order, so
 identical inputs give bit-identical forwards and gradients. The row
@@ -22,6 +22,15 @@ u = sign * -g once. In the entity gradient each target adds +u[i] for the
 rows i it heads, in ascending i, then -u[i] for the rows i it tails, in
 ascending i (a self-loop adds +u[i], later -u[i]); in the relation gradient
 it adds +u[i] in ascending i.
+
+`neighbor_attention` gives one layer's attended neighbor sum with the same
+maths as gathers, sub, concat, the attention map, `segment_softmax` and
+`scatter_weighted_sum`, in another order: the logits are node projections
+gathered to the edges, (e.w_c)[c] + (e.w_m)[nb] - (comp.w_m)[rel] + b, and
+each center sums alpha[i] * e[nb[i]] in one CSR product and
+alpha[i] * comp[rel[i]] in another, both in ascending edge order, then takes
+the second sum from the first. Its node keeps no (edges x dim) array; see
+its docstring for the backward.
 """
 from __future__ import annotations
 
@@ -386,23 +395,134 @@ def scatter_weighted_sum(messages: Tensor, weights: Tensor, segments, num_segmen
     return _result(out, (messages, weights), grad_fn, "scatter_weighted_sum")
 
 
+def _segment_softmax(logits: np.ndarray, seg: np.ndarray, num_segments: int):
+    """Softmax of `logits` within each segment, and the map from a gradient
+    of that softmax to the gradient of the logits."""
+    seg_max = np.full(num_segments, -np.inf)
+    np.maximum.at(seg_max, seg, logits)
+    e = np.exp(logits - seg_max[seg])
+    denom = np.bincount(seg, weights=e, minlength=num_segments)
+    out = e / denom[seg]
+
+    def logits_grad(g):
+        seg_dot = np.bincount(seg, weights=out * g, minlength=num_segments)
+        return out * (g - seg_dot[seg])
+
+    return out, logits_grad
+
+
 def segment_softmax(logits: Tensor, segments, num_segments: int) -> Tensor:
     """Softmax of `logits` normalized within each segment."""
     seg = np.asarray(segments, dtype=np.int64)
     if logits.values.ndim != 1 or seg.shape != logits.values.shape:
         raise DiffError("segment_softmax expects matching 1-d logits and segments")
     _check_range(seg, num_segments, "segment_softmax segment")
-    seg_max = np.full(num_segments, -np.inf)
-    np.maximum.at(seg_max, seg, logits.values)
-    e = np.exp(logits.values - seg_max[seg])
-    denom = np.bincount(seg, weights=e, minlength=num_segments)
-    out = e / denom[seg]
+    out, logits_grad = _segment_softmax(logits.values, seg, num_segments)
 
     def grad_fn(g):
-        seg_dot = np.bincount(seg, weights=out * g, minlength=num_segments)
-        return (out * (g - seg_dot[seg]),)
+        return (logits_grad(g),)
 
     return _result(out, (logits,), grad_fn, "segment_softmax")
+
+
+# rows per block of the per-edge weight gradient: three blocks of this many
+# rows at dim 128 take 768 KiB, well inside a core's L2
+_EDGE_BLOCK = 256
+
+
+def neighbor_attention(entities: Tensor, composed: Tensor | None, weight: Tensor | None,
+                       bias: Tensor | None, centers, neighbors, relations, indptr) -> Tensor:
+    """Attention-weighted neighbor sum of one encoder layer:
+    out[c] = sum over edges i of center c of alpha[i] * (e[nb[i]] - comp[rel[i]]).
+
+    With `composed`, `weight` (2n x 1) and `bias` (1,) given, alpha is the
+    softmax over each center's edges of the logits
+    att(concat[e[c], e[nb] - comp[rel]]); with all three None, alpha is
+    1/deg(c) and the messages are e[nb]. `centers` must be sorted, and
+    `indptr` is its row pointer (center c owns edges indptr[c]:indptr[c+1]).
+
+    The logits come from node projections gathered to the edges, added in
+    the order (e.w_c)[c] + (e.w_m)[nb] - (comp.w_m)[rel] + b. The output is
+    A @ e - B @ comp, where A and B are CSR matrices on `indptr` with the
+    alphas as entries and the neighbors (A) or relations (B) as columns,
+    so each center adds alpha[i] * row in ascending edge order. The node
+    keeps only edge-length vectors and the index arrays. Its backward takes
+    A^T @ g and B^T @ g (each target adds in ascending edge order), the
+    per-edge weight gradient g[c] . (e[nb] - comp[rel]) in blocks of
+    `_EDGE_BLOCK` edges, and the logits' gradient back to the node
+    projections with `np.bincount`.
+    """
+    # imported here, not at module top, so `import jointkg` stays cheap
+    from scipy.sparse import csr_matrix
+
+    c = np.asarray(centers, dtype=np.int64)
+    nb = np.asarray(neighbors, dtype=np.int64)
+    rel = np.asarray(relations, dtype=np.int64)
+    ptr = np.asarray(indptr, dtype=np.int64)
+    e = entities.values
+    if c.ndim != 1 or not c.shape == nb.shape == rel.shape:
+        raise DiffError("neighbor_attention needs three one-dimensional index arrays of one length")
+    if e.ndim != 2:
+        raise DiffError(f"neighbor_attention expects an entity matrix, got shape {e.shape}")
+    n, dim = e.shape
+    _check_range(c, n, "neighbor_attention center")
+    _check_range(nb, n, "neighbor_attention neighbor")
+    if np.any(c[1:] < c[:-1]):
+        raise DiffError("neighbor_attention centers must be sorted")
+    degrees = np.bincount(c, minlength=n)
+    if ptr.shape != (n + 1,) or ptr[0] != 0 or not np.array_equal(np.diff(ptr), degrees):
+        raise DiffError("neighbor_attention indptr is not the row pointer of the centers")
+
+    if {composed is None, weight is None, bias is None} != {composed is None}:
+        raise DiffError("neighbor_attention takes composed relations, weight and bias "
+                        "together or none of them")
+    if composed is None:
+        alpha = np.repeat(1.0 / np.maximum(degrees, 1), degrees)
+        a_plan = csr_matrix((alpha, nb, ptr), shape=(n, n))
+
+        def uniform_grad_fn(g):
+            return (a_plan.T @ g,)
+
+        return _result(a_plan @ e, (entities,), uniform_grad_fn, "neighbor_attention")
+
+    comp = composed.values
+    w, b = weight.values, bias.values
+    if comp.ndim != 2 or comp.shape[1] != dim or w.shape != (2 * dim, 1) or b.shape != (1,):
+        raise DiffError(f"neighbor_attention shape mismatch {e.shape} / {comp.shape} / "
+                        f"{w.shape} / {b.shape}")
+    _check_range(rel, comp.shape[0], "neighbor_attention relation")
+    w_c, w_m = w[:dim, 0], w[dim:, 0]
+    center_projected, neighbor_projected = e @ w_c, e @ w_m
+    composed_projected = comp @ w_m
+    logits = center_projected[c] + neighbor_projected[nb]
+    logits -= composed_projected[rel]
+    logits += b[0]
+    alpha, logits_grad = _segment_softmax(logits, c, n)
+    a_plan = csr_matrix((alpha, nb, ptr), shape=(n, n))
+    b_plan = csr_matrix((alpha, rel, ptr), shape=(n, comp.shape[0]))
+    out = a_plan @ e
+    out -= b_plan @ comp
+
+    def grad_fn(g):
+        alpha_grad = np.empty(c.size)
+        for start in range(0, c.size, _EDGE_BLOCK):
+            block = slice(start, start + _EDGE_BLOCK)
+            message = e[nb[block]] - comp[rel[block]]
+            message *= g[c[block]]
+            alpha_grad[block] = message.sum(axis=1)
+        dlogits = logits_grad(alpha_grad)
+        d_projected = np.stack([np.bincount(c, weights=dlogits, minlength=n),
+                                np.bincount(nb, weights=dlogits, minlength=n)], axis=1)
+        d_composed = -np.bincount(rel, weights=dlogits, minlength=comp.shape[0])
+        entity_grad = a_plan.T @ g
+        entity_grad += d_projected @ np.stack([w_c, w_m])
+        composed_grad = np.outer(d_composed, w_m)
+        composed_grad -= b_plan.T @ g
+        weight_grad = np.concatenate([e.T @ d_projected[:, 0],
+                                      e.T @ d_projected[:, 1] + comp.T @ d_composed])
+        return entity_grad, composed_grad, weight_grad[:, None], np.array([dlogits.sum()])
+
+    return _result(out, (entities, composed, weight, bias), grad_fn, "neighbor_attention")
 
 
 # ---------------------------------------------------------------------------

@@ -4,14 +4,17 @@ One encoder instance carries K message-passing layers over the union of all
 KGs' edges (there are never cross-KG edges). Messages subtract a transformed
 relation embedding from the neighbor embedding, attention logits are a linear
 map of center||message, and each entity update passes the attended sum plus
-the entity's own embedding through a linear + tanh transform. The same
+the entity's own embedding through a linear + tanh transform. The attention
+and the attended sum are one `diff.neighbor_attention` node per layer, which
+projects at the nodes and aggregates with sparse products over the
+center-sorted edges, so no per-edge vector table is ever built. The same
 architecture is instantiated twice, once per model component; an optional
 fusion hook rewrites the entity/relation tables at every layer before they
 feed the next one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -26,21 +29,24 @@ FusionHook = Callable[[Tensor, Tensor, int], tuple[Tensor, Tensor]]
 
 @dataclass
 class EdgeList:
-    """Flattened neighbor sets: one row per (center, neighbor, relation)."""
+    """Flattened neighbor sets: one row per (center, neighbor, relation),
+    sorted by center; `indptr` is the row pointer of the centers (center c
+    owns rows indptr[c]:indptr[c + 1]), built once with the list."""
 
     centers: np.ndarray
     neighbors: np.ndarray
     relations: np.ndarray
     num_entities: int
+    indptr: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.indptr = np.zeros(self.num_entities + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.centers, minlength=self.num_entities),
+                  out=self.indptr[1:])
 
     @property
     def count(self) -> int:
         return int(self.centers.size)
-
-    def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.num_entities)
-        np.add.at(deg, self.centers, 1.0)
-        return deg
 
 
 def build_edges(multikg: MultiKg) -> EdgeList:
@@ -103,6 +109,8 @@ class EncoderParams:
         ):
             if (mlp.in_dim, mlp.out_dim) != (i, o):
                 raise EncoderError(f"MLP dims {(mlp.in_dim, mlp.out_dim)} != expected {(i, o)}")
+        if any(mlp.activations != ("identity",) for mlp in att):
+            raise EncoderError("each attention map must be one affine layer")
         self.layer_count = layer_count
         self.dim = dim
         self.entity0 = entity0
@@ -159,22 +167,13 @@ def layer_forward(edges: EdgeList, entity_k: Tensor, relation_k: Tensor,
                   params: EncoderParams, layer: int) -> tuple[Tensor, Tensor]:
     """One message-passing transition: tables at layer k -> layer k+1."""
     if edges.count:
-        neighbor_rows = diff.gather_rows(entity_k, edges.neighbors)
         if params.relation_aware:
-            composed = params.comp[layer](relation_k)
-            messages = diff.sub(neighbor_rows, diff.gather_rows(composed, edges.relations))
-            center_rows = diff.gather_rows(entity_k, edges.centers)
-            logits = diff.reshape(
-                params.att[layer](diff.concat([center_rows, messages], axis=1)),
-                (edges.count,),
-            )
-            weights = diff.segment_softmax(logits, edges.centers, edges.num_entities)
+            att = params.att[layer]
+            attention = (params.comp[layer](relation_k), att.weights[0], att.biases[0])
         else:
-            messages = neighbor_rows
-            degrees = edges.degrees()
-            weights = diff.tensor(1.0 / degrees[edges.centers])
-        aggregated = diff.scatter_weighted_sum(messages, weights, edges.centers,
-                                               edges.num_entities)
+            attention = (None, None, None)
+        aggregated = diff.neighbor_attention(entity_k, *attention, edges.centers,
+                                             edges.neighbors, edges.relations, edges.indptr)
         entity_next = params.g[layer](diff.add(aggregated, entity_k))
     else:
         entity_next = params.g[layer](entity_k)

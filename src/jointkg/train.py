@@ -32,7 +32,7 @@ from .entr import EntropyState, enlarge_seeds, matrix_entropy, prune_stale_trans
 from .errors import TrainError
 from .evaluate import evaluate_kgc, overall_mean
 from .kgdata import TRANSFERRED, MultiKg, SeedSet, split_seeds
-from .rgnn import EncoderParams, build_edges, encode
+from .rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 from .seeding import substream
 
 ABLATIONS = ("no_ra_gnn", "one_gnn", "no_sir", "no_entr", "no_align", "no_comple")
@@ -211,11 +211,14 @@ class TrainState:
         with nullcontext() if tape else diff.no_grad():
             return encode(self.edges, self.model.completion_encoder)
 
-    def fusion_hook(self):
-        """SIR hook over the current completion parameters (or None)."""
+    def fusion_hook(self, layers: LayerEmbeddings | None = None):
+        """SIR hook over the current completion parameters (or None); `layers`
+        are their untaped completion layers when the caller has them."""
         if not self.config.sir_active:
             return None
-        return make_fusion_hook(self.completion_layers(tape=False), self.model.fusion)
+        if layers is None:
+            layers = self.completion_layers(tape=False)
+        return make_fusion_hook(layers, self.model.fusion)
 
     def alignment_layers_and_finals(self, tape: bool, hook="fresh"):
         if hook == "fresh":

@@ -315,6 +315,22 @@ class TestGreedyOneToOne:
                     == reference_greedy(values, limit, taken_rows, taken_cols))
         assert greedy_one_to_one(values.T, 40) == reference_greedy(values.T, 40)
 
+    @pytest.mark.parametrize("width", [1, 3, 32])
+    @pytest.mark.parametrize("values", [
+        np.ones((30, 40)), np.ones((40, 30)),
+        np.outer([1.0, 2.0, 2.0, 1.0, 3.0] * 6, [2.0, 1.0, 1.0, 3.0] * 10),
+        np.outer([1.0, 1.0, 2.0] * 12, [3.0, 1.0, 3.0] * 9)], ids=["ones", "ones-tall",
+                                                                 "rank-one", "rank-one-tall"])
+    def test_tie_matrices_equal_reference_loop(self, values, width, monkeypatch):
+        """Rows that tie at the candidate cut: each row's list covers every
+        tied column, and rows picked late skip long runs of taken columns."""
+        monkeypatch.setattr(al, "_GREEDY_CANDIDATES", width)
+        taken_rows, taken_cols = [2, 5], [0, 7, 8]
+        for limit in (1, 10, min(values.shape) - 2, min(values.shape)):
+            assert (greedy_one_to_one(values, limit, taken_rows, taken_cols)
+                    == reference_greedy(values, limit, taken_rows, taken_cols))
+        assert greedy_one_to_one(values, values.size) == reference_greedy(values, values.size)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_matrix_rejected(self, bad):
         values = np.array([[bad, 0.0], [0.0, 1.0]])

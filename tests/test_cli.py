@@ -7,9 +7,10 @@ from pathlib import Path
 import pytest
 
 import jointkg
-from jointkg import alignment, cli, evaluate
+from jointkg import alignment, cli, evaluate, train
 from jointkg.cli import apply_env_overrides, main
 from jointkg.kgdata import load_multikg
+from jointkg.rgnn import encode
 from jointkg.train import Checkpoint, TrainConfig, resume
 
 
@@ -120,13 +121,16 @@ class TestEvalCommand:
         printed = capsys.readouterr().out
         assert "kgc" in printed and "kga" in printed
 
-    def test_each_pair_matrix_is_built_once(self, dataset, tmp_path, monkeypatch):
+    @staticmethod
+    def _trained_run_and_expected(dataset, tmp_path):
+        """A trained run directory, and the eval outputs written the long way:
+        a fresh completion encode inside `alignment_layers_and_finals`,
+        `evaluate_kga`, and a second matrix per pair for matching."""
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_payload()))
         run = tmp_path / "run"
         main(["train", "--config", str(config_path), "--data", str(dataset),
               "--out", str(run)])
-        # expected outputs from evaluate_kga plus a second matrix for matching
         expected = tmp_path / "expected"
         expected.mkdir()
         multikg = load_multikg(dataset)
@@ -143,7 +147,29 @@ class TestEvalCommand:
                 alignment.greedy_match(alignment.build_alignment_matrix(src, tgt, pair)),
                 multikg.by_id[pair[0]].entity_labels, multikg.by_id[pair[1]].entity_labels,
                 expected / f"matches_{pair[0]}_{pair[1]}.tsv")
+        written = sorted(p.name for p in expected.iterdir())
+        assert "results.tsv" in written and len(written) == 1 + len(state.test_seeds)
+        return run, expected, state
 
+    def test_completion_encoder_runs_once(self, dataset, tmp_path, monkeypatch):
+        run, expected, _ = self._trained_run_and_expected(dataset, tmp_path)
+        encoders = []
+
+        def counted(edges, params, fusion_hook=None):
+            encoders.append(params)
+            return encode(edges, params, fusion_hook)
+
+        monkeypatch.setattr(train, "encode", counted)
+        out = tmp_path / "eval"
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+                     "--data", str(dataset), "--out", str(out), "--task", "both"])
+        assert code == 0
+        assert len(encoders) == 2 and encoders[0] is not encoders[1]
+        for path in expected.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_each_pair_matrix_is_built_once(self, dataset, tmp_path, monkeypatch):
+        run, expected, state = self._trained_run_and_expected(dataset, tmp_path)
         calls = []
 
         def counted(*args, **kwargs):
@@ -157,10 +183,8 @@ class TestEvalCommand:
                      "--data", str(dataset), "--out", str(out), "--task", "both"])
         assert code == 0
         assert len(calls) == len(state.test_seeds) >= 1
-        written = sorted(p.name for p in expected.iterdir())
-        assert "results.tsv" in written and len(written) == 1 + len(state.test_seeds)
-        for name in written:
-            assert (out / name).read_bytes() == (expected / name).read_bytes(), name
+        for path in expected.iterdir():
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_checkpoint_data_mismatch_errors(self, dataset, tmp_path, capsys):
         config_path = tmp_path / "config.json"

@@ -14,9 +14,14 @@ from jointkg.alignment import (
 )
 from jointkg.completion import alignment_constraint_loss, completion_loss, ranking_loss
 from jointkg.errors import DiffError
-from jointkg.rgnn import EncoderParams, build_edges, encode
+from jointkg.rgnn import EdgeList, EncoderParams, build_edges, encode, layer_forward
 
-from .util import reference_backward, score_layer, single_kg
+from .util import (
+    reference_backward,
+    reference_layer_forward,
+    score_layer,
+    single_kg,
+)
 
 TOL = 1e-4
 STEP = 1e-5
@@ -455,6 +460,111 @@ class TestTranslationL1:
             diff.translation_l1(diff.tensor(e), diff.tensor(r), [0, 1], [0], [1, 2])
         with pytest.raises(DiffError, match="table mismatch"):
             diff.translation_l1(diff.tensor(e), diff.tensor(r[:, :2]), [0], [0], [1])
+
+
+@st.composite
+def _edge_lists(draw):
+    """Center-sorted edge lists over 1-6 entities and 1-3 relations, drawn
+    densely enough to give isolated centers, self-loops, one-edge centers and
+    repeated (center, neighbor) pairs under different relations."""
+    n = draw(st.integers(1, 6))
+    relation_count = draw(st.integers(1, 3))
+    rows = sorted(set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                              st.integers(0, relation_count - 1)),
+                                    max_size=14))))
+    centers, neighbors, relations = np.asarray(rows, dtype=np.int64).reshape(-1, 3).T
+    return EdgeList(centers, neighbors, relations, n), relation_count
+
+
+class TestNeighborAttention:
+    """The fused attention op against the unfused gathers, concat,
+    `segment_softmax` and `scatter_weighted_sum` of `reference_layer_forward`."""
+
+    # center 0: self-loop plus neighbor 1 under two relations; center 1: one
+    # edge; center 2: three edges; center 3: isolated
+    CENTERS = np.array([0, 0, 0, 1, 2, 2, 2])
+    NEIGHBORS = np.array([0, 1, 1, 2, 0, 1, 2])
+    RELATIONS = np.array([1, 0, 1, 1, 0, 0, 1])
+    INDPTR = np.array([0, 3, 4, 7, 7])
+
+    @classmethod
+    def _call(cls, entities, composed, weight, bias, **index):
+        arrays = {"centers": cls.CENTERS, "neighbors": cls.NEIGHBORS,
+                  "relations": cls.RELATIONS, "indptr": cls.INDPTR, **index}
+        return diff.neighbor_attention(entities, composed, weight, bias, arrays["centers"],
+                                       arrays["neighbors"], arrays["relations"],
+                                       arrays["indptr"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(_edge_lists(), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1),
+           st.sampled_from([1, 3, 256]))
+    def test_layer_matches_unfused_reference(self, case, dim, relation_aware, seed, block):
+        """Forward and every leaf gradient within 1e-12, with the per-edge
+        weight gradient taken in blocks of 1, 3 or 256 edges."""
+        edges, relation_count = case
+        results = []
+        for forward in (layer_forward, reference_layer_forward):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(diff, "_EDGE_BLOCK", block)
+                params = EncoderParams.create(1, dim, edges.num_entities, relation_count,
+                                              np.random.default_rng(seed),
+                                              relation_aware=relation_aware)
+                entity, relation = forward(edges, params.entity0, params.relation0, params, 0)
+                probe = np.random.default_rng(seed + 1).normal(size=entity.values.shape)
+                diff.backward(diff.add(diff.sum_all(diff.mul(entity, diff.tensor(probe))),
+                                       diff.sum_all(relation)))
+            results.append((entity.values, [p.grad for p in params.parameters()]))
+        (fused, fused_grads), (unfused, unfused_grads) = results
+        np.testing.assert_allclose(fused, unfused, rtol=0, atol=1e-12)
+        for got, want in zip(fused_grads, unfused_grads):
+            assert (got is None) == (want is None)
+            if got is not None:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grad_check_every_input(self, seed):
+        rng = np.random.default_rng(seed)
+        tables = [rng.normal(size=(4, 3)), rng.normal(size=(2, 3)), rng.normal(size=(6, 1)),
+                  rng.normal(size=1)]
+        probe = diff.tensor(rng.normal(size=(4, 3)))
+        for which in range(4):
+            def weighted(t, which=which):
+                inputs = [t if i == which else diff.tensor(x) for i, x in enumerate(tables)]
+                return diff.sum_all(diff.mul(self._call(*inputs), probe))
+
+            assert diff.grad_check(weighted, tables[which], step=STEP) < TOL, which
+        assert diff.grad_check(
+            lambda t: diff.sum_all(diff.mul(self._call(t, None, None, None), probe)),
+            tables[0], step=STEP) < TOL
+
+    @pytest.mark.parametrize("which, bad", [
+        ("centers", [0, 0, 0, 1, 2, 2, 4]), ("centers", [-1, 0, 0, 1, 2, 2, 2]),
+        ("neighbors", [0, 1, 1, 2, 0, 1, 4]), ("neighbors", [0, 1, -1, 2, 0, 1, 2]),
+        ("relations", [1, 0, 1, 1, 0, 0, 2]), ("relations", [1, 0, -1, 1, 0, 0, 1])])
+    def test_out_of_range_indices_rejected(self, which, bad):
+        name = which[:-1]
+        with pytest.raises(DiffError, match=f"neighbor_attention {name} out of range"):
+            self._call(diff.tensor(np.ones((4, 3))), diff.tensor(np.ones((2, 3))),
+                       diff.tensor(np.ones((6, 1))), diff.tensor(np.ones(1)),
+                       **{which: np.array(bad)})
+
+    def test_unsorted_centers_rejected(self):
+        with pytest.raises(DiffError, match="centers must be sorted"):
+            self._call(diff.tensor(np.ones((4, 3))), None, None, None,
+                       centers=np.array([0, 0, 1, 0, 2, 2, 2]))
+
+    @pytest.mark.parametrize("indptr", [[0, 3, 4, 7], [0, 3, 4, 6, 7], [1, 3, 4, 7, 7]])
+    def test_wrong_row_pointer_rejected(self, indptr):
+        with pytest.raises(DiffError, match="indptr is not the row pointer"):
+            self._call(diff.tensor(np.ones((4, 3))), None, None, None,
+                       indptr=np.array(indptr))
+
+    def test_attention_inputs_come_together(self):
+        with pytest.raises(DiffError, match="together or none"):
+            self._call(diff.tensor(np.ones((4, 3))), diff.tensor(np.ones((2, 3))), None, None)
+        with pytest.raises(DiffError, match="shape mismatch"):
+            self._call(diff.tensor(np.ones((4, 3))), diff.tensor(np.ones((2, 3))),
+                       diff.tensor(np.ones((3, 1))), diff.tensor(np.ones(1)))
 
 
 class TestMlp:

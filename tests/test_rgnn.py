@@ -224,6 +224,44 @@ class TestEncode:
         assert calls == [0, 1, 2]
 
 
+def _held_arrays(node):
+    """The node's values and every array its grad_fn closure reaches,
+    through nested closures and sparse matrices."""
+    held = [node.values]
+    functions = [node._grad_fn] if node._grad_fn else []
+    while functions:
+        for cell in functions.pop().__closure__ or ():
+            item = cell.cell_contents
+            if callable(item) and getattr(item, "__closure__", None):
+                functions.append(item)
+            elif hasattr(item, "tocsr"):
+                held += [item.data, item.indices, item.indptr]
+            else:
+                held.append(item)
+    return [a for a in held if isinstance(a, np.ndarray)]
+
+
+class TestTapeMemory:
+    @pytest.mark.parametrize("relation_aware", [True, False])
+    def test_tape_holds_no_per_edge_float_matrix(self, relation_aware):
+        rng = np.random.default_rng(13)
+        triples = sorted({(int(rng.integers(9)), int(rng.integers(2)), int(rng.integers(9)))
+                          for _ in range(20)})
+        edges = build_edges(single_kg(triples, entity_count=9))
+        dim = 4
+        assert edges.count not in (9, 2, dim, 2 * dim, 1)
+        params = EncoderParams.create(2, dim, 9, 2, rng, relation_aware=relation_aware)
+        layers = encode(edges, params)
+        nodes = {id(node): node for table in layers.entities + layers.relations
+                 for node in diff._topo(table)}
+        for node in nodes.values():
+            for array in _held_arrays(node):
+                if (array.ndim == 2 and array.dtype == np.float64
+                        and array.shape[0] == edges.count):
+                    raise AssertionError(f"{node!r} holds a {array.shape} float64 array")
+        assert sum(node._op == "neighbor_attention" for node in nodes.values()) == 2
+
+
 class TestInvariants:
     def test_attention_weights_sum_to_one_per_entity(self):
         rng = np.random.default_rng(6)

@@ -174,6 +174,31 @@ def rewire_encoder(params: EncoderParams, stand_ins):
 # reference implementations (oracles for the vectorised program paths)
 
 
+def reference_layer_forward(edges: EdgeList, entity_k: Tensor, relation_k: Tensor,
+                            params: EncoderParams, layer: int) -> tuple[Tensor, Tensor]:
+    """Unfused layer: per-edge gathers, messages, the attention map over the
+    concatenated center and message rows, `segment_softmax` and
+    `scatter_weighted_sum` (uniform 1/deg weights without relation
+    awareness)."""
+    if not edges.count:
+        return params.g[layer](entity_k), params.rel[layer](relation_k)
+    neighbor_rows = diff.gather_rows(entity_k, edges.neighbors)
+    if params.relation_aware:
+        composed = params.comp[layer](relation_k)
+        messages = diff.sub(neighbor_rows, diff.gather_rows(composed, edges.relations))
+        center_rows = diff.gather_rows(entity_k, edges.centers)
+        logits = diff.reshape(params.att[layer](diff.concat([center_rows, messages], axis=1)),
+                              (edges.count,))
+        weights = diff.segment_softmax(logits, edges.centers, edges.num_entities)
+    else:
+        messages = neighbor_rows
+        degrees = np.bincount(edges.centers, minlength=edges.num_entities).astype(np.float64)
+        weights = diff.tensor(1.0 / degrees[edges.centers])
+    aggregated = diff.scatter_weighted_sum(messages, weights, edges.centers,
+                                           edges.num_entities)
+    return params.g[layer](diff.add(aggregated, entity_k)), params.rel[layer](relation_k)
+
+
 def score_layer(c_h: Tensor, c_r: Tensor, c_t: Tensor) -> Tensor:
     """Unfused translation score: negative L1 length of head + relation - tail
     per row, from add, sub, `l1_norm_row` and scale nodes."""
