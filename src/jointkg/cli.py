@@ -102,6 +102,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     checkpoint = _fit_and_save(multikg, config, out_dir)
     if config.entr_active:
+        checkpoint.restore_transfers(multikg)
         for kg in multikg.kgs:
             write_transfer_sidecar(kg, out_dir / f"transferred_{kg.id}.tsv")
     _write_manifest(out_dir, "train", config.to_dict(), _data_inputs(args.data),

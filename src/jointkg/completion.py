@@ -10,6 +10,7 @@ import numpy as np
 from . import diff
 from .diff import Tensor
 from .errors import CompletionError
+from .kgdata import triple_keys
 from .rgnn import LayerEmbeddings
 
 _RETRY_LIMIT = 100
@@ -93,53 +94,42 @@ def completion_loss(ranking: Tensor, constraint: Tensor) -> Tensor:
     return diff.add(ranking, constraint)
 
 
-def sample_negatives(positives: list[tuple[int, int, int]], entity_count: int,
-                     known: set[tuple[int, int, int]], m: int,
+def sample_negatives(positives: np.ndarray, entity_count: int, known: np.ndarray, m: int,
                      rng: np.random.Generator) -> NegativeBatch:
-    """Corrupt head or tail of each positive, m times, avoiding known
-    training triples.
+    """Corrupt head or tail of each positive (head, relation, tail) row, m
+    times, avoiding known training triples.
 
-    Corruptions are drawn in vectorized rejection rounds; a draw is rejected
-    when it leaves the triple unchanged or reproduces a known triple.
-    Each round's draws depend on the batch size, so appending a positive
-    changes the corruptions of all the others; a caller that needs pairing
-    must give appended positives their own stream.
+    `known` is the sorted array of `triple_keys` (under `entity_count`) of
+    the triples no corruption may reproduce; it may hold triples of any
+    relation. Corruptions are drawn in vectorized rejection rounds; a draw
+    is rejected when it leaves the triple unchanged or reproduces a known
+    triple. Each round's draws depend on the batch size, so appending a
+    positive changes the corruptions of all the others; a caller that needs
+    pairing must give appended positives their own stream.
     """
     if m < 1:
         raise CompletionError(f"need at least one negative per positive, got {m}")
-    total = len(positives) * m
     pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
-    pair_of = np.repeat(np.arange(len(positives), dtype=np.int64), m)
-    out_h = pos[pair_of, 0].copy()
-    out_r = pos[pair_of, 1].copy()
-    out_t = pos[pair_of, 2].copy()
+    pair_of = np.repeat(np.arange(len(pos), dtype=np.int64), m)
+    out = pos[pair_of]
 
-    max_rel = int(pos[:, 1].max()) + 1 if len(positives) else 1
-    known_keys = np.fromiter(
-        (((h * max_rel + r) * entity_count + t)
-         for h, r, t in known if r < max_rel and h < entity_count and t < entity_count),
-        dtype=np.int64, count=-1)
-    known_keys.sort()
-
-    pending = np.arange(total, dtype=np.int64)
+    pending = np.arange(out.shape[0], dtype=np.int64)
     for attempt in range(_RETRY_LIMIT):
         if pending.size == 0:
             break
-        corrupt_head = rng.integers(2, size=pending.size).astype(bool)
+        column = np.where(rng.integers(2, size=pending.size) == 1, 0, 2)  # 0: corrupt head
         replacement = rng.integers(entity_count, size=pending.size)
-        h = np.where(corrupt_head, replacement, out_h[pending])
-        t = np.where(corrupt_head, out_t[pending], replacement)
-        changed = np.where(corrupt_head, h != out_h[pending], t != out_t[pending])
-        keys = (h * max_rel + out_r[pending]) * entity_count + t
-        hits = np.searchsorted(known_keys, keys)
-        hits = np.minimum(hits, max(len(known_keys) - 1, 0))
-        is_known = (known_keys[hits] == keys) if len(known_keys) else np.zeros_like(changed)
+        drawn = out[pending]
+        slot = np.arange(pending.size)
+        changed = drawn[slot, column] != replacement
+        drawn[slot, column] = replacement
+        keys = triple_keys(drawn, entity_count)
+        hits = np.minimum(np.searchsorted(known, keys), max(len(known) - 1, 0))
+        is_known = (known[hits] == keys) if len(known) else np.zeros_like(changed)
         accept = changed & ~is_known
-        rows = pending[accept]
-        out_h[rows] = h[accept]
-        out_t[rows] = t[accept]
+        out[pending[accept]] = drawn[accept]
         pending = pending[~accept]
     if pending.size:
         raise CompletionError(
             "negative sampling retry budget exhausted; KG too small to corrupt")
-    return NegativeBatch(out_h, out_r, out_t, pair_of)
+    return NegativeBatch(out[:, 0], out[:, 1], out[:, 2], pair_of)

@@ -15,9 +15,7 @@ import numpy as np
 
 from .alignment import AlignmentMatrix, greedy_one_to_one
 from .errors import EnTrError
-from .kgdata import ENLARGED, GIVEN, TRANSFERRED, MultiKg, SeedSet
-
-TripleKey = tuple[int, int, int]
+from .kgdata import ENLARGED, GIVEN, MultiKg, SeedSet, triple_keys
 
 
 @dataclass
@@ -66,36 +64,51 @@ def enlarge_seeds(matrix: AlignmentMatrix, q: int, seed_set: SeedSet) -> SeedSet
     return SeedSet(seed_set.kg_pair, given + fresh, [GIVEN] * len(given) + [ENLARGED] * len(fresh))
 
 
-def _derive(keys: list[TripleKey], mapping: dict[int, int]) -> list[TripleKey]:
-    """Images of the triples whose endpoints are both in the mapping."""
-    images = []
-    for h, r, t in keys:
-        head_image = mapping.get(h)
-        tail_image = mapping.get(t)
-        if head_image is not None and tail_image is not None:
-            images.append((head_image, r, tail_image))
-    return images
+def _close(multikg: MultiKg, seed_sets: list[SeedSet],
+           rows: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """`rows` (per KG id) extended with the images of triples whose endpoints
+    are both mapped, until a pass adds nothing. Each pass walks the seed sets
+    in order, each forward then backward, and appends the images a target
+    lacks in source-row order, so appended rows follow their arrival order.
+    """
+    directions = []  # (source id, target id, dense map with -1 for unmapped ids)
+    for seed_set in seed_sets:
+        pairs = np.asarray(seed_set.pairs, dtype=np.int64).reshape(-1, 2)
+        for side in (0, 1):
+            source_id, target_id = seed_set.kg_pair[side], seed_set.kg_pair[1 - side]
+            mapping = np.full(multikg.by_id[source_id].entity_count, -1, dtype=np.int64)
+            mapping[pairs[:, side]] = pairs[:, 1 - side]
+            directions.append((source_id, target_id, mapping))
+    rows = dict(rows)
+    while True:
+        added = 0
+        for source_id, target_id, mapping in directions:
+            source = rows[source_id]
+            heads, tails = mapping[source[:, 0]], mapping[source[:, 2]]
+            covered = (heads >= 0) & (tails >= 0)
+            images = np.column_stack([heads[covered], source[covered, 1], tails[covered]])
+            count = multikg.by_id[target_id].entity_count
+            keys = triple_keys(images, count)
+            _, first = np.unique(keys, return_index=True)
+            first.sort()
+            fresh = first[~np.isin(keys[first], triple_keys(rows[target_id], count))]
+            rows[target_id] = np.concatenate([rows[target_id], images[fresh]])
+            added += fresh.size
+        if added == 0:
+            return rows
 
 
 def transfer_triples(seed_set: SeedSet, multikg: MultiKg, epoch: int = 0) -> int:
     """Copy triples along the pair's seed mapping, in both directions, until
     no new triple appears; returns the number of triples added."""
-    kg_a = multikg.by_id[seed_set.kg_pair[0]]
-    kg_b = multikg.by_id[seed_set.kg_pair[1]]
-    forward = seed_set.mapping()
-    inverse = seed_set.inverse_mapping()
-    total = 0
-    while True:
-        added = 0
-        for key in _derive([t.key for t in kg_a.triples], forward):
-            if kg_b.add_triple(*key, origin=TRANSFERRED, epoch=epoch):
-                added += 1
-        for key in _derive([t.key for t in kg_b.triples], inverse):
-            if kg_a.add_triple(*key, origin=TRANSFERRED, epoch=epoch):
-                added += 1
-        total += added
-        if added == 0:
-            return total
+    kgs = [multikg.by_id[kg_id] for kg_id in dict.fromkeys(seed_set.kg_pair)]
+    start = {kg.id: kg.triples for kg in kgs}
+    closed = _close(multikg, [seed_set], start)
+    for kg in kgs:
+        fresh = closed[kg.id][len(start[kg.id]):]
+        kg.set_transferred(np.concatenate([kg.transferred, fresh]),
+                           np.concatenate([kg.transfer_epochs, np.full(len(fresh), epoch)]))
+    return sum(len(closed[kg_id]) - len(rows) for kg_id, rows in start.items())
 
 
 def prune_stale_transfers(multikg: MultiKg,
@@ -107,27 +120,13 @@ def prune_stale_transfers(multikg: MultiKg,
     loaded triples only, so chains and mutually-supporting copies whose
     original support vanished are dropped as well.
     """
-    closure: dict[str, set[TripleKey]] = {
-        kg.id: {t.key for t in kg.loaded_triples()} for kg in multikg.kgs
-    }
-    while True:
-        added = 0
-        for pair in sorted(seed_sets):
-            seed_set = seed_sets[pair]
-            directions = (
-                (pair[0], pair[1], seed_set.mapping()),
-                (pair[1], pair[0], seed_set.inverse_mapping()),
-            )
-            for source, target, mapping in directions:
-                for key in _derive(sorted(closure[source]), mapping):
-                    if key not in closure[target]:
-                        closure[target].add(key)
-                        added += 1
-        if added == 0:
-            break
-
+    closed = _close(multikg, [seed_sets[pair] for pair in sorted(seed_sets)],
+                    {kg.id: kg.loaded for kg in multikg.kgs})
     removed = 0
     for kg in multikg.kgs:
-        stale = {t.key for t in kg.transferred_triples()} - closure[kg.id]
-        removed += kg.remove_transferred(stale)
+        keep = np.isin(triple_keys(kg.transferred, kg.entity_count),
+                       triple_keys(closed[kg.id], kg.entity_count))
+        if not keep.all():
+            kg.set_transferred(kg.transferred[keep], kg.transfer_epochs[keep])
+            removed += int(keep.size - keep.sum())
     return removed

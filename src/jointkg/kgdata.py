@@ -9,6 +9,11 @@ File formats (UTF-8, LF lines):
 Entity ids are dense per KG in first-seen file order; relation ids are dense
 in one vocabulary shared by every KG, which is what makes cross-KG triple
 transfer well defined.
+
+Triples are int64 (head, relation, tail) rows kept in order (see `Kg`).
+Where membership matters, `triple_keys` encodes rows as int64 keys on the
+spot; keys depend on the KG's entity count, which grows while it loads, so
+none are stored.
 """
 from __future__ import annotations
 
@@ -21,8 +26,6 @@ import numpy as np
 from .errors import KgDataError, ParseError
 from .seeding import substream
 
-LOADED = "loaded"
-TRANSFERRED = "transferred"
 GIVEN = "given"
 ENLARGED = "enlarged"
 
@@ -32,11 +35,18 @@ class Triple:
     head: int
     relation: int
     tail: int
-    origin: str = LOADED
 
     @property
     def key(self) -> tuple[int, int, int]:
         return (self.head, self.relation, self.tail)
+
+
+def triple_keys(rows: np.ndarray, entity_count: int) -> np.ndarray:
+    """One int64 key per (head, relation, tail) row of a KG with
+    `entity_count` entities; two rows share a key exactly when they are
+    equal."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+    return (rows[:, 1] * entity_count + rows[:, 0]) * entity_count + rows[:, 2]
 
 
 class RelationVocab:
@@ -61,9 +71,13 @@ class RelationVocab:
 class Kg:
     """One language's graph.
 
-    Immutable after load except the transferred-triple set, which is appended
-    between epochs and can be pruned when the alignment that produced a
-    transfer is withdrawn.
+    `loaded` holds the rows read from the data, in first-seen file order,
+    and does not change after load. `transferred` holds the rows copied in
+    from paired KGs, in arrival order, with their epochs in
+    `transfer_epochs`; ENTR appends and prunes them between epochs, always
+    through `set_transferred`. No row appears twice across the two arrays.
+    Both orders are kept because transferred rows reach negative sampling
+    in storage order.
     """
 
     def __init__(self, kg_id: str, relations: RelationVocab):
@@ -71,10 +85,10 @@ class Kg:
         self.relations = relations
         self.entity_labels: list[str] = []
         self.entity_index: dict[str, int] = {}
-        self.triples: list[Triple] = []
+        self.loaded = np.empty((0, 3), dtype=np.int64)
+        self.transferred = np.empty((0, 3), dtype=np.int64)
+        self.transfer_epochs = np.empty(0, dtype=np.int64)
         self.duplicate_count = 0
-        self.transfer_epoch: dict[tuple[int, int, int], int] = {}
-        self._keys: set[tuple[int, int, int]] = set()
 
     @property
     def entity_count(self) -> int:
@@ -82,7 +96,12 @@ class Kg:
 
     @property
     def relation_count(self) -> int:
-        return len({t.relation for t in self.triples if t.origin == LOADED})
+        return int(np.unique(self.loaded[:, 1]).size)
+
+    @property
+    def triples(self) -> np.ndarray:
+        """Loaded rows, then transferred rows."""
+        return np.concatenate([self.loaded, self.transferred])
 
     def intern_entity(self, label: str) -> int:
         eid = self.entity_index.get(label)
@@ -93,36 +112,26 @@ class Kg:
         return eid
 
     def has_triple(self, head: int, relation: int, tail: int) -> bool:
-        return (head, relation, tail) in self._keys
+        return bool((self.triples == (head, relation, tail)).all(axis=1).any())
 
-    def add_triple(self, head: int, relation: int, tail: int,
-                   origin: str = LOADED, epoch: int | None = None) -> bool:
-        """Add a triple; returns False when it is already present."""
-        key = (head, relation, tail)
-        if key in self._keys:
+    def add_triple(self, head: int, relation: int, tail: int) -> bool:
+        """Append a loaded triple; returns False when it is already present."""
+        if self.has_triple(head, relation, tail):
             return False
-        self._keys.add(key)
-        self.triples.append(Triple(head, relation, tail, origin))
-        if origin == TRANSFERRED:
-            self.transfer_epoch[key] = -1 if epoch is None else epoch
+        self.loaded = np.concatenate([self.loaded, [(head, relation, tail)]])
         return True
 
-    def remove_transferred(self, keys: set[tuple[int, int, int]]) -> int:
-        """Drop the given transferred triples; loaded triples are untouchable."""
-        doomed = {k for k in keys if k in self.transfer_epoch}
-        if not doomed:
-            return 0
-        self.triples = [t for t in self.triples if not (t.origin == TRANSFERRED and t.key in doomed)]
-        for key in doomed:
-            self._keys.discard(key)
-            del self.transfer_epoch[key]
-        return len(doomed)
-
-    def loaded_triples(self) -> list[Triple]:
-        return [t for t in self.triples if t.origin == LOADED]
+    def set_transferred(self, rows: np.ndarray, epochs: np.ndarray) -> None:
+        """Replace the transferred rows and their epochs."""
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
+        epochs = np.asarray(epochs, dtype=np.int64).reshape(len(rows))
+        keys = triple_keys(np.concatenate([self.loaded, rows]), self.entity_count)
+        if np.unique(keys).size != keys.size:
+            raise KgDataError(f"transferred triples of {self.id} repeat a triple")
+        self.transferred, self.transfer_epochs = rows, epochs
 
     def transferred_triples(self) -> list[Triple]:
-        return [t for t in self.triples if t.origin == TRANSFERRED]
+        return [Triple(*row) for row in self.transferred.tolist()]
 
     def neighbor_index(self) -> np.ndarray:
         """N(e) as int64 rows (center, neighbor, relation), sorted and unique.
@@ -131,8 +140,8 @@ class Kg:
         relation, center) is a triple, loaded or transferred; a self-loop
         gives one row.
         """
-        keys = np.array([t.key for t in self.triples], dtype=np.int64).reshape(-1, 3)
-        both_ways = np.concatenate([keys[:, [0, 2, 1]], keys[:, [2, 0, 1]]])
+        rows = self.triples
+        both_ways = np.concatenate([rows[:, [0, 2, 1]], rows[:, [2, 0, 1]]])
         return np.unique(both_ways, axis=0)
 
 
@@ -246,22 +255,24 @@ def _read_lines(path: Path, what: str) -> list[str]:
 def parse_triples(path: Path, kg_id: str, relations: RelationVocab | None = None) -> Kg:
     """Parse a tab-separated triple file into a Kg with dense first-seen ids.
 
-    Duplicate lines are dropped and counted on kg.duplicate_count.
+    Duplicate lines are dropped (the first occurrence is kept) and counted on
+    kg.duplicate_count.
     """
     relations = relations if relations is not None else RelationVocab()
     kg = Kg(kg_id, relations)
-    lines = _read_lines(path, "triple")
-    for number, line in enumerate(lines, start=1):
+    ids = []
+    for number, line in enumerate(_read_lines(path, "triple"), start=1):
         fields = line.split("\t")
         if len(fields) != 3:
             raise ParseError(f"{path}:{number}: expected 3 tab-separated fields, got {len(fields)}")
-        head = kg.intern_entity(fields[0])
-        relation = relations.intern(fields[1])
-        tail = kg.intern_entity(fields[2])
-        if not kg.add_triple(head, relation, tail):
-            kg.duplicate_count += 1
-    if not kg.triples:
+        ids.append((kg.intern_entity(fields[0]), relations.intern(fields[1]),
+                    kg.intern_entity(fields[2])))
+    if not ids:
         raise KgDataError(f"empty triple file: {path}")
+    rows = np.array(ids, dtype=np.int64)
+    _, first = np.unique(triple_keys(rows, kg.entity_count), return_index=True)
+    kg.loaded = rows[np.sort(first)]
+    kg.duplicate_count = len(rows) - len(first)
     return kg
 
 
@@ -423,11 +434,10 @@ def load_multikg(data_dir: Path) -> MultiKg:
 
 
 def write_transfer_sidecar(kg: Kg, path: Path) -> None:
-    """Transferred triples only: head<TAB>relation<TAB>tail<TAB>epoch."""
-    rows = []
-    for t in sorted(kg.transferred_triples(), key=lambda t: (kg.transfer_epoch[t.key],) + t.key):
-        rows.append(
-            f"{kg.entity_labels[t.head]}\t{kg.relations.labels[t.relation]}"
-            f"\t{kg.entity_labels[t.tail]}\t{kg.transfer_epoch[t.key]}"
-        )
-    Path(path).write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8")
+    """Transferred triples only, ordered by (epoch, head, relation, tail):
+    head<TAB>relation<TAB>tail<TAB>epoch."""
+    rows, epochs = kg.transferred, kg.transfer_epochs
+    order = np.lexsort((rows[:, 2], rows[:, 1], rows[:, 0], epochs))
+    lines = [f"{kg.entity_labels[h]}\t{kg.relations.labels[r]}\t{kg.entity_labels[t]}\t{epoch}"
+             for (h, r, t), epoch in zip(rows[order].tolist(), epochs[order].tolist())]
+    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

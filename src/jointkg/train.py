@@ -31,7 +31,7 @@ from .completion import alignment_constraint_loss, completion_loss, ranking_loss
 from .entr import EntropyState, enlarge_seeds, matrix_entropy, prune_stale_transfers, seed_budget, transfer_triples
 from .errors import TrainError
 from .evaluate import evaluate_kgc, overall_mean
-from .kgdata import TRANSFERRED, MultiKg, SeedSet, split_seeds
+from .kgdata import MultiKg, SeedSet, split_seeds, triple_keys
 from .rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 from .seeding import substream
 
@@ -202,9 +202,6 @@ class TrainState:
             self.test_seeds[pair] = test
         self.edges = build_edges(multikg)
 
-    def refresh_edges(self) -> None:
-        self.edges = build_edges(self.multikg)
-
     # ---- forward helpers -------------------------------------------------
 
     def completion_layers(self, tape: bool):
@@ -241,15 +238,14 @@ class TrainState:
 
     # ---- loss assembly ---------------------------------------------------
 
-    def completion_positives(self) -> list[tuple[str, list[tuple[int, int, int]],
-                                                 list[tuple[int, int, int]]]]:
+    def completion_positives(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
         """Per KG: its loaded training triples, then its transferred triples
-        (empty unless transferred_as_positives)."""
+        (none unless transferred_as_positives), as int64 rows."""
         per_kg = []
         for kg in self.multikg.kgs:
-            loaded = list(self.multikg.kgc_splits[kg.id]["train"])
-            transferred = ([t.key for t in kg.transferred_triples()]
-                           if self.config.transferred_as_positives else [])
+            loaded = np.asarray(self.multikg.kgc_splits[kg.id]["train"],
+                                dtype=np.int64).reshape(-1, 3)
+            transferred = kg.transferred if self.config.transferred_as_positives else loaded[:0]
             per_kg.append((kg.id, loaded, transferred))
         return per_kg
 
@@ -276,17 +272,17 @@ class TrainState:
         for kg_id, loaded, transferred in self.completion_positives():
             kg = self.multikg.by_id[kg_id]
             offset = self.multikg.entity_offset(kg_id)
-            known = set(loaded).union(transferred)
+            known = np.unique(triple_keys(np.concatenate([loaded, transferred]),
+                                          kg.entity_count))
             for positives, stream in ((loaded, ()), (transferred, ("transferred",))):
-                if not positives:
+                if len(positives) == 0:
                     continue
                 rng = substream(self.config.rng_seed, "negatives", kg_id,
                                 f"epoch{self.epoch}", f"step{self.step_in_epoch}", *stream)
                 nh, nr, nt, np_of = sample_negatives(
                     positives, kg.entity_count, known,
                     self.config.negatives_per_positive, rng)
-                pos = np.asarray(positives, dtype=np.int64)
-                blocks.append((pos[:, 0] + offset, pos[:, 1], pos[:, 2] + offset,
+                blocks.append((positives[:, 0] + offset, positives[:, 1], positives[:, 2] + offset,
                                nh + offset, nr, nt + offset, np_of + base))
                 base += len(positives)
         if not blocks:
@@ -348,7 +344,7 @@ class TrainState:
         transferred = 0
         for pair in sorted(self.train_seeds):
             transferred += transfer_triples(self.train_seeds[pair], self.multikg, self.epoch)
-        self.refresh_edges()
+        self.edges = build_edges(self.multikg)
         return budget_total, transferred
 
     def initialize_entropy_baseline(self) -> None:
@@ -534,6 +530,12 @@ class Checkpoint:
                          for kg, rows in payload["transferred"].items()},
         )
 
+    def restore_transfers(self, multikg: MultiKg) -> None:
+        """Give every KG the checkpoint's transferred triples and epochs."""
+        for kg in multikg.kgs:
+            rows = np.asarray(self.transferred[kg.id], dtype=np.int64).reshape(-1, 4)
+            kg.set_transferred(rows[:, :3], rows[:, 3])
+
 
 def snapshot(state: TrainState, val_mrr: float) -> Checkpoint:
     return Checkpoint(
@@ -548,8 +550,8 @@ def snapshot(state: TrainState, val_mrr: float) -> Checkpoint:
         entropy=EntropyState(dict(state.entropy.h_tilde), dict(state.entropy.h_current)),
         train_seeds=_copy_seed_sets(state.train_seeds),
         test_seeds=_copy_seed_sets(state.test_seeds),
-        transferred={kg.id: [(t.head, t.relation, t.tail, kg.transfer_epoch[t.key])
-                             for t in kg.transferred_triples()]
+        transferred={kg.id: [tuple(row) for row in
+                             np.column_stack([kg.transferred, kg.transfer_epochs]).tolist()]
                      for kg in state.multikg.kgs},
     )
 
@@ -562,6 +564,7 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
     """
     if multikg.vocab_hash() != checkpoint.vocab_hash:
         raise TrainError("checkpoint/data mismatch")
+    checkpoint.restore_transfers(multikg)
     state = TrainState(multikg, checkpoint.config)
     named = dict(state.model.named_parameters())
     if set(named) != set(checkpoint.parameters):
@@ -575,11 +578,4 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
     state.epoch = checkpoint.epoch
     state.train_seeds = _copy_seed_sets(checkpoint.train_seeds)
     state.test_seeds = _copy_seed_sets(checkpoint.test_seeds)
-    for kg in multikg.kgs:
-        existing = {t.key for t in kg.transferred_triples()}
-        if existing:
-            kg.remove_transferred(existing)
-        for h, r, t, epoch in checkpoint.transferred[kg.id]:
-            kg.add_triple(h, r, t, origin=TRANSFERRED, epoch=epoch)
-    state.refresh_edges()
     return state

@@ -71,6 +71,28 @@ class TestTrainCommand:
         assert (out / "manifest.json").exists()
         assert (out / "transferred_kg1.tsv").exists()
 
+    def test_sidecars_hold_the_selected_checkpoints_transfers(self, tmp_path):
+        data_dir = tmp_path / "data"
+        assert main(["synth", "--out", str(data_dir), "--entities", "80",
+                     "--missing-rate", "0.2", "--seed", "5"]) == 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload(
+            layers=1, dim=8, epochs=3, steps_per_epoch=2, negatives_per_positive=3,
+            nearest_neighbor_negatives=5, rng_seed=5)))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--data", str(data_dir),
+                     "--out", str(out)]) == 0
+        checkpoint = Checkpoint.load(out / "checkpoint.json")
+        multikg = load_multikg(data_dir)
+        for kg in multikg.kgs:
+            labels, relations = kg.entity_labels, kg.relations.labels
+            expected = sorted((epoch, h, r, t) for h, r, t, epoch
+                              in checkpoint.transferred[kg.id])
+            lines = [f"{labels[h]}\t{relations[r]}\t{labels[t]}\t{epoch}"
+                     for epoch, h, r, t in expected]
+            written = (out / f"transferred_{kg.id}.tsv").read_text().splitlines()
+            assert written == lines
+
     def test_missing_config_field_is_named(self, dataset, tmp_path, capsys):
         payload = config_payload()
         del payload["gamma_alignment"]

@@ -12,16 +12,23 @@ from jointkg.completion import (
     score_all_tails,
 )
 from jointkg.errors import CompletionError
+from jointkg.kgdata import triple_keys
 from jointkg.rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 
 from .util import (
     pack_params,
     reference_ranking_loss,
+    reference_sample_negatives,
     score,
     score_batch,
     score_layer,
     single_kg,
 )
+
+
+def known_keys(triples, entity_count):
+    """Sorted keys of `triples`, the form `sample_negatives` takes them in."""
+    return np.unique(triple_keys(np.asarray(list(triples), dtype=np.int64), entity_count))
 
 
 def layers_from_arrays(entity_tables, relation_tables, requires_grad=False):
@@ -127,7 +134,8 @@ class TestFusedRankingLoss:
         params = EncoderParams.create(2, 4, 6, 3, rng)
         edges = build_edges(single_kg(triples, entity_count=6))
         positives = triples[:6]
-        batch = sample_negatives(positives, 6, set(triples), negatives_per_positive, rng)
+        batch = sample_negatives(positives, 6, known_keys(triples, 6), negatives_per_positive,
+                                 rng)
         pos = np.asarray(positives, dtype=np.int64)
         return params, edges, (pos[:, 0], pos[:, 1], pos[:, 2]), tuple(batch)
 
@@ -274,20 +282,20 @@ class TestSampleNegatives:
     def test_tiny_kg_exhausts_retries(self):
         known = {(0, 0, 1), (1, 0, 1), (0, 0, 0)}
         with pytest.raises(CompletionError, match="retry budget"):
-            sample_negatives([(0, 0, 1)], entity_count=2, known=known, m=1,
+            sample_negatives([(0, 0, 1)], entity_count=2, known=known_keys(known, 2), m=1,
                              rng=np.random.default_rng(0))
 
     def test_exactly_m_negatives_per_positive(self):
         rng = np.random.default_rng(5)
         positives = [(0, 0, 1), (1, 0, 2)]
-        h, r, t, pair_of = sample_negatives(positives, 10, set(positives), 5, rng)
+        h, r, t, pair_of = sample_negatives(positives, 10, known_keys(positives, 10), 5, rng)
         assert len(h) == 10
         assert np.array_equal(np.bincount(pair_of), [5, 5])
 
     def test_negatives_differ_in_exactly_one_slot(self):
         rng = np.random.default_rng(6)
         positives = [(0, 0, 1), (2, 1, 3)]
-        h, r, t, pair_of = sample_negatives(positives, 8, set(positives), 4, rng)
+        h, r, t, pair_of = sample_negatives(positives, 8, known_keys(positives, 8), 4, rng)
         for i in range(len(h)):
             ph, pr, pt = positives[pair_of[i]]
             assert r[i] == pr
@@ -298,11 +306,55 @@ class TestSampleNegatives:
 
     def test_fixed_seed_reproduces_batches(self):
         positives = [(0, 0, 1), (1, 0, 2), (2, 0, 3)]
-        a = sample_negatives(positives, 12, set(positives), 3, np.random.default_rng(7))
-        b = sample_negatives(positives, 12, set(positives), 3, np.random.default_rng(7))
+        known = known_keys(positives, 12)
+        a = sample_negatives(positives, 12, known, 3, np.random.default_rng(7))
+        b = sample_negatives(positives, 12, known, 3, np.random.default_rng(7))
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_m_must_be_positive(self):
         with pytest.raises(CompletionError, match="at least one"):
-            sample_negatives([(0, 0, 1)], 4, set(), 0, np.random.default_rng(0))
+            sample_negatives([(0, 0, 1)], 4, known_keys([], 4), 0, np.random.default_rng(0))
+
+
+@st.composite
+def negative_sampling_case(draw):
+    """Positives over the first relations, known triples that add transferred
+    rows and triples of relations no positive uses."""
+    entity_count = draw(st.integers(2, 6))
+    relation_count = draw(st.integers(1, 4))
+    entity = st.integers(0, entity_count - 1)
+
+    def triples(relations, **sizes):
+        return st.lists(st.tuples(entity, st.integers(0, relations - 1), entity), **sizes)
+
+    positives = draw(triples(draw(st.integers(1, relation_count)), min_size=1, max_size=8))
+    transferred = draw(triples(relation_count, max_size=8))
+    other = draw(triples(relation_count + 2, max_size=8))
+    known = set(positives) | set(transferred) | set(other)
+    return positives, entity_count, known, draw(st.integers(1, 4)), draw(st.integers(0, 999))
+
+
+class TestSampleNegativesOracle:
+    """`sample_negatives` on rows and sorted keys against the tuple-set
+    sampler it replaced (`reference_sample_negatives`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(negative_sampling_case())
+    def test_batches_bitwise_equal_to_reference(self, case):
+        positives, entity_count, known, m, seed = case
+        outcomes = []
+        for sampler, known_form in ((sample_negatives, known_keys(known, entity_count)),
+                                    (reference_sample_negatives, known)):
+            try:
+                outcomes.append(tuple(sampler(np.asarray(positives), entity_count, known_form,
+                                              m, np.random.default_rng(seed))))
+            except CompletionError as error:
+                outcomes.append(str(error))
+        got, want = outcomes
+        if isinstance(want, str):
+            assert got == want
+            return
+        for fast, slow in zip(got, want):
+            assert fast.dtype == slow.dtype == np.int64
+            assert np.array_equal(fast, slow)

@@ -15,6 +15,8 @@ from jointkg.entr import (
 from jointkg.errors import EnTrError
 from jointkg.kgdata import ENLARGED, GIVEN, Kg, MultiKg, RelationVocab, SeedSet
 
+from .util import reference_prune_stale_transfers, reference_store, reference_transfer_triples
+
 
 def pair_multikg(triples_a, triples_b, entities_a, entities_b):
     vocab = RelationVocab()
@@ -217,7 +219,70 @@ class TestPruneStaleTransfers:
         kg_a = multikg.by_id["aa"]
         kg_b = multikg.by_id["bb"]
         # fabricate a support cycle whose generating pair no longer exists
-        kg_a.add_triple(2, 0, 1, origin="transferred", epoch=0)
-        kg_b.add_triple(2, 0, 1, origin="transferred", epoch=0)
+        kg_a.set_transferred([(2, 0, 1)], [0])
+        kg_b.set_transferred([(2, 0, 1)], [0])
         removed = prune_stale_transfers(multikg, {("aa", "bb"): seeds([(1, 1)])})
         assert removed == 2
+
+
+@st.composite
+def multi_kg_transfer_case(draw):
+    """1-4 KGs with random loaded triples, seed sets on random ordered KG
+    pairs, and per round a subset of each seed set to shrink to."""
+    vocab = RelationVocab()
+    relation_count = draw(st.integers(1, 3))
+    for r in range(relation_count):
+        vocab.intern(f"r{r}")
+    kgs = []
+    for k in range(draw(st.integers(1, 4))):
+        kg = Kg(f"k{k}", vocab)
+        n = draw(st.integers(1, 6))
+        for e in range(n):
+            kg.intern_entity(f"e{e}")
+        entity = st.integers(0, n - 1)
+        for h, r, t in draw(st.lists(st.tuples(entity, st.integers(0, relation_count - 1),
+                                               entity), max_size=10)):
+            kg.add_triple(h, r, t)
+        kgs.append(kg)
+    multikg = MultiKg(kgs, vocab)
+    ordered = [(a.id, b.id) for a in kgs for b in kgs if a is not b]
+    pairs = draw(st.lists(st.sampled_from(ordered), unique=True, max_size=len(ordered))
+                 if ordered else st.just([]))
+    rounds = []
+    seed_sets = {}
+    for pair in pairs:
+        left_count, right_count = (multikg.by_id[kg_id].entity_count for kg_id in pair)
+        size = draw(st.integers(0, min(left_count, right_count)))
+        left = draw(st.permutations(range(left_count)))[:size]
+        right = draw(st.permutations(range(right_count)))[:size]
+        seed_sets[pair] = list(zip(left, right))
+    for _ in range(3):
+        rounds.append({pair: SeedSet(pair, kept, [GIVEN] * len(kept))
+                       for pair, kept in seed_sets.items()})
+        seed_sets = {pair: [p for p in kept if draw(st.booleans())]
+                     for pair, kept in seed_sets.items()}
+    return multikg, rounds
+
+
+def in_order(store):
+    """A reference store with each KG's transfers as an ordered list."""
+    return {kg_id: (loaded, list(transferred.items()))
+            for kg_id, (loaded, transferred) in store.items()}
+
+
+class TestTransferClosureOracle:
+    """Three ENTR rounds (prune over all pairs, then transfer per pair in
+    sorted order) against the tuple loops they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(multi_kg_transfer_case())
+    def test_rows_order_epochs_and_counts_equal_reference(self, case):
+        multikg, rounds = case
+        store = reference_store(multikg)
+        for epoch, seed_sets in enumerate(rounds):
+            assert (prune_stale_transfers(multikg, seed_sets)
+                    == reference_prune_stale_transfers(store, seed_sets))
+            for pair in sorted(seed_sets):
+                assert (transfer_triples(seed_sets[pair], multikg, epoch)
+                        == reference_transfer_triples(store, seed_sets[pair], epoch))
+            assert in_order(reference_store(multikg)) == in_order(store)

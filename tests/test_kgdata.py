@@ -36,12 +36,18 @@ class TestParseTriples:
         assert kg.entity_count == 1
         assert kg.relation_count == 1
         assert len(kg.triples) == 1
-        assert kg.triples[0].head == kg.triples[0].tail == 0
+        assert kg.triples[0, 0] == kg.triples[0, 2] == 0
 
     def test_duplicate_line_dropped_and_counted(self, tmp_path):
         kg = parse_triples(write(tmp_path, "t.tsv", ["a\tr\tb", "a\tr\tb"]), "xx")
         assert len(kg.triples) == 1
         assert kg.duplicate_count == 1
+
+    def test_first_occurrence_of_a_duplicate_keeps_its_place(self, tmp_path):
+        lines = ["a\tr\tb", "c\tr\td", "a\tr\tb", "b\ts\ta", "c\tr\td"]
+        kg = parse_triples(write(tmp_path, "t.tsv", lines), "xx")
+        assert kg.loaded.tolist() == [[0, 0, 1], [2, 0, 3], [1, 1, 0]]
+        assert kg.duplicate_count == 2
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = write(tmp_path, "t.tsv", ["a\tr\tb", "broken line"])
@@ -63,7 +69,7 @@ class TestParseTriples:
         vocab = RelationVocab()
         kg1 = parse_triples(write(tmp_path, "t1.tsv", ["a\tr\tb"]), "k1", vocab)
         kg2 = parse_triples(write(tmp_path, "t2.tsv", ["x\tr\ty", "x\ts\ty"]), "k2", vocab)
-        assert kg1.triples[0].relation == kg2.triples[0].relation
+        assert kg1.triples[0, 1] == kg2.triples[0, 1]
         assert len(vocab) == 2
 
 
@@ -85,7 +91,7 @@ class TestRoundTrip:
         kg2 = parse_triples(out, "xx")
         assert kg2.entity_labels == kg.entity_labels
         assert kg2.relations.labels == kg.relations.labels
-        assert [t.key for t in kg2.triples] == [t.key for t in kg.triples]
+        assert kg2.triples.tolist() == kg.triples.tolist()
         assert kg_to_lines(kg2) == kg_to_lines(kg)
 
 
@@ -272,7 +278,7 @@ class TestLoadMultiKg:
 class TestTransferredTriples:
     def test_sidecar_keeps_transfers_out_of_triple_file(self, tmp_path):
         kg = make_kg("aa", [("a", "r", "b")])
-        kg.add_triple(1, 0, 0, origin=kgdata.TRANSFERRED, epoch=3)
+        kg.set_transferred([(1, 0, 0)], [3])
         write_kg(kg, tmp_path / "out.tsv")
         assert (tmp_path / "out.tsv").read_text() == "a\tr\tb\n"
         kgdata.write_transfer_sidecar(kg, tmp_path / "side.tsv")
@@ -280,8 +286,25 @@ class TestTransferredTriples:
 
     def test_remove_transferred_only_touches_transfers(self):
         kg = make_kg("aa", [("a", "r", "b")])
-        kg.add_triple(1, 0, 0, origin=kgdata.TRANSFERRED, epoch=1)
-        removed = kg.remove_transferred({(1, 0, 0), (0, 0, 1)})
-        assert removed == 1
+        kg.set_transferred([(1, 0, 0)], [1])
+        kg.set_transferred(np.empty((0, 3)), [])
+        assert len(kg.triples) == 1
         assert kg.has_triple(0, 0, 1)
         assert not kg.has_triple(1, 0, 0)
+
+    def test_transferred_rows_never_repeat_a_triple(self):
+        kg = make_kg("aa", [("a", "r", "b")])
+        with pytest.raises(KgDataError, match="repeat"):
+            kg.set_transferred([(0, 0, 1)], [1])
+        with pytest.raises(KgDataError, match="repeat"):
+            kg.set_transferred([(1, 0, 0), (1, 0, 0)], [1, 2])
+        kg.set_transferred([(1, 0, 0)], [1])
+        assert not kg.add_triple(1, 0, 0)
+        assert kg.loaded.tolist() == [[0, 0, 1]]
+        assert kg.relation_count == 1
+
+    def test_sidecar_orders_by_epoch_then_triple(self, tmp_path):
+        kg = make_kg("aa", [("a", "r", "b"), ("b", "s", "c")])
+        kg.set_transferred([(2, 1, 1), (1, 0, 0), (0, 1, 2)], [2, 1, 2])
+        kgdata.write_transfer_sidecar(kg, tmp_path / "side.tsv")
+        assert (tmp_path / "side.tsv").read_text() == "b\tr\ta\t1\na\ts\tc\t2\nc\ts\tb\t2\n"

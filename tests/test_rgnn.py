@@ -4,10 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointkg import diff
-from jointkg.kgdata import TRANSFERRED, Kg, MultiKg, RelationVocab
+from jointkg.kgdata import Kg, MultiKg, RelationVocab
 from jointkg.rgnn import EncoderParams, build_edges, encode, layer_forward
 
 from .util import (
+    append_transferred,
     const_mlp,
     identity_mlp,
     manual_encoder,
@@ -111,8 +112,7 @@ def multi_kg_data(draw):
         for e, r in draw(st.lists(st.tuples(st.integers(0, n - 1),
                                             st.integers(0, relation_count - 1)), max_size=3)):
             kg.add_triple(e, r, e)
-        for h, r, t in draw(st.lists(triple, max_size=4)):
-            kg.add_triple(h, r, t, origin=TRANSFERRED, epoch=1)
+        append_transferred(kg, draw(st.lists(triple, max_size=4)), epoch=1)
         kgs.append(kg)
     return MultiKg(kgs, vocab)
 
@@ -139,10 +139,10 @@ class TestBuildEdgesOracle:
         build_edges(multikg)
         added = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.just(0),
                                              st.integers(0, n - 1)), min_size=1, max_size=4))
-        for key in added:
-            kg.add_triple(*key, origin=TRANSFERRED, epoch=2)
+        before = kg.transferred, kg.transfer_epochs
+        append_transferred(kg, added, epoch=2)
         assert_same_edges(build_edges(multikg), reference_build_edges(multikg))
-        kg.remove_transferred(set(added))
+        kg.set_transferred(*before)
         assert_same_edges(build_edges(multikg), reference_build_edges(multikg))
 
 

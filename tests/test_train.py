@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from jointkg.completion import sample_negatives
+from jointkg.entr import transfer_triples
 from jointkg.errors import TrainError
+from jointkg.kgdata import GIVEN, SeedSet
+from jointkg.rgnn import build_edges
 from jointkg.train import (
     Checkpoint,
     JointModel,
@@ -118,11 +121,11 @@ class TestTrainEpoch:
         multikg = toy_pair_dataset(drop_in_first=3)
         state = TrainState(multikg, small_config(ablations=("no_entr",)))
         seeds_before = {p: list(s.pairs) for p, s in state.train_seeds.items()}
-        triples_before = {kg.id: [t.key for t in kg.triples] for kg in multikg.kgs}
+        triples_before = {kg.id: kg.triples.tolist() for kg in multikg.kgs}
         for _ in range(2):
             train_epoch(state)
         assert {p: list(s.pairs) for p, s in state.train_seeds.items()} == seeds_before
-        assert {kg.id: [t.key for t in kg.triples] for kg in multikg.kgs} == triples_before
+        assert {kg.id: kg.triples.tolist() for kg in multikg.kgs} == triples_before
 
     def test_entr_runs_on_configured_period(self):
         multikg = toy_pair_dataset(drop_in_first=2)
@@ -148,18 +151,18 @@ class TestNegativePairing:
         def corruptions_of_loaded(transfer):
             multikg = toy_pair_dataset(drop_in_first=3)
             kg_a, kg_b = multikg.by_id["aa"], multikg.by_id["bb"]
-            missing = sorted({t.key for t in kg_b.triples} - {t.key for t in kg_a.triples})
+            missing = sorted(set(map(tuple, kg_b.triples.tolist()))
+                             - set(map(tuple, kg_a.triples.tolist())))
             assert missing
             if transfer:
-                for h, r, t in missing:
-                    kg_a.add_triple(h, r, t, origin="transferred", epoch=1)
+                kg_a.set_transferred(missing, [1] * len(missing))
             state = TrainState(multikg, small_config())
             loaded = {kg_id: splits["train"] for kg_id, splits in multikg.kgc_splits.items()}
             calls = []
 
             def recording(positives, *args, **kwargs):
                 batch = sample_negatives(positives, *args, **kwargs)
-                calls.append((list(positives), batch))
+                calls.append(([tuple(row) for row in positives.tolist()], batch))
                 return batch
 
             monkeypatch.setattr("jointkg.train.sample_negatives", recording)
@@ -265,6 +268,27 @@ class TestCheckpoint:
                                                 resumed_state.model.named_parameters()):
             assert name_a == name_b
             assert np.array_equal(t_a.values, t_b.values), name_a
+
+    def test_resume_builds_edges_once_with_the_transfers(self, monkeypatch):
+        state = TrainState(toy_pair_dataset(drop_in_first=3), small_config())
+        everything = SeedSet(("aa", "bb"), [(i, i) for i in range(12)], [GIVEN] * 12)
+        assert transfer_triples(everything, state.multikg, epoch=1) == 3
+        state.edges = build_edges(state.multikg)
+        checkpoint = snapshot(state, 0.0)
+        calls = []
+
+        def counting(multikg):
+            calls.append(multikg)
+            return build_edges(multikg)
+
+        monkeypatch.setattr("jointkg.train.build_edges", counting)
+        resumed = resume(checkpoint, toy_pair_dataset(drop_in_first=3))
+        assert len(calls) == 1
+        for name in ("centers", "neighbors", "relations"):
+            assert np.array_equal(getattr(resumed.edges, name), getattr(state.edges, name))
+        for kg, twin in zip(state.multikg.kgs, resumed.multikg.kgs):
+            assert np.array_equal(kg.transferred, twin.transferred)
+            assert np.array_equal(kg.transfer_epochs, twin.transfer_epochs)
 
     def test_resume_rejects_mismatched_data(self, tmp_path):
         config = small_config()

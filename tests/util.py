@@ -6,6 +6,7 @@ import numpy as np
 
 from jointkg import diff
 from jointkg.diff import Mlp, Tensor
+from jointkg.errors import CompletionError
 from jointkg.kgdata import Kg, MultiKg, RelationVocab
 from jointkg.rgnn import EdgeList, EncoderParams, LayerEmbeddings
 
@@ -127,6 +128,16 @@ def toy_pair_dataset(entities=12, relations=2, extra_edges=10, seed_pairs=6, see
     return multikg
 
 
+def append_transferred(kg: Kg, rows, epoch: int) -> list[tuple[int, int, int]]:
+    """Append the rows `kg` lacks to its transferred triples, stamped with
+    `epoch` (a repeated row counts once); returns the rows appended."""
+    fresh = [row for row in dict.fromkeys(map(tuple, rows)) if not kg.has_triple(*row)]
+    kg.set_transferred(np.concatenate([kg.transferred, np.asarray(fresh, dtype=np.int64)
+                                       .reshape(-1, 3)]),
+                       np.concatenate([kg.transfer_epochs, np.full(len(fresh), epoch)]))
+    return fresh
+
+
 def pack_params(tensors):
     """Flatten parameter tensors into one vector plus a rebuild closure.
 
@@ -246,8 +257,8 @@ def score(head: int, relation: int, tail: int, layers: LayerEmbeddings) -> Tenso
 
 def kg_to_lines(kg: Kg) -> list[str]:
     """Loaded triples in original order, ready to re-parse into the same Kg."""
-    return [f"{kg.entity_labels[t.head]}\t{kg.relations.labels[t.relation]}"
-            f"\t{kg.entity_labels[t.tail]}" for t in kg.loaded_triples()]
+    return [f"{kg.entity_labels[h]}\t{kg.relations.labels[r]}\t{kg.entity_labels[t]}"
+            for h, r, t in kg.loaded.tolist()]
 
 
 def write_kg(kg: Kg, path: Path) -> None:
@@ -258,9 +269,9 @@ def tagged_neighbor_index(kg: Kg) -> dict[int, list[tuple[int, int, str]]]:
     """N(e) as per-entity (neighbor, relation, direction) lists: 'out' when
     (e, r, e') is a triple, 'in' when (e', r, e) is, 'both' when both are."""
     directions: dict[tuple[int, int, int], set[str]] = {}
-    for t in kg.triples:
-        directions.setdefault((t.head, t.tail, t.relation), set()).add("out")
-        directions.setdefault((t.tail, t.head, t.relation), set()).add("in")
+    for head, relation, tail in kg.triples.tolist():
+        directions.setdefault((head, tail, relation), set()).add("out")
+        directions.setdefault((tail, head, relation), set()).add("in")
     index: dict[int, list[tuple[int, int, str]]] = {e: [] for e in range(kg.entity_count)}
     for (center, neighbor, relation) in sorted(directions):
         tags = directions[(center, neighbor, relation)]
@@ -374,3 +385,116 @@ def reference_score_all_tails(head: int, relation: int, entity_values: list[np.n
         translated = ek[head] + rk[relation]
         total -= np.abs(translated[None, :] - ek[offset:offset + count]).sum(axis=1)
     return total
+
+
+# Triple transfer and negative sampling as plain-tuple loops. A "store" maps
+# each KG id to (loaded triples in order, {transferred triple: epoch} in
+# arrival order), the layout `Kg` had before its columnar arrays.
+
+
+def reference_store(multikg: MultiKg) -> dict:
+    return {kg.id: ([tuple(row) for row in kg.loaded.tolist()],
+                    {tuple(row): epoch for row, epoch in
+                     zip(kg.transferred.tolist(), kg.transfer_epochs.tolist())})
+            for kg in multikg.kgs}
+
+
+def reference_derive(keys, mapping: dict[int, int]) -> list[tuple[int, int, int]]:
+    """Images of the triples whose endpoints are both in the mapping."""
+    images = []
+    for h, r, t in keys:
+        head_image = mapping.get(h)
+        tail_image = mapping.get(t)
+        if head_image is not None and tail_image is not None:
+            images.append((head_image, r, tail_image))
+    return images
+
+
+def reference_transfer_triples(store: dict, seed_set, epoch: int) -> int:
+    """One pair at a time: forward then backward over each KG's current
+    triples, adding unseen images one by one, until a round adds nothing."""
+    left, right = seed_set.kg_pair
+    directions = ((left, right, seed_set.mapping()), (right, left, seed_set.inverse_mapping()))
+    total = 0
+    while True:
+        added = 0
+        for source, target, mapping in directions:
+            loaded, transferred = store[target]
+            present = set(loaded) | set(transferred)
+            for key in reference_derive(store[source][0] + list(store[source][1]), mapping):
+                if key not in present:
+                    present.add(key)
+                    transferred[key] = epoch
+                    added += 1
+        total += added
+        if added == 0:
+            return total
+
+
+def reference_prune_stale_transfers(store: dict, seed_sets: dict) -> int:
+    """Closure over all pairs from the loaded triples, as sets; transferred
+    triples outside it are dropped, the rest keep their order."""
+    closure = {kg_id: set(loaded) for kg_id, (loaded, _) in store.items()}
+    while True:
+        added = 0
+        for pair in sorted(seed_sets):
+            seed_set = seed_sets[pair]
+            for source, target, mapping in ((pair[0], pair[1], seed_set.mapping()),
+                                            (pair[1], pair[0], seed_set.inverse_mapping())):
+                for key in reference_derive(sorted(closure[source]), mapping):
+                    if key not in closure[target]:
+                        closure[target].add(key)
+                        added += 1
+        if added == 0:
+            break
+    removed = 0
+    for kg_id, (_, transferred) in store.items():
+        for key in [k for k in transferred if k not in closure[kg_id]]:
+            del transferred[key]
+            removed += 1
+    return removed
+
+
+def reference_sample_negatives(positives: list[tuple[int, int, int]], entity_count: int,
+                               known: set[tuple[int, int, int]], m: int,
+                               rng: np.random.Generator):
+    """Rejection rounds over separate head/relation/tail columns, with known
+    triples encoded under the largest relation id the positives use."""
+    if m < 1:
+        raise CompletionError(f"need at least one negative per positive, got {m}")
+    total = len(positives) * m
+    pos = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
+    pair_of = np.repeat(np.arange(len(positives), dtype=np.int64), m)
+    out_h = pos[pair_of, 0].copy()
+    out_r = pos[pair_of, 1].copy()
+    out_t = pos[pair_of, 2].copy()
+
+    max_rel = int(pos[:, 1].max()) + 1 if len(positives) else 1
+    known_keys = np.fromiter(
+        (((h * max_rel + r) * entity_count + t)
+         for h, r, t in known if r < max_rel and h < entity_count and t < entity_count),
+        dtype=np.int64, count=-1)
+    known_keys.sort()
+
+    pending = np.arange(total, dtype=np.int64)
+    for _ in range(100):
+        if pending.size == 0:
+            break
+        corrupt_head = rng.integers(2, size=pending.size).astype(bool)
+        replacement = rng.integers(entity_count, size=pending.size)
+        h = np.where(corrupt_head, replacement, out_h[pending])
+        t = np.where(corrupt_head, out_t[pending], replacement)
+        changed = np.where(corrupt_head, h != out_h[pending], t != out_t[pending])
+        keys = (h * max_rel + out_r[pending]) * entity_count + t
+        hits = np.searchsorted(known_keys, keys)
+        hits = np.minimum(hits, max(len(known_keys) - 1, 0))
+        is_known = (known_keys[hits] == keys) if len(known_keys) else np.zeros_like(changed)
+        accept = changed & ~is_known
+        rows = pending[accept]
+        out_h[rows] = h[accept]
+        out_t[rows] = t[accept]
+        pending = pending[~accept]
+    if pending.size:
+        raise CompletionError(
+            "negative sampling retry budget exhausted; KG too small to corrupt")
+    return out_h, out_r, out_t, pair_of
