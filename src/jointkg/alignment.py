@@ -1,11 +1,15 @@
 """Alignment component: per-layer fusion of completion embeddings into the
 alignment encoder, final embedding heads over the layer stack, the dense
 similarity matrix, nearest-entity negatives, the margin loss over aligned
-pairs, and greedy one-to-one matching."""
+pairs, and greedy one-to-one matching.
+
+The similarity matrix is a plain (source x target) ndarray of cosines.
+Aligned pairs are (left, right) rows, as in `SeedSet.pairs`; negatives are
+(positive index, (left, right)) items, the form `nearest_negatives` returns
+and `alignment_loss` reads."""
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,18 +109,6 @@ def final_embeddings(layers: LayerEmbeddings, heads: HeadParams) -> tuple[Tensor
     return heads.entity_head(entity_stack), heads.relation_head(relation_stack)
 
 
-@dataclass
-class AlignmentMatrix:
-    """Dense cosine-similarity matrix between two KGs' final embeddings."""
-
-    kg_pair: tuple[str, str]
-    values: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
 def _unit_rows(table: np.ndarray, side: str) -> np.ndarray:
     norms = np.sqrt((table * table).sum(axis=1))
     if np.any(norms == 0.0):
@@ -125,14 +117,15 @@ def _unit_rows(table: np.ndarray, side: str) -> np.ndarray:
 
 
 def build_alignment_matrix(source_finals: np.ndarray, target_finals: np.ndarray,
-                           kg_pair: tuple[str, str] = ("", "")) -> AlignmentMatrix:
-    """Entries are 1 - cosine_distance = cosine similarity, in [-1, 1]."""
-    return AlignmentMatrix(
-        kg_pair, _unit_rows(source_finals, "source") @ _unit_rows(target_finals, "target").T
-    )
+                           kg_pair: tuple[str, str] = ("", "")) -> np.ndarray:
+    """Entries are 1 - cosine_distance = cosine similarity, in [-1, 1].
+
+    `kg_pair` is unused; it stays only because `perfbench/worker.py` still
+    passes the pair."""
+    return _unit_rows(source_finals, "source") @ _unit_rows(target_finals, "target").T
 
 
-def nearest_negatives(pairs: list[tuple[int, int]], source_finals: np.ndarray,
+def nearest_negatives(pairs: np.ndarray, source_finals: np.ndarray,
                       target_finals: np.ndarray, k_neg: int
                       ) -> list[tuple[int, tuple[int, int]]]:
     """For each positive pair, 2*k_neg negatives made by swapping either side
@@ -161,21 +154,20 @@ def nearest_negatives(pairs: list[tuple[int, int]], source_finals: np.ndarray,
     return negatives
 
 
-def alignment_loss(pairs: list[tuple[int, int]],
-                   negatives: list[tuple[int, tuple[int, int]]],
+def alignment_loss(pairs, negatives: list[tuple[int, tuple[int, int]]],
                    gamma_a: float, entity_finals: Tensor) -> Tensor:
     """Hinge gamma_a + d(pos) - d(neg) per positive-negative pairing, mean
-    over all pairings. Indices here are rows of the shared finals table."""
+    over all pairings. `pairs` are (left, right) rows, as an array or a
+    list. Indices here are rows of the shared finals table."""
     if not negatives:
         raise AlignmentError("alignment loss needs at least one negative pair")
-    pos_left = np.asarray([pairs[i][0] for i, _ in negatives])
-    pos_right = np.asarray([pairs[i][1] for i, _ in negatives])
-    neg_left = np.asarray([n[0] for _, n in negatives])
-    neg_right = np.asarray([n[1] for _, n in negatives])
-    d_pos = diff.cosine_distance(diff.gather_rows(entity_finals, pos_left),
-                                 diff.gather_rows(entity_finals, pos_right))
-    d_neg = diff.cosine_distance(diff.gather_rows(entity_finals, neg_left),
-                                 diff.gather_rows(entity_finals, neg_right))
+    index, negative_pairs = zip(*negatives)
+    positive = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[np.asarray(index)]
+    negative = np.asarray(negative_pairs, dtype=np.int64)
+    d_pos = diff.cosine_distance(diff.gather_rows(entity_finals, positive[:, 0]),
+                                 diff.gather_rows(entity_finals, positive[:, 1]))
+    d_neg = diff.cosine_distance(diff.gather_rows(entity_finals, negative[:, 0]),
+                                 diff.gather_rows(entity_finals, negative[:, 1]))
     hinge = diff.relu(diff.add(diff.sub(diff.tensor(gamma_a), d_neg), d_pos))
     return diff.mean_all(hinge)
 
@@ -262,10 +254,10 @@ def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=
     return picks
 
 
-def greedy_match(matrix: AlignmentMatrix | np.ndarray) -> list[tuple[int, int, float]]:
+def greedy_match(matrix: np.ndarray) -> list[tuple[int, int, float]]:
     """One-to-one pairs by descending similarity until rows or columns run
     out, each with its score."""
-    values = matrix.values if isinstance(matrix, AlignmentMatrix) else np.asarray(matrix)
+    values = np.asarray(matrix)
     return [(r, c, float(values[r, c])) for r, c in greedy_one_to_one(values, min(values.shape))]
 
 

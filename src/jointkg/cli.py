@@ -13,6 +13,7 @@ import itertools
 import json
 import os
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
@@ -47,8 +48,6 @@ def apply_env_overrides(data: dict, environ=None) -> dict:
     """Overlay JOINTKG_<FIELD> environment values onto a config dict."""
     environ = os.environ if environ is None else environ
     merged = dict(data)
-    from dataclasses import fields
-
     for f in fields(TrainConfig):
         raw = environ.get(ENV_PREFIX + f.name.upper())
         if raw is None:
@@ -62,11 +61,12 @@ def apply_env_overrides(data: dict, environ=None) -> dict:
 
 def _resolved_config(args) -> TrainConfig:
     data = apply_env_overrides(read_json(args.config, "config file"))
-    if args.ablation:
-        data["ablations"] = sorted(set(data.get("ablations", [])) | set(args.ablation))
     if args.seed is not None:
         data["rng_seed"] = args.seed
-    return TrainConfig.from_dict(data, require_all=True)
+    config = TrainConfig.from_dict(data, require_all=True)
+    if args.ablation:
+        config = replace(config, ablations=sorted(set(config.ablations) | set(args.ablation)))
+    return config
 
 
 def cmd_synth(args) -> int:
@@ -131,9 +131,9 @@ def cmd_eval(args) -> int:
         kga_results = {}
         for pair, seed_set in sorted(state.test_seeds.items()):
             src, tgt, _, _ = multikg.pair_blocks(pair, finals.values)
-            matrix = build_alignment_matrix(src, tgt, pair)
-            if seed_set.pairs:
-                kga_results[pair] = kga_metrics(matrix.values, seed_set)
+            matrix = build_alignment_matrix(src, tgt)
+            if len(seed_set):
+                kga_results[pair] = kga_metrics(matrix, seed_set)
             write_matches(greedy_match(matrix), multikg.by_id[pair[0]].entity_labels,
                           multikg.by_id[pair[1]].entity_labels,
                           out_dir / f"matches_{pair[0]}_{pair[1]}.tsv")
@@ -153,15 +153,16 @@ def cmd_grid(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    combos = [dict(zip(names, values))
+              for values in itertools.product(*(grid_spec[n] for n in names))]
+    # every combination is validated before the first run trains
+    configs = [TrainConfig.from_dict(base | combo, require_all=True) for combo in combos]
     rows = []
-    for index, combo in enumerate(itertools.product(*(grid_spec[n] for n in names))):
-        data = dict(base)
-        data.update(dict(zip(names, combo)))
-        config = TrainConfig.from_dict(data, require_all=True)
+    for index, (combo, config) in enumerate(zip(combos, configs)):
         checkpoint = _fit_and_save(load_multikg(multikg_path), config,
                                    out_dir / f"run_{index:03d}")
-        rows.append((checkpoint.val_mrr, index, dict(zip(names, combo))))
-        print(f"run_{index:03d}: val MRR {checkpoint.val_mrr:.4f} {dict(zip(names, combo))}")
+        rows.append((checkpoint.val_mrr, index, combo))
+        print(f"run_{index:03d}: val MRR {checkpoint.val_mrr:.4f} {combo}")
 
     rows.sort(key=lambda r: (-r[0], r[1]))
     lines = ["val_mrr\trun\tsettings"]

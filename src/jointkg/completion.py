@@ -78,8 +78,8 @@ def alignment_constraint_loss(pairs: np.ndarray, layers: LayerEmbeddings) -> Ten
     pairs and layers."""
     if len(pairs) == 0:
         return diff.tensor(np.zeros(()))
-    left = np.asarray([p[0] for p in pairs])
-    right = np.asarray([p[1] for p in pairs])
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    left, right = pairs[:, 0], pairs[:, 1]
     total = None
     for k in range(layers.layer_count + 1):
         e = layers.entities[k]

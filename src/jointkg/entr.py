@@ -6,30 +6,24 @@ similarity pairs may join the seed set. Triples whose endpoints are both
 covered by the current seed mapping are copied into the paired KG, in both
 directions, and copies whose supporting alignment has since disappeared are
 pruned again.
+
+Alignment matrices are plain (source x target) cosine arrays from
+`build_alignment_matrix`; seed pairs are the (n x 2) int64 rows of
+`SeedSet.pairs`, and transfers land on each `Kg` through `set_transferred`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .alignment import AlignmentMatrix, greedy_one_to_one
+from .alignment import greedy_one_to_one
 from .errors import EnTrError
 from .kgdata import ENLARGED, GIVEN, MultiKg, SeedSet, triple_keys
 
 
-@dataclass
-class EntropyState:
-    """Pre-training entropy (frozen) and the latest entropy, per KG pair."""
-
-    h_tilde: dict[tuple[str, str], float] = field(default_factory=dict)
-    h_current: dict[tuple[str, str], float] = field(default_factory=dict)
-
-
-def matrix_entropy(matrix: AlignmentMatrix | np.ndarray) -> float:
+def matrix_entropy(matrix: np.ndarray) -> float:
     """Shannon entropy (natural log) of the row softmax, summed over rows; a
     probability that underflows to 0 adds 0, the limit of p log p."""
-    values = matrix.values if isinstance(matrix, AlignmentMatrix) else np.asarray(matrix)
+    values = np.asarray(matrix)
     if values.ndim != 2 or values.size == 0:
         raise EnTrError(f"entropy needs a non-empty matrix, got shape {values.shape}")
     if not np.all(np.isfinite(values)):
@@ -53,15 +47,17 @@ def seed_budget(h_tilde: float, h_current: float, beta: float,
     return max(0, int(np.floor(budget)))
 
 
-def enlarge_seeds(matrix: AlignmentMatrix, q: int, seed_set: SeedSet) -> SeedSet:
+def enlarge_seeds(matrix: np.ndarray, q: int, seed_set: SeedSet) -> SeedSet:
     """Given train pairs plus up to q fresh pairs picked greedily by
     descending similarity (greedy_one_to_one), skipping any entity already
     claimed. Previously enlarged pairs are discarded and recomputed."""
     if q < 0:
         raise EnTrError(f"negative enlargement budget {q}")
     given = seed_set.given_pairs()
-    fresh = greedy_one_to_one(matrix.values, q, [a for a, _ in given], [b for _, b in given])
-    return SeedSet(seed_set.kg_pair, given + fresh, [GIVEN] * len(given) + [ENLARGED] * len(fresh))
+    fresh = np.asarray(greedy_one_to_one(matrix, q, given[:, 0], given[:, 1]),
+                       dtype=np.int64).reshape(-1, 2)
+    return SeedSet(seed_set.kg_pair, np.concatenate([given, fresh]),
+                   [GIVEN] * len(given) + [ENLARGED] * len(fresh))
 
 
 def _close(multikg: MultiKg, seed_sets: list[SeedSet],
@@ -73,11 +69,10 @@ def _close(multikg: MultiKg, seed_sets: list[SeedSet],
     """
     directions = []  # (source id, target id, dense map with -1 for unmapped ids)
     for seed_set in seed_sets:
-        pairs = np.asarray(seed_set.pairs, dtype=np.int64).reshape(-1, 2)
         for side in (0, 1):
             source_id, target_id = seed_set.kg_pair[side], seed_set.kg_pair[1 - side]
             mapping = np.full(multikg.by_id[source_id].entity_count, -1, dtype=np.int64)
-            mapping[pairs[:, side]] = pairs[:, 1 - side]
+            mapping[seed_set.pairs[:, side]] = seed_set.pairs[:, 1 - side]
             directions.append((source_id, target_id, mapping))
     rows = dict(rows)
     while True:

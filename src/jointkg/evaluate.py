@@ -54,7 +54,7 @@ def known_tails(multikg: MultiKg, kg_id: str) -> dict[tuple[int, int], set[int]]
     triples are model output and never enter the filter."""
     table: dict[tuple[int, int], set[int]] = {}
     for split in ("train", "valid", "test"):
-        for h, r, t in multikg.kgc_splits[kg_id][split]:
+        for h, r, t in multikg.kgc_splits[kg_id][split].tolist():
             table.setdefault((h, r), set()).add(t)
     return table
 
@@ -103,15 +103,14 @@ def evaluate_kgc(multikg: MultiKg, entity_layer_values: list[np.ndarray],
     results: dict[str, dict[str, float]] = {}
     for kg in multikg.kgs:
         triples = multikg.kgc_splits[kg.id][split]
-        if not triples:
+        if len(triples) == 0:
             continue
         offset = multikg.entity_offset(kg.id)
         known = known_tails(multikg, kg.id)
-        heads, relations, _ = np.asarray(triples, dtype=np.int64).T
-        scores = score_all_tails(offset + heads, relations, entity_layer_values,
+        scores = score_all_tails(offset + triples[:, 0], triples[:, 1], entity_layer_values,
                                  relation_layer_values, offset, kg.entity_count)
         ranks = [kgc_rank(triple, kg.entity_count, known, row).rank
-                 for triple, row in zip(triples, scores)]
+                 for triple, row in zip(triples.tolist(), scores)]
         metrics = aggregate(ranks, k_list)
         metrics["count"] = float(len(ranks))
         results[kg.id] = metrics
@@ -121,7 +120,7 @@ def evaluate_kgc(multikg: MultiKg, entity_layer_values: list[np.ndarray],
 def kga_metrics(similarities: np.ndarray, seed_set: SeedSet,
                 k_list: tuple[int, ...] = (1, 10)) -> dict[str, float]:
     """Metrics of one pair's seed pairs ranked in its (source x target) block."""
-    ranks = [kga_rank(similarities[e], e_star).rank for e, e_star in seed_set.pairs]
+    ranks = [kga_rank(similarities[e], e_star).rank for e, e_star in seed_set.pairs.tolist()]
     metrics = aggregate(ranks, k_list)
     metrics["count"] = float(len(ranks))
     return metrics
@@ -133,11 +132,10 @@ def evaluate_kga(multikg: MultiKg, entity_finals: np.ndarray,
     """Per-pair alignment metrics over held-out seed pairs."""
     results: dict[tuple[str, str], dict[str, float]] = {}
     for pair, seed_set in sorted(test_seeds.items()):
-        if not seed_set.pairs:
+        if len(seed_set) == 0:
             continue
         source, target, _, _ = multikg.pair_blocks(pair, entity_finals)
-        block = build_alignment_matrix(source, target).values
-        results[pair] = kga_metrics(block, seed_set, k_list)
+        results[pair] = kga_metrics(build_alignment_matrix(source, target), seed_set, k_list)
     return results
 
 

@@ -13,7 +13,11 @@ transfer well defined.
 Triples are int64 (head, relation, tail) rows kept in order (see `Kg`).
 Where membership matters, `triple_keys` encodes rows as int64 keys on the
 spot; keys depend on the KG's entity count, which grows while it loads, so
-none are stored.
+none are stored. Seed pairs (`SeedSet.pairs`) are an (n x 2) int64 array of
+(left id, right id) rows and each completion split
+(`MultiKg.kgc_splits[kg][split]`) an (n x 3) int64 array of triples; both
+are converted once, when the object is built, from whatever sequence of
+pairs or triples the caller passes.
 """
 from __future__ import annotations
 
@@ -147,34 +151,38 @@ class Kg:
 
 @dataclass
 class SeedSet:
-    """Aligned entity pairs between one ordered KG pair, one-to-one per side."""
+    """Aligned entity pairs between one ordered KG pair, one-to-one per side.
+
+    `pairs` may be given as any sequence of (left, right) pairs; it is kept
+    as an (n x 2) int64 array.
+    """
 
     kg_pair: tuple[str, str]
-    pairs: list[tuple[int, int]]
+    pairs: np.ndarray
     provenance: list[str]
 
     def __post_init__(self):
+        self.pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
         if len(self.pairs) != len(self.provenance):
             raise KgDataError("seed pairs and provenance lists must match")
         self.validate_one_to_one()
 
     def validate_one_to_one(self) -> None:
-        left = [p[0] for p in self.pairs]
-        right = [p[1] for p in self.pairs]
-        if len(set(left)) != len(left) or len(set(right)) != len(right):
-            raise KgDataError(f"seed set for {self.kg_pair} reuses an entity")
+        for column in self.pairs.T:
+            if np.unique(column).size != column.size:
+                raise KgDataError(f"seed set for {self.kg_pair} reuses an entity")
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def given_pairs(self) -> list[tuple[int, int]]:
-        return [p for p, tag in zip(self.pairs, self.provenance) if tag == GIVEN]
+    def given_pairs(self) -> np.ndarray:
+        return self.pairs[np.asarray(self.provenance, dtype=str) == GIVEN]
 
     def mapping(self) -> dict[int, int]:
-        return dict(self.pairs)
+        return dict(self.pairs.tolist())
 
     def inverse_mapping(self) -> dict[int, int]:
-        return {b: a for a, b in self.pairs}
+        return dict(self.pairs[:, ::-1].tolist())
 
 
 class MultiKg:
@@ -187,8 +195,9 @@ class MultiKg:
         if len(self.by_id) != len(self.kgs):
             raise KgDataError("duplicate KG ids")
         self.seed_sets: dict[tuple[str, str], SeedSet] = {}
-        self.kgc_splits: dict[str, dict[str, list[tuple[int, int, int]]]] = {
-            kg.id: {"train": [], "valid": [], "test": []} for kg in self.kgs
+        self.kgc_splits: dict[str, dict[str, np.ndarray]] = {
+            kg.id: {split: np.empty((0, 3), dtype=np.int64)
+                    for split in ("train", "valid", "test")} for kg in self.kgs
         }
         self.entity_vectors: dict[str, dict[int, np.ndarray]] = {kg.id: {} for kg in self.kgs}
         self.relation_vectors: dict[int, np.ndarray] = {}
@@ -215,18 +224,19 @@ class MultiKg:
         return (finals[off_l:off_l + self.by_id[pair[0]].entity_count],
                 finals[off_r:off_r + self.by_id[pair[1]].entity_count], off_l, off_r)
 
-    def set_kgc_split(self, kg_id: str, split: str, triples: list[tuple[int, int, int]]) -> None:
-        self.kgc_splits[kg_id][split] = list(triples)
+    def set_kgc_split(self, kg_id: str, split: str, triples) -> None:
+        """Set one split from any sequence of (head, relation, tail) triples."""
+        self.kgc_splits[kg_id][split] = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
         self._check_split_disjoint(kg_id)
 
     def _check_split_disjoint(self, kg_id: str) -> None:
-        splits = self.kgc_splits[kg_id]
-        seen: set[tuple[int, int, int]] = set()
-        for name in ("train", "valid", "test"):
-            for key in splits[name]:
-                if key in seen:
-                    raise KgDataError(f"kgc splits for {kg_id} overlap on {key}")
-                seen.add(key)
+        rows = np.concatenate([self.kgc_splits[kg_id][name]
+                               for name in ("train", "valid", "test")])
+        _, first = np.unique(triple_keys(rows, self.by_id[kg_id].entity_count),
+                             return_index=True)
+        if first.size != len(rows):
+            repeat = tuple(rows[np.setdiff1d(np.arange(len(rows)), first)[0]].tolist())
+            raise KgDataError(f"kgc splits for {kg_id} overlap on {repeat}")
 
     def vocab_hash(self) -> str:
         digest = hashlib.sha256()
@@ -313,14 +323,9 @@ def split_seeds(seed_set: SeedSet, train_fraction: float, rng_seed: int) -> tupl
     rng = substream(rng_seed, "seed-split", seed_set.kg_pair[0], seed_set.kg_pair[1])
     order = rng.permutation(len(seed_set))
     n_train = int(np.floor(train_fraction * len(seed_set)))
-    train_idx = sorted(order[:n_train].tolist())
-    test_idx = sorted(order[n_train:].tolist())
-    make = lambda idx: SeedSet(
-        seed_set.kg_pair,
-        [seed_set.pairs[i] for i in idx],
-        [seed_set.provenance[i] for i in idx],
-    )
-    return make(train_idx), make(test_idx)
+    provenance = np.asarray(seed_set.provenance)
+    make = lambda idx: SeedSet(seed_set.kg_pair, seed_set.pairs[idx], provenance[idx].tolist())
+    return make(np.sort(order[:n_train])), make(np.sort(order[n_train:]))
 
 
 def load_initial_vectors(path: Path, multikg: MultiKg) -> dict[str, int]:

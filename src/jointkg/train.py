@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import base64
 import json
+import math
+import numbers
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -28,7 +30,7 @@ from .alignment import (
     nearest_negatives,
 )
 from .completion import alignment_constraint_loss, completion_loss, ranking_loss, sample_negatives
-from .entr import EntropyState, enlarge_seeds, matrix_entropy, prune_stale_transfers, seed_budget, transfer_triples
+from .entr import enlarge_seeds, matrix_entropy, prune_stale_transfers, seed_budget, transfer_triples
 from .errors import TrainError
 from .evaluate import evaluate_kgc, overall_mean
 from .kgdata import MultiKg, SeedSet, split_seeds, triple_keys
@@ -37,6 +39,9 @@ from .seeding import substream
 
 ABLATIONS = ("no_ra_gnn", "one_gnn", "no_sir", "no_entr", "no_align", "no_comple")
 CHECKPOINT_VERSION = 1
+# annotation -> (accepted type, its name in errors); a bool is no int or float here
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
+                "bool": (bool, "true or false")}
 
 
 @dataclass
@@ -60,13 +65,24 @@ class TrainConfig:
     steps_per_epoch: int = 10
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind, wanted = _FIELD_KINDS.get(f.type, (object, ""))
+            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+                raise TrainError(f"{f.name} must be {wanted}, got {value!r}")
+        if (not isinstance(self.ablations, (list, tuple))
+                or not all(isinstance(flag, str) for flag in self.ablations)):
+            raise TrainError(f"ablations must be a list of strings, got {self.ablations!r}")
         self.ablations = tuple(self.ablations)
-        if self.layers < 0:
-            raise TrainError(f"layers must be >= 0, got {self.layers}")
-        if self.dim < 1:
-            raise TrainError(f"dim must be >= 1, got {self.dim}")
-        if self.epochs < 0:
-            raise TrainError(f"epochs must be >= 0, got {self.epochs}")
+        for name in ("lr_completion", "lr_alignment"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise TrainError(f"{name} must be finite and above 0, got {value}")
+        for name, least in (("layers", 0), ("epochs", 0), ("dim", 1), ("entr_period", 1),
+                            ("steps_per_epoch", 1), ("negatives_per_positive", 1),
+                            ("nearest_neighbor_negatives", 1)):
+            if getattr(self, name) < least:
+                raise TrainError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 <= self.beta <= 1.0:
             raise TrainError(f"beta must lie in [0, 1], got {self.beta}")
         if self.si_mode not in ("with", "without"):
@@ -74,10 +90,6 @@ class TrainConfig:
         for flag in self.ablations:
             if flag not in ABLATIONS:
                 raise TrainError(f"unknown ablation flag {flag!r}; known: {ABLATIONS}")
-        if self.entr_period < 1:
-            raise TrainError(f"entr_period must be >= 1, got {self.entr_period}")
-        if self.steps_per_epoch < 1:
-            raise TrainError(f"steps_per_epoch must be >= 1, got {self.steps_per_epoch}")
 
     def flag(self, name: str) -> bool:
         return name in self.ablations
@@ -105,10 +117,7 @@ class TrainConfig:
             for name in sorted(names):
                 if name not in data:
                     raise TrainError(f"missing config field: {name}")
-        converted = dict(data)
-        if "ablations" in converted:
-            converted["ablations"] = tuple(converted["ablations"])
-        return cls(**converted)
+        return cls(**data)
 
     def to_file(self, path: Path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n",
@@ -191,7 +200,7 @@ class TrainState:
                                          lr=config.lr_completion)
         self.adam_alignment = diff.Adam(self.model.alignment_parameters(),
                                         lr=config.lr_alignment)
-        self.entropy = EntropyState()
+        self.h_tilde: dict[tuple[str, str], float] = {}  # pre-training entropy per pair
         self.epoch = 0
         self.step_in_epoch = 0
         self.train_seeds: dict[tuple[str, str], SeedSet] = {}
@@ -217,8 +226,9 @@ class TrainState:
             layers = self.completion_layers(tape=False)
         return make_fusion_hook(layers, self.model.fusion)
 
-    def alignment_layers_and_finals(self, tape: bool, hook="fresh"):
-        if hook == "fresh":
+    def alignment_layers_and_finals(self, tape: bool, hook=None):
+        """Alignment-side finals; `hook` defaults to a fresh `fusion_hook()`."""
+        if hook is None:
             hook = self.fusion_hook()
         with nullcontext() if tape else diff.no_grad():
             layers = encode(self.edges, self.model.alignment_side_encoder, hook)
@@ -228,13 +238,10 @@ class TrainState:
         return self.multikg.pair_blocks(pair, finals)
 
     def global_seed_pairs(self) -> np.ndarray:
-        rows = []
-        for pair in sorted(self.train_seeds):
-            off_l = self.multikg.entity_offset(pair[0])
-            off_r = self.multikg.entity_offset(pair[1])
-            for e, e_star in self.train_seeds[pair].pairs:
-                rows.append((off_l + e, off_r + e_star))
-        return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+        offsets = self.multikg.entity_offset
+        return np.concatenate([np.empty((0, 2), dtype=np.int64)] + [
+            self.train_seeds[pair].pairs + (offsets(pair[0]), offsets(pair[1]))
+            for pair in sorted(self.train_seeds)])
 
     # ---- loss assembly ---------------------------------------------------
 
@@ -243,8 +250,7 @@ class TrainState:
         (none unless transferred_as_positives), as int64 rows."""
         per_kg = []
         for kg in self.multikg.kgs:
-            loaded = np.asarray(self.multikg.kgc_splits[kg.id]["train"],
-                                dtype=np.int64).reshape(-1, 3)
+            loaded = self.multikg.kgc_splits[kg.id]["train"]
             transferred = kg.transferred if self.config.transferred_as_positives else loaded[:0]
             per_kg.append((kg.id, loaded, transferred))
         return per_kg
@@ -300,18 +306,18 @@ class TrainState:
         self.adam_alignment.zero_grad()
         return value, ranking.item()
 
-    def alignment_step(self, hook="fresh") -> float:
+    def alignment_step(self, hook=None) -> float:
         entity_finals, _ = self.alignment_layers_and_finals(tape=True, hook=hook)
         finals_values = entity_finals.values
         total = None
         for pair in sorted(self.train_seeds):
             seed_set = self.train_seeds[pair]
-            if not seed_set.pairs:
+            if len(seed_set) == 0:
                 continue
             src, tgt, off_l, off_r = self.pair_blocks(pair, finals_values)
             local_negatives = nearest_negatives(
                 seed_set.pairs, src, tgt, self.config.nearest_neighbor_negatives)
-            global_pairs = [(off_l + e, off_r + s) for e, s in seed_set.pairs]
+            global_pairs = seed_set.pairs + (off_l, off_r)
             global_negatives = [(i, (off_l + a, off_r + b)) for i, (a, b) in local_negatives]
             pair_loss = alignment_loss(global_pairs, global_negatives,
                                        self.config.gamma_alignment, entity_finals)
@@ -327,16 +333,14 @@ class TrainState:
         self.adam_completion.zero_grad()
         return value
 
-    def entr_step(self, hook="fresh") -> tuple[int, int]:
+    def entr_step(self, hook=None) -> tuple[int, int]:
         entity_finals, _ = self.alignment_layers_and_finals(tape=False, hook=hook)
         finals_values = entity_finals.values
         budget_total = 0
         for pair in sorted(self.train_seeds):
             src, tgt, _, _ = self.pair_blocks(pair, finals_values)
-            matrix = build_alignment_matrix(src, tgt, pair)
-            h_now = matrix_entropy(matrix)
-            self.entropy.h_current[pair] = h_now
-            q = seed_budget(self.entropy.h_tilde[pair], h_now, self.config.beta,
+            matrix = build_alignment_matrix(src, tgt)
+            q = seed_budget(self.h_tilde[pair], matrix_entropy(matrix), self.config.beta,
                             src.shape[0], tgt.shape[0])
             budget_total += q
             self.train_seeds[pair] = enlarge_seeds(matrix, q, self.train_seeds[pair])
@@ -352,9 +356,7 @@ class TrainState:
         entity_finals, _ = self.alignment_layers_and_finals(tape=False)
         for pair in sorted(self.train_seeds):
             src, tgt, _, _ = self.pair_blocks(pair, entity_finals.values)
-            h = matrix_entropy(build_alignment_matrix(src, tgt, pair))
-            self.entropy.h_tilde[pair] = h
-            self.entropy.h_current[pair] = h
+            self.h_tilde[pair] = matrix_entropy(build_alignment_matrix(src, tgt))
 
 
 def train_epoch(state: TrainState) -> dict:
@@ -443,17 +445,16 @@ def _array_from_json(payload: dict) -> np.ndarray:
 
 
 def _seed_set_to_json(seed_set: SeedSet) -> dict:
-    return {"kg_pair": list(seed_set.kg_pair), "pairs": [list(p) for p in seed_set.pairs],
+    return {"kg_pair": list(seed_set.kg_pair), "pairs": seed_set.pairs.tolist(),
             "provenance": list(seed_set.provenance)}
 
 
 def _seed_set_from_json(payload: dict) -> SeedSet:
-    return SeedSet(tuple(payload["kg_pair"]), [tuple(p) for p in payload["pairs"]],
-                   list(payload["provenance"]))
+    return SeedSet(tuple(payload["kg_pair"]), payload["pairs"], list(payload["provenance"]))
 
 
 def _copy_seed_sets(seed_sets: dict[tuple[str, str], SeedSet]) -> dict[tuple[str, str], SeedSet]:
-    return {pair: SeedSet(s.kg_pair, list(s.pairs), list(s.provenance))
+    return {pair: SeedSet(s.kg_pair, s.pairs.copy(), list(s.provenance))
             for pair, s in seed_sets.items()}
 
 
@@ -474,10 +475,10 @@ class Checkpoint:
     parameters: dict[str, np.ndarray]
     adam_completion: dict
     adam_alignment: dict
-    entropy: EntropyState
+    h_tilde: dict[tuple[str, str], float]
     train_seeds: dict[tuple[str, str], SeedSet]
     test_seeds: dict[tuple[str, str], SeedSet]
-    transferred: dict[str, list[tuple[int, int, int, int]]]
+    transferred: dict[str, np.ndarray]  # per KG, (head, relation, tail, epoch) rows
 
     def save(self, path: Path) -> None:
         payload = {
@@ -489,51 +490,53 @@ class Checkpoint:
             "parameters": {k: _array_to_json(v) for k, v in sorted(self.parameters.items())},
             "adam_completion": _map_adam(self.adam_completion, _array_to_json),
             "adam_alignment": _map_adam(self.adam_alignment, _array_to_json),
-            "entropy": {
-                "h_tilde": {f"{a}|{b}": v for (a, b), v in sorted(self.entropy.h_tilde.items())},
-                "h_current": {f"{a}|{b}": v for (a, b), v in sorted(self.entropy.h_current.items())},
-            },
+            "entropy": {"h_tilde": {f"{a}|{b}": v for (a, b), v in sorted(self.h_tilde.items())}},
             "train_seeds": {f"{a}|{b}": _seed_set_to_json(s)
                             for (a, b), s in sorted(self.train_seeds.items())},
             "test_seeds": {f"{a}|{b}": _seed_set_to_json(s)
                            for (a, b), s in sorted(self.test_seeds.items())},
-            "transferred": {kg: [list(t) for t in rows]
-                            for kg, rows in sorted(self.transferred.items())},
+            "transferred": {kg: rows.tolist() for kg, rows in sorted(self.transferred.items())},
         }
         Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")),
                               encoding="utf-8")
 
     @classmethod
     def load(cls, path: Path) -> "Checkpoint":
+        """Read a checkpoint; a missing key or an undecodable value raises
+        TrainError. An `entropy.h_current` entry, written by older versions,
+        is ignored."""
         payload = read_json(path, "checkpoint")
-        if payload.get("version") != CHECKPOINT_VERSION:
-            raise TrainError(f"unsupported checkpoint version {payload.get('version')}")
-        unpair = lambda key: tuple(key.split("|"))
-        entropy = EntropyState(
-            h_tilde={unpair(k): v for k, v in payload["entropy"]["h_tilde"].items()},
-            h_current={unpair(k): v for k, v in payload["entropy"]["h_current"].items()},
-        )
-        return cls(
-            config=TrainConfig.from_dict(payload["config"]),
-            vocab_hash=payload["vocab_hash"],
-            epoch=payload["epoch"],
-            val_mrr=payload["val_mrr"],
-            parameters={k: _array_from_json(v) for k, v in payload["parameters"].items()},
-            adam_completion=_map_adam(payload["adam_completion"], _array_from_json),
-            adam_alignment=_map_adam(payload["adam_alignment"], _array_from_json),
-            entropy=entropy,
-            train_seeds={unpair(k): _seed_set_from_json(v)
-                         for k, v in payload["train_seeds"].items()},
-            test_seeds={unpair(k): _seed_set_from_json(v)
-                        for k, v in payload["test_seeds"].items()},
-            transferred={kg: [tuple(t) for t in rows]
-                         for kg, rows in payload["transferred"].items()},
-        )
+        try:
+            if payload.get("version") != CHECKPOINT_VERSION:
+                raise TrainError(f"unsupported checkpoint version {payload.get('version')}")
+            unpair = lambda key: tuple(key.split("|"))
+            return cls(
+                config=TrainConfig.from_dict(payload["config"]),
+                vocab_hash=payload["vocab_hash"],
+                epoch=payload["epoch"],
+                val_mrr=payload["val_mrr"],
+                parameters={k: _array_from_json(v) for k, v in payload["parameters"].items()},
+                adam_completion=_map_adam(payload["adam_completion"], _array_from_json),
+                adam_alignment=_map_adam(payload["adam_alignment"], _array_from_json),
+                h_tilde={unpair(k): v for k, v in payload["entropy"]["h_tilde"].items()},
+                train_seeds={unpair(k): _seed_set_from_json(v)
+                             for k, v in payload["train_seeds"].items()},
+                test_seeds={unpair(k): _seed_set_from_json(v)
+                            for k, v in payload["test_seeds"].items()},
+                transferred={kg: np.asarray(rows, dtype=np.int64).reshape(-1, 4)
+                             for kg, rows in payload["transferred"].items()},
+            )
+        except KeyError as error:
+            raise TrainError(f"checkpoint {path} is malformed: missing key {error}") from None
+        except (AttributeError, TypeError, ValueError) as error:
+            raise TrainError(f"checkpoint {path} is malformed: {error}") from None
 
     def restore_transfers(self, multikg: MultiKg) -> None:
         """Give every KG the checkpoint's transferred triples and epochs."""
         for kg in multikg.kgs:
-            rows = np.asarray(self.transferred[kg.id], dtype=np.int64).reshape(-1, 4)
+            if kg.id not in self.transferred:
+                raise TrainError(f"checkpoint is malformed: no transferred triples for {kg.id}")
+            rows = self.transferred[kg.id]
             kg.set_transferred(rows[:, :3], rows[:, 3])
 
 
@@ -547,11 +550,10 @@ def snapshot(state: TrainState, val_mrr: float) -> Checkpoint:
                     for name, tensor in state.model.named_parameters()},
         adam_completion=state.adam_completion.state_dict(),
         adam_alignment=state.adam_alignment.state_dict(),
-        entropy=EntropyState(dict(state.entropy.h_tilde), dict(state.entropy.h_current)),
+        h_tilde=dict(state.h_tilde),
         train_seeds=_copy_seed_sets(state.train_seeds),
         test_seeds=_copy_seed_sets(state.test_seeds),
-        transferred={kg.id: [tuple(row) for row in
-                             np.column_stack([kg.transferred, kg.transfer_epochs]).tolist()]
+        transferred={kg.id: np.column_stack([kg.transferred, kg.transfer_epochs])
                      for kg in state.multikg.kgs},
     )
 
@@ -570,11 +572,14 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
     if set(named) != set(checkpoint.parameters):
         raise TrainError("checkpoint parameters do not match the model layout")
     for name, tensor in named.items():
-        tensor.values[:] = checkpoint.parameters[name]
+        saved = checkpoint.parameters[name]
+        if saved.shape != tensor.values.shape:
+            raise TrainError(f"checkpoint parameter {name} has shape {saved.shape}, "
+                             f"the model's has {tensor.values.shape}")
+        tensor.values[:] = saved
     state.adam_completion.load_state_dict(checkpoint.adam_completion)
     state.adam_alignment.load_state_dict(checkpoint.adam_alignment)
-    state.entropy = EntropyState(dict(checkpoint.entropy.h_tilde),
-                                 dict(checkpoint.entropy.h_current))
+    state.h_tilde = dict(checkpoint.h_tilde)
     state.epoch = checkpoint.epoch
     state.train_seeds = _copy_seed_sets(checkpoint.train_seeds)
     state.test_seeds = _copy_seed_sets(checkpoint.test_seeds)

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from jointkg import alignment as al
 from jointkg import diff
 from jointkg.alignment import (
-    AlignmentMatrix,
     FusionParams,
     HeadParams,
     alignment_loss,
@@ -123,15 +122,15 @@ class TestAlignmentMatrix:
     def test_identical_unit_vectors(self):
         u = np.array([[1.0, 0.0]])
         m = build_alignment_matrix(u, u.copy())
-        assert m.values[0, 0] == pytest.approx(1.0)
+        assert m[0, 0] == pytest.approx(1.0)
 
     def test_orthogonal_vectors(self):
         m = build_alignment_matrix(np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-        assert m.values[0, 0] == pytest.approx(0.0)
+        assert m[0, 0] == pytest.approx(0.0)
 
     def test_hand_cosine(self):
         m = build_alignment_matrix(np.array([[1.0, 0.0]]), np.array([[1.0, 1.0]]))
-        assert m.values[0, 0] == pytest.approx(0.70711, abs=5e-6)
+        assert m[0, 0] == pytest.approx(0.70711, abs=5e-6)
 
     def test_zero_norm_errors(self):
         with pytest.raises(AlignmentError, match="zero-norm"):
@@ -140,7 +139,7 @@ class TestAlignmentMatrix:
     def test_entries_within_unit_interval(self):
         rng = np.random.default_rng(7)
         m = build_alignment_matrix(rng.normal(size=(6, 4)), rng.normal(size=(5, 4)))
-        assert np.all(m.values <= 1.0 + 1e-12) and np.all(m.values >= -1.0 - 1e-12)
+        assert np.all(m <= 1.0 + 1e-12) and np.all(m >= -1.0 - 1e-12)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)
@@ -148,7 +147,7 @@ class TestAlignmentMatrix:
         tgt = rng.normal(size=(5, 3))
         base = build_alignment_matrix(src, tgt)
         scaled = build_alignment_matrix(src * 7.5, tgt)
-        assert np.allclose(base.values, scaled.values, atol=1e-12)
+        assert np.allclose(base, scaled, atol=1e-12)
         assert [(r, c) for r, c, _ in greedy_match(base)] == [
             (r, c) for r, c, _ in greedy_match(scaled)
         ]

@@ -103,6 +103,32 @@ class TestTrainCommand:
         assert code == 1
         assert "missing config field: gamma_alignment" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [
+        ("layers", 2.0), ("dim", 8.0), ("epochs", "1"), ("steps_per_epoch", True),
+        ("rng_seed", None), ("beta", "0.2"), ("gamma_alignment", [1.0]),
+        ("transferred_as_positives", "no"), ("ablations", [1]), ("ablations", "no_sir"),
+        ("lr_completion", -1.0), ("lr_completion", 0.0), ("lr_alignment", float("inf")),
+        ("lr_alignment", float("nan")), ("negatives_per_positive", 0),
+        ("nearest_neighbor_negatives", 0),
+    ])
+    def test_bad_config_value_is_named(self, dataset, tmp_path, capsys, field, value):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload(**{field: value})))
+        code = main(["train", "--config", str(config_path), "--data", str(dataset),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert f"error [train]: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_bad_env_value_is_named(self, dataset, tmp_path, capsys, monkeypatch):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload()))
+        monkeypatch.setenv("JOINTKG_LAYERS", "2.0")
+        code = main(["train", "--config", str(config_path), "--data", str(dataset),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert "error [train]: layers must be an integer, got 2.0" in capsys.readouterr().err
+
     def test_ablation_flag_lands_in_written_config(self, dataset, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_payload()))
@@ -288,6 +314,26 @@ class TestBadJsonInputs:
                               "--data", str(dataset), "--out", str(tmp_path / "grid")], capsys)
         assert code == 1
         assert "error [train]: grid file" in err and "is not valid JSON" in err
+
+    def test_checkpoint_missing_keys(self, dataset, tmp_path, capsys):
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text('{"version": 1}')
+        code, err = self.run(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+                              "--out", str(tmp_path / "eval")], capsys)
+        assert code == 1
+        assert f"error [train]: checkpoint {checkpoint} is malformed: missing key" in err
+
+    def test_bad_grid_value_fails_before_any_run(self, dataset, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload(epochs=1)))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"negatives_per_positive": [2, 0]}))
+        out = tmp_path / "grid"
+        code, err = self.run(["grid", "--grid", str(grid_path), "--config", str(config_path),
+                              "--data", str(dataset), "--out", str(out)], capsys)
+        assert code == 1
+        assert "error [train]: negatives_per_positive must be >= 1, got 0" in err
+        assert not (out / "run_000").exists()
 
     def test_malformed_checkpoint(self, dataset, tmp_path, capsys):
         checkpoint = tmp_path / "checkpoint.json"

@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointkg import kgdata
 from jointkg.errors import KgDataError, ParseError
@@ -7,6 +11,7 @@ from jointkg.kgdata import (
     Kg,
     MultiKg,
     RelationVocab,
+    SeedSet,
     load_initial_vectors,
     load_multikg,
     parse_seeds,
@@ -14,7 +19,7 @@ from jointkg.kgdata import (
     split_seeds,
 )
 
-from .util import kg_to_lines, write_kg
+from .util import kg_to_lines, reference_one_to_one, reference_split_overlap, write_kg
 
 
 def write(tmp_path, name, lines):
@@ -161,13 +166,13 @@ class TestSplitSeeds:
     def test_even_split(self):
         train, test = split_seeds(self.make(100), 0.5, rng_seed=3)
         assert (len(train), len(test)) == (50, 50)
-        assert set(train.pairs).isdisjoint(test.pairs)
+        assert set(map(tuple, train.pairs.tolist())).isdisjoint(map(tuple, test.pairs.tolist()))
         assert len(train.pairs) + len(test.pairs) == 100
 
     def test_deterministic(self):
         a = split_seeds(self.make(40), 0.5, rng_seed=9)
         b = split_seeds(self.make(40), 0.5, rng_seed=9)
-        assert a[0].pairs == b[0].pairs and a[1].pairs == b[1].pairs
+        assert [s.pairs.tolist() for s in a] == [s.pairs.tolist() for s in b]
 
     def test_odd_count_floors_train_side(self):
         train, test = split_seeds(self.make(7), 0.5, rng_seed=1)
@@ -244,6 +249,14 @@ class TestMultiKg:
         with pytest.raises(KgDataError, match="overlap"):
             m.set_kgc_split("aa", "valid", [(0, 0, 1)])
 
+    def test_splits_are_int64_rows(self):
+        vocab = RelationVocab()
+        m = MultiKg([make_kg("aa", [("a", "r", "b")], vocab)], vocab)
+        assert m.kgc_splits["aa"]["test"].shape == (0, 3)
+        m.set_kgc_split("aa", "train", [(0, 0, 1), (1, 0, 0)])
+        split = m.kgc_splits["aa"]["train"]
+        assert split.dtype == np.int64 and split.tolist() == [[0, 0, 1], [1, 0, 0]]
+
     def test_vocab_hash_changes_with_labels(self):
         vocab = RelationVocab()
         kg = make_kg("aa", [("a", "r", "b")], vocab)
@@ -308,3 +321,45 @@ class TestTransferredTriples:
         kg.set_transferred([(2, 1, 1), (1, 0, 0), (0, 1, 2)], [2, 1, 2])
         kgdata.write_transfer_sidecar(kg, tmp_path / "side.tsv")
         assert (tmp_path / "side.tsv").read_text() == "b\tr\ta\t1\na\ts\tc\t2\nc\ts\tb\t2\n"
+
+
+ENTITY = st.integers(0, 4)
+TRIPLE = st.tuples(ENTITY, st.integers(0, 1), ENTITY)
+
+
+class TestVectorisedChecksOracle:
+    """The np.unique checks raise exactly when the set loops they replaced
+    (tests/util.py) find a repeat, with the same message."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(ENTITY, ENTITY), max_size=6))
+    def test_one_to_one_matches_set_loop(self, pairs):
+        if reference_one_to_one(pairs):
+            seed_set = SeedSet(("aa", "bb"), pairs, [kgdata.GIVEN] * len(pairs))
+            assert seed_set.pairs.dtype == np.int64
+            assert seed_set.pairs.tolist() == [list(p) for p in pairs]
+        else:
+            with pytest.raises(KgDataError, match=r"seed set for \('aa', 'bb'\) reuses"):
+                SeedSet(("aa", "bb"), pairs, [kgdata.GIVEN] * len(pairs))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(TRIPLE, max_size=4), st.lists(TRIPLE, max_size=4),
+           st.lists(TRIPLE, max_size=4))
+    def test_split_disjointness_matches_set_loop(self, train, valid, test):
+        vocab = RelationVocab()
+        kg = Kg("aa", vocab)
+        for label in "abcde":
+            kg.intern_entity(label)
+        m = MultiKg([kg], vocab)
+        splits = {"train": [], "valid": [], "test": []}
+        for name, rows in (("train", train), ("valid", valid), ("test", test)):
+            splits[name] = rows
+            repeat = reference_split_overlap(splits)
+            if repeat is None:
+                m.set_kgc_split("aa", name, rows)
+                assert m.kgc_splits["aa"][name].tolist() == [list(row) for row in rows]
+            else:
+                with pytest.raises(KgDataError, match=re.escape(
+                        f"kgc splits for aa overlap on {repeat}")):
+                    m.set_kgc_split("aa", name, rows)
+                return

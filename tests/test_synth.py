@@ -89,9 +89,9 @@ class TestWriteDataset:
         assert {kg.id for kg in multikg.kgs} == {KG_FIRST, KG_SECOND}
         assert (KG_FIRST, KG_SECOND) in multikg.seed_sets
         for kg in multikg.kgs:
-            assert multikg.kgc_splits[kg.id]["train"]
-            assert multikg.kgc_splits[kg.id]["valid"]
-            assert multikg.kgc_splits[kg.id]["test"]
+            assert len(multikg.kgc_splits[kg.id]["train"])
+            assert len(multikg.kgc_splits[kg.id]["valid"])
+            assert len(multikg.kgc_splits[kg.id]["test"])
 
     def test_triples_file_is_training_graph(self, tmp_path):
         result = generate(small_spec())

@@ -1,3 +1,6 @@
+import base64
+import json
+
 import numpy as np
 import pytest
 
@@ -99,13 +102,13 @@ class TestTrainEpoch:
         multikg = toy_pair_dataset()
         state = TrainState(multikg, small_config(ablations=("no_align",)))
         before = param_arrays(state, "alignment")
-        seeds_before = {p: list(s.pairs) for p, s in state.train_seeds.items()}
+        seeds_before = {p: s.pairs.tolist() for p, s in state.train_seeds.items()}
         metrics = train_epoch(state)
         assert metrics["loss_alignment"] == 0.0
         assert metrics["budget"] == 0 and metrics["transferred"] == 0
         assert all(np.array_equal(a, b)
                    for a, b in zip(before, param_arrays(state, "alignment")))
-        assert {p: list(s.pairs) for p, s in state.train_seeds.items()} == seeds_before
+        assert {p: s.pairs.tolist() for p, s in state.train_seeds.items()} == seeds_before
 
     def test_no_comple_skips_completion(self):
         multikg = toy_pair_dataset()
@@ -120,11 +123,11 @@ class TestTrainEpoch:
     def test_entr_off_never_mutates_seeds_or_triples(self):
         multikg = toy_pair_dataset(drop_in_first=3)
         state = TrainState(multikg, small_config(ablations=("no_entr",)))
-        seeds_before = {p: list(s.pairs) for p, s in state.train_seeds.items()}
+        seeds_before = {p: s.pairs.tolist() for p, s in state.train_seeds.items()}
         triples_before = {kg.id: kg.triples.tolist() for kg in multikg.kgs}
         for _ in range(2):
             train_epoch(state)
-        assert {p: list(s.pairs) for p, s in state.train_seeds.items()} == seeds_before
+        assert {p: s.pairs.tolist() for p, s in state.train_seeds.items()} == seeds_before
         assert {kg.id: kg.triples.tolist() for kg in multikg.kgs} == triples_before
 
     def test_entr_runs_on_configured_period(self):
@@ -157,7 +160,8 @@ class TestNegativePairing:
             if transfer:
                 kg_a.set_transferred(missing, [1] * len(missing))
             state = TrainState(multikg, small_config())
-            loaded = {kg_id: splits["train"] for kg_id, splits in multikg.kgc_splits.items()}
+            loaded = {kg_id: [tuple(row) for row in splits["train"].tolist()]
+                      for kg_id, splits in multikg.kgc_splits.items()}
             calls = []
 
             def recording(positives, *args, **kwargs):
@@ -268,6 +272,69 @@ class TestCheckpoint:
                                                 resumed_state.model.named_parameters()):
             assert name_a == name_b
             assert np.array_equal(t_a.values, t_b.values), name_a
+
+    def test_checkpoint_with_h_current_resumes_bitwise(self, tmp_path):
+        """A checkpoint in the earlier layout, whose entropy block also holds
+        the latest entropy per pair (`h_current`), loads and resumes."""
+        config = small_config(epochs=3)
+        direct_state = TrainState(toy_pair_dataset(drop_in_first=2), config)
+        direct_state.initialize_entropy_baseline()
+        train_epoch(direct_state)
+        path = tmp_path / "checkpoint.json"
+        snapshot(direct_state, 0.0).save(path)
+        direct_metrics = train_epoch(direct_state)
+
+        payload = json.loads(path.read_text())
+        assert set(payload["entropy"]) == {"h_tilde"}
+        payload["entropy"]["h_current"] = {key: value / 2 for key, value
+                                           in payload["entropy"]["h_tilde"].items()}
+        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        resumed_state = resume(Checkpoint.load(path), toy_pair_dataset(drop_in_first=2))
+        resumed_metrics = train_epoch(resumed_state)
+
+        assert resumed_metrics == direct_metrics
+        for (name_a, t_a), (name_b, t_b) in zip(direct_state.model.named_parameters(),
+                                                resumed_state.model.named_parameters()):
+            assert name_a == name_b
+            assert np.array_equal(t_a.values, t_b.values), name_a
+
+    @staticmethod
+    def _saved_payload(tmp_path):
+        state = TrainState(toy_pair_dataset(), small_config())
+        path = tmp_path / "checkpoint.json"
+        snapshot(state, 0.0).save(path)
+        return path, json.loads(path.read_text())
+
+    def test_missing_key_is_malformed(self, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        del payload["entropy"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TrainError, match="is malformed: missing key 'entropy'"):
+            Checkpoint.load(path)
+
+    def test_parameter_data_not_fitting_its_shape_is_malformed(self, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        payload["parameters"]["completion/entity0"]["shape"] = [5, 5]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TrainError, match="is malformed"):
+            Checkpoint.load(path)
+
+    def test_missing_transfer_entry_is_malformed(self, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        del payload["transferred"]["bb"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TrainError, match="malformed: no transferred triples for bb"):
+            resume(Checkpoint.load(path), toy_pair_dataset())
+
+    def test_resume_rejects_a_parameter_of_the_wrong_shape(self, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        entity0 = payload["parameters"]["completion/entity0"]
+        assert entity0["shape"] == [24, 6]
+        row = np.ones((1, 6))
+        entity0.update(shape=[1, 6], data=base64.b64encode(row.tobytes()).decode("ascii"))
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TrainError, match="completion/entity0 has shape"):
+            resume(Checkpoint.load(path), toy_pair_dataset())
 
     def test_resume_builds_edges_once_with_the_transfers(self, monkeypatch):
         state = TrainState(toy_pair_dataset(drop_in_first=3), small_config())

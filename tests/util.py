@@ -498,3 +498,26 @@ def reference_sample_negatives(positives: list[tuple[int, int, int]], entity_cou
         raise CompletionError(
             "negative sampling retry budget exhausted; KG too small to corrupt")
     return out_h, out_r, out_t, pair_of
+
+
+# Seed and split validity as the set loops that ran before the np.unique
+# checks of `SeedSet.validate_one_to_one` and `MultiKg._check_split_disjoint`.
+
+
+def reference_one_to_one(pairs) -> bool:
+    """True when no entity takes part in two pairs on either side."""
+    left = [p[0] for p in pairs]
+    right = [p[1] for p in pairs]
+    return len(set(left)) == len(left) and len(set(right)) == len(right)
+
+
+def reference_split_overlap(splits: dict) -> tuple[int, int, int] | None:
+    """The first triple, walking train, valid, then test in order, that an
+    earlier row already holds; None when the splits are disjoint."""
+    seen: set[tuple[int, int, int]] = set()
+    for name in ("train", "valid", "test"):
+        for key in splits[name]:
+            if key in seen:
+                return key
+            seen.add(key)
+    return None
