@@ -14,12 +14,12 @@ import heapq
 import numpy as np
 
 from . import diff
-from .diff import Mlp, Tensor
+from .diff import Mlp, ParameterBlock, Tensor
 from .errors import AlignmentError
 from .rgnn import FusionHook, LayerEmbeddings
 
 
-class FusionParams:
+class FusionParams(ParameterBlock):
     """One entity and one relation fusion MLP (2n -> n) per layer 0..K."""
 
     def __init__(self, entity_fusers: list[Mlp], relation_fusers: list[Mlp]):
@@ -40,13 +40,6 @@ class FusionParams:
     def layer_count(self) -> int:
         return len(self.entity_fusers) - 1
 
-    def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for a1, a2 in zip(self.entity_fusers, self.relation_fusers):
-            params.extend(a1.parameters())
-            params.extend(a2.parameters())
-        return params
-
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
         for k, (a1, a2) in enumerate(zip(self.entity_fusers, self.relation_fusers)):
@@ -55,7 +48,7 @@ class FusionParams:
         return named
 
 
-class HeadParams:
+class HeadParams(ParameterBlock):
     """Final embedding heads applied to the concatenated layer stack."""
 
     def __init__(self, entity_head: Mlp, relation_head: Mlp):
@@ -69,9 +62,6 @@ class HeadParams:
             Mlp.create([stacked, dim, dim], ("leakyrelu", "identity"), rng),
             Mlp.create([stacked, dim, dim], ("leakyrelu", "identity"), rng),
         )
-
-    def parameters(self) -> list[Tensor]:
-        return self.entity_head.parameters() + self.relation_head.parameters()
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         return (self.entity_head.named_parameters(f"{prefix}/entity")

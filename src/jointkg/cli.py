@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .alignment import build_alignment_matrix, greedy_match, write_matches
-from .errors import JointKgError
+from .errors import JointKgError, TrainError
 from .evaluate import evaluate_kgc, kga_metrics, write_results
 from .kgdata import load_multikg, write_transfer_sidecar
 from .synth import SynthSpec, generate, write_dataset
@@ -149,6 +149,9 @@ def cmd_grid(args) -> int:
     grid_spec = read_json(args.grid, "grid file")
     base = apply_env_overrides(read_json(args.config, "config file"))
     names = sorted(grid_spec)
+    for name in names:
+        if not isinstance(grid_spec[name], list):
+            raise TrainError(f"grid file {args.grid}: {name} must map to a list of values")
     multikg_path = Path(args.data)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

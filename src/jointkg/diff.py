@@ -606,7 +606,15 @@ def grad_check(function: Callable[[Tensor], Tensor], x0, step: float = 1e-5) -> 
 _ACTIVATIONS = ("identity", "tanh", "leakyrelu")
 
 
-class Mlp:
+class ParameterBlock:
+    """A block of trainable tensors. Its `named_parameters(prefix)` is the one
+    traversal; optimizer moments and checkpoint names both follow its order."""
+
+    def parameters(self) -> list[Tensor]:
+        return [tensor for _, tensor in self.named_parameters("")]
+
+
+class Mlp(ParameterBlock):
     """Affine layers with per-layer activations from {identity, tanh, leakyrelu}."""
 
     def __init__(self, weights: list[Tensor], biases: list[Tensor],
@@ -649,13 +657,6 @@ class Mlp:
             elif act == "leakyrelu":
                 x = leakyrelu(x)
         return x
-
-    def parameters(self) -> list[Tensor]:
-        params = []
-        for w, b in zip(self.weights, self.biases):
-            params.append(w)
-            params.append(b)
-        return params
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         named = []

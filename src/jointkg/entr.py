@@ -93,12 +93,18 @@ def _close(multikg: MultiKg, seed_sets: list[SeedSet],
             return rows
 
 
-def transfer_triples(seed_set: SeedSet, multikg: MultiKg, epoch: int = 0) -> int:
-    """Copy triples along the pair's seed mapping, in both directions, until
-    no new triple appears; returns the number of triples added."""
-    kgs = [multikg.by_id[kg_id] for kg_id in dict.fromkeys(seed_set.kg_pair)]
+def transfer_triples(seed_sets: SeedSet | list[SeedSet], multikg: MultiKg,
+                     epoch: int = 0) -> int:
+    """Copy triples along the seed mappings of one seed set or several, in
+    both directions, until no new triple appears; returns the number of
+    triples added. Over several sets this is their joint fixpoint, so a chain
+    such as kg1-kg2, kg2-kg3 is followed to its end in one call."""
+    if isinstance(seed_sets, SeedSet):
+        seed_sets = [seed_sets]
+    kgs = [multikg.by_id[kg_id]
+           for kg_id in dict.fromkeys(kg_id for s in seed_sets for kg_id in s.kg_pair)]
     start = {kg.id: kg.triples for kg in kgs}
-    closed = _close(multikg, [seed_set], start)
+    closed = _close(multikg, seed_sets, start)
     for kg in kgs:
         fresh = closed[kg.id][len(start[kg.id]):]
         kg.set_transferred(np.concatenate([kg.transferred, fresh]),

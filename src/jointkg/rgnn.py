@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import diff
-from .diff import Mlp, Tensor
+from .diff import Mlp, ParameterBlock, Tensor
 from .errors import EncoderError
 from .kgdata import MultiKg
 
@@ -87,7 +87,7 @@ class LayerEmbeddings:
         return [r.values for r in self.relations]
 
 
-class EncoderParams:
+class EncoderParams(ParameterBlock):
     """All trainable state of one encoder.
 
     Per transition k (0..K-1): a two-layer composition MLP and relation MLP,
@@ -146,20 +146,11 @@ class EncoderParams:
         return cls(layer_count, dim, diff.param(e0), diff.param(r0), comp, rel, att, g,
                    relation_aware=relation_aware)
 
-    def parameters(self) -> list[Tensor]:
-        params = [self.entity0, self.relation0]
-        for k in range(self.layer_count):
-            for mlp in (self.comp[k], self.rel[k], self.att[k], self.g[k]):
-                params.extend(mlp.parameters())
-        return params
-
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         named = [(f"{prefix}/entity0", self.entity0), (f"{prefix}/relation0", self.relation0)]
         for k in range(self.layer_count):
-            named += self.comp[k].named_parameters(f"{prefix}/layer{k}/comp")
-            named += self.rel[k].named_parameters(f"{prefix}/layer{k}/rel")
-            named += self.att[k].named_parameters(f"{prefix}/layer{k}/att")
-            named += self.g[k].named_parameters(f"{prefix}/layer{k}/g")
+            for part in ("comp", "rel", "att", "g"):
+                named += getattr(self, part)[k].named_parameters(f"{prefix}/layer{k}/{part}")
         return named
 
 

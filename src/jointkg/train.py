@@ -5,7 +5,8 @@ loss while the alignment side stays frozen, (2) update the alignment side on
 its margin loss (completion embeddings enter the fusion as constants), then
 (3) grow the seed sets and transfer triples. Model selection keeps the
 checkpoint with the best validation completion MRR, ties to the earlier
-epoch. One root seed drives every random draw, so runs reproduce bitwise.
+epoch; under `no_comple`, where that MRR cannot improve, the last epoch.
+One root seed drives every random draw, so runs reproduce bitwise.
 """
 from __future__ import annotations
 
@@ -39,6 +40,12 @@ from .seeding import substream
 
 ABLATIONS = ("no_ra_gnn", "one_gnn", "no_sir", "no_entr", "no_align", "no_comple")
 CHECKPOINT_VERSION = 1
+# metrics.tsv columns in order, each with the format spec of its values
+LOG_COLUMNS = {"epoch": "", "loss_completion": ".6f", "loss_alignment": ".6f", "budget": "",
+               "transferred": "", "val_mrr": ".6f", "loss_ranking": ".6f"}
+# an epoch's metrics before any phase reports (epoch 0 logs these as they are)
+IDLE_EPOCH = {"epoch": 0, "loss_completion": 0.0, "loss_alignment": 0.0, "budget": 0,
+              "transferred": 0, "loss_ranking": 0.0}
 # annotation -> (accepted type, its name in errors); a bool is no int or float here
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
                 "bool": (bool, "true or false")}
@@ -124,14 +131,18 @@ class TrainConfig:
                               encoding="utf-8")
 
 
-def read_json(path: Path, what: str):
-    """Parse a JSON file; a missing or malformed file raises TrainError."""
+def read_json(path: Path, what: str) -> dict:
+    """Parse a JSON file that holds an object; a missing or malformed file,
+    or one holding any other JSON value, raises TrainError."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise TrainError(f"{what} not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise TrainError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise TrainError(f"{what} {path} must hold a JSON object, not {type(data).__name__}")
+    return data
 
 
 class JointModel:
@@ -296,15 +307,8 @@ class TrainState:
         columns = tuple(np.concatenate(column) for column in zip(*blocks))
         ranking = ranking_loss(columns[:3], columns[3:], self.config.gamma_completion, layers)
         constraint = alignment_constraint_loss(self.global_seed_pairs(), layers)
-        loss = completion_loss(ranking, constraint)
-        value = loss.item()
-        if not np.isfinite(value):
-            raise TrainError(f"non-finite completion loss at epoch {self.epoch}: {value}")
-        diff.backward(loss)
-        self.adam_completion.step()
-        self.adam_completion.zero_grad()
-        self.adam_alignment.zero_grad()
-        return value, ranking.item()
+        return (self.optimizer_step(completion_loss(ranking, constraint), self.adam_completion,
+                                    "completion"), ranking.item())
 
     def alignment_step(self, hook=None) -> float:
         entity_finals, _ = self.alignment_layers_and_finals(tape=True, hook=hook)
@@ -324,13 +328,18 @@ class TrainState:
             total = pair_loss if total is None else diff.add(total, pair_loss)
         if total is None:
             raise TrainError("no alignment seed pairs available")
-        value = total.item()
+        return self.optimizer_step(total, self.adam_alignment, "alignment")
+
+    def optimizer_step(self, loss: diff.Tensor, adam: diff.Adam, side: str) -> float:
+        """Check `loss` is finite, backpropagate it, update `side`'s parameters
+        with `adam`, then clear both sides' gradients; returns the loss."""
+        value = loss.item()
         if not np.isfinite(value):
-            raise TrainError(f"non-finite alignment loss at epoch {self.epoch}: {value}")
-        diff.backward(total)
-        self.adam_alignment.step()
-        self.adam_alignment.zero_grad()
+            raise TrainError(f"non-finite {side} loss at epoch {self.epoch}: {value}")
+        diff.backward(loss)
+        adam.step()
         self.adam_completion.zero_grad()
+        self.adam_alignment.zero_grad()
         return value
 
     def entr_step(self, hook=None) -> tuple[int, int]:
@@ -345,9 +354,8 @@ class TrainState:
             budget_total += q
             self.train_seeds[pair] = enlarge_seeds(matrix, q, self.train_seeds[pair])
         prune_stale_transfers(self.multikg, self.train_seeds)
-        transferred = 0
-        for pair in sorted(self.train_seeds):
-            transferred += transfer_triples(self.train_seeds[pair], self.multikg, self.epoch)
+        transferred = transfer_triples(
+            [self.train_seeds[pair] for pair in sorted(self.train_seeds)], self.multikg, self.epoch)
         self.edges = build_edges(self.multikg)
         return budget_total, transferred
 
@@ -368,8 +376,7 @@ def train_epoch(state: TrainState) -> dict:
     config = state.config
     state.epoch += 1
     state.step_in_epoch = 0
-    metrics = {"epoch": state.epoch, "loss_completion": 0.0, "loss_alignment": 0.0,
-               "budget": 0, "transferred": 0, "loss_ranking": 0.0}
+    metrics = {**IDLE_EPOCH, "epoch": state.epoch}
     if not config.flag("no_comple"):
         for _ in range(config.steps_per_epoch):
             metrics["loss_completion"], metrics["loss_ranking"] = state.completion_step()
@@ -392,37 +399,25 @@ def validation_mrr(state: TrainState) -> float:
     return overall_mean(results, "MRR")
 
 
-def format_log_line(metrics: dict) -> str:
-    return ("{epoch}\t{loss_completion:.6f}\t{loss_alignment:.6f}\t{budget}"
-            "\t{transferred}\t{val_mrr:.6f}").format(**metrics)
-
-
-LOG_HEADER = "epoch\tloss_completion\tloss_alignment\tbudget\ttransferred\tval_mrr"
-
-
 def fit(multikg: MultiKg, config: TrainConfig, log_lines: list[str] | None = None
         ) -> "Checkpoint":
     """Train up to config.epochs epochs and return the checkpoint with the
-    highest validation MRR (earlier epoch wins ties)."""
+    highest validation MRR (earlier epoch wins ties). Under `no_comple` the
+    completion side never trains, so validation MRR cannot select, and the
+    last epoch is kept. `log_lines` receives metrics.tsv: the LOG_COLUMNS
+    header, then one row per epoch from the untrained epoch 0."""
     state = TrainState(multikg, config)
     if config.entr_active:
         state.initialize_entropy_baseline()
-    if log_lines is not None:
-        log_lines.append(LOG_HEADER)
-    best_value = validation_mrr(state)
-    best = snapshot(state, best_value)
-    if log_lines is not None:
-        log_lines.append(format_log_line({"epoch": 0, "loss_completion": 0.0,
-                                          "loss_alignment": 0.0, "budget": 0,
-                                          "transferred": 0, "val_mrr": best_value}))
-    for _ in range(config.epochs):
-        metrics = train_epoch(state)
+    log = [] if log_lines is None else log_lines
+    log.append("\t".join(LOG_COLUMNS))
+    best = None
+    for epoch in range(config.epochs + 1):
+        metrics = train_epoch(state) if epoch else dict(IDLE_EPOCH)
         metrics["val_mrr"] = validation_mrr(state)
-        if log_lines is not None:
-            log_lines.append(format_log_line(metrics))
-        if metrics["val_mrr"] > best_value:
-            best_value = metrics["val_mrr"]
-            best = snapshot(state, best_value)
+        log.append("\t".join(format(metrics[name], spec) for name, spec in LOG_COLUMNS.items()))
+        if best is None or metrics["val_mrr"] > best.val_mrr or config.flag("no_comple"):
+            best = snapshot(state, metrics["val_mrr"])
     return best
 
 
@@ -535,9 +530,16 @@ class Checkpoint:
         """Give every KG the checkpoint's transferred triples and epochs."""
         for kg in multikg.kgs:
             if kg.id not in self.transferred:
-                raise TrainError(f"checkpoint is malformed: no transferred triples for {kg.id}")
+                raise _malformed(f"no transferred triples for {kg.id}")
             rows = self.transferred[kg.id]
+            limits = (kg.entity_count, len(multikg.relations), kg.entity_count, np.inf)
+            if np.any((rows < 0) | (rows >= limits)):
+                raise _malformed(f"a transferred row of {kg.id} is out of range")
             kg.set_transferred(rows[:, :3], rows[:, 3])
+
+
+def _malformed(reason: str) -> TrainError:
+    return TrainError(f"checkpoint is malformed: {reason}")
 
 
 def snapshot(state: TrainState, val_mrr: float) -> Checkpoint:
@@ -562,10 +564,20 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
     """Rebuild a TrainState that continues the checkpointed run bitwise.
 
     The multikg must be freshly loaded from the same data the checkpoint was
-    trained on (its vocab hash is verified).
+    trained on: its vocab hash is verified, and seed pairs, transferred rows,
+    parameters and Adam moments are checked against the data and the model.
     """
     if multikg.vocab_hash() != checkpoint.vocab_hash:
         raise TrainError("checkpoint/data mismatch")
+    for seed_sets in (checkpoint.train_seeds, checkpoint.test_seeds):
+        for pair, seed_set in seed_sets.items():
+            if pair not in multikg.seed_sets or seed_set.kg_pair != pair:
+                raise _malformed(f"seeds for {pair}, which is no seeded KG pair of the data")
+            if checkpoint.config.entr_active and pair not in checkpoint.h_tilde:
+                raise _malformed(f"no pre-training entropy for {pair}")
+            counts = [multikg.by_id[kg_id].entity_count for kg_id in pair]
+            if np.any((seed_set.pairs < 0) | (seed_set.pairs >= counts)):
+                raise _malformed(f"a seed pair of {pair} names an entity outside its KG")
     checkpoint.restore_transfers(multikg)
     state = TrainState(multikg, checkpoint.config)
     named = dict(state.model.named_parameters())
@@ -574,11 +586,15 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
     for name, tensor in named.items():
         saved = checkpoint.parameters[name]
         if saved.shape != tensor.values.shape:
-            raise TrainError(f"checkpoint parameter {name} has shape {saved.shape}, "
+            raise _malformed(f"parameter {name} has shape {saved.shape}, "
                              f"the model's has {tensor.values.shape}")
         tensor.values[:] = saved
-    state.adam_completion.load_state_dict(checkpoint.adam_completion)
-    state.adam_alignment.load_state_dict(checkpoint.adam_alignment)
+    for adam, saved in ((state.adam_completion, checkpoint.adam_completion),
+                        (state.adam_alignment, checkpoint.adam_alignment)):
+        shapes = [p.values.shape for p in adam.params]
+        if any([moment.shape for moment in saved[key]] != shapes for key in ("m", "v")):
+            raise _malformed("an Adam moment does not match its parameter's shape")
+        adam.load_state_dict(saved)
     state.h_tilde = dict(checkpoint.h_tilde)
     state.epoch = checkpoint.epoch
     state.train_seeds = _copy_seed_sets(checkpoint.train_seeds)

@@ -249,6 +249,36 @@ class TestEvalCommand:
         assert "checkpoint/data mismatch" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def trained_payload(dataset, tmp_path_factory):
+    run = tmp_path_factory.mktemp("trained")
+    config_path = run / "config_in.json"
+    config_path.write_text(json.dumps(config_payload()))
+    assert main(["train", "--config", str(config_path), "--data", str(dataset),
+                 "--out", str(run)]) == 0
+    return json.loads((run / "checkpoint.json").read_text())
+
+
+class TestCheckpointAgainstData:
+    """Entity ids in a checkpoint that the data does not have end in an error,
+    not in a crash or a silent evaluation."""
+
+    @pytest.mark.parametrize("edit", ["transferred", "test_seeds", "train_seeds"])
+    def test_out_of_range_id(self, dataset, trained_payload, tmp_path, capsys, edit):
+        payload = json.loads(json.dumps(trained_payload))
+        if edit == "transferred":
+            payload["transferred"]["kg1"].append([999, 0, 0, 1])
+        else:
+            pairs = payload[edit]["kg1|kg2"]["pairs"]
+            pairs[0] = [999, pairs[0][1]]
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload))
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert "error [train]: checkpoint is malformed: " in capsys.readouterr().err
+
+
 class TestGridCommand:
     def test_grid_emits_leaderboard(self, dataset, tmp_path):
         config_path = tmp_path / "config.json"
@@ -334,6 +364,32 @@ class TestBadJsonInputs:
         assert code == 1
         assert "error [train]: negatives_per_positive must be >= 1, got 0" in err
         assert not (out / "run_000").exists()
+
+    @pytest.mark.parametrize("command, bad_file", [
+        ("train", "config"), ("grid", "config"), ("grid", "grid")])
+    def test_json_that_is_no_object(self, dataset, tmp_path, capsys, command, bad_file):
+        paths = {"config": tmp_path / "config.json", "grid": tmp_path / "grid.json"}
+        paths["config"].write_text(json.dumps(config_payload(epochs=1)))
+        paths["grid"].write_text(json.dumps({"layers": [1]}))
+        paths[bad_file].write_text('["layers"]')
+        argv = [command, "--config", str(paths["config"]), "--data", str(dataset),
+                "--out", str(tmp_path / "out")]
+        if command == "grid":
+            argv += ["--grid", str(paths["grid"])]
+        code, err = self.run(argv, capsys)
+        assert code == 1
+        assert (f"error [train]: {bad_file} file {paths[bad_file]} must hold a JSON object"
+                in err)
+
+    def test_grid_value_that_is_no_list(self, dataset, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload(epochs=1)))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"dim": 8}))
+        code, err = self.run(["grid", "--grid", str(grid_path), "--config", str(config_path),
+                              "--data", str(dataset), "--out", str(tmp_path / "grid")], capsys)
+        assert code == 1
+        assert f"error [train]: grid file {grid_path}: dim must map to a list of values" in err
 
     def test_malformed_checkpoint(self, dataset, tmp_path, capsys):
         checkpoint = tmp_path / "checkpoint.json"

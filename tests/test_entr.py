@@ -259,6 +259,12 @@ def multi_kg_transfer_case(draw):
     return multikg, rounds
 
 
+def as_sets(store):
+    """A reference store with each KG's transfers as a set of (triple, epoch)."""
+    return {kg_id: (loaded, set(transferred.items()))
+            for kg_id, (loaded, transferred) in store.items()}
+
+
 def in_order(store):
     """A reference store with each KG's transfers as an ordered list."""
     return {kg_id: (loaded, list(transferred.items()))
@@ -281,3 +287,22 @@ class TestTransferClosureOracle:
                 assert (transfer_triples(seed_sets[pair], multikg, epoch)
                         == reference_transfer_triples(store, seed_sets[pair], epoch))
             assert in_order(reference_store(multikg)) == in_order(store)
+
+    @settings(max_examples=300, deadline=None)
+    @given(multi_kg_transfer_case())
+    def test_one_call_over_all_pairs_reaches_the_fixpoint(self, case):
+        """One call over every seed set adds what per-pair passes in sorted
+        order add when repeated until a whole pass adds nothing."""
+        multikg, rounds = case
+        store = reference_store(multikg)
+        for epoch, seed_sets in enumerate(rounds):
+            assert (prune_stale_transfers(multikg, seed_sets)
+                    == reference_prune_stale_transfers(store, seed_sets))
+            added = transfer_triples([seed_sets[pair] for pair in sorted(seed_sets)],
+                                     multikg, epoch)
+            expected = 0
+            while passed := sum(reference_transfer_triples(store, seed_sets[pair], epoch)
+                                for pair in sorted(seed_sets)):
+                expected += passed
+            assert added == expected
+            assert as_sets(reference_store(multikg)) == as_sets(store)

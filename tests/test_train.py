@@ -7,9 +7,11 @@ import pytest
 from jointkg.completion import sample_negatives
 from jointkg.entr import transfer_triples
 from jointkg.errors import TrainError
-from jointkg.kgdata import GIVEN, SeedSet
+from jointkg.kgdata import GIVEN, Kg, MultiKg, RelationVocab, SeedSet
 from jointkg.rgnn import build_edges
 from jointkg.train import (
+    IDLE_EPOCH,
+    LOG_COLUMNS,
     Checkpoint,
     JointModel,
     TrainConfig,
@@ -149,6 +151,29 @@ class TestTrainEpoch:
         assert run() == run()
 
 
+class TestEntrStep:
+    def test_a_chain_across_pairs_reaches_its_end_in_one_step(self):
+        """k3's triple reaches k2 along (k2, k3) and then k1 along (k1, k2),
+        although (k1, k2) comes first in pair order."""
+        vocab = RelationVocab()
+        vocab.intern("r0")
+        kgs = [Kg(kg_id, vocab) for kg_id in ("k1", "k2", "k3")]
+        for kg in kgs:
+            for e in range(3):
+                kg.intern_entity(f"{kg.id}e{e}")
+            kg.add_triple(2, 0, 2)  # unmapped endpoints: never transferred
+        kgs[2].add_triple(0, 0, 1)
+        multikg = MultiKg(kgs, vocab)
+        for pair in (("k1", "k2"), ("k2", "k3")):
+            multikg.seed_sets[pair] = SeedSet(pair, [(0, 0), (1, 1)], [GIVEN] * 2)
+        state = TrainState(multikg, small_config())
+        state.train_seeds = dict(multikg.seed_sets)
+        state.initialize_entropy_baseline()
+        assert state.entr_step() == (0, 2)
+        assert multikg.by_id["k2"].transferred.tolist() == [[0, 0, 1]]
+        assert multikg.by_id["k1"].transferred.tolist() == [[0, 0, 1]]
+
+
 class TestNegativePairing:
     def test_transferred_triples_leave_loaded_corruptions_unchanged(self, monkeypatch):
         def corruptions_of_loaded(transfer):
@@ -216,6 +241,29 @@ class TestFit:
         best_epoch = max(sorted(mrr_by_epoch), key=lambda e: (mrr_by_epoch[e], -e))
         assert checkpoint.epoch == best_epoch
         assert checkpoint.val_mrr == pytest.approx(mrr_by_epoch[best_epoch], abs=1e-6)
+
+    def test_no_comple_keeps_the_last_epoch(self):
+        """Validation completion MRR cannot rise when the completion side never
+        trains, so it does not select: the trained alignment side is kept."""
+        multikg = toy_pair_dataset(drop_in_first=2)
+        config = small_config(ablations=("no_comple",))
+        initial = dict(JointModel(config, multikg).named_parameters())
+        checkpoint = fit(multikg, config)
+        assert checkpoint.epoch == 2
+        assert any(not np.array_equal(values, initial[name].values)
+                   for name, values in checkpoint.parameters.items()
+                   if name.startswith(("alignment/", "heads/")))
+
+    def test_log_follows_the_column_table(self):
+        multikg = toy_pair_dataset()
+        log = []
+        fit(multikg, small_config(epochs=1), log_lines=log)
+        assert log[0] == ("epoch\tloss_completion\tloss_alignment\tbudget\ttransferred"
+                          "\tval_mrr\tloss_ranking")
+        idle, trained = (dict(zip(LOG_COLUMNS, row.split("\t"))) for row in log[1:])
+        assert {name: float(idle[name]) for name in IDLE_EPOCH} == IDLE_EPOCH
+        assert 0.0 < float(trained["loss_ranking"]) <= float(trained["loss_completion"])
+        assert len(log) == 3
 
     def test_ranking_loss_decreases_on_memorizable_instance(self):
         multikg = toy_pair_dataset(entities=50, relations=3, extra_edges=60, seed_pairs=8,
@@ -301,6 +349,7 @@ class TestCheckpoint:
     @staticmethod
     def _saved_payload(tmp_path):
         state = TrainState(toy_pair_dataset(), small_config())
+        state.initialize_entropy_baseline()
         path = tmp_path / "checkpoint.json"
         snapshot(state, 0.0).save(path)
         return path, json.loads(path.read_text())
@@ -336,8 +385,41 @@ class TestCheckpoint:
         with pytest.raises(TrainError, match="completion/entity0 has shape"):
             resume(Checkpoint.load(path), toy_pair_dataset())
 
+    def test_resume_rejects_an_adam_moment_of_the_wrong_shape(self, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        moment = payload["adam_completion"]["m"][0]
+        assert moment["shape"] == [24, 6]
+        moment.update(shape=[1, 6], data=base64.b64encode(np.ones((1, 6)).tobytes()).decode())
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TrainError, match="malformed: an Adam moment does not match"):
+            resume(Checkpoint.load(path), toy_pair_dataset())
+
+    def test_resume_rejects_a_seed_pair_of_no_kg_pair(self, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        seed_set = payload["train_seeds"].pop("aa|bb")
+        payload["train_seeds"]["bb|aa"] = dict(seed_set, kg_pair=["bb", "aa"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TrainError, match="malformed: seeds for \\('bb', 'aa'\\)"):
+            resume(Checkpoint.load(path), toy_pair_dataset())
+
+    def test_resume_rejects_a_missing_entropy_baseline(self, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        payload["entropy"]["h_tilde"] = {}
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TrainError, match="malformed: no pre-training entropy"):
+            resume(Checkpoint.load(path), toy_pair_dataset())
+
+    @pytest.mark.parametrize("row", [[0, 0, 24, 1], [-1, 0, 0, 1], [0, 2, 0, 1], [0, 0, 0, -1]])
+    def test_resume_rejects_a_transferred_row_out_of_range(self, tmp_path, row):
+        path, payload = self._saved_payload(tmp_path)
+        payload["transferred"]["aa"] = [row]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(TrainError, match="malformed: a transferred row of aa"):
+            resume(Checkpoint.load(path), toy_pair_dataset())
+
     def test_resume_builds_edges_once_with_the_transfers(self, monkeypatch):
         state = TrainState(toy_pair_dataset(drop_in_first=3), small_config())
+        state.initialize_entropy_baseline()
         everything = SeedSet(("aa", "bb"), [(i, i) for i in range(12)], [GIVEN] * 12)
         assert transfer_triples(everything, state.multikg, epoch=1) == 3
         state.edges = build_edges(state.multikg)
@@ -387,6 +469,26 @@ class TestJointModel:
         model = JointModel(small_config(si_mode="with"), multikg)
         assert np.array_equal(model.completion_encoder.entity0.values[2], vec)
         assert np.array_equal(model.alignment_encoder.entity0.values[2], vec)
+
+    def test_parameters_are_the_named_tensors_in_order(self):
+        model = JointModel(small_config(layers=2), toy_pair_dataset())
+        for block in (model.completion_encoder, model.alignment_encoder, model.fusion,
+                      model.heads, model.heads.entity_head, model.completion_encoder.att[1]):
+            named = [tensor for _, tensor in block.named_parameters("x")]
+            assert [id(t) for t in block.parameters()] == [id(t) for t in named]
+
+    @pytest.mark.parametrize("flags, alignment_blocks", [
+        ((), ("alignment/", "fusion/", "heads/")), (("one_gnn",), ("heads/",))])
+    def test_optimizer_groups_split_the_named_parameters(self, flags, alignment_blocks):
+        state = TrainState(toy_pair_dataset(), small_config(ablations=flags))
+        named = state.model.named_parameters()
+        completion = [id(t) for name, t in named if name.startswith("completion/")]
+        alignment = [id(t) for name, t in named if name.startswith(alignment_blocks)]
+        assert [id(t) for t in state.adam_completion.params] == completion
+        assert [id(t) for t in state.adam_alignment.params] == alignment
+        assert len(set(completion + alignment)) == len(completion + alignment)
+        if not flags:
+            assert completion + alignment == [id(t) for _, t in named]
 
     def test_variants_share_initialization_for_one_seed(self):
         multikg = toy_pair_dataset()
