@@ -6,7 +6,8 @@ pairs, and greedy one-to-one matching.
 The similarity matrix is a plain (source x target) ndarray of cosines.
 Aligned pairs are (left, right) rows, as in `SeedSet.pairs`; negatives are
 (positive index, (left, right)) items, the form `nearest_negatives` returns
-and `alignment_loss` reads."""
+and `alignment_loss` reads. Nearest negatives and greedy matching both rank
+columns through `top_columns`, in row blocks of at most _ROW_BLOCK rows."""
 from __future__ import annotations
 
 import heapq
@@ -115,33 +116,48 @@ def build_alignment_matrix(source_finals: np.ndarray, target_finals: np.ndarray,
     return _unit_rows(source_finals, "source") @ _unit_rows(target_finals, "target").T
 
 
+# Rows per block, so no temporary spans a whole similarity or value table.
+_ROW_BLOCK = 256
+
+
+def top_columns(values: np.ndarray, k: int) -> np.ndarray:
+    """Per row of `values`, its first k columns in the order (value
+    descending, column ascending), as a (rows x k) int64 array; NaN ranks
+    last, as in a stable sort of the negated values."""
+    key = -values
+    # a row keeps at least k entries: its k least keys, ties at the k-th included
+    kept = ~(key > np.partition(key, k - 1, axis=1)[:, k - 1, None])
+    # nonzero lists each row's columns ascending, and lexsort is stable
+    r, c = np.nonzero(kept)
+    ordered = c[np.lexsort((key[r, c], r))].astype(np.int64)
+    counts = np.count_nonzero(kept, axis=1)
+    return ordered[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+
+
 def nearest_negatives(pairs: np.ndarray, source_finals: np.ndarray,
                       target_finals: np.ndarray, k_neg: int
                       ) -> list[tuple[int, tuple[int, int]]]:
     """For each positive pair, 2*k_neg negatives made by swapping either side
     for its k_neg nearest same-KG entities (cosine; ties to the lowest id;
-    never the entity itself). Returns (positive_index, negative_pair) items.
-    """
+    never the entity itself). Returns (positive_index, negative_pair) items,
+    each positive's left swaps before its right swaps."""
     if k_neg < 1:
         raise AlignmentError(f"k_neg must be >= 1, got {k_neg}")
     if len(source_finals) <= k_neg or len(target_finals) <= k_neg:
         raise AlignmentError(f"KG smaller than k_neg + 1 = {k_neg + 1} entities")
-    source_unit = _unit_rows(source_finals, "source")
-    target_unit = _unit_rows(target_finals, "target")
-
-    def ranked_neighbors(unit: np.ndarray, row: int) -> np.ndarray:
-        sims = unit @ unit[row]
-        sims[row] = -np.inf
-        order = np.lexsort((np.arange(len(sims)), -sims))
-        return order[:k_neg]
-
-    negatives: list[tuple[int, tuple[int, int]]] = []
-    for index, (e, e_star) in enumerate(pairs):
-        for substitute in ranked_neighbors(source_unit, e):
-            negatives.append((index, (int(substitute), e_star)))
-        for substitute in ranked_neighbors(target_unit, e_star):
-            negatives.append((index, (e, int(substitute))))
-    return negatives
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    nearest = np.empty((2, len(pairs), k_neg), dtype=np.int64)
+    for s, (side, finals) in enumerate((("source", source_finals), ("target", target_finals))):
+        unit = _unit_rows(finals, side)
+        for start in range(0, len(pairs), _ROW_BLOCK):
+            block = pairs[start:start + _ROW_BLOCK, s]
+            sims = unit[block] @ unit.T
+            sims[np.arange(block.size), block] = -np.inf
+            nearest[s, start:start + _ROW_BLOCK] = top_columns(sims, k_neg)
+    left = np.hstack([nearest[0], np.repeat(pairs[:, :1], k_neg, axis=1)])
+    right = np.hstack([np.repeat(pairs[:, 1:], k_neg, axis=1), nearest[1]])
+    index = np.repeat(np.arange(len(pairs)), 2 * k_neg)
+    return list(zip(index.tolist(), zip(left.ravel().tolist(), right.ravel().tolist())))
 
 
 def alignment_loss(pairs, negatives: list[tuple[int, tuple[int, int]]],
@@ -162,29 +178,8 @@ def alignment_loss(pairs, negatives: list[tuple[int, tuple[int, int]]],
     return diff.mean_all(hinge)
 
 
-# Each free row starts with at least this many candidate columns, taken in
-# blocks of at most _GREEDY_ROW_BLOCK rows so no temporary spans the matrix.
+# Each free row starts with its first _GREEDY_CANDIDATES free columns.
 _GREEDY_CANDIDATES = 32
-_GREEDY_ROW_BLOCK = 256
-
-
-def _candidate_lists(values: np.ndarray, rows: np.ndarray, free_cols: np.ndarray
-                     ) -> list[np.ndarray]:
-    """Per row, the free columns whose value is at least the row's
-    _GREEDY_CANDIDATES-th largest among them (ties at that value included),
-    ordered by value descending, then column ascending: a prefix of the row's
-    full order over the free columns."""
-    kth = free_cols.size - min(_GREEDY_CANDIDATES, free_cols.size)
-    lists: list[np.ndarray] = []
-    for start in range(0, rows.size, _GREEDY_ROW_BLOCK):
-        # take() keeps the block C-ordered, so the partition runs along contiguous rows
-        block = values[rows[start:start + _GREEDY_ROW_BLOCK]].take(free_cols, axis=1)
-        kept = block >= np.partition(block, kth, axis=1)[:, kth, None]
-        # nonzero lists each row's columns ascending, and lexsort is stable
-        r, c = np.nonzero(kept)
-        ordered = free_cols[c[np.lexsort((-block[r, c], r))]]
-        lists += np.split(ordered, np.cumsum(np.count_nonzero(kept, axis=1))[:-1])
-    return lists
 
 
 def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=()
@@ -195,12 +190,12 @@ def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=
     The picks are those of a walk over every entry in the order (value
     descending, row ascending, column ascending) that takes each entry whose
     row and column are both still free. It runs as a lazy heap of row heads:
-    each free row holds a candidate list (see `_candidate_lists`), the heap
-    pops the least (-value, row, column) head, a head whose column was taken
-    meanwhile advances to the row's next candidate, and a row whose list runs
-    out refills with its full order over the columns still free. With a
-    positive limit, a non-finite matrix raises AlignmentError, since NaN has
-    no place in that order.
+    each free row holds the first _GREEDY_CANDIDATES free columns of its
+    `top_columns` order, the heap pops the least (-value, row, column) head,
+    a head whose column was taken meanwhile advances to the row's next
+    candidate, and a row whose list runs out refills with its full order
+    over the columns still free. With a positive limit, a non-finite matrix
+    raises AlignmentError, since NaN has no place in that order.
     """
     picks: list[tuple[int, int]] = []
     if limit <= 0:
@@ -217,7 +212,10 @@ def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=
     if free_rows.size == 0 or free_cols.size == 0:
         return picks
 
-    candidates = dict(zip(free_rows.tolist(), _candidate_lists(values, free_rows, free_cols)))
+    width = min(_GREEDY_CANDIDATES, free_cols.size)
+    prefixes = [top_columns(values[free_rows[start:start + _ROW_BLOCK]].take(free_cols, axis=1),
+                            width) for start in range(0, free_rows.size, _ROW_BLOCK)]
+    candidates = dict(zip(free_rows.tolist(), free_cols[np.vstack(prefixes)]))
     position = dict.fromkeys(candidates, 0)
     heap = [(-float(values[r, cols[0]]), r, int(cols[0])) for r, cols in candidates.items()]
     heapq.heapify(heap)
@@ -234,10 +232,10 @@ def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=
         at = position[r] + 1 + int(free_after[0]) if free_after.size else cols.size
         if at == cols.size:
             free = np.flatnonzero(~col_used)
-            cols = candidates[r] = free[np.argsort(-values[r, free], kind="stable")]
-            at = 0
-            if cols.size == 0:
+            if free.size == 0:
                 continue
+            cols = candidates[r] = free[top_columns(values[r, free][None], free.size)[0]]
+            at = 0
         position[r] = at
         c = int(cols[at])
         heapq.heappush(heap, (-float(values[r, c]), r, c))

@@ -154,12 +154,12 @@ def cmd_grid(args) -> int:
             raise TrainError(f"grid file {args.grid}: {name} must map to a list of values")
     multikg_path = Path(args.data)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     combos = [dict(zip(names, values))
               for values in itertools.product(*(grid_spec[n] for n in names))]
     # every combination is validated before the first run trains
     configs = [TrainConfig.from_dict(base | combo, require_all=True) for combo in combos]
+    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for index, (combo, config) in enumerate(zip(combos, configs)):
         checkpoint = _fit_and_save(load_multikg(multikg_path), config,

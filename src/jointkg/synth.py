@@ -12,6 +12,7 @@ in message passing. Everything is a deterministic function of the spec.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -38,10 +39,14 @@ class SynthSpec:
             raise SynthError(f"need at least 2 entities, got {self.entity_count}")
         if self.relation_count < 1:
             raise SynthError(f"need at least 1 relation, got {self.relation_count}")
+        if not math.isfinite(self.mean_degree):
+            raise SynthError(f"mean_degree must be finite, got {self.mean_degree}")
         if not 0.0 <= self.missing_rate < 1.0:
             raise SynthError(f"missing_rate must lie in [0, 1), got {self.missing_rate}")
         if not 0.0 < self.seed_fraction <= 1.0:
             raise SynthError(f"seed_fraction must lie in (0, 1], got {self.seed_fraction}")
+        if self.rng_seed < 0:
+            raise SynthError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.triple_count < 1:
             raise SynthError("spec implies an empty graph")
 

@@ -85,9 +85,15 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise TrainError(f"{name} must be finite and above 0, got {value}")
-        for name, least in (("layers", 0), ("epochs", 0), ("dim", 1), ("entr_period", 1),
-                            ("steps_per_epoch", 1), ("negatives_per_positive", 1),
-                            ("nearest_neighbor_negatives", 1)):
+        for name in ("gamma_completion", "gamma_alignment"):
+            if not math.isfinite(getattr(self, name)):
+                raise TrainError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0.0 < self.seed_train_fraction < 1.0:
+            raise TrainError(f"seed_train_fraction must be in (0, 1), "
+                             f"got {self.seed_train_fraction}")
+        for name, least in (("rng_seed", 0), ("layers", 0), ("epochs", 0), ("dim", 1),
+                            ("entr_period", 1), ("steps_per_epoch", 1),
+                            ("negatives_per_positive", 1), ("nearest_neighbor_negatives", 1)):
             if getattr(self, name) < least:
                 raise TrainError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 <= self.beta <= 1.0:

@@ -17,11 +17,13 @@ from jointkg.alignment import (
     make_fusion_hook,
     nearest_negatives,
     sir_fuse,
+    top_columns,
 )
 from jointkg.errors import AlignmentError
 from jointkg.rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 
-from .util import const_mlp, identity_mlp, reference_greedy, single_kg, weight_mlp
+from .util import (const_mlp, identity_mlp, reference_greedy, reference_nearest_negatives,
+                   single_kg, weight_mlp)
 
 
 def layers_of(entity_tables, relation_tables):
@@ -182,6 +184,69 @@ class TestNearestNegatives:
             nearest_negatives([(0, 0)], np.ones((2, 2)), np.ones((5, 2)), k_neg=2)
 
 
+@st.composite
+def tie_blocks(draw):
+    """Blocks drawn mostly from a few values (-0.0, -inf and NaN among them),
+    so rows tie across many columns, with every k from 1 to the width."""
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(1, 9))
+    few = st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.nan])
+    values = draw(arrays(np.float64, (rows, cols), elements=st.one_of(few, st.floats(-1, 1))))
+    return values, draw(st.integers(1, cols))
+
+
+class TestTopColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(tie_blocks())
+    def test_equals_stable_full_sort(self, case):
+        values, k = case
+        top = top_columns(values, k)
+        assert top.dtype == np.int64
+        assert np.array_equal(top, np.argsort(-values, axis=1, kind="stable")[:, :k])
+
+
+@st.composite
+def dyadic_negative_cases(draw):
+    """Finals whose unit rows and cosines are exact in any summation order:
+    each row is a signed power-of-two multiple of a pattern with 1 or 4
+    entries of +-1. Rows share 1-3 patterns, so tables hold duplicate rows,
+    and a table of one pattern is rank one."""
+    dim = draw(st.integers(4, 6))
+    k_neg = draw(st.integers(1, 4))
+
+    def table():
+        patterns = []
+        for _ in range(draw(st.integers(1, 3))):
+            size = draw(st.sampled_from([1, 4]))
+            row = np.zeros(dim)
+            row[draw(st.lists(st.integers(0, dim - 1), min_size=size, max_size=size,
+                              unique=True))] = draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                                             min_size=size, max_size=size))
+            patterns.append(row)
+        return np.array([patterns[draw(st.integers(0, len(patterns) - 1))]
+                         * draw(st.sampled_from([-4.0, -1.0, 0.5, 1.0, 2.0]))
+                         for _ in range(draw(st.integers(k_neg + 1, 9)))])
+
+    source, target = table(), table()
+    pairs = draw(st.lists(st.tuples(st.integers(0, len(source) - 1),
+                                    st.integers(0, len(target) - 1)), max_size=8))
+    if draw(st.booleans()):
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return pairs, source, target, k_neg
+
+
+class TestNearestNegativesOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_negative_cases(), st.integers(1, 3))
+    def test_equals_reference_loop(self, case, row_block):
+        """Ties everywhere (duplicate rows, rank-one tables), with blocks of
+        1-3 rows so positives straddle block edges."""
+        pairs, source, target, k_neg = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(al, "_ROW_BLOCK", row_block)
+            assert (nearest_negatives(pairs, source, target, k_neg)
+                    == reference_nearest_negatives(pairs, source, target, k_neg))
+
+
 class TestAlignmentLoss:
     def finals(self):
         # rows: 0 and 1 identical, 2 orthogonal to them, 3 at distance 0.4, 4 at 0.1
@@ -290,7 +355,7 @@ class TestGreedyOneToOne:
         values, _, taken_rows, taken_cols = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(al, "_GREEDY_CANDIDATES", width)
-            patch.setattr(al, "_GREEDY_ROW_BLOCK", row_block)
+            patch.setattr(al, "_ROW_BLOCK", row_block)
             for limit in range(min(values.shape) + 2):
                 assert (greedy_one_to_one(values, limit, taken_rows, taken_cols)
                         == reference_greedy(values, limit, taken_rows, taken_cols))
@@ -340,7 +405,7 @@ class TestGreedyOneToOne:
         def refuse(*args, **kwargs):
             raise AssertionError("sorted with a zero limit")
 
-        monkeypatch.setattr(np, "argsort", refuse)
+        monkeypatch.setattr(al, "top_columns", refuse)
         assert greedy_one_to_one(np.ones((3, 3)), 0) == []
 
 

@@ -55,6 +55,17 @@ class TestSynthCommand:
         assert code == 1
         assert "error [synth]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "rng_seed must be >= 0, got -1"),
+        ("--mean-degree", "nan", "mean_degree must be finite, got nan"),
+        ("--mean-degree", "inf", "mean_degree must be finite, got inf"),
+    ])
+    def test_bad_value_is_named(self, tmp_path, capsys, flag, value, message):
+        code = main(["synth", "--out", str(tmp_path / "data"), flag, value])
+        assert code == 1
+        assert f"error [synth]: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
+
 
 class TestTrainCommand:
     def test_train_writes_outputs(self, dataset, tmp_path):
@@ -109,7 +120,9 @@ class TestTrainCommand:
         ("transferred_as_positives", "no"), ("ablations", [1]), ("ablations", "no_sir"),
         ("lr_completion", -1.0), ("lr_completion", 0.0), ("lr_alignment", float("inf")),
         ("lr_alignment", float("nan")), ("negatives_per_positive", 0),
-        ("nearest_neighbor_negatives", 0),
+        ("nearest_neighbor_negatives", 0), ("rng_seed", -1), ("seed_train_fraction", 0.0),
+        ("seed_train_fraction", 1.0), ("seed_train_fraction", 1.5),
+        ("gamma_completion", float("nan")), ("gamma_alignment", float("-inf")),
     ])
     def test_bad_config_value_is_named(self, dataset, tmp_path, capsys, field, value):
         config_path = tmp_path / "config.json"
@@ -118,6 +131,15 @@ class TestTrainCommand:
                      "--out", str(tmp_path / "run")])
         assert code == 1
         assert f"error [train]: {field} must be" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_negative_seed_flag_fails_before_reading_data(self, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload()))
+        code = main(["train", "--config", str(config_path), "--data", str(tmp_path / "absent"),
+                     "--out", str(tmp_path / "run"), "--seed", "-1"])
+        assert code == 1
+        assert "error [train]: rng_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     def test_bad_env_value_is_named(self, dataset, tmp_path, capsys, monkeypatch):
@@ -364,6 +386,18 @@ class TestBadJsonInputs:
         assert code == 1
         assert "error [train]: negatives_per_positive must be >= 1, got 0" in err
         assert not (out / "run_000").exists()
+
+    def test_bad_seed_fraction_fails_before_any_run(self, dataset, tmp_path, capsys):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload(epochs=1)))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"seed_train_fraction": [0.5, 1.5]}))
+        out = tmp_path / "grid"
+        code, err = self.run(["grid", "--grid", str(grid_path), "--config", str(config_path),
+                              "--data", str(dataset), "--out", str(out)], capsys)
+        assert code == 1
+        assert "error [train]: seed_train_fraction must be in (0, 1), got 1.5" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, bad_file", [
         ("train", "config"), ("grid", "config"), ("grid", "grid")])

@@ -10,6 +10,7 @@ from jointkg.errors import TrainError
 from jointkg.kgdata import GIVEN, Kg, MultiKg, RelationVocab, SeedSet
 from jointkg.rgnn import build_edges
 from jointkg.train import (
+    ABLATIONS,
     IDLE_EPOCH,
     LOG_COLUMNS,
     Checkpoint,
@@ -301,8 +302,10 @@ class TestCheckpoint:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_resume_continues_bitwise(self, tmp_path):
-        config = small_config(epochs=3)
+    @pytest.mark.parametrize("ablations", [()] + [(flag,) for flag in ABLATIONS],
+                             ids=["full", *ABLATIONS])
+    def test_resume_continues_bitwise(self, tmp_path, ablations):
+        config = small_config(epochs=3, ablations=ablations)
 
         direct_state = TrainState(toy_pair_dataset(drop_in_first=2), config)
         direct_state.initialize_entropy_baseline()

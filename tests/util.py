@@ -331,6 +331,31 @@ def reference_backward(loss: Tensor) -> None:
             node.grad = node.grad + contribution.reshape(node.values.shape)
 
 
+def reference_nearest_negatives(pairs, source_finals: np.ndarray, target_finals: np.ndarray,
+                                k_neg: int) -> list[tuple[int, tuple[int, int]]]:
+    """Per positive, a matrix-vector product and a full lexsort of every
+    same-KG entity on each side: k_neg left swaps, then k_neg right swaps."""
+    def unit_rows(table):
+        return table / np.sqrt((table * table).sum(axis=1))[:, None]
+
+    source_unit = unit_rows(source_finals)
+    target_unit = unit_rows(target_finals)
+
+    def ranked_neighbors(unit, row):
+        sims = unit @ unit[row]
+        sims[row] = -np.inf
+        order = np.lexsort((np.arange(len(sims)), -sims))
+        return order[:k_neg]
+
+    negatives = []
+    for index, (e, e_star) in enumerate(pairs):
+        for substitute in ranked_neighbors(source_unit, e):
+            negatives.append((index, (int(substitute), e_star)))
+        for substitute in ranked_neighbors(target_unit, e_star):
+            negatives.append((index, (e, int(substitute))))
+    return negatives
+
+
 def reference_greedy(values: np.ndarray, limit: int, taken_rows=(), taken_cols=()
                      ) -> list[tuple[int, int]]:
     """Greedy one-to-one picks over every entry lexsorted by (-value, row,
