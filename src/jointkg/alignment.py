@@ -1,7 +1,9 @@
 """Alignment component: per-layer fusion of completion embeddings into the
 alignment encoder, final embedding heads over the layer stack, the dense
 similarity matrix, nearest-entity negatives, the margin loss over aligned
-pairs, and greedy one-to-one matching.
+pairs, and greedy one-to-one matching. The fusion and head MLPs record one
+`diff.affine` node per layer, and the margin loss one `diff.cosine_hinge`
+node.
 
 The similarity matrix is a plain (source x target) ndarray of cosines.
 Aligned pairs are (left, right) rows, as in `SeedSet.pairs`; negatives are
@@ -163,19 +165,19 @@ def nearest_negatives(pairs: np.ndarray, source_finals: np.ndarray,
 def alignment_loss(pairs, negatives: list[tuple[int, tuple[int, int]]],
                    gamma_a: float, entity_finals: Tensor) -> Tensor:
     """Hinge gamma_a + d(pos) - d(neg) per positive-negative pairing, mean
-    over all pairings. `pairs` are (left, right) rows, as an array or a
-    list. Indices here are rows of the shared finals table."""
+    over all pairings, d the cosine distance. `pairs` are (left, right)
+    rows, as an array or a list. Indices here are rows of the shared finals
+    table. One `diff.cosine_hinge` node; it keeps no gathered (pairings x
+    dim) rows, and its gradient adds negatives' left, negatives' right,
+    positives' left, then positives' right rows, as the composed graph of
+    gathers and cosine distances did."""
     if not negatives:
         raise AlignmentError("alignment loss needs at least one negative pair")
     index, negative_pairs = zip(*negatives)
     positive = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[np.asarray(index)]
     negative = np.asarray(negative_pairs, dtype=np.int64)
-    d_pos = diff.cosine_distance(diff.gather_rows(entity_finals, positive[:, 0]),
-                                 diff.gather_rows(entity_finals, positive[:, 1]))
-    d_neg = diff.cosine_distance(diff.gather_rows(entity_finals, negative[:, 0]),
-                                 diff.gather_rows(entity_finals, negative[:, 1]))
-    hinge = diff.relu(diff.add(diff.sub(diff.tensor(gamma_a), d_neg), d_pos))
-    return diff.mean_all(hinge)
+    return diff.cosine_hinge(entity_finals, positive[:, 0], positive[:, 1],
+                             negative[:, 0], negative[:, 1], gamma_a)
 
 
 # Each free row starts with its first _GREEDY_CANDIDATES free columns.

@@ -2,12 +2,13 @@
 
 Covers exactly the operations the encoder and loss graphs need: affine maps,
 pointwise nonlinearities, row softmax, L1 norms, cosine distance, the fused
-translation score, the fused neighbor attention of one encoder layer, and
-the gather/scatter/segment primitives of full-graph message passing. Graphs
-are recorded eagerly; `backward` on a scalar accumulates gradients into the
-`.grad` of every reachable leaf made by `param` (intermediates get none) and
-frees each intermediate gradient once propagated. Calling `backward` again
-without zeroing adds a second contribution on top.
+translation score, the fused neighbor attention of one encoder layer, the
+fused cosine hinge of the alignment loss, and the gather/scatter/segment
+primitives of full-graph message passing. Graphs are recorded eagerly;
+`backward` on a scalar accumulates gradients into the `.grad` of every
+reachable leaf made by `param` (intermediates get none) and frees each
+intermediate gradient once propagated. Calling `backward` again without
+zeroing adds a second contribution on top.
 
 All values are 64-bit floats and every reduction runs in a fixed order, so
 identical inputs give bit-identical forwards and gradients. The row
@@ -15,13 +16,23 @@ scatter-sums (the backward of `gather_rows`, the forward of
 `scatter_weighted_sum`) add each target's rows sequentially in ascending
 input position, the order of `np.add.at`.
 
+The fused ops `affine`, `translation_l1`, `neighbor_attention` and
+`cosine_hinge` each record one node where the composed graph they replace
+recorded several; `affine` and `cosine_hinge` match theirs bit for bit, in
+values and gradients. `translation_l1` and `cosine_hinge` take their
+(rows x dim) temporaries in blocks of at most `BLOCK_BYTES` bytes
+(`blocks`): row blocks where each output row reads only its own input rows,
+column blocks where a scatter-sum adds many rows into one, so each target
+column still adds its rows in ascending input position and no block size
+moves a bit.
+
 `translation_l1` gives -sum_j |e[h] + r[rel] - e[t]|_j per row, the same
 values as three gathers, add, sub, `l1_norm_row` and `scale(-1)`; its node
 keeps only the int8 signs and the index arrays. Its backward forms
-u = sign * -g once. In the entity gradient each target adds +u[i] for the
-rows i it heads, in ascending i, then -u[i] for the rows i it tails, in
-ascending i (a self-loop adds +u[i], later -u[i]); in the relation gradient
-it adds +u[i] in ascending i.
+u = sign * -g once per column block. In the entity gradient each target adds
++u[i] for the rows i it heads, in ascending i, then -u[i] for the rows i it
+tails, in ascending i (a self-loop adds +u[i], later -u[i]); in the relation
+gradient it adds +u[i] in ascending i.
 
 `neighbor_attention` gives one layer's attended neighbor sum with the same
 maths as gathers, sub, concat, the attention map, `segment_softmax` and
@@ -42,6 +53,17 @@ import numpy as np
 from .errors import DiffError
 
 _grad_enabled = True
+
+# Bytes per (rows x dim) temporary of the fused ops and `entr.matrix_entropy`:
+# large enough that a criterion-6-sized call runs in one block.
+BLOCK_BYTES = 16 << 20
+
+
+def blocks(count: int, unit_bytes: int):
+    """Consecutive slices covering range(count), each of at most BLOCK_BYTES
+    // unit_bytes units (at least one)."""
+    step = max(1, BLOCK_BYTES // max(1, unit_bytes))
+    return (slice(start, min(start + step, count)) for start in range(0, count, step))
 
 
 @contextmanager
@@ -171,6 +193,36 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.values @ b.values, (a, b), grad_fn, "matmul")
 
 
+def affine(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
+    """act(x @ w + b) with act one of identity, tanh and leakyrelu: one node
+    with the values and gradients of `matmul`, `add` and the activation's
+    node. It keeps no product, sum or pre-activation table; the leaky-ReLU
+    mask comes from the output, which is positive exactly where its
+    pre-activation is."""
+    xv, wv, bv = x.values, w.values, b.values
+    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
+        raise DiffError(f"affine shape mismatch {xv.shape} x {wv.shape}")
+    if bv.shape != (wv.shape[1],):
+        raise DiffError(f"affine bias shape {bv.shape} does not match {wv.shape}")
+    if activation not in _ACTIVATIONS:
+        raise DiffError(f"unknown activation {activation!r}")
+    out = xv @ wv
+    out += bv
+    if activation == "tanh":
+        np.tanh(out, out=out)
+    elif activation == "leakyrelu":
+        np.multiply(out, _LEAKY_SLOPE, out=out, where=~(out > 0))
+
+    def grad_fn(g):
+        if activation == "tanh":
+            g = g * (1.0 - out * out)
+        elif activation == "leakyrelu":
+            g = g * np.where(out > 0, 1.0, _LEAKY_SLOPE)
+        return g @ wv.T, xv.T @ g, _unbroadcast(g, bv.shape)
+
+    return _result(out, (x, w, b), grad_fn, "affine")
+
+
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
     if not parts:
         raise DiffError("concat of zero tensors")
@@ -204,7 +256,10 @@ def tanh(a: Tensor) -> Tensor:
     return _result(out, (a,), grad_fn, "tanh")
 
 
-def leakyrelu(a: Tensor, slope: float = 0.01) -> Tensor:
+_LEAKY_SLOPE = 0.01
+
+
+def leakyrelu(a: Tensor, slope: float = _LEAKY_SLOPE) -> Tensor:
     x = a.values
     out = np.where(x > 0, x, slope * x)
 
@@ -308,17 +363,18 @@ def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
 # graph aggregation primitives
 
 
-def _row_scatter_sum(index: np.ndarray, rows: np.ndarray, num_rows: int,
-                     signs: np.ndarray | None = None) -> np.ndarray:
-    """out[s] = sum of signs[i] * rows[i % len(rows)] over i with index[i] == s,
-    for 1-D or 2-D `rows`; `signs` (entries +1 or -1) defaults to all +1, and
-    `index` may cover `rows` a whole number of times over.
+def _scatter_plan(index: np.ndarray, num_rows: int, num_inputs: int,
+                  signs: np.ndarray | None = None):
+    """Sparse (num_rows x num_inputs) plan whose product with `rows` gives
+    out[s] = sum of signs[i] * rows[i % num_inputs] over i with index[i] == s;
+    `signs` (entries +1 or -1) defaults to all +1, and `index` may cover the
+    inputs a whole number of times over.
 
-    One sparse product with a plan of +-1 entries: plan row s lists, in
-    ascending input position, the i with index[i] == s (a stable argsort), so
-    each target starts from 0.0 and adds its rows sequentially in input order,
-    exactly as `np.add.at` into zeros does. Every product term is x * +-1.0,
-    so the result is exact per term and does not depend on FMA contraction.
+    Plan row s lists, in ascending input position, the i with index[i] == s
+    (a stable argsort), so each target starts from 0.0 and adds its rows
+    sequentially in input order, exactly as `np.add.at` into zeros does, in
+    every column independently. Every product term is x * +-1.0, so the
+    result is exact per term and does not depend on FMA contraction.
     """
     # imported here, not at module top, so `import jointkg` stays cheap
     from scipy.sparse import csr_matrix
@@ -327,8 +383,13 @@ def _row_scatter_sum(index: np.ndarray, rows: np.ndarray, num_rows: int,
     np.cumsum(np.bincount(index, minlength=num_rows), out=indptr[1:])
     order = np.argsort(index, kind="stable")
     entries = np.ones(index.size) if signs is None else signs[order].astype(np.float64)
-    plan = csr_matrix((entries, order % rows.shape[0], indptr), shape=(num_rows, rows.shape[0]))
-    return plan @ rows
+    return csr_matrix((entries, order % num_inputs, indptr), shape=(num_rows, num_inputs))
+
+
+def _row_scatter_sum(index: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[s] = sum of rows[i] over i with index[i] == s, for 1-D or 2-D
+    `rows`, in ascending i (see `_scatter_plan`)."""
+    return _scatter_plan(index, num_rows, rows.shape[0]) @ rows
 
 
 def _check_range(index: np.ndarray, size: int, what: str) -> None:
@@ -349,7 +410,10 @@ def gather_rows(a: Tensor, index) -> Tensor:
 
 
 def translation_l1(entities: Tensor, relations: Tensor, heads, rels, tails) -> Tensor:
-    """-sum_j |entities[heads] + relations[rels] - entities[tails]|_j per row."""
+    """-sum_j |entities[heads] + relations[rels] - entities[tails]|_j per row.
+
+    The forward runs in row blocks; the backward scatters u = sign * -g in
+    column blocks, with the accumulation order of the module docstring."""
     h = np.asarray(heads, dtype=np.int64)
     r = np.asarray(rels, dtype=np.int64)
     t = np.asarray(tails, dtype=np.int64)
@@ -361,18 +425,97 @@ def translation_l1(entities: Tensor, relations: Tensor, heads, rels, tails) -> T
     _check_range(h, e.shape[0], "translation_l1 head")
     _check_range(r, rel.shape[0], "translation_l1 relation")
     _check_range(t, e.shape[0], "translation_l1 tail")
-    delta = e[h] + rel[r]
-    delta -= e[t]
-    sign = np.sign(delta).astype(np.int8)
-    out = np.abs(delta, out=delta).sum(axis=1) * -1.0
+    dim = e.shape[1]
+    sign = np.empty((h.size, dim), dtype=np.int8)
+    out = np.empty(h.size)
+    for rows in blocks(h.size, 8 * dim):
+        delta = e[h[rows]] + rel[r[rows]]
+        delta -= e[t[rows]]
+        sign[rows] = np.sign(delta)
+        out[rows] = np.abs(delta, out=delta).sum(axis=1) * -1.0
 
     def grad_fn(g):
-        u = sign * (-g)[:, None]
-        ends_sign = np.repeat(np.array([1, -1], dtype=np.int8), h.size)
-        return (_row_scatter_sum(np.concatenate([h, t]), u, e.shape[0], ends_sign),
-                _row_scatter_sum(r, u, rel.shape[0]))
+        ends = _scatter_plan(np.concatenate([h, t]), e.shape[0], h.size,
+                             np.repeat(np.array([1, -1], dtype=np.int8), h.size))
+        by_relation = _scatter_plan(r, rel.shape[0], h.size)
+        entity_grad, relation_grad = np.empty(e.shape), np.empty(rel.shape)
+        minus_g = (-g)[:, None]
+        for cols in blocks(dim, 8 * h.size):
+            u = sign[:, cols] * minus_g
+            entity_grad[:, cols] = ends @ u
+            relation_grad[:, cols] = by_relation @ u
+        return entity_grad, relation_grad
 
     return _result(out, (entities, relations), grad_fn, "translation_l1")
+
+
+def cosine_hinge(table: Tensor, positive_left, positive_right, negative_left,
+                 negative_right, margin: float) -> Tensor:
+    """Mean over pairings i of relu(margin + d(pos_i) - d(neg_i)), where
+    d(pos_i) = 1 - cos(table[positive_left[i]], table[positive_right[i]])
+    and d(neg_i) likewise on the negative indices.
+
+    Bit-identical to `cosine_distance` on `gather_rows` of each side,
+    `relu(add(sub(margin, d_neg), d_pos))` and `mean_all`. The node keeps the
+    index arrays, each pairing's norms and cosines and the active-hinge mask,
+    but no gathered (pairings x dim) rows: the forward takes dot products in
+    row blocks, and the backward forms the row gradients in column blocks.
+    The table gradient adds the four scatter-sums in the composed graph's
+    order: negatives' left, negatives' right, positives' left, then
+    positives' right; within each, a row adds its pairings in ascending order.
+    """
+    x = table.values
+    indices = [np.asarray(index, dtype=np.int64)
+               for index in (negative_left, negative_right, positive_left, positive_right)]
+    count = indices[0].size
+    if any(index.shape != (count,) for index in indices):
+        raise DiffError("cosine_hinge needs four one-dimensional index arrays of one length")
+    if count == 0:
+        raise DiffError("mean of empty tensor")
+    if x.ndim != 2:
+        raise DiffError(f"cosine_hinge expects a matrix, got shape {x.shape}")
+    for index in indices:
+        _check_range(index, x.shape[0], "cosine_hinge index")
+    dim = x.shape[1]
+    row_norms = np.empty(x.shape[0])
+    for rows in blocks(x.shape[0], 8 * dim):
+        row_norms[rows] = np.sqrt((x[rows] * x[rows]).sum(axis=1))
+
+    def pairing(left, right):
+        nu, nv = row_norms[left], row_norms[right]
+        if np.any(nu == 0.0) or np.any(nv == 0.0):
+            raise DiffError("zero-norm embedding")
+        dot = np.empty(count)
+        for rows in blocks(count, 8 * dim):
+            dot[rows] = (x[left[rows]] * x[right[rows]]).sum(axis=1)
+        return left, right, nu, nv, dot / (nu * nv)
+
+    negative, positive = pairing(*indices[:2]), pairing(*indices[2:])
+    d_neg, d_pos = 1.0 - negative[-1], 1.0 - positive[-1]
+    hinge = (float(margin) - d_neg) + d_pos
+    active = hinge > 0
+    scale_by = float(1.0 / count)
+    out = np.asarray(np.where(active, hinge, 0.0 * hinge).sum()) * scale_by
+
+    def grad_fn(g):
+        hinge_grad = np.full(count, float(g * scale_by)) * np.where(active, 1.0, 0.0)
+        # cosine_distance's backward negates its incoming gradient, which is
+        # -hinge_grad for d_neg and hinge_grad for d_pos
+        sides = [(pair, outer[:, None], [_scatter_plan(index, x.shape[0], count)
+                                         for index in pair[:2]])
+                 for pair, outer in ((negative, hinge_grad), (positive, -hinge_grad))]
+        table_grad = np.empty(x.shape)
+        for cols in blocks(dim, 8 * count):
+            sums = []  # negatives' left, negatives' right, positives' left, positives' right
+            for (left, right, nu, nv, cos), outer, (left_plan, right_plan) in sides:
+                u, v = x[left, cols], x[right, cols]
+                nunv = (nu * nv)[:, None]
+                sums.append(left_plan @ (outer * (v / nunv - (cos / (nu * nu))[:, None] * u)))
+                sums.append(right_plan @ (outer * (u / nunv - (cos / (nv * nv))[:, None] * v)))
+            table_grad[:, cols] = sums[0] + sums[1] + sums[2] + sums[3]
+        return (table_grad,)
+
+    return _result(out, (table,), grad_fn, "cosine_hinge")
 
 
 def scatter_weighted_sum(messages: Tensor, weights: Tensor, segments, num_segments: int) -> Tensor:
@@ -615,7 +758,8 @@ class ParameterBlock:
 
 
 class Mlp(ParameterBlock):
-    """Affine layers with per-layer activations from {identity, tanh, leakyrelu}."""
+    """Affine layers with per-layer activations from {identity, tanh, leakyrelu},
+    one `affine` node per layer."""
 
     def __init__(self, weights: list[Tensor], biases: list[Tensor],
                  activations: Sequence[str]):
@@ -651,11 +795,7 @@ class Mlp(ParameterBlock):
 
     def __call__(self, x: Tensor) -> Tensor:
         for w, b, act in zip(self.weights, self.biases, self.activations):
-            x = add(matmul(x, w), b)
-            if act == "tanh":
-                x = tanh(x)
-            elif act == "leakyrelu":
-                x = leakyrelu(x)
+            x = affine(x, w, b, act)
         return x
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import diff
 from .alignment import greedy_one_to_one
 from .errors import EnTrError
 from .kgdata import ENLARGED, GIVEN, MultiKg, SeedSet, triple_keys
@@ -22,17 +23,25 @@ from .kgdata import ENLARGED, GIVEN, MultiKg, SeedSet, triple_keys
 
 def matrix_entropy(matrix: np.ndarray) -> float:
     """Shannon entropy (natural log) of the row softmax, summed over rows; a
-    probability that underflows to 0 adds 0, the limit of p log p."""
+    probability that underflows to 0 adds 0, the limit of p log p.
+
+    One p log p table is filled from row blocks of at most
+    `diff.BLOCK_BYTES` bytes, so the softmax temporaries never span the
+    whole matrix; the entropy is that table's single flat sum, so blocking
+    moves no bit."""
     values = np.asarray(matrix)
     if values.ndim != 2 or values.size == 0:
         raise EnTrError(f"entropy needs a non-empty matrix, got shape {values.shape}")
-    if not np.all(np.isfinite(values)):
-        raise EnTrError("entropy requires a finite matrix")
-    p = values - values.max(axis=1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=1, keepdims=True)
-    p_log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
-    p_log_p *= p
+    p_log_p = np.zeros(values.shape, dtype=values.dtype)
+    for rows in diff.blocks(values.shape[0], values.itemsize * values.shape[1]):
+        block = values[rows]
+        if not np.all(np.isfinite(block)):
+            raise EnTrError("entropy requires a finite matrix")
+        p = block - block.max(axis=1, keepdims=True)
+        np.exp(p, out=p)
+        p /= p.sum(axis=1, keepdims=True)
+        np.log(p, out=p_log_p[rows], where=p > 0)
+        p_log_p[rows] *= p
     return float(-p_log_p.sum())
 
 

@@ -17,8 +17,11 @@ from jointkg.errors import DiffError
 from jointkg.rgnn import EdgeList, EncoderParams, build_edges, encode, layer_forward
 
 from .util import (
+    reference_affine,
     reference_backward,
+    reference_cosine_hinge,
     reference_layer_forward,
+    reference_translation_l1,
     score_layer,
     single_kg,
 )
@@ -113,6 +116,24 @@ def _single_op_cases(rng):
     def weighted(x, p):
         return diff.sum_all(diff.mul(x, diff.tensor(p)))
 
+    # |x @ w| < 3 and biases of +-4 keep every pre-activation at least 1
+    # away from the leaky-ReLU kink
+    x_unit, w_unit = np.tanh(a), np.tanh(b)
+    shift = np.array([4.0, -4.0, 4.0, -4.0, 4.0])
+
+    def affine(x, w, bias, activation):
+        return weighted(diff.affine(x, w, bias, activation), proj45)
+
+    # margin halfway between the two middle d(neg) - d(pos) gaps: two hinges
+    # active, two not, each well away from its kink
+    table = m + 2.0
+    hinge_index = (np.array([0, 1, 0, 3]), np.array([2, 3, 2, 5]),
+                   np.array([4, 5, 1, 0]), np.array([2, 1, 3, 4]))
+    unit = table / np.sqrt((table * table).sum(axis=1))[:, None]
+    gaps = np.sort((1.0 - (unit[hinge_index[2]] * unit[hinge_index[3]]).sum(axis=1))
+                   - (1.0 - (unit[hinge_index[0]] * unit[hinge_index[1]]).sum(axis=1)))
+    margin = float(gaps[1] + gaps[2]) / 2.0
+
     return [
         ("add", lambda t: weighted(diff.add(t, diff.tensor(other)), proj), a),
         ("sub", lambda t: weighted(diff.sub(diff.tensor(other), t), proj), a),
@@ -140,6 +161,16 @@ def _single_op_cases(rng):
         ("segment_softmax", lambda t: weighted(diff.segment_softmax(t, seg, 3), projw), w),
         ("softmax_entropy", lambda t: diff.scale(diff.sum_all(
             diff.mul(diff.softmax_row(t), diff.log(diff.softmax_row(t)))), -1.0), a),
+        ("affine_identity", lambda t: affine(t, diff.tensor(b), diff.tensor(proj45[0]),
+                                             "identity"), a),
+        ("affine_tanh", lambda t: affine(t, diff.tensor(b), diff.tensor(proj45[1]), "tanh"), a),
+        ("affine_leakyrelu", lambda t: affine(t, diff.tensor(w_unit), diff.tensor(shift),
+                                              "leakyrelu"), x_unit),
+        ("affine_weight", lambda t: affine(diff.tensor(x_unit), t, diff.tensor(shift),
+                                           "leakyrelu"), w_unit),
+        ("affine_bias", lambda t: affine(diff.tensor(x_unit), diff.tensor(w_unit), t,
+                                         "leakyrelu"), shift),
+        ("cosine_hinge", lambda t: diff.cosine_hinge(t, *hinge_index, margin), table),
     ]
 
 
@@ -299,6 +330,10 @@ def _bits(x):
     return np.ascontiguousarray(x).view(np.int64)
 
 
+# byte budgets that cut rows and columns into ragged blocks, and the default
+_BUDGETS = st.sampled_from([1, 8, 24, 40, 56, 88, 200, diff.BLOCK_BYTES])
+
+
 @st.composite
 def _scatter_case(draw, one_dim_allowed=True):
     """(index, rows, num_rows): 1-row and 3-row tables and wider ones, with
@@ -351,7 +386,7 @@ class TestRowScatterSum:
         signed = column * np.concatenate([rows, rows])
         expected = np.zeros((num_rows,) + rows.shape[1:])
         np.add.at(expected, both, signed)
-        got = diff._row_scatter_sum(both, rows, num_rows, signs)
+        got = diff._scatter_plan(both, num_rows, rows.shape[0], signs) @ rows
         assert np.array_equal(_bits(got), _bits(expected))
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
@@ -443,6 +478,34 @@ class TestTranslationL1:
             np.add.at(expected_r, rels, u)
             assert np.array_equal(_bits(entities.grad), _bits(expected_e))
             assert np.array_equal(_bits(relations.grad), _bits(expected_r))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_blocks_equal_unblocked_bitwise(self, data):
+        entity_count = data.draw(st.integers(1, 6))
+        relation_count = data.draw(st.integers(1, 3))
+        dim = data.draw(st.integers(1, 6))
+        count = data.draw(st.integers(1, 30))
+        ids = st.lists(st.integers(0, entity_count - 1), min_size=count, max_size=count)
+        index = (data.draw(ids), data.draw(st.lists(st.integers(0, relation_count - 1),
+                                                    min_size=count, max_size=count)),
+                 data.draw(ids))
+        e = data.draw(arrays(np.float64, (entity_count, dim), elements=_SCATTER_VALUES))
+        r = data.draw(arrays(np.float64, (relation_count, dim), elements=_SCATTER_VALUES))
+        g = data.draw(arrays(np.float64, (count,), elements=_SCATTER_VALUES))
+        budget = data.draw(_BUDGETS)
+
+        def run(op):
+            entities, relations = diff.param(e), diff.param(r)
+            f = op(entities, relations, *index)
+            diff.backward(diff.sum_all(diff.mul(f, diff.tensor(g))))
+            return [f.values, entities.grad, relations.grad]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diff, "BLOCK_BYTES", budget)
+            fused = run(diff.translation_l1)
+        for got, expected in zip(fused, run(reference_translation_l1)):
+            assert np.array_equal(_bits(got), _bits(expected))
 
     @pytest.mark.parametrize("which, bad", [("head", [0, 4]), ("head", [-1, 0]),
                                             ("relation", [0, 2]), ("relation", [-1, 0]),
@@ -565,6 +628,115 @@ class TestNeighborAttention:
         with pytest.raises(DiffError, match="shape mismatch"):
             self._call(diff.tensor(np.ones((4, 3))), diff.tensor(np.ones((2, 3))),
                        diff.tensor(np.ones((3, 1))), diff.tensor(np.ones(1)))
+
+
+class TestAffine:
+    """The fused layer against `matmul`, `add` and the activation node."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_equals_composed_bitwise(self, data):
+        rows, n_in, n_out = (data.draw(st.integers(1, 6)) for _ in range(3))
+        activation = data.draw(st.sampled_from(diff._ACTIVATIONS))
+        # exact zeros put pre-activations on the leaky-ReLU kink
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-3, 1e8]),
+                           st.floats(-1e3, 1e3))
+        inputs = [data.draw(arrays(np.float64, shape, elements=values))
+                  for shape in ((rows, n_in), (n_in, n_out), (n_out,))]
+        g = data.draw(arrays(np.float64, (rows, n_out), elements=values))
+
+        def run(op):
+            leaves = [diff.param(v) for v in inputs]
+            out = op(*leaves, activation)
+            diff.backward(diff.sum_all(diff.mul(out, diff.tensor(g))))
+            return [out.values] + [leaf.grad for leaf in leaves]
+
+        for got, expected in zip(run(diff.affine), run(reference_affine)):
+            assert np.array_equal(_bits(got), _bits(expected))
+
+    def test_shape_errors(self):
+        x, w = diff.tensor(np.ones((2, 3))), diff.tensor(np.ones((3, 4)))
+        with pytest.raises(DiffError, match="shape mismatch"):
+            diff.affine(x, diff.tensor(np.ones((2, 4))), diff.tensor(np.zeros(4)), "identity")
+        with pytest.raises(DiffError, match="bias shape"):
+            diff.affine(x, w, diff.tensor(np.zeros(3)), "identity")
+        with pytest.raises(DiffError, match="unknown activation"):
+            diff.affine(x, w, diff.tensor(np.zeros(4)), "relu")
+
+
+class TestCosineHinge:
+    """The fused hinge against the composed gathers, cosine distances,
+    `relu` and `mean_all`, with blocks cut by small byte budgets."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_composed_bitwise(self, data):
+        n = data.draw(st.integers(2, 7))
+        dim = data.draw(st.integers(1, 5))
+        count = data.draw(st.integers(1, 25))
+        index = [np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=count,
+                                               max_size=count)), dtype=np.int64)
+                 for _ in range(4)]
+        # magnitudes far apart give row gradients whose sums depend on their order
+        values = st.one_of(st.sampled_from([0.0, 1.0, -1.0, 3.0, 1e-3, -1e3]),
+                           st.floats(-1e3, 1e3))
+        table = data.draw(arrays(np.float64, (n, dim), elements=values))
+        margin = data.draw(st.one_of(st.sampled_from([0.0, 0.5, 2.5]), st.floats(0, 2)))
+        scale = data.draw(st.sampled_from([1.0, -3.0, 1e-3]))
+        budget = data.draw(_BUDGETS)
+
+        def run(op):
+            leaf = diff.param(table)
+            try:
+                loss = op(leaf, *index, margin)
+            except DiffError as error:
+                return str(error)
+            diff.backward(diff.scale(loss, scale))
+            return [loss.values, leaf.grad]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diff, "BLOCK_BYTES", budget)
+            fused = run(diff.cosine_hinge)
+        expected = run(reference_cosine_hinge)
+        if isinstance(expected, str):
+            assert fused == expected
+            return
+        for got, want in zip(fused, expected):
+            assert np.array_equal(_bits(got), _bits(want))
+
+    def test_errors(self):
+        table = diff.tensor(np.eye(3))
+        with pytest.raises(DiffError, match="one length"):
+            diff.cosine_hinge(table, [0, 1], [1, 2], [0], [2, 1], 0.5)
+        with pytest.raises(DiffError, match="mean of empty tensor"):
+            diff.cosine_hinge(table, [], [], [], [], 0.5)
+        with pytest.raises(DiffError, match="cosine_hinge index out of range"):
+            diff.cosine_hinge(table, [0], [3], [0], [1], 0.5)
+
+
+@pytest.mark.parametrize("seed", [8000, 8001, 8002])
+def test_model_gradients_equal_composed_graphs_bitwise(seed):
+    """Whole encoder, completion and alignment graphs with the fused ops in
+    small blocks against the same graphs built from the composed forms."""
+    def run(patches):
+        results = []
+        for which in range(3):
+            with pytest.MonkeyPatch.context() as patch:
+                for name, value in patches.items():
+                    patch.setattr(diff, name, value)
+                _, loss, leaves = _model_losses(seed)[which]
+                diff.backward(loss)
+            results.append([loss.values] + [leaf.grad for leaf in leaves])
+        return results
+
+    fused = run({"BLOCK_BYTES": 40})
+    composed = run({"affine": reference_affine, "cosine_hinge": reference_cosine_hinge,
+                    "translation_l1": reference_translation_l1})
+    for got, expected in zip(fused, composed):
+        for a, b in zip(got, expected):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert np.array_equal(_bits(a), _bits(b))
 
 
 class TestMlp:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from jointkg import diff
 from jointkg.entr import (
     enlarge_seeds,
     matrix_entropy,
@@ -14,7 +15,12 @@ from jointkg.entr import (
 from jointkg.errors import EnTrError
 from jointkg.kgdata import ENLARGED, GIVEN, Kg, MultiKg, RelationVocab, SeedSet
 
-from .util import reference_prune_stale_transfers, reference_store, reference_transfer_triples
+from .util import (
+    reference_matrix_entropy,
+    reference_prune_stale_transfers,
+    reference_store,
+    reference_transfer_triples,
+)
 
 
 def pair_multikg(triples_a, triples_b, entities_a, entities_b):
@@ -71,6 +77,31 @@ class TestMatrixEntropy:
     def test_underflowed_probabilities_count_as_zero(self, values, expected):
         # exp(-1000) is 0.0 in float64; 0 log 0 is the limit 0, not NaN
         assert matrix_entropy(np.array(values)) == pytest.approx(expected, abs=1e-15)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_blocks_equal_whole_matrix_bitwise(self, data):
+        shape = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)))
+        # -1000 underflows to p = 0; magnitudes far apart make the flat sum
+        # depend on its order
+        values = data.draw(arrays(np.float64, shape, elements=st.one_of(
+            st.sampled_from([0.0, -1000.0, 30.0, -30.0, 1e-9]), st.floats(-50, 50))))
+        budget = data.draw(st.sampled_from([1, 8, 24, 40, 88, 200, diff.BLOCK_BYTES]))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diff, "BLOCK_BYTES", budget)
+            got = matrix_entropy(values)
+        expected = reference_matrix_entropy(values)
+        assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_in_a_later_block_errors(self, bad):
+        values = np.zeros((5, 3))
+        values[4, 1] = bad
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diff, "BLOCK_BYTES", 24)
+            with pytest.raises(EnTrError, match="finite"):
+                matrix_entropy(values)
 
 
 class TestSeedBudget:

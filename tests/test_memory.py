@@ -1,0 +1,90 @@
+"""Memory guards for the fused and blocked ops: one tape node per `Mlp`
+layer, no per-pairing rows on the alignment hinge's node, and traced peaks
+of the blocked ops bounded by their kept tables plus a few block budgets."""
+import numpy as np
+import pytest
+import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts its import
+
+from jointkg import diff
+from jointkg.alignment import alignment_loss
+from jointkg.entr import matrix_entropy
+
+from .util import held_arrays, traced_peak
+
+BUDGET = 1 << 20
+
+
+@pytest.fixture
+def small_budget(monkeypatch):
+    monkeypatch.setattr(diff, "BLOCK_BYTES", BUDGET)
+
+
+@pytest.mark.parametrize("activations", [("leakyrelu", "identity"), ("tanh",),
+                                         ("identity", "tanh", "leakyrelu")])
+def test_each_mlp_layer_leaves_one_node(activations):
+    rng = np.random.default_rng(0)
+    dims = [6, 5, 4, 3][:len(activations) + 1]
+    mlp = diff.Mlp.create(dims, activations, rng)
+    out = mlp(diff.param(rng.normal(size=(7, dims[0]))))
+    nodes = [node for node in diff._topo(out) if node._grad_fn is not None]
+    assert [node._op for node in nodes] == ["affine"] * len(activations)
+    for node in nodes:
+        tables = {id(node.values)} | {id(parent.values) for parent in node._parents}
+        for array in held_arrays(node):
+            assert array.shape[0] != 7 or id(array) in tables, \
+                f"{node!r} holds a {array.shape} table besides its input and output"
+
+
+def test_hinge_node_holds_no_per_pairing_rows():
+    rng = np.random.default_rng(1)
+    finals = diff.param(rng.normal(size=(9, 4)))
+    pairs = [(0, 5), (1, 6), (2, 7)]
+    negatives = [(i, (int(rng.integers(9)), right)) for i, (_, right) in enumerate(pairs)
+                 for _ in range(5)]
+    loss = alignment_loss(pairs, negatives, 0.5, finals)
+    count = len(negatives)
+    assert count not in (9, 4, 3)
+    nodes = [node for node in diff._topo(loss) if node._grad_fn is not None]
+    assert [node._op for node in nodes] == ["cosine_hinge"]
+    for array in held_arrays(nodes[0]):
+        assert not (array.ndim == 2 and array.dtype == np.float64 and array.shape[0] == count), \
+            f"the hinge holds a {array.shape} float64 array"
+
+
+# Peaks on shapes that span about twenty blocks. Each bound is what the op
+# must keep (its int8 signs, one-dimensional per-row arrays and sparse scatter
+# plans, or its output table) plus a few block budgets; a single whole
+# (rows x dim) float64 temporary exceeds it.
+
+ROWS, DIM = 40_000, 64
+VECTOR = 8 * ROWS
+
+
+def test_translation_l1_peak_stays_within_signs_and_budgets(small_budget):
+    rng = np.random.default_rng(2)
+    entities = diff.param(rng.normal(size=(500, DIM)))
+    relations = diff.param(rng.normal(size=(10, DIM)))
+    heads, tails = rng.integers(500, size=ROWS), rng.integers(500, size=ROWS)
+    rels = rng.integers(10, size=ROWS)
+    weights = diff.tensor(rng.normal(size=ROWS))
+
+    def step():
+        scores = diff.translation_l1(entities, relations, heads, rels, tails)
+        diff.backward(diff.sum_all(diff.mul(scores, weights)))
+
+    _, peak = traced_peak(step)
+    assert peak < ROWS * DIM + 16 * VECTOR + 6 * BUDGET
+
+
+def test_hinge_peak_stays_within_vectors_and_budgets(small_budget):
+    rng = np.random.default_rng(3)
+    finals = diff.param(rng.normal(size=(2_000, DIM)))
+    index = [rng.integers(2_000, size=ROWS) for _ in range(4)]
+    _, peak = traced_peak(lambda: diff.backward(diff.cosine_hinge(finals, *index, 0.5)))
+    assert peak < 32 * VECTOR + 8 * BUDGET
+
+
+def test_matrix_entropy_peak_stays_within_one_table_and_budgets(small_budget):
+    matrix = np.random.default_rng(4).normal(size=(2_000, 1_500))
+    _, peak = traced_peak(lambda: matrix_entropy(matrix))
+    assert peak < matrix.nbytes + 4 * BUDGET

@@ -10,6 +10,7 @@ from jointkg.rgnn import EncoderParams, build_edges, encode, layer_forward
 from .util import (
     append_transferred,
     const_mlp,
+    held_arrays,
     identity_mlp,
     manual_encoder,
     pack_params,
@@ -224,23 +225,6 @@ class TestEncode:
         assert calls == [0, 1, 2]
 
 
-def _held_arrays(node):
-    """The node's values and every array its grad_fn closure reaches,
-    through nested closures and sparse matrices."""
-    held = [node.values]
-    functions = [node._grad_fn] if node._grad_fn else []
-    while functions:
-        for cell in functions.pop().__closure__ or ():
-            item = cell.cell_contents
-            if callable(item) and getattr(item, "__closure__", None):
-                functions.append(item)
-            elif hasattr(item, "tocsr"):
-                held += [item.data, item.indices, item.indptr]
-            else:
-                held.append(item)
-    return [a for a in held if isinstance(a, np.ndarray)]
-
-
 class TestTapeMemory:
     @pytest.mark.parametrize("relation_aware", [True, False])
     def test_tape_holds_no_per_edge_float_matrix(self, relation_aware):
@@ -255,7 +239,7 @@ class TestTapeMemory:
         nodes = {id(node): node for table in layers.entities + layers.relations
                  for node in diff._topo(table)}
         for node in nodes.values():
-            for array in _held_arrays(node):
+            for array in held_arrays(node):
                 if (array.ndim == 2 and array.dtype == np.float64
                         and array.shape[0] == edges.count):
                     raise AssertionError(f"{node!r} holds a {array.shape} float64 array")

@@ -1,5 +1,6 @@
 """Shared construction helpers and reference implementations for the test
 suite."""
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -253,6 +254,94 @@ def score(head: int, relation: int, tail: int, layers: LayerEmbeddings) -> Tenso
         f_k = score_batch(idx_h, idx_r, idx_t, layers, k)
         total = f_k if total is None else diff.add(total, f_k)
     return diff.reshape(total, ())
+
+
+# Composed forms of the fused `diff` ops, with the fused ops' signatures, and
+# the whole-table forms of the blocked ones: bitwise oracles.
+
+
+def reference_affine(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
+    """One `Mlp` layer as `matmul`, `add`, then a `tanh` or `leakyrelu` node."""
+    out = diff.add(diff.matmul(x, w), b)
+    if activation == "tanh":
+        return diff.tanh(out)
+    if activation == "leakyrelu":
+        return diff.leakyrelu(out)
+    return out
+
+
+def reference_cosine_hinge(table: Tensor, positive_left, positive_right, negative_left,
+                           negative_right, margin: float) -> Tensor:
+    """The alignment hinge from four `gather_rows`, two `cosine_distance`,
+    sub, add, `relu` and `mean_all` nodes."""
+    d_pos = diff.cosine_distance(diff.gather_rows(table, positive_left),
+                                 diff.gather_rows(table, positive_right))
+    d_neg = diff.cosine_distance(diff.gather_rows(table, negative_left),
+                                 diff.gather_rows(table, negative_right))
+    hinge = diff.relu(diff.add(diff.sub(diff.tensor(margin), d_neg), d_pos))
+    return diff.mean_all(hinge)
+
+
+def reference_translation_l1(entities: Tensor, relations: Tensor, heads, rels, tails
+                             ) -> Tensor:
+    """The fused translation score without blocks: whole-table temporaries
+    and one scatter over all columns."""
+    h, r, t = (np.asarray(a, dtype=np.int64) for a in (heads, rels, tails))
+    e, rel = entities.values, relations.values
+    delta = e[h] + rel[r]
+    delta -= e[t]
+    sign = np.sign(delta).astype(np.int8)
+    out = np.abs(delta, out=delta).sum(axis=1) * -1.0
+
+    def grad_fn(g):
+        u = sign * (-g)[:, None]
+        ends_sign = np.repeat(np.array([1, -1], dtype=np.int8), h.size)
+        return (diff._scatter_plan(np.concatenate([h, t]), e.shape[0], h.size, ends_sign) @ u,
+                diff._row_scatter_sum(r, u, rel.shape[0]))
+
+    return diff._result(out, (entities, relations), grad_fn, "translation_l1")
+
+
+def reference_matrix_entropy(matrix: np.ndarray) -> float:
+    """Row-softmax entropy from whole-matrix temporaries."""
+    values = np.asarray(matrix)
+    p = values - values.max(axis=1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=1, keepdims=True)
+    p_log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
+    p_log_p *= p
+    return float(-p_log_p.sum())
+
+
+def traced_peak(fn):
+    """(fn's result, the peak bytes tracemalloc saw allocated while fn ran,
+    above what was allocated when it started)."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - start
+
+
+def held_arrays(node: Tensor) -> list[np.ndarray]:
+    """The node's values and every array its grad_fn closure reaches,
+    through nested closures, lists, tuples and sparse matrices."""
+    held = [node.values]
+    items = [node._grad_fn] if node._grad_fn else []
+    while items:
+        item = items.pop()
+        if callable(item) and getattr(item, "__closure__", None):
+            items += [cell.cell_contents for cell in item.__closure__]
+        elif hasattr(item, "tocsr"):
+            held += [item.data, item.indices, item.indptr]
+        elif isinstance(item, (list, tuple)):
+            items += item
+        else:
+            held.append(item)
+    return [a for a in held if isinstance(a, np.ndarray)]
 
 
 def kg_to_lines(kg: Kg) -> list[str]:
