@@ -1,5 +1,5 @@
 """Alignment component: per-layer fusion of completion embeddings into the
-alignment encoder, final embedding heads over the layer stack, the dense
+alignment encoder, the final entity head over the layer stack, the dense
 similarity matrix, nearest-entity negatives, the margin loss over aligned
 pairs, and greedy one-to-one matching. The fusion and head MLPs record one
 `diff.affine` node per layer, and the margin loss one `diff.cosine_hinge`
@@ -9,7 +9,8 @@ The similarity matrix is a plain (source x target) ndarray of cosines.
 Aligned pairs are (left, right) rows, as in `SeedSet.pairs`; negatives are
 (positive index, (left, right)) items, the form `nearest_negatives` returns
 and `alignment_loss` reads. Nearest negatives and greedy matching both rank
-columns through `top_columns`, in row blocks of at most _ROW_BLOCK rows."""
+columns through `top_columns`, in row blocks of at most `diff.BLOCK_BYTES`
+bytes of float64 values."""
 from __future__ import annotations
 
 import heapq
@@ -51,26 +52,6 @@ class FusionParams(ParameterBlock):
         return named
 
 
-class HeadParams(ParameterBlock):
-    """Final embedding heads applied to the concatenated layer stack."""
-
-    def __init__(self, entity_head: Mlp, relation_head: Mlp):
-        self.entity_head = entity_head
-        self.relation_head = relation_head
-
-    @classmethod
-    def create(cls, layer_count: int, dim: int, rng: np.random.Generator) -> "HeadParams":
-        stacked = (layer_count + 1) * dim
-        return cls(
-            Mlp.create([stacked, dim, dim], ("leakyrelu", "identity"), rng),
-            Mlp.create([stacked, dim, dim], ("leakyrelu", "identity"), rng),
-        )
-
-    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return (self.entity_head.named_parameters(f"{prefix}/entity")
-                + self.relation_head.named_parameters(f"{prefix}/relation"))
-
-
 def sir_fuse(completion_table: Tensor, alignment_table: Tensor, fuser: Mlp) -> Tensor:
     """Fuse one layer's completion table (a constant here) into the alignment
     table: MLP(completion || alignment)."""
@@ -95,11 +76,12 @@ def make_fusion_hook(completion_layers: LayerEmbeddings, fusion: FusionParams) -
     return hook
 
 
-def final_embeddings(layers: LayerEmbeddings, heads: HeadParams) -> tuple[Tensor, Tensor]:
-    """Concatenate layer 0..K vectors and apply the entity/relation heads."""
-    entity_stack = diff.concat(layers.entities, axis=1)
-    relation_stack = diff.concat(layers.relations, axis=1)
-    return heads.entity_head(entity_stack), heads.relation_head(relation_stack)
+def final_embeddings(layers: LayerEmbeddings, head: Mlp) -> tuple[Tensor, Tensor]:
+    """The entity finals, `head` over the concatenated layer 0..K entity
+    vectors, and the concatenated layer 0..K relation vectors, unmapped:
+    only the entity finals enter the loss, ranking and matching."""
+    return (head(diff.concat(layers.entities, axis=1)),
+            diff.concat(layers.relations, axis=1))
 
 
 def _unit_rows(table: np.ndarray, side: str) -> np.ndarray:
@@ -116,10 +98,6 @@ def build_alignment_matrix(source_finals: np.ndarray, target_finals: np.ndarray,
     `kg_pair` is unused; it stays only because `perfbench/worker.py` still
     passes the pair."""
     return _unit_rows(source_finals, "source") @ _unit_rows(target_finals, "target").T
-
-
-# Rows per block, so no temporary spans a whole similarity or value table.
-_ROW_BLOCK = 256
 
 
 def top_columns(values: np.ndarray, k: int) -> np.ndarray:
@@ -151,11 +129,11 @@ def nearest_negatives(pairs: np.ndarray, source_finals: np.ndarray,
     nearest = np.empty((2, len(pairs), k_neg), dtype=np.int64)
     for s, (side, finals) in enumerate((("source", source_finals), ("target", target_finals))):
         unit = _unit_rows(finals, side)
-        for start in range(0, len(pairs), _ROW_BLOCK):
-            block = pairs[start:start + _ROW_BLOCK, s]
+        for rows in diff.blocks(len(pairs), 8 * len(unit)):
+            block = pairs[rows, s]
             sims = unit[block] @ unit.T
             sims[np.arange(block.size), block] = -np.inf
-            nearest[s, start:start + _ROW_BLOCK] = top_columns(sims, k_neg)
+            nearest[s, rows] = top_columns(sims, k_neg)
     left = np.hstack([nearest[0], np.repeat(pairs[:, :1], k_neg, axis=1)])
     right = np.hstack([np.repeat(pairs[:, 1:], k_neg, axis=1), nearest[1]])
     index = np.repeat(np.arange(len(pairs)), 2 * k_neg)
@@ -215,8 +193,8 @@ def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=
         return picks
 
     width = min(_GREEDY_CANDIDATES, free_cols.size)
-    prefixes = [top_columns(values[free_rows[start:start + _ROW_BLOCK]].take(free_cols, axis=1),
-                            width) for start in range(0, free_rows.size, _ROW_BLOCK)]
+    prefixes = [top_columns(values[free_rows[rows]].take(free_cols, axis=1), width)
+                for rows in diff.blocks(free_rows.size, 8 * free_cols.size)]
     candidates = dict(zip(free_rows.tolist(), free_cols[np.vstack(prefixes)]))
     position = dict.fromkeys(candidates, 0)
     heap = [(-float(values[r, cols[0]]), r, int(cols[0])) for r, cols in candidates.items()]

@@ -63,7 +63,7 @@ def _resolved_config(args) -> TrainConfig:
     data = apply_env_overrides(read_json(args.config, "config file"))
     if args.seed is not None:
         data["rng_seed"] = args.seed
-    config = TrainConfig.from_dict(data, require_all=True)
+    config = TrainConfig.from_dict(data)
     if args.ablation:
         config = replace(config, ablations=sorted(set(config.ablations) | set(args.ablation)))
     return config
@@ -158,7 +158,7 @@ def cmd_grid(args) -> int:
     combos = [dict(zip(names, values))
               for values in itertools.product(*(grid_spec[n] for n in names))]
     # every combination is validated before the first run trains
-    configs = [TrainConfig.from_dict(base | combo, require_all=True) for combo in combos]
+    configs = [TrainConfig.from_dict(base | combo) for combo in combos]
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for index, (combo, config) in enumerate(zip(combos, configs)):

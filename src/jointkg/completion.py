@@ -14,8 +14,6 @@ from .kgdata import triple_keys
 from .rgnn import LayerEmbeddings
 
 _RETRY_LIMIT = 100
-# queries per cdist call in score_all_tails, so its temporaries stay small
-_QUERY_BLOCK = 256
 
 
 class NegativeBatch(NamedTuple):
@@ -34,7 +32,8 @@ def score_all_tails(heads: np.ndarray, relations: np.ndarray, entity_values: lis
     [offset, offset + count); used by ranking evaluation.
 
     Each layer subtracts the L1 distances from head + relation to every
-    candidate, computed by `cdist` in blocks of _QUERY_BLOCK queries.
+    candidate, computed by `cdist` in query blocks of at most
+    `diff.BLOCK_BYTES` bytes of distances.
     """
     # imported here, not at module top, so `import jointkg` stays cheap
     from scipy.spatial.distance import cdist
@@ -42,8 +41,7 @@ def score_all_tails(heads: np.ndarray, relations: np.ndarray, entity_values: lis
     heads = np.asarray(heads, dtype=np.int64)
     relations = np.asarray(relations, dtype=np.int64)
     total = np.zeros((heads.size, count))
-    for start in range(0, heads.size, _QUERY_BLOCK):
-        rows = slice(start, start + _QUERY_BLOCK)
+    for rows in diff.blocks(heads.size, 8 * count):
         for ek, rk in zip(entity_values, relation_values):
             translated = ek[heads[rows]] + rk[relations[rows]]
             total[rows] -= cdist(translated, ek[offset:offset + count], "cityblock")

@@ -54,8 +54,11 @@ from .errors import DiffError
 
 _grad_enabled = True
 
-# Bytes per (rows x dim) temporary of the fused ops and `entr.matrix_entropy`:
-# large enough that a criterion-6-sized call runs in one block.
+# Bytes per blocked temporary: the fused ops' (rows x dim) tables, and the
+# similarity, distance and value rows of `entr.matrix_entropy`,
+# `completion.score_all_tails`, `alignment.nearest_negatives` and greedy's
+# candidate prefixes. Large enough that a criterion-6-sized call runs in one
+# block.
 BLOCK_BYTES = 16 << 20
 
 
@@ -569,7 +572,8 @@ def segment_softmax(logits: Tensor, segments, num_segments: int) -> Tensor:
 
 
 # rows per block of the per-edge weight gradient: three blocks of this many
-# rows at dim 128 take 768 KiB, well inside a core's L2
+# rows at dim 128 take 768 KiB, well inside a core's L2. It sizes a cache
+# tile for speed, not a memory cap, so it is no BLOCK_BYTES budget
 _EDGE_BLOCK = 256
 
 
@@ -806,21 +810,25 @@ class Mlp(ParameterBlock):
         return named
 
 
+# Adam's moment decay rates and its denominator guard; no caller changes them
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class Adam:
-    """Adam with bias correction (update = lr * m_hat / sqrt(v_hat + eps)).
+    """Adam with bias correction (update = lr * m_hat / sqrt(v_hat + eps)),
+    with beta1, beta2 and eps fixed to ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
     Parameters whose .grad is None at step time are left untouched. Each
     optimizer owns its own moment buffers, so two optimizers over disjoint
-    parameter sets never interact.
+    parameter sets never interact. `state_dict` holds the step count `t` and
+    the moments `m` and `v`; the learning rate comes from the caller.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.values) for p in self.params]
         self.v = [np.zeros_like(p.values) for p in self.params]
@@ -833,36 +841,24 @@ class Adam:
                 continue
             if not np.all(np.isfinite(g)):
                 raise DiffError("non-finite gradient")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p.values -= self.lr * m_hat / np.sqrt(v_hat + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * g * g
+            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
+            p.values -= self.lr * m_hat / np.sqrt(v_hat + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "eps": self.eps,
-            "m": [m.copy() for m in self.m],
-            "v": [v.copy() for v in self.v],
-        }
+        return {"t": self.t, "m": [m.copy() for m in self.m], "v": [v.copy() for v in self.v]}
 
     def load_state_dict(self, state: dict) -> None:
         if len(state["m"]) != len(self.params):
             raise DiffError("optimizer state does not match parameter count")
         self.t = int(state["t"])
-        self.lr = float(state["lr"])
-        self.beta1 = float(state["beta1"])
-        self.beta2 = float(state["beta2"])
-        self.eps = float(state["eps"])
         self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
         self.v = [np.array(v, dtype=np.float64) for v in state["v"]]

@@ -93,15 +93,13 @@ def _base_graph(spec: SynthSpec, rng: np.random.Generator) -> list[tuple[int, in
 
 @dataclass
 class SynthResult:
-    """`first_triples`/`second_triples` are the training graphs (what the
+    """Each KG's "train" split is its training graph (what the
     triples_<kg>.tsv files carry); the kept KGs are the unions of each KG's
-    three splits."""
+    three splits. Entity i of the first KG is entity permutation[i] of the
+    second."""
 
     spec: SynthSpec
-    first_triples: list[tuple[int, int, int]]
-    second_triples: list[tuple[int, int, int]]
     permutation: np.ndarray
-    ground_truth: list[tuple[int, int]]
     seeds: list[tuple[int, int]]
     splits: dict[str, dict[str, list[tuple[int, int, int]]]]
 
@@ -136,10 +134,9 @@ def generate(spec: SynthSpec) -> SynthResult:
     permutation = rng.permutation(spec.entity_count)
     relabel = lambda t: (int(permutation[t[0]]), t[1], int(permutation[t[2]]))
 
-    ground_truth = [(i, int(permutation[i])) for i in range(spec.entity_count)]
     seed_count = max(1, int(np.floor(spec.seed_fraction * spec.entity_count)))
     chosen = np.sort(rng.choice(spec.entity_count, size=seed_count, replace=False))
-    seeds = [ground_truth[i] for i in chosen]
+    seeds = [(int(i), int(permutation[i])) for i in chosen]
 
     # one split over base indices keeps the two KGs' training graphs aligned
     order = rng.permutation(len(base))
@@ -172,9 +169,7 @@ def generate(spec: SynthSpec) -> SynthResult:
             raise SynthError("too few triples to split into train/valid/test")
         splits[kg_id] = per_split
 
-    first = list(splits[KG_FIRST]["train"])
-    second = list(splits[KG_SECOND]["train"])
-    return SynthResult(spec, first, second, permutation, ground_truth, seeds, splits)
+    return SynthResult(spec, permutation, seeds, splits)
 
 
 def entity_label(kg_id: str, index: int) -> str:
@@ -199,8 +194,8 @@ def write_dataset(result: SynthResult, out_dir: Path) -> list[Path]:
         path.write_text(text, encoding="utf-8")
         written.append(path)
 
-    emit(f"triples_{KG_FIRST}.tsv", _triple_lines(KG_FIRST, result.first_triples))
-    emit(f"triples_{KG_SECOND}.tsv", _triple_lines(KG_SECOND, result.second_triples))
+    for kg_id in (KG_FIRST, KG_SECOND):
+        emit(f"triples_{kg_id}.tsv", _triple_lines(kg_id, result.splits[kg_id]["train"]))
     for kg_id in (KG_FIRST, KG_SECOND):
         for split, triples in result.splits[kg_id].items():
             emit(f"kgc_{split}_{kg_id}.tsv", _triple_lines(kg_id, triples))
@@ -208,6 +203,6 @@ def write_dataset(result: SynthResult, out_dir: Path) -> list[Path]:
                   for a, b in result.seeds]
     emit(f"seeds_{KG_FIRST}_{KG_SECOND}.tsv", "\n".join(seed_lines) + "\n")
     truth_lines = [f"{entity_label(KG_FIRST, a)}\t{entity_label(KG_SECOND, b)}"
-                   for a, b in result.ground_truth]
+                   for a, b in enumerate(result.permutation.tolist())]
     emit(f"ground_truth_{KG_FIRST}_{KG_SECOND}.tsv", "\n".join(truth_lines) + "\n")
     return written

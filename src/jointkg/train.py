@@ -23,7 +23,6 @@ import numpy as np
 from . import diff
 from .alignment import (
     FusionParams,
-    HeadParams,
     alignment_loss,
     build_alignment_matrix,
     final_embeddings,
@@ -39,7 +38,7 @@ from .rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 from .seeding import substream
 
 ABLATIONS = ("no_ra_gnn", "one_gnn", "no_sir", "no_entr", "no_align", "no_comple")
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 # metrics.tsv columns in order, each with the format spec of its values
 LOG_COLUMNS = {"epoch": "", "loss_completion": ".6f", "loss_alignment": ".6f", "budget": "",
                "transferred": "", "val_mrr": ".6f", "loss_ranking": ".6f"}
@@ -121,15 +120,15 @@ class TrainConfig:
                 | {"ablations": list(self.ablations)})
 
     @classmethod
-    def from_dict(cls, data: dict, require_all: bool = False) -> "TrainConfig":
+    def from_dict(cls, data: dict) -> "TrainConfig":
+        """A config from a dict that names every field and no other."""
         names = {f.name for f in fields(cls)}
         unknown = set(data) - names
         if unknown:
             raise TrainError(f"unknown config field: {sorted(unknown)[0]}")
-        if require_all:
-            for name in sorted(names):
-                if name not in data:
-                    raise TrainError(f"missing config field: {name}")
+        missing = names - set(data)
+        if missing:
+            raise TrainError(f"missing config field: {sorted(missing)[0]}")
         return cls(**data)
 
     def to_file(self, path: Path) -> None:
@@ -152,7 +151,8 @@ def read_json(path: Path, what: str) -> dict:
 
 
 class JointModel:
-    """Both encoders plus the fusion and head parameters.
+    """Both encoders, the fusion MLPs and the final entity head (an `Mlp`
+    from the (K+1)*dim layer stack to dim, named `heads/entity/*`).
 
     Every block is created in a fixed order from the init stream regardless
     of ablation flags, so variants of one seed start from identical values.
@@ -185,7 +185,9 @@ class JointModel:
             relation_aware=relation_aware, entity_vectors=entity_vectors,
             relation_vectors=relation_vectors)
         self.fusion = FusionParams.create(config.layers, config.dim, rng)
-        self.heads = HeadParams.create(config.layers, config.dim, rng)
+        self.entity_head = diff.Mlp.create(
+            [(config.layers + 1) * config.dim, config.dim, config.dim],
+            ("leakyrelu", "identity"), rng)
         self.one_gnn = config.flag("one_gnn")
 
     @property
@@ -197,15 +199,15 @@ class JointModel:
 
     def alignment_parameters(self) -> list[diff.Tensor]:
         if self.one_gnn:
-            return self.heads.parameters()
+            return self.entity_head.parameters()
         return (self.alignment_encoder.parameters() + self.fusion.parameters()
-                + self.heads.parameters())
+                + self.entity_head.parameters())
 
     def named_parameters(self) -> list[tuple[str, diff.Tensor]]:
         return (self.completion_encoder.named_parameters("completion")
                 + self.alignment_encoder.named_parameters("alignment")
                 + self.fusion.named_parameters("fusion")
-                + self.heads.named_parameters("heads"))
+                + self.entity_head.named_parameters("heads/entity"))
 
 
 class TrainState:
@@ -249,7 +251,7 @@ class TrainState:
             hook = self.fusion_hook()
         with nullcontext() if tape else diff.no_grad():
             layers = encode(self.edges, self.model.alignment_side_encoder, hook)
-            return final_embeddings(layers, self.model.heads)
+            return final_embeddings(layers, self.model.entity_head)
 
     def pair_blocks(self, pair: tuple[str, str], finals: np.ndarray):
         return self.multikg.pair_blocks(pair, finals)
@@ -445,13 +447,19 @@ def _array_from_json(payload: dict) -> np.ndarray:
     return np.frombuffer(raw, dtype=payload["dtype"]).reshape(payload["shape"]).copy()
 
 
-def _seed_set_to_json(seed_set: SeedSet) -> dict:
-    return {"kg_pair": list(seed_set.kg_pair), "pairs": seed_set.pairs.tolist(),
-            "provenance": list(seed_set.provenance)}
+def _unpair(key: str) -> tuple[str, str]:
+    return tuple(key.split("|"))
 
 
-def _seed_set_from_json(payload: dict) -> SeedSet:
-    return SeedSet(tuple(payload["kg_pair"]), payload["pairs"], list(payload["provenance"]))
+def _seed_sets_to_json(seed_sets: dict[tuple[str, str], SeedSet]) -> dict:
+    """Seed sets under their "a|b" keys; the key is the only copy of kg_pair."""
+    return {f"{a}|{b}": {"pairs": s.pairs.tolist(), "provenance": list(s.provenance)}
+            for (a, b), s in sorted(seed_sets.items())}
+
+
+def _seed_sets_from_json(payload: dict) -> dict[tuple[str, str], SeedSet]:
+    return {_unpair(key): SeedSet(_unpair(key), value["pairs"], list(value["provenance"]))
+            for key, value in payload.items()}
 
 
 def _copy_seed_sets(seed_sets: dict[tuple[str, str], SeedSet]) -> dict[tuple[str, str], SeedSet]:
@@ -461,8 +469,8 @@ def _copy_seed_sets(seed_sets: dict[tuple[str, str], SeedSet]) -> dict[tuple[str
 
 def _map_adam(state: dict, convert) -> dict:
     """An Adam state dict with `convert` applied to every moment array."""
-    return {**{k: state[k] for k in ("t", "lr", "beta1", "beta2", "eps")},
-            "m": [convert(a) for a in state["m"]], "v": [convert(a) for a in state["v"]]}
+    return {"t": state["t"], "m": [convert(a) for a in state["m"]],
+            "v": [convert(a) for a in state["v"]]}
 
 
 @dataclass
@@ -492,10 +500,8 @@ class Checkpoint:
             "adam_completion": _map_adam(self.adam_completion, _array_to_json),
             "adam_alignment": _map_adam(self.adam_alignment, _array_to_json),
             "entropy": {"h_tilde": {f"{a}|{b}": v for (a, b), v in sorted(self.h_tilde.items())}},
-            "train_seeds": {f"{a}|{b}": _seed_set_to_json(s)
-                            for (a, b), s in sorted(self.train_seeds.items())},
-            "test_seeds": {f"{a}|{b}": _seed_set_to_json(s)
-                           for (a, b), s in sorted(self.test_seeds.items())},
+            "train_seeds": _seed_sets_to_json(self.train_seeds),
+            "test_seeds": _seed_sets_to_json(self.test_seeds),
             "transferred": {kg: rows.tolist() for kg, rows in sorted(self.transferred.items())},
         }
         Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")),
@@ -503,14 +509,12 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: Path) -> "Checkpoint":
-        """Read a checkpoint; a missing key or an undecodable value raises
-        TrainError. An `entropy.h_current` entry, written by older versions,
-        is ignored."""
+        """Read a checkpoint; another version, a missing key or an
+        undecodable value raises TrainError."""
         payload = read_json(path, "checkpoint")
         try:
             if payload.get("version") != CHECKPOINT_VERSION:
                 raise TrainError(f"unsupported checkpoint version {payload.get('version')}")
-            unpair = lambda key: tuple(key.split("|"))
             return cls(
                 config=TrainConfig.from_dict(payload["config"]),
                 vocab_hash=payload["vocab_hash"],
@@ -519,11 +523,9 @@ class Checkpoint:
                 parameters={k: _array_from_json(v) for k, v in payload["parameters"].items()},
                 adam_completion=_map_adam(payload["adam_completion"], _array_from_json),
                 adam_alignment=_map_adam(payload["adam_alignment"], _array_from_json),
-                h_tilde={unpair(k): v for k, v in payload["entropy"]["h_tilde"].items()},
-                train_seeds={unpair(k): _seed_set_from_json(v)
-                             for k, v in payload["train_seeds"].items()},
-                test_seeds={unpair(k): _seed_set_from_json(v)
-                            for k, v in payload["test_seeds"].items()},
+                h_tilde={_unpair(k): v for k, v in payload["entropy"]["h_tilde"].items()},
+                train_seeds=_seed_sets_from_json(payload["train_seeds"]),
+                test_seeds=_seed_sets_from_json(payload["test_seeds"]),
                 transferred={kg: np.asarray(rows, dtype=np.int64).reshape(-1, 4)
                              for kg, rows in payload["transferred"].items()},
             )
@@ -577,7 +579,7 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
         raise TrainError("checkpoint/data mismatch")
     for seed_sets in (checkpoint.train_seeds, checkpoint.test_seeds):
         for pair, seed_set in seed_sets.items():
-            if pair not in multikg.seed_sets or seed_set.kg_pair != pair:
+            if pair not in multikg.seed_sets:
                 raise _malformed(f"seeds for {pair}, which is no seeded KG pair of the data")
             if checkpoint.config.entr_active and pair not in checkpoint.h_tilde:
                 raise _malformed(f"no pre-training entropy for {pair}")

@@ -8,7 +8,6 @@ from jointkg import alignment as al
 from jointkg import diff
 from jointkg.alignment import (
     FusionParams,
-    HeadParams,
     alignment_loss,
     build_alignment_matrix,
     final_embeddings,
@@ -91,32 +90,33 @@ class TestFinalEmbeddings:
         rng = np.random.default_rng(3)
         table = rng.normal(size=(4, 3))
         rel = rng.normal(size=(2, 3))
-        heads = HeadParams(identity_mlp(3), identity_mlp(3))
-        entity_final, relation_final = final_embeddings(layers_of([table], [rel]), heads)
+        entity_final, relation_stack = final_embeddings(layers_of([table], [rel]),
+                                                        identity_mlp(3))
         assert np.array_equal(entity_final.values, table)
-        assert np.array_equal(relation_final.values, rel)
+        assert np.array_equal(relation_stack.values, rel)
 
     def test_k1_selector_head_returns_layer_zero(self):
+        """The head maps the entity stack; the relation stack comes back
+        unmapped, layer 0's columns before layer 1's."""
         rng = np.random.default_rng(4)
         layer0 = rng.normal(size=(4, 3))
         layer1 = rng.normal(size=(4, 3))
         rel0 = rng.normal(size=(2, 3))
         rel1 = rng.normal(size=(2, 3))
-        heads = HeadParams(select_first_block(6, 3), select_first_block(6, 3))
-        entity_final, relation_final = final_embeddings(
-            layers_of([layer0, layer1], [rel0, rel1]), heads)
+        entity_final, relation_stack = final_embeddings(
+            layers_of([layer0, layer1], [rel0, rel1]), select_first_block(6, 3))
         assert np.allclose(entity_final.values, layer0)
-        assert np.allclose(relation_final.values, rel0)
+        assert np.array_equal(relation_stack.values, np.hstack([rel0, rel1]))
 
     def test_permuting_rows_permutes_finals(self):
         rng = np.random.default_rng(5)
         layer0 = rng.normal(size=(5, 3))
         layer1 = rng.normal(size=(5, 3))
-        heads = HeadParams.create(1, 3, np.random.default_rng(6))
-        base, _ = final_embeddings(layers_of([layer0, layer1], [np.zeros((1, 3))] * 2), heads)
+        head = al.Mlp.create([6, 3, 3], ("leakyrelu", "identity"), np.random.default_rng(6))
+        base, _ = final_embeddings(layers_of([layer0, layer1], [np.zeros((1, 3))] * 2), head)
         perm = rng.permutation(5)
         permuted, _ = final_embeddings(
-            layers_of([layer0[perm], layer1[perm]], [np.zeros((1, 3))] * 2), heads)
+            layers_of([layer0[perm], layer1[perm]], [np.zeros((1, 3))] * 2), head)
         assert np.allclose(permuted.values, base.values[perm])
 
 
@@ -236,13 +236,14 @@ def dyadic_negative_cases(draw):
 
 class TestNearestNegativesOracle:
     @settings(max_examples=300, deadline=None)
-    @given(dyadic_negative_cases(), st.integers(1, 3))
-    def test_equals_reference_loop(self, case, row_block):
-        """Ties everywhere (duplicate rows, rank-one tables), with blocks of
-        1-3 rows so positives straddle block edges."""
+    @given(dyadic_negative_cases(), st.integers(1, 240))
+    def test_equals_reference_loop(self, case, block_bytes):
+        """Ties everywhere (duplicate rows, rank-one tables), with budgets of
+        1-240 bytes, so blocks of 1-15 rows and positives straddle block
+        edges."""
         pairs, source, target, k_neg = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(al, "_ROW_BLOCK", row_block)
+            patch.setattr(diff, "BLOCK_BYTES", block_bytes)
             assert (nearest_negatives(pairs, source, target, k_neg)
                     == reference_nearest_negatives(pairs, source, target, k_neg))
 
@@ -348,14 +349,14 @@ class TestGreedyOneToOne:
         assert all(score == values[r, c] for r, c, score in matches)
 
     @settings(max_examples=300, deadline=None)
-    @given(greedy_cases(), st.integers(1, 3), st.integers(1, 3))
-    def test_small_candidate_lists_equal_reference_loop(self, case, width, row_block):
-        """1-3 candidates per row in blocks of 1-3 rows: rows refill and ties
-        straddle the candidate cut, at every limit."""
+    @given(greedy_cases(), st.integers(1, 3), st.integers(1, 120))
+    def test_small_candidate_lists_equal_reference_loop(self, case, width, block_bytes):
+        """1-3 candidates per row in blocks of 1-120 bytes (a few rows):
+        rows refill and ties straddle the candidate cut, at every limit."""
         values, _, taken_rows, taken_cols = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(al, "_GREEDY_CANDIDATES", width)
-            patch.setattr(al, "_ROW_BLOCK", row_block)
+            patch.setattr(diff, "BLOCK_BYTES", block_bytes)
             for limit in range(min(values.shape) + 2):
                 assert (greedy_one_to_one(values, limit, taken_rows, taken_cols)
                         == reference_greedy(values, limit, taken_rows, taken_cols))

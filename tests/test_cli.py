@@ -300,6 +300,25 @@ class TestCheckpointAgainstData:
         assert code == 1
         assert "error [train]: checkpoint is malformed: " in capsys.readouterr().err
 
+    def test_version_1_checkpoint_is_refused(self, dataset, trained_payload, tmp_path, capsys):
+        """A checkpoint in version 1's layout (Adam settings beside the
+        moments, each seed set's pair in its value) names its version in the
+        error."""
+        payload = json.loads(json.dumps(trained_payload))
+        payload["version"] = 1
+        for side in ("adam_completion", "adam_alignment"):
+            payload[side].update(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
+        for seeds in ("train_seeds", "test_seeds"):
+            payload[seeds]["kg1|kg2"]["kg_pair"] = ["kg1", "kg2"]
+        checkpoint = tmp_path / "checkpoint.json"
+        checkpoint.write_text(json.dumps(payload))
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [train]: ")
+        assert err.rstrip().endswith("unsupported checkpoint version 1")
+
 
 class TestGridCommand:
     def test_grid_emits_leaderboard(self, dataset, tmp_path):
@@ -324,7 +343,7 @@ class TestEnvOverrides:
         merged = apply_env_overrides(data, environ={"JOINTKG_DIM": "32",
                                                     "JOINTKG_SI_MODE": "without",
                                                     "JOINTKG_ABLATIONS": '["no_entr"]'})
-        config = TrainConfig.from_dict(merged, require_all=True)
+        config = TrainConfig.from_dict(merged)
         assert config.dim == 32
         assert config.ablations == ("no_entr",)
 
@@ -369,7 +388,7 @@ class TestBadJsonInputs:
 
     def test_checkpoint_missing_keys(self, dataset, tmp_path, capsys):
         checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text('{"version": 1}')
+        checkpoint.write_text(json.dumps({"version": train.CHECKPOINT_VERSION}))
         code, err = self.run(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
                               "--out", str(tmp_path / "eval")], capsys)
         assert code == 1

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from jointkg import diff
 from jointkg.alignment import (
     FusionParams,
-    HeadParams,
     alignment_loss,
     final_embeddings,
     make_fusion_hook,
@@ -253,7 +252,7 @@ def _model_losses(seed):
     completion = EncoderParams.create(2, 3, 6, 2, rng)
     alignment_side = EncoderParams.create(2, 3, 6, 2, rng)
     fusion = FusionParams.create(2, 3, rng)
-    heads = HeadParams.create(2, 3, rng)
+    head = diff.Mlp.create([9, 3, 3], ("leakyrelu", "identity"), rng)
 
     layers = encode(edges, completion)
     encoder = diff.sum_all(diff.mul(layers.entities[2], diff.tensor(rng.normal(size=(6, 3)))))
@@ -264,12 +263,12 @@ def _model_losses(seed):
         alignment_constraint_loss(np.array([[0, 3], [1, 4]]), layers))
     with diff.no_grad():
         hook = make_fusion_hook(encode(edges, completion), fusion)
-    finals, _ = final_embeddings(encode(edges, alignment_side, hook), heads)
+    finals, _ = final_embeddings(encode(edges, alignment_side, hook), head)
     alignment_total = alignment_loss([(0, 3), (1, 4)],
                                      [(0, (2, 3)), (0, (0, 5)), (1, (5, 4)), (1, (1, 2))],
                                      0.5, finals)
     every = (completion.parameters() + alignment_side.parameters() + fusion.parameters()
-             + heads.parameters())
+             + head.parameters())
     return [("encoder", encoder, every), ("completion", completion_total, every),
             ("alignment", alignment_total, every)]
 

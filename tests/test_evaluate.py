@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jointkg import completion
+from jointkg import diff
 from jointkg import evaluate as ev
 from jointkg.completion import score_all_tails
 from jointkg.errors import EvalError
@@ -222,8 +222,8 @@ def scoring_cases(draw):
     queries = draw(st.integers(0, 12))
     heads = rng.integers(entities, size=queries)
     rels = rng.integers(relations, size=queries)
-    block = draw(st.integers(1, 3))
-    return heads, rels, entity_values, relation_values, offset, count, block
+    block_bytes = draw(st.integers(1, 200))
+    return heads, rels, entity_values, relation_values, offset, count, block_bytes
 
 
 def reference_sweep(multikg, entity_values, relation_values, split):
@@ -245,9 +245,9 @@ class TestBatchedScoring:
     @settings(max_examples=200, deadline=None)
     @given(scoring_cases())
     def test_score_all_tails_equals_per_query_loop(self, case):
-        heads, rels, entity_values, relation_values, offset, count, block = case
+        heads, rels, entity_values, relation_values, offset, count, block_bytes = case
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(completion, "_QUERY_BLOCK", block)
+            patch.setattr(diff, "BLOCK_BYTES", block_bytes)
             scores = score_all_tails(heads, rels, entity_values, relation_values, offset, count)
         assert scores.shape == (heads.size, count)
         for row, h, r in zip(scores, heads, rels):

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from jointkg import diff
 from jointkg.completion import sample_negatives
 from jointkg.entr import transfer_triples
 from jointkg.errors import TrainError
@@ -53,11 +54,11 @@ class TestTrainConfig:
         path = tmp_path / "config.json"
         config.to_file(path)
         data = read_json(path, "config file")
-        assert TrainConfig.from_dict(data, require_all=True) == config
+        assert TrainConfig.from_dict(data) == config
 
         del data["beta"]
         with pytest.raises(TrainError, match="missing config field: beta"):
-            TrainConfig.from_dict(data, require_all=True)
+            TrainConfig.from_dict(data)
 
     def test_to_dict_lists_ablations(self):
         config = small_config(ablations=("no_sir", "no_entr"))
@@ -325,8 +326,9 @@ class TestCheckpoint:
             assert np.array_equal(t_a.values, t_b.values), name_a
 
     def test_checkpoint_with_h_current_resumes_bitwise(self, tmp_path):
-        """A checkpoint in the earlier layout, whose entropy block also holds
-        the latest entropy per pair (`h_current`), loads and resumes."""
+        """A checkpoint whose entropy block also holds a key the loader does
+        not read (`h_current`, the latest entropy per pair, which an earlier
+        layout wrote) loads and resumes."""
         config = small_config(epochs=3)
         direct_state = TrainState(toy_pair_dataset(drop_in_first=2), config)
         direct_state.initialize_entropy_baseline()
@@ -400,7 +402,7 @@ class TestCheckpoint:
     def test_resume_rejects_a_seed_pair_of_no_kg_pair(self, tmp_path):
         path, payload = self._saved_payload(tmp_path)
         seed_set = payload["train_seeds"].pop("aa|bb")
-        payload["train_seeds"]["bb|aa"] = dict(seed_set, kg_pair=["bb", "aa"])
+        payload["train_seeds"]["bb|aa"] = seed_set
         path.write_text(json.dumps(payload))
         with pytest.raises(TrainError, match="malformed: seeds for \\('bb', 'aa'\\)"):
             resume(Checkpoint.load(path), toy_pair_dataset())
@@ -476,7 +478,7 @@ class TestJointModel:
     def test_parameters_are_the_named_tensors_in_order(self):
         model = JointModel(small_config(layers=2), toy_pair_dataset())
         for block in (model.completion_encoder, model.alignment_encoder, model.fusion,
-                      model.heads, model.heads.entity_head, model.completion_encoder.att[1]):
+                      model.entity_head, model.completion_encoder.att[1]):
             named = [tensor for _, tensor in block.named_parameters("x")]
             assert [id(t) for t in block.parameters()] == [id(t) for t in named]
 
@@ -492,6 +494,30 @@ class TestJointModel:
         assert len(set(completion + alignment)) == len(completion + alignment)
         if not flags:
             assert completion + alignment == [id(t) for _, t in named]
+
+    def test_only_the_unused_relation_transitions_get_no_gradient(self, monkeypatch):
+        """One completion and one alignment step from initialisation at two
+        layers: every parameter gets a gradient except the alignment
+        encoder's last relation MLP and the last relation fuser. Their
+        layer-2 relation tables enter only the relation stack, and no loss
+        reads it."""
+        state = TrainState(toy_pair_dataset(), small_config(layers=2))
+        names = {id(tensor): name for name, tensor in state.model.named_parameters()}
+        stepped, without_grad = set(), set()
+        step = diff.Adam.step
+
+        def recording_step(adam):
+            stepped.update(names[id(p)] for p in adam.params)
+            without_grad.update(names[id(p)] for p in adam.params if p.grad is None)
+            step(adam)
+
+        monkeypatch.setattr(diff.Adam, "step", recording_step)
+        state.completion_step()
+        state.alignment_step()
+        assert stepped == set(names.values())
+        assert without_grad == {f"{block}/{array}"
+                                for block in ("alignment/layer1/rel", "fusion/layer2/relation")
+                                for array in ("w0", "b0", "w1", "b1")}
 
     def test_variants_share_initialization_for_one_seed(self):
         multikg = toy_pair_dataset()
