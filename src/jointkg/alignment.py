@@ -103,7 +103,9 @@ def build_alignment_matrix(source_finals: np.ndarray, target_finals: np.ndarray,
 def top_columns(values: np.ndarray, k: int) -> np.ndarray:
     """Per row of `values`, its first k columns in the order (value
     descending, column ascending), as a (rows x k) int64 array; NaN ranks
-    last, as in a stable sort of the negated values."""
+    last, as in a stable sort of the negated values. It holds three
+    float64 tables of `values`' shape at once (`values`, its negation and
+    the partitioned copy), so callers block rows by 3 * 8 * columns bytes."""
     key = -values
     # a row keeps at least k entries: its k least keys, ties at the k-th included
     kept = ~(key > np.partition(key, k - 1, axis=1)[:, k - 1, None])
@@ -118,9 +120,12 @@ def nearest_negatives(pairs: np.ndarray, source_finals: np.ndarray,
                       target_finals: np.ndarray, k_neg: int
                       ) -> list[tuple[int, tuple[int, int]]]:
     """For each positive pair, 2*k_neg negatives made by swapping either side
-    for its k_neg nearest same-KG entities (cosine; ties to the lowest id;
-    never the entity itself). Returns (positive_index, negative_pair) items,
-    each positive's left swaps before its right swaps."""
+    for its k_neg nearest same-KG entities (cosine; never the entity
+    itself). Bit-equal cosines tie to the lowest id, but BLAS may round the
+    cosines of identical rows differently, so duplicated or collapsed finals
+    can rank by rounding rather than by id. Returns (positive_index,
+    negative_pair) items, each positive's left swaps before its right
+    swaps."""
     if k_neg < 1:
         raise AlignmentError(f"k_neg must be >= 1, got {k_neg}")
     if len(source_finals) <= k_neg or len(target_finals) <= k_neg:
@@ -129,7 +134,7 @@ def nearest_negatives(pairs: np.ndarray, source_finals: np.ndarray,
     nearest = np.empty((2, len(pairs), k_neg), dtype=np.int64)
     for s, (side, finals) in enumerate((("source", source_finals), ("target", target_finals))):
         unit = _unit_rows(finals, side)
-        for rows in diff.blocks(len(pairs), 8 * len(unit)):
+        for rows in diff.blocks(len(pairs), 3 * 8 * len(unit)):
             block = pairs[rows, s]
             sims = unit[block] @ unit.T
             sims[np.arange(block.size), block] = -np.inf
@@ -194,7 +199,7 @@ def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=
 
     width = min(_GREEDY_CANDIDATES, free_cols.size)
     prefixes = [top_columns(values[free_rows[rows]].take(free_cols, axis=1), width)
-                for rows in diff.blocks(free_rows.size, 8 * free_cols.size)]
+                for rows in diff.blocks(free_rows.size, 3 * 8 * free_cols.size)]
     candidates = dict(zip(free_rows.tolist(), free_cols[np.vstack(prefixes)]))
     position = dict.fromkeys(candidates, 0)
     heap = [(-float(values[r, cols[0]]), r, int(cols[0])) for r, cols in candidates.items()]

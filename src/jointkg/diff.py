@@ -14,17 +14,21 @@ All values are 64-bit floats and every reduction runs in a fixed order, so
 identical inputs give bit-identical forwards and gradients. The row
 scatter-sums (the backward of `gather_rows`, the forward of
 `scatter_weighted_sum`) add each target's rows sequentially in ascending
-input position, the order of `np.add.at`.
+input position from 0.0, the order of `np.add.at`: a CSR product for
+tables, `np.bincount` for vectors.
 
 The fused ops `affine`, `translation_l1`, `neighbor_attention` and
 `cosine_hinge` each record one node where the composed graph they replace
 recorded several; `affine` and `cosine_hinge` match theirs bit for bit, in
-values and gradients. `translation_l1` and `cosine_hinge` take their
-(rows x dim) temporaries in blocks of at most `BLOCK_BYTES` bytes
-(`blocks`): row blocks where each output row reads only its own input rows,
-column blocks where a scatter-sum adds many rows into one, so each target
-column still adds its rows in ascending input position and no block size
-moves a bit.
+values and gradients. Their (rows x dim) temporaries come in two kinds of
+loop. Memory budgets of at most `BLOCK_BYTES` bytes (`blocks`) bound
+`cosine_hinge`'s row and column blocks and `translation_l1`'s backward
+column blocks. Cache tiles of `_EDGE_BLOCK` rows, sized for speed, carry
+`translation_l1`'s forward and `neighbor_attention`'s per-edge weight
+gradient. Rows are split where each output row reads only its own input
+rows, columns where a scatter-sum adds many rows into one, so each target
+column still adds its rows in ascending input position and no block or
+tile size moves a bit.
 
 `translation_l1` gives -sum_j |e[h] + r[rel] - e[t]|_j per row, the same
 values as three gathers, add, sub, `l1_norm_row` and `scale(-1)`; its node
@@ -54,12 +58,18 @@ from .errors import DiffError
 
 _grad_enabled = True
 
-# Bytes per blocked temporary: the fused ops' (rows x dim) tables, and the
-# similarity, distance and value rows of `entr.matrix_entropy`,
-# `completion.score_all_tails`, `alignment.nearest_negatives` and greedy's
-# candidate prefixes. Large enough that a criterion-6-sized call runs in one
-# block.
+# A memory budget, not a cache tile: bytes per blocked temporary in
+# `cosine_hinge`'s (rows x dim) tables and `translation_l1`'s backward
+# columns, and in the similarity, distance and value rows of
+# `entr.matrix_entropy`, `completion.score_all_tails`,
+# `alignment.nearest_negatives` and greedy's candidate prefixes. Large
+# enough that a criterion-6-sized call runs in one block.
 BLOCK_BYTES = 16 << 20
+
+# A cache tile, not a memory budget: rows per tile of `translation_l1`'s
+# forward and `neighbor_attention`'s per-edge weight gradient. Three tiles
+# of this many rows at dim 128 take 768 KiB, well inside a core's L2.
+_EDGE_BLOCK = 256
 
 
 def blocks(count: int, unit_bytes: int):
@@ -220,7 +230,8 @@ def affine(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
         if activation == "tanh":
             g = g * (1.0 - out * out)
         elif activation == "leakyrelu":
-            g = g * np.where(out > 0, 1.0, _LEAKY_SLOPE)
+            slopes = np.where(out > 0, 1.0, _LEAKY_SLOPE)
+            g = np.multiply(slopes, g, out=slopes)
         return g @ wv.T, xv.T @ g, _unbroadcast(g, bv.shape)
 
     return _result(out, (x, w, b), grad_fn, "affine")
@@ -374,24 +385,28 @@ def _scatter_plan(index: np.ndarray, num_rows: int, num_inputs: int,
     inputs a whole number of times over.
 
     Plan row s lists, in ascending input position, the i with index[i] == s
-    (a stable argsort), so each target starts from 0.0 and adds its rows
-    sequentially in input order, exactly as `np.add.at` into zeros does, in
-    every column independently. Every product term is x * +-1.0, so the
-    result is exact per term and does not depend on FMA contraction.
+    (a stable argsort, a radix sort on uint16 ids up to 65,536 rows), so
+    each target starts from 0.0 and adds its rows sequentially in input
+    order, exactly as `np.add.at` into zeros does, in every column
+    independently. Every product term is x * +-1.0, so the result is exact
+    per term and does not depend on FMA contraction.
     """
     # imported here, not at module top, so `import jointkg` stays cheap
     from scipy.sparse import csr_matrix
 
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(index, minlength=num_rows), out=indptr[1:])
-    order = np.argsort(index, kind="stable")
+    order = np.argsort(index.astype(np.uint16) if num_rows <= 1 << 16 else index, kind="stable")
     entries = np.ones(index.size) if signs is None else signs[order].astype(np.float64)
     return csr_matrix((entries, order % num_inputs, indptr), shape=(num_rows, num_inputs))
 
 
 def _row_scatter_sum(index: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
     """out[s] = sum of rows[i] over i with index[i] == s, for 1-D or 2-D
-    `rows`, in ascending i (see `_scatter_plan`)."""
+    `rows`, in ascending i (see `_scatter_plan`); `np.bincount` adds a
+    vector's entries in that order."""
+    if rows.ndim == 1:
+        return np.bincount(index, weights=rows, minlength=num_rows).astype(np.float64, copy=False)
     return _scatter_plan(index, num_rows, rows.shape[0]) @ rows
 
 
@@ -415,8 +430,9 @@ def gather_rows(a: Tensor, index) -> Tensor:
 def translation_l1(entities: Tensor, relations: Tensor, heads, rels, tails) -> Tensor:
     """-sum_j |entities[heads] + relations[rels] - entities[tails]|_j per row.
 
-    The forward runs in row blocks; the backward scatters u = sign * -g in
-    column blocks, with the accumulation order of the module docstring."""
+    The forward runs in tiles of `_EDGE_BLOCK` rows; the backward scatters
+    u = sign * -g in column blocks, with the accumulation order of the
+    module docstring."""
     h = np.asarray(heads, dtype=np.int64)
     r = np.asarray(rels, dtype=np.int64)
     t = np.asarray(tails, dtype=np.int64)
@@ -431,10 +447,11 @@ def translation_l1(entities: Tensor, relations: Tensor, heads, rels, tails) -> T
     dim = e.shape[1]
     sign = np.empty((h.size, dim), dtype=np.int8)
     out = np.empty(h.size)
-    for rows in blocks(h.size, 8 * dim):
+    for start in range(0, h.size, _EDGE_BLOCK):
+        rows = slice(start, start + _EDGE_BLOCK)
         delta = e[h[rows]] + rel[r[rows]]
         delta -= e[t[rows]]
-        sign[rows] = np.sign(delta)
+        np.subtract(delta > 0, delta < 0, out=sign[rows], dtype=np.int8)
         out[rows] = np.abs(delta, out=delta).sum(axis=1) * -1.0
 
     def grad_fn(g):
@@ -569,12 +586,6 @@ def segment_softmax(logits: Tensor, segments, num_segments: int) -> Tensor:
         return (logits_grad(g),)
 
     return _result(out, (logits,), grad_fn, "segment_softmax")
-
-
-# rows per block of the per-edge weight gradient: three blocks of this many
-# rows at dim 128 take 768 KiB, well inside a core's L2. It sizes a cache
-# tile for speed, not a memory cap, so it is no BLOCK_BYTES budget
-_EDGE_BLOCK = 256
 
 
 def neighbor_attention(entities: Tensor, composed: Tensor | None, weight: Tensor | None,
@@ -841,13 +852,20 @@ class Adam:
                 continue
             if not np.all(np.isfinite(g)):
                 raise DiffError("non-finite gradient")
+            # in place, in the order of lr * m_hat / sqrt(v_hat + eps) with
+            # m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t)
+            update, denominator = np.empty_like(m), np.empty_like(v)
             m *= ADAM_BETA1
-            m += (1.0 - ADAM_BETA1) * g
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=update)
             v *= ADAM_BETA2
-            v += (1.0 - ADAM_BETA2) * g * g
-            m_hat = m / (1.0 - ADAM_BETA1 ** self.t)
-            v_hat = v / (1.0 - ADAM_BETA2 ** self.t)
-            p.values -= self.lr * m_hat / np.sqrt(v_hat + ADAM_EPS)
+            np.multiply(g, 1.0 - ADAM_BETA2, out=update)
+            v += np.multiply(update, g, out=update)
+            np.divide(v, 1.0 - ADAM_BETA2 ** self.t, out=denominator)
+            denominator += ADAM_EPS
+            np.divide(m, 1.0 - ADAM_BETA1 ** self.t, out=update)
+            update *= self.lr
+            update /= np.sqrt(denominator, out=denominator)
+            p.values -= update
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -490,6 +490,10 @@ class Checkpoint:
     transferred: dict[str, np.ndarray]  # per KG, (head, relation, tail, epoch) rows
 
     def save(self, path: Path) -> None:
+        """Write the checkpoint as compact JSON with sorted keys, arrays as
+        base64. `json.dump` streams the text into the open file, so no
+        whole-file string or byte copy is built; the bytes are those of
+        `json.dumps` with the same settings."""
         payload = {
             "version": CHECKPOINT_VERSION,
             "config": self.config.to_dict(),
@@ -504,8 +508,8 @@ class Checkpoint:
             "test_seeds": _seed_sets_to_json(self.test_seeds),
             "transferred": {kg: rows.tolist() for kg, rows in sorted(self.transferred.items())},
         }
-        Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")),
-                              encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def load(cls, path: Path) -> "Checkpoint":

@@ -16,10 +16,12 @@ from jointkg.errors import DiffError
 from jointkg.rgnn import EdgeList, EncoderParams, build_edges, encode, layer_forward
 
 from .util import (
+    reference_adam_step,
     reference_affine,
     reference_backward,
     reference_cosine_hinge,
     reference_layer_forward,
+    reference_scatter_plan,
     reference_translation_l1,
     score_layer,
     single_kg,
@@ -391,7 +393,21 @@ class TestRowScatterSum:
     @pytest.mark.parametrize("shape", [(0,), (0, 3)])
     def test_empty_index_gives_zeros(self, shape):
         got = diff._row_scatter_sum(np.zeros(0, dtype=np.int64), np.zeros(shape), 4)
+        assert got.dtype == np.float64
         assert np.array_equal(_bits(got), _bits(np.zeros((4,) + shape[1:])))
+
+    @pytest.mark.parametrize("num_rows", [65_536, 65_537])
+    def test_plan_at_the_uint16_limit_equals_int64_sort(self, num_rows):
+        # ids at both ends of the range, the last one past uint16 at 65,537 rows
+        rng = np.random.default_rng(num_rows)
+        index = np.concatenate([[num_rows - 1, 0, num_rows - 1],
+                                rng.integers(num_rows, size=150_000)])
+        signs = rng.choice(np.array([1, -1], dtype=np.int8), size=index.size)
+        for plan_signs in (None, signs):
+            got = diff._scatter_plan(index, num_rows, 50_001, plan_signs)
+            expected = reference_scatter_plan(index, num_rows, 50_001, plan_signs)
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(expected, part)), part
 
     def test_negative_zero_sums_to_positive_zero(self):
         got = diff._row_scatter_sum(np.array([1, 1]), np.array([-0.0, -0.0]), 3)
@@ -493,7 +509,13 @@ class TestTranslationL1:
         r = data.draw(arrays(np.float64, (relation_count, dim), elements=_SCATTER_VALUES))
         g = data.draw(arrays(np.float64, (count,), elements=_SCATTER_VALUES))
         budget = data.draw(_BUDGETS)
+        tile = data.draw(st.sampled_from([1, 2, 3, 7, diff._EDGE_BLOCK]))
+        self._assert_equals_reference(e, r, index, g, budget, tile)
 
+    @staticmethod
+    def _assert_equals_reference(e, r, index, g, budget, tile):
+        """The fused op under a `BLOCK_BYTES` budget and `_EDGE_BLOCK` tile
+        against the untiled, unblocked oracle, bit for bit."""
         def run(op):
             entities, relations = diff.param(e), diff.param(r)
             f = op(entities, relations, *index)
@@ -502,9 +524,25 @@ class TestTranslationL1:
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(diff, "BLOCK_BYTES", budget)
+            patch.setattr(diff, "_EDGE_BLOCK", tile)
             fused = run(diff.translation_l1)
         for got, expected in zip(fused, run(reference_translation_l1)):
             assert np.array_equal(_bits(got), _bits(expected))
+        return fused
+
+    @pytest.mark.parametrize("tile", [1, 2, 3])
+    def test_zero_deltas_of_either_sign_give_zero_gradients(self, tile):
+        # every coordinate of every row is exactly 0.0 or -0.0:
+        # (-0 + -0) - 0 = -0, (0 + -0) - -0 = 0, (1 + 0) - 1 = 0
+        e = np.array([[-0.0, 0.0, 1.0], [0.0, -0.0, 1.0]])
+        r = np.array([[-0.0, -0.0, 0.0]])
+        index = ([0, 1, 0, 1], [0, 0, 0, 0], [1, 0, 0, 1])
+        g = np.array([1.0, -2.0, 0.5, -0.0])
+        values, entity_grad, relation_grad = self._assert_equals_reference(
+            e, r, index, g, diff.BLOCK_BYTES, tile)
+        assert np.array_equal(values, np.zeros(4))
+        assert np.array_equal(entity_grad, np.zeros(e.shape))
+        assert np.array_equal(relation_grad, np.zeros(r.shape))
 
     @pytest.mark.parametrize("which, bad", [("head", [0, 4]), ("head", [-1, 0]),
                                             ("relation", [0, 2]), ("relation", [-1, 0]),
@@ -808,6 +846,31 @@ class TestAdam:
         opt = diff.Adam([p], lr=0.1)
         opt.step()
         assert p.values.tolist() == [3.0]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_in_place_steps_equal_allocating_formula_across_a_resume(self, seed):
+        rng = np.random.default_rng(seed)
+        shapes = [(3, 4), (5,), ()]
+        expected = [rng.normal(size=shape) for shape in shapes]
+        m = [np.zeros(shape) for shape in shapes]
+        v = [np.zeros(shape) for shape in shapes]
+        params = [diff.param(values.copy()) for values in expected]
+        opt = diff.Adam(params, lr=0.05)
+        for t in range(1, 8):
+            if t == 4:  # resume from the state dict into fresh tensors
+                params = [diff.param(p.values.copy()) for p in params]
+                state = opt.state_dict()
+                opt = diff.Adam(params, lr=0.05)
+                opt.load_state_dict(state)
+            # each parameter skips a step now and then
+            grads = [None if (t + i) % 3 == 0 else rng.normal(size=shape) * 10.0 ** (t - 4)
+                     for i, shape in enumerate(shapes)]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            reference_adam_step(expected, grads, m, v, t, 0.05)
+            for got, want in zip([p.values for p in params] + opt.m + opt.v, expected + m + v):
+                assert np.array_equal(_bits(got), _bits(want))
 
     def test_state_dict_round_trip(self):
         p = diff.param(np.array([1.0, 2.0]))

@@ -1,6 +1,7 @@
 """Memory guards for the fused and blocked ops: one tape node per `Mlp`
-layer, no per-pairing rows on the alignment hinge's node, and traced peaks
-of the blocked ops bounded by their kept tables plus a few block budgets."""
+layer, no per-pairing rows on the alignment hinge's node, traced peaks of
+the blocked ops bounded by their kept tables plus a few block budgets or
+cache tiles, and a checkpoint save that builds no whole-file string."""
 import numpy as np
 import pytest
 import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts its import
@@ -8,8 +9,10 @@ import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts i
 from jointkg import diff
 from jointkg.alignment import alignment_loss
 from jointkg.entr import matrix_entropy
+from jointkg.train import TrainState, snapshot
 
-from .util import held_arrays, traced_peak
+from .test_train import small_config
+from .util import held_arrays, toy_pair_dataset, traced_peak
 
 BUDGET = 1 << 20
 
@@ -76,6 +79,20 @@ def test_translation_l1_peak_stays_within_signs_and_budgets(small_budget):
     assert peak < ROWS * DIM + 16 * VECTOR + 6 * BUDGET
 
 
+def test_translation_l1_forward_peak_stays_within_signs_output_and_tiles():
+    # at the default budget the whole (rows x dim) float64 table fits in one
+    # block; the forward still takes only a few tiles of it at a time
+    rows = 30_000
+    assert 8 * rows * DIM < diff.BLOCK_BYTES
+    rng = np.random.default_rng(5)
+    entities = diff.param(rng.normal(size=(500, DIM)))
+    relations = diff.param(rng.normal(size=(10, DIM)))
+    heads, tails = rng.integers(500, size=rows), rng.integers(500, size=rows)
+    rels = rng.integers(10, size=rows)
+    _, peak = traced_peak(lambda: diff.translation_l1(entities, relations, heads, rels, tails))
+    assert peak < rows * DIM + 8 * rows + 6 * 8 * diff._EDGE_BLOCK * DIM
+
+
 def test_hinge_peak_stays_within_vectors_and_budgets(small_budget):
     rng = np.random.default_rng(3)
     finals = diff.param(rng.normal(size=(2_000, DIM)))
@@ -88,3 +105,14 @@ def test_matrix_entropy_peak_stays_within_one_table_and_budgets(small_budget):
     matrix = np.random.default_rng(4).normal(size=(2_000, 1_500))
     _, peak = traced_peak(lambda: matrix_entropy(matrix))
     assert peak < matrix.nbytes + 4 * BUDGET
+
+
+def test_checkpoint_save_peak_stays_under_one_whole_file_string(tmp_path):
+    # the payload's base64 text is nearly the whole file; a save that also
+    # built the file as one string (and its encoded bytes) would double it
+    rng = np.random.default_rng(6)
+    checkpoint = snapshot(TrainState(toy_pair_dataset(), small_config()), 0.0)
+    checkpoint.parameters = {f"p{i:02d}": rng.normal(size=(32, DIM)) for i in range(64)}
+    path = tmp_path / "checkpoint.json"
+    _, peak = traced_peak(lambda: checkpoint.save(path))
+    assert peak < 1.5 * path.stat().st_size

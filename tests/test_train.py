@@ -303,6 +303,17 @@ class TestCheckpoint:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_saved_bytes_are_those_of_json_dumps(self, tmp_path):
+        # the streamed file is one compact, key-sorted `json.dumps` of what it holds
+        state = TrainState(toy_pair_dataset(drop_in_first=2), small_config())
+        state.initialize_entropy_baseline()
+        train_epoch(state)
+        path = tmp_path / "checkpoint.json"
+        snapshot(state, validation_mrr(state)).save(path)
+        saved = path.read_bytes()
+        assert saved == json.dumps(json.loads(saved), sort_keys=True,
+                                   separators=(",", ":")).encode("utf-8")
+
     @pytest.mark.parametrize("ablations", [()] + [(flag,) for flag in ABLATIONS],
                              ids=["full", *ABLATIONS])
     def test_resume_continues_bitwise(self, tmp_path, ablations):

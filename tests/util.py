@@ -302,6 +302,29 @@ def reference_translation_l1(entities: Tensor, relations: Tensor, heads, rels, t
     return diff._result(out, (entities, relations), grad_fn, "translation_l1")
 
 
+def reference_scatter_plan(index: np.ndarray, num_rows: int, num_inputs: int, signs=None):
+    """`diff._scatter_plan` with its stable argsort always on int64 ids."""
+    from scipy.sparse import csr_matrix
+
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=num_rows))])
+    order = np.argsort(np.asarray(index, dtype=np.int64), kind="stable")
+    entries = np.ones(index.size) if signs is None else signs[order].astype(np.float64)
+    return csr_matrix((entries, order % num_inputs, indptr), shape=(num_rows, num_inputs))
+
+
+def reference_adam_step(params, grads, m, v, t: int, lr: float) -> None:
+    """One Adam step from freshly allocated temporaries: `m`, `v` and the
+    parameter arrays are rebound entry by entry, never written in place."""
+    for i, g in enumerate(grads):
+        if g is None:
+            continue
+        m[i] = m[i] * diff.ADAM_BETA1 + (1.0 - diff.ADAM_BETA1) * g
+        v[i] = v[i] * diff.ADAM_BETA2 + (1.0 - diff.ADAM_BETA2) * g * g
+        m_hat = m[i] / (1.0 - diff.ADAM_BETA1 ** t)
+        v_hat = v[i] / (1.0 - diff.ADAM_BETA2 ** t)
+        params[i] = params[i] - lr * m_hat / np.sqrt(v_hat + diff.ADAM_EPS)
+
+
 def reference_matrix_entropy(matrix: np.ndarray) -> float:
     """Row-softmax entropy from whole-matrix temporaries."""
     values = np.asarray(matrix)
