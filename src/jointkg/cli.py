@@ -1,7 +1,7 @@
 """Command-line entry points: synth, train, eval, grid.
 
 Every run writes a manifest (resolved configuration, input hashes, package
-version, root seed) sufficient to reproduce its outputs byte for byte.
+version, root seed, BLAS library and threads) to reproduce outputs bitwise.
 Config values resolve as: config file < JOINTKG_* environment variables <
 explicit command-line flags.
 """
@@ -16,6 +16,8 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .alignment import build_alignment_matrix, greedy_match, write_matches
 from .errors import JointKgError, TrainError
@@ -25,20 +27,28 @@ from .synth import SynthSpec, generate, write_dataset
 from .train import Checkpoint, TrainConfig, fit, read_json, resume
 
 ENV_PREFIX = "JOINTKG_"
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _write_manifest(out_dir: Path, command: str, settings: dict, inputs: list[Path],
                     seed: int) -> None:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
         "settings": settings,
         "inputs": {p.name: _sha256(p) for p in sorted(inputs)},
         "version": __version__,
         "rng_seed": seed,
+        "blas": {key: blas.get(key) for key in ("name", "version")},
+        "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -86,11 +96,11 @@ def _data_inputs(data_dir: Path) -> list[Path]:
 
 
 def _fit_and_save(multikg, config: TrainConfig, out_dir: Path) -> Checkpoint:
-    """Train, then write checkpoint.json, metrics.tsv and config.json."""
+    """Train, then write checkpoint.npz, metrics.tsv and config.json."""
     out_dir.mkdir(parents=True, exist_ok=True)
     log_lines: list[str] = []
     checkpoint = fit(multikg, config, log_lines=log_lines)
-    checkpoint.save(out_dir / "checkpoint.json")
+    checkpoint.save(out_dir / "checkpoint.npz")
     (out_dir / "metrics.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     config.to_file(out_dir / "config.json")
     return checkpoint

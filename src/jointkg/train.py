@@ -10,10 +10,10 @@ One root seed drives every random draw, so runs reproduce bitwise.
 """
 from __future__ import annotations
 
-import base64
 import json
 import math
 import numbers
+import zipfile
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -38,7 +38,7 @@ from .rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 from .seeding import substream
 
 ABLATIONS = ("no_ra_gnn", "one_gnn", "no_sir", "no_entr", "no_align", "no_comple")
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 # metrics.tsv columns in order, each with the format spec of its values
 LOG_COLUMNS = {"epoch": "", "loss_completion": ".6f", "loss_alignment": ".6f", "budget": "",
                "transferred": "", "val_mrr": ".6f", "loss_ranking": ".6f"}
@@ -433,33 +433,8 @@ def fit(multikg: MultiKg, config: TrainConfig, log_lines: list[str] | None = Non
 # checkpointing
 
 
-def _array_to_json(values: np.ndarray) -> dict:
-    contiguous = np.ascontiguousarray(values)
-    return {
-        "shape": list(contiguous.shape),
-        "dtype": str(contiguous.dtype),
-        "data": base64.b64encode(contiguous.tobytes()).decode("ascii"),
-    }
-
-
-def _array_from_json(payload: dict) -> np.ndarray:
-    raw = base64.b64decode(payload["data"])
-    return np.frombuffer(raw, dtype=payload["dtype"]).reshape(payload["shape"]).copy()
-
-
 def _unpair(key: str) -> tuple[str, str]:
     return tuple(key.split("|"))
-
-
-def _seed_sets_to_json(seed_sets: dict[tuple[str, str], SeedSet]) -> dict:
-    """Seed sets under their "a|b" keys; the key is the only copy of kg_pair."""
-    return {f"{a}|{b}": {"pairs": s.pairs.tolist(), "provenance": list(s.provenance)}
-            for (a, b), s in sorted(seed_sets.items())}
-
-
-def _seed_sets_from_json(payload: dict) -> dict[tuple[str, str], SeedSet]:
-    return {_unpair(key): SeedSet(_unpair(key), value["pairs"], list(value["provenance"]))
-            for key, value in payload.items()}
 
 
 def _copy_seed_sets(seed_sets: dict[tuple[str, str], SeedSet]) -> dict[tuple[str, str], SeedSet]:
@@ -467,15 +442,19 @@ def _copy_seed_sets(seed_sets: dict[tuple[str, str], SeedSet]) -> dict[tuple[str
             for pair, s in seed_sets.items()}
 
 
-def _map_adam(state: dict, convert) -> dict:
-    """An Adam state dict with `convert` applied to every moment array."""
-    return {"t": state["t"], "m": [convert(a) for a in state["m"]],
-            "v": [convert(a) for a in state["v"]]}
+def _group(members: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]:
+    """The members named `<prefix>/<key>`, by key."""
+    return {name[len(prefix) + 1:]: values for name, values in members.items()
+            if name.startswith(prefix + "/")}
 
 
 @dataclass
 class Checkpoint:
-    """Everything needed to evaluate or bit-identically resume a run."""
+    """Everything needed to evaluate or bit-identically resume a run, saved as
+    one uncompressed `.npz` (version 3). Members `parameters/<name>`,
+    `adam_<side>/m/<i>` and `adam_<side>/v/<i>` (the side's i-th moments),
+    `train_seeds/<a>|<b>`, `test_seeds/<a>|<b>` and `transferred/<kg>` hold
+    the arrays; the 0-d `meta` member holds the rest as sorted-key JSON."""
 
     config: TrainConfig
     vocab_hash: str
@@ -490,52 +469,62 @@ class Checkpoint:
     transferred: dict[str, np.ndarray]  # per KG, (head, relation, tail, epoch) rows
 
     def save(self, path: Path) -> None:
-        """Write the checkpoint as compact JSON with sorted keys, arrays as
-        base64. `json.dump` streams the text into the open file, so no
-        whole-file string or byte copy is built; the bytes are those of
-        `json.dumps` with the same settings."""
-        payload = {
-            "version": CHECKPOINT_VERSION,
-            "config": self.config.to_dict(),
-            "vocab_hash": self.vocab_hash,
-            "epoch": self.epoch,
-            "val_mrr": self.val_mrr,
-            "parameters": {k: _array_to_json(v) for k, v in sorted(self.parameters.items())},
-            "adam_completion": _map_adam(self.adam_completion, _array_to_json),
-            "adam_alignment": _map_adam(self.adam_alignment, _array_to_json),
-            "entropy": {"h_tilde": {f"{a}|{b}": v for (a, b), v in sorted(self.h_tilde.items())}},
-            "train_seeds": _seed_sets_to_json(self.train_seeds),
-            "test_seeds": _seed_sets_to_json(self.test_seeds),
-            "transferred": {kg: rows.tolist() for kg, rows in sorted(self.transferred.items())},
-        }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
+        """Write the members in name order through an open handle (np.savez
+        would add `.npz` to a path); its fixed timestamps make saves byte-equal."""
+        adam = {side: getattr(self, side) for side in ("adam_completion", "adam_alignment")}
+        seeds = {group: getattr(self, group) for group in ("train_seeds", "test_seeds")}
+        meta = {"version": CHECKPOINT_VERSION, "config": self.config.to_dict(),
+                "vocab_hash": self.vocab_hash, "epoch": self.epoch, "val_mrr": self.val_mrr,
+                "t": {side: state["t"] for side, state in adam.items()},
+                "h_tilde": {f"{a}|{b}": v for (a, b), v in self.h_tilde.items()},
+                "provenance": {group: {f"{a}|{b}": s.provenance for (a, b), s in sets.items()}
+                               for group, sets in seeds.items()}}
+        members = {"meta": np.array(json.dumps(meta, sort_keys=True)),
+                   **{f"parameters/{name}": values for name, values in self.parameters.items()},
+                   **{f"{side}/{key}/{i}": moment for side, state in adam.items()
+                      for key in ("m", "v") for i, moment in enumerate(state[key])},
+                   **{f"{group}/{a}|{b}": s.pairs for group, sets in seeds.items()
+                      for (a, b), s in sets.items()},
+                   **{f"transferred/{kg}": rows for kg, rows in self.transferred.items()}}
+        with open(path, "wb") as handle:
+            np.savez(handle, **dict(sorted(members.items())))
 
     @classmethod
     def load(cls, path: Path) -> "Checkpoint":
-        """Read a checkpoint; another version, a missing key or an
-        undecodable value raises TrainError."""
-        payload = read_json(path, "checkpoint")
+        """Read a version-3 checkpoint. A missing or non-zip file (versions 1
+        and 2 are JSON), a corrupt member, another version, a missing member
+        or key, or an undecodable value raises TrainError."""
+        def moments(side: str, key: str) -> list[np.ndarray]:
+            by_index = _group(members, f"{side}/{key}")
+            return [by_index[str(i)] for i in range(len(by_index))]
         try:
-            if payload.get("version") != CHECKPOINT_VERSION:
-                raise TrainError(f"unsupported checkpoint version {payload.get('version')}")
+            if not zipfile.is_zipfile(path):
+                raise TrainError(f"checkpoint {path} is missing or not a version-"
+                                 f"{CHECKPOINT_VERSION} checkpoint (.npz archive)")
+            with np.load(path, allow_pickle=False) as archive:
+                members = {name: archive[name] for name in archive.files}
+            meta = json.loads(members["meta"].item())
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise TrainError(f"unsupported checkpoint version {meta.get('version')}")
+            adam = {side: {"t": meta["t"][side], "m": moments(side, "m"), "v": moments(side, "v")}
+                    for side in ("adam_completion", "adam_alignment")}
+            seeds = {group: {_unpair(k): SeedSet(_unpair(k), pairs, meta["provenance"][group][k])
+                             for k, pairs in _group(members, group).items()}
+                     for group in ("train_seeds", "test_seeds")}
             return cls(
-                config=TrainConfig.from_dict(payload["config"]),
-                vocab_hash=payload["vocab_hash"],
-                epoch=payload["epoch"],
-                val_mrr=payload["val_mrr"],
-                parameters={k: _array_from_json(v) for k, v in payload["parameters"].items()},
-                adam_completion=_map_adam(payload["adam_completion"], _array_from_json),
-                adam_alignment=_map_adam(payload["adam_alignment"], _array_from_json),
-                h_tilde={_unpair(k): v for k, v in payload["entropy"]["h_tilde"].items()},
-                train_seeds=_seed_sets_from_json(payload["train_seeds"]),
-                test_seeds=_seed_sets_from_json(payload["test_seeds"]),
+                config=TrainConfig.from_dict(meta["config"]),
+                vocab_hash=meta["vocab_hash"],
+                epoch=meta["epoch"],
+                val_mrr=meta["val_mrr"],
+                parameters=_group(members, "parameters"),
+                h_tilde={_unpair(k): v for k, v in meta["h_tilde"].items()},
                 transferred={kg: np.asarray(rows, dtype=np.int64).reshape(-1, 4)
-                             for kg, rows in payload["transferred"].items()},
+                             for kg, rows in _group(members, "transferred").items()},
+                **adam, **seeds,
             )
         except KeyError as error:
             raise TrainError(f"checkpoint {path} is malformed: missing key {error}") from None
-        except (AttributeError, TypeError, ValueError) as error:
+        except (AttributeError, TypeError, ValueError, zipfile.BadZipFile) as error:
             raise TrainError(f"checkpoint {path} is malformed: {error}") from None
 
     def restore_transfers(self, multikg: MultiKg) -> None:

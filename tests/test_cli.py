@@ -1,9 +1,11 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jointkg
@@ -12,6 +14,8 @@ from jointkg.cli import apply_env_overrides, main
 from jointkg.kgdata import load_multikg
 from jointkg.rgnn import encode
 from jointkg.train import Checkpoint, TrainConfig, resume
+
+from .util import read_checkpoint, write_checkpoint
 
 
 def config_payload(**overrides):
@@ -42,6 +46,18 @@ class TestSynthCommand:
         assert manifest["command"] == "synth"
         assert "triples_kg1.tsv" in manifest["inputs"]
         assert all(len(h) == 64 for h in manifest["inputs"].values())
+        # the arithmetic is named: BLAS library and version, thread settings or null
+        assert sorted(manifest) == ["blas", "command", "inputs", "rng_seed", "settings",
+                                    "threads", "version"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert manifest["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert manifest["threads"] == {name: os.environ.get(name) for name in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+    def test_file_hash_streams_to_the_whole_file_digest(self, tmp_path):
+        path = tmp_path / "blob"
+        path.write_bytes(np.random.default_rng(0).bytes((5 << 20) // 2))
+        assert cli._sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_rerun_is_bit_identical(self, dataset, tmp_path):
         main(["synth", "--out", str(tmp_path), "--entities", "24", "--relations", "2",
@@ -75,7 +91,7 @@ class TestTrainCommand:
         code = main(["train", "--config", str(config_path), "--data", str(dataset),
                      "--out", str(out)])
         assert code == 0
-        assert (out / "checkpoint.json").exists()
+        assert (out / "checkpoint.npz").exists()
         metrics = (out / "metrics.tsv").read_text().splitlines()
         assert metrics[0].startswith("epoch\t")
         assert len(metrics) == 2 + 2  # header + epoch 0 + two epochs
@@ -93,7 +109,7 @@ class TestTrainCommand:
         out = tmp_path / "run"
         assert main(["train", "--config", str(config_path), "--data", str(data_dir),
                      "--out", str(out)]) == 0
-        checkpoint = Checkpoint.load(out / "checkpoint.json")
+        checkpoint = Checkpoint.load(out / "checkpoint.npz")
         multikg = load_multikg(data_dir)
         for kg in multikg.kgs:
             labels, relations = kg.entity_labels, kg.relations.labels
@@ -181,7 +197,7 @@ class TestEvalCommand:
         main(["train", "--config", str(config_path), "--data", str(dataset),
               "--out", str(run)])
         out = tmp_path / "eval"
-        code = main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
                      "--data", str(dataset), "--out", str(out), "--task", "both"])
         assert code == 0
         rows = (out / "results.tsv").read_text().splitlines()
@@ -204,7 +220,7 @@ class TestEvalCommand:
         expected = tmp_path / "expected"
         expected.mkdir()
         multikg = load_multikg(dataset)
-        state = resume(Checkpoint.load(run / "checkpoint.json"), multikg)
+        state = resume(Checkpoint.load(run / "checkpoint.npz"), multikg)
         layers = state.completion_layers(tape=False)
         finals, _ = state.alignment_layers_and_finals(tape=False)
         evaluate.write_results(
@@ -231,7 +247,7 @@ class TestEvalCommand:
 
         monkeypatch.setattr(train, "encode", counted)
         out = tmp_path / "eval"
-        code = main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
                      "--data", str(dataset), "--out", str(out), "--task", "both"])
         assert code == 0
         assert len(encoders) == 2 and encoders[0] is not encoders[1]
@@ -249,7 +265,7 @@ class TestEvalCommand:
         monkeypatch.setattr(cli, "build_alignment_matrix", counted)
         monkeypatch.setattr(evaluate, "build_alignment_matrix", counted)
         out = tmp_path / "eval"
-        code = main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
                      "--data", str(dataset), "--out", str(out), "--task", "both"])
         assert code == 0
         assert len(calls) == len(state.test_seeds) >= 1
@@ -265,20 +281,20 @@ class TestEvalCommand:
         other = tmp_path / "otherdata"
         main(["synth", "--out", str(other), "--entities", "30", "--relations", "2",
               "--mean-degree", "3", "--seed", "6"])
-        code = main(["eval", "--checkpoint", str(run / "checkpoint.json"),
+        code = main(["eval", "--checkpoint", str(run / "checkpoint.npz"),
                      "--data", str(other), "--out", str(tmp_path / "eval2")])
         assert code == 1
         assert "checkpoint/data mismatch" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
-def trained_payload(dataset, tmp_path_factory):
+def trained_checkpoint(dataset, tmp_path_factory):
     run = tmp_path_factory.mktemp("trained")
     config_path = run / "config_in.json"
     config_path.write_text(json.dumps(config_payload()))
     assert main(["train", "--config", str(config_path), "--data", str(dataset),
                  "--out", str(run)]) == 0
-    return json.loads((run / "checkpoint.json").read_text())
+    return run / "checkpoint.npz"
 
 
 class TestCheckpointAgainstData:
@@ -286,38 +302,40 @@ class TestCheckpointAgainstData:
     not in a crash or a silent evaluation."""
 
     @pytest.mark.parametrize("edit", ["transferred", "test_seeds", "train_seeds"])
-    def test_out_of_range_id(self, dataset, trained_payload, tmp_path, capsys, edit):
-        payload = json.loads(json.dumps(trained_payload))
+    def test_out_of_range_id(self, dataset, trained_checkpoint, tmp_path, capsys, edit):
+        members, meta = read_checkpoint(trained_checkpoint)
         if edit == "transferred":
-            payload["transferred"]["kg1"].append([999, 0, 0, 1])
+            rows = members["transferred/kg1"]
+            members["transferred/kg1"] = np.vstack([rows, [[999, 0, 0, 1]]])
         else:
-            pairs = payload[edit]["kg1|kg2"]["pairs"]
-            pairs[0] = [999, pairs[0][1]]
-        checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text(json.dumps(payload))
+            members[f"{edit}/kg1|kg2"][0, 0] = 999
+        checkpoint = tmp_path / "checkpoint.npz"
+        write_checkpoint(checkpoint, members, meta)
         code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
                      "--out", str(tmp_path / "eval")])
         assert code == 1
         assert "error [train]: checkpoint is malformed: " in capsys.readouterr().err
 
-    def test_version_1_checkpoint_is_refused(self, dataset, trained_payload, tmp_path, capsys):
-        """A checkpoint in version 1's layout (Adam settings beside the
-        moments, each seed set's pair in its value) names its version in the
-        error."""
-        payload = json.loads(json.dumps(trained_payload))
-        payload["version"] = 1
-        for side in ("adam_completion", "adam_alignment"):
-            payload[side].update(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
-        for seeds in ("train_seeds", "test_seeds"):
-            payload[seeds]["kg1|kg2"]["kg_pair"] = ["kg1", "kg2"]
-        checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text(json.dumps(payload))
-        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
-                     "--out", str(tmp_path / "eval")])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error [train]: ")
-        assert err.rstrip().endswith("unsupported checkpoint version 1")
+    def test_version_2_checkpoint_is_refused(self, dataset, trained_checkpoint, tmp_path,
+                                             capsys):
+        """A version-2 checkpoint (one JSON document) is no zip archive and is
+        refused as such; an archive whose `meta` names version 2 names it."""
+        members, meta = read_checkpoint(trained_checkpoint)
+        json_file = tmp_path / "checkpoint.json"
+        json_file.write_text(json.dumps({key: meta[key] for key in (
+            "config", "epoch", "val_mrr", "vocab_hash")} | {"version": 2}))
+        archive = tmp_path / "checkpoint.npz"
+        write_checkpoint(archive, members, meta | {"version": 2})
+        for checkpoint, reason in (
+                (json_file, f"checkpoint {json_file} is missing or not a version-3 "
+                            "checkpoint (.npz archive)"),
+                (archive, "unsupported checkpoint version 2")):
+            code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+                         "--out", str(tmp_path / "eval")])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error [train]: ")
+            assert err.rstrip().endswith(reason)
 
 
 class TestGridCommand:
@@ -387,12 +405,19 @@ class TestBadJsonInputs:
         assert "error [train]: grid file" in err and "is not valid JSON" in err
 
     def test_checkpoint_missing_keys(self, dataset, tmp_path, capsys):
-        checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text(json.dumps({"version": train.CHECKPOINT_VERSION}))
+        # a `meta` that names only the version, then an archive without `meta`
+        checkpoint = tmp_path / "checkpoint.npz"
+        write_checkpoint(checkpoint, {}, {"version": train.CHECKPOINT_VERSION})
         code, err = self.run(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
                               "--out", str(tmp_path / "eval")], capsys)
         assert code == 1
         assert f"error [train]: checkpoint {checkpoint} is malformed: missing key" in err
+        with open(checkpoint, "wb") as handle:
+            np.savez(handle, **{"parameters/x": np.zeros(2)})
+        code, err = self.run(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+                              "--out", str(tmp_path / "eval")], capsys)
+        assert code == 1
+        assert err == f"error [train]: checkpoint {checkpoint} is malformed: missing key 'meta'\n"
 
     def test_bad_grid_value_fails_before_any_run(self, dataset, tmp_path, capsys):
         config_path = tmp_path / "config.json"
@@ -444,13 +469,27 @@ class TestBadJsonInputs:
         assert code == 1
         assert f"error [train]: grid file {grid_path}: dim must map to a list of values" in err
 
-    def test_malformed_checkpoint(self, dataset, tmp_path, capsys):
-        checkpoint = tmp_path / "checkpoint.json"
-        checkpoint.write_text('{"version": 1')
-        code, err = self.run(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+    def test_malformed_checkpoint(self, dataset, trained_checkpoint, tmp_path, capsys):
+        # a truncated copy is no zip archive; a copy with one flipped data byte
+        # is one, but fails its member's CRC (zipfile's BadZipFile); a missing
+        # file is refused like the truncated one
+        data = trained_checkpoint.read_bytes()
+        flipped = bytearray(data)
+        flipped[data.index(b"\x93NUMPY") + 200] ^= 0xFF
+        checkpoint = tmp_path / "checkpoint.npz"
+        for content, reason in ((data[:len(data) // 2], "is missing or not a version-3"),
+                                (bytes(flipped), "is malformed: Bad CRC-32")):
+            checkpoint.write_bytes(content)
+            code, err = self.run(["eval", "--checkpoint", str(checkpoint),
+                                  "--data", str(dataset), "--out", str(tmp_path / "eval")], capsys)
+            assert code == 1
+            assert err.startswith(f"error [train]: checkpoint {checkpoint} {reason}")
+            assert "Traceback" not in err
+        absent = tmp_path / "absent.npz"
+        code, err = self.run(["eval", "--checkpoint", str(absent), "--data", str(dataset),
                               "--out", str(tmp_path / "eval")], capsys)
         assert code == 1
-        assert "error [train]: checkpoint" in err and "is not valid JSON" in err
+        assert err.startswith(f"error [train]: checkpoint {absent} is missing or not a version-3")
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

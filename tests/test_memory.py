@@ -1,7 +1,7 @@
 """Memory guards for the fused and blocked ops: one tape node per `Mlp`
 layer, no per-pairing rows on the alignment hinge's node, traced peaks of
 the blocked ops bounded by their kept tables plus a few block budgets or
-cache tiles, and a checkpoint save that builds no whole-file string."""
+cache tiles, and checkpoint saves and loads that build no whole-file copy."""
 import numpy as np
 import pytest
 import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts its import
@@ -9,7 +9,7 @@ import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts i
 from jointkg import diff
 from jointkg.alignment import alignment_loss
 from jointkg.entr import matrix_entropy
-from jointkg.train import TrainState, snapshot
+from jointkg.train import Checkpoint, TrainState, snapshot
 
 from .test_train import small_config
 from .util import held_arrays, toy_pair_dataset, traced_peak
@@ -107,12 +107,26 @@ def test_matrix_entropy_peak_stays_within_one_table_and_budgets(small_budget):
     assert peak < matrix.nbytes + 4 * BUDGET
 
 
-def test_checkpoint_save_peak_stays_under_one_whole_file_string(tmp_path):
-    # the payload's base64 text is nearly the whole file; a save that also
-    # built the file as one string (and its encoded bytes) would double it
+def _large_checkpoint():
     rng = np.random.default_rng(6)
     checkpoint = snapshot(TrainState(toy_pair_dataset(), small_config()), 0.0)
     checkpoint.parameters = {f"p{i:02d}": rng.normal(size=(32, DIM)) for i in range(64)}
-    path = tmp_path / "checkpoint.json"
+    return checkpoint
+
+
+def test_checkpoint_save_peak_stays_under_one_whole_file_string(tmp_path):
+    # np.savez streams each array into its member; an encoded copy of the
+    # arrays (base64 text, as format 2 built) would be about the file's size
+    path = tmp_path / "checkpoint.npz"
+    checkpoint = _large_checkpoint()
     _, peak = traced_peak(lambda: checkpoint.save(path))
+    assert peak < 0.25 * path.stat().st_size
+
+
+def test_checkpoint_load_peak_stays_near_the_arrays_it_returns(tmp_path):
+    # the loaded arrays are nearly the whole file; a whole-file text or byte
+    # copy held beside them would double the peak
+    path = tmp_path / "checkpoint.npz"
+    _large_checkpoint().save(path)
+    _, peak = traced_peak(lambda: Checkpoint.load(path))
     assert peak < 1.5 * path.stat().st_size

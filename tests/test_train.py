@@ -1,5 +1,4 @@
-import base64
-import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from jointkg.train import (
     validation_mrr,
 )
 
-from .util import toy_pair_dataset
+from .util import read_checkpoint, toy_pair_dataset, write_checkpoint
 
 
 def small_config(**overrides):
@@ -303,16 +302,32 @@ class TestCheckpoint:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_saved_bytes_are_those_of_json_dumps(self, tmp_path):
-        # the streamed file is one compact, key-sorted `json.dumps` of what it holds
+    def test_two_saves_are_byte_equal_with_pinned_member_names(self, tmp_path):
+        # every member carries np.savez's fixed timestamp, so equal bytes do
+        # not depend on the clock
         state = TrainState(toy_pair_dataset(drop_in_first=2), small_config())
         state.initialize_entropy_baseline()
         train_epoch(state)
-        path = tmp_path / "checkpoint.json"
-        snapshot(state, validation_mrr(state)).save(path)
-        saved = path.read_bytes()
-        assert saved == json.dumps(json.loads(saved), sort_keys=True,
-                                   separators=(",", ":")).encode("utf-8")
+        checkpoint = snapshot(state, validation_mrr(state))
+        first, second = tmp_path / "first.npz", tmp_path / "second.npz"
+        checkpoint.save(first)
+        checkpoint.save(second)
+        assert first.read_bytes() == second.read_bytes()
+        with zipfile.ZipFile(first) as archive:
+            infos = archive.infolist()
+        assert {info.date_time for info in infos} == {(1980, 1, 1, 0, 0, 0)}
+        adam = {"adam_completion": state.adam_completion, "adam_alignment": state.adam_alignment}
+        expected = (["meta", "train_seeds/aa|bb", "test_seeds/aa|bb", "transferred/aa",
+                     "transferred/bb"]
+                    + [f"parameters/{name}" for name, _ in state.model.named_parameters()]
+                    + [f"{side}/{key}/{i}" for side, optimizer in adam.items()
+                       for key in ("m", "v") for i in range(len(optimizer.params))])
+        assert [info.filename for info in infos] == sorted(f"{name}.npy" for name in expected)
+        _, meta = read_checkpoint(first)
+        assert sorted(meta) == ["config", "epoch", "h_tilde", "provenance", "t", "val_mrr",
+                                "version", "vocab_hash"]
+        steps = state.config.steps_per_epoch
+        assert meta["t"] == {"adam_alignment": steps, "adam_completion": steps}
 
     @pytest.mark.parametrize("ablations", [()] + [(flag,) for flag in ABLATIONS],
                              ids=["full", *ABLATIONS])
@@ -337,22 +352,21 @@ class TestCheckpoint:
             assert np.array_equal(t_a.values, t_b.values), name_a
 
     def test_checkpoint_with_h_current_resumes_bitwise(self, tmp_path):
-        """A checkpoint whose entropy block also holds a key the loader does
-        not read (`h_current`, the latest entropy per pair, which an earlier
+        """A checkpoint whose `meta` also holds a key the loader does not
+        read (`h_current`, the latest entropy per pair, which an earlier
         layout wrote) loads and resumes."""
         config = small_config(epochs=3)
         direct_state = TrainState(toy_pair_dataset(drop_in_first=2), config)
         direct_state.initialize_entropy_baseline()
         train_epoch(direct_state)
-        path = tmp_path / "checkpoint.json"
+        path = tmp_path / "checkpoint.npz"
         snapshot(direct_state, 0.0).save(path)
         direct_metrics = train_epoch(direct_state)
 
-        payload = json.loads(path.read_text())
-        assert set(payload["entropy"]) == {"h_tilde"}
-        payload["entropy"]["h_current"] = {key: value / 2 for key, value
-                                           in payload["entropy"]["h_tilde"].items()}
-        path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        members, meta = read_checkpoint(path)
+        assert "h_current" not in meta
+        meta["h_current"] = {key: value / 2 for key, value in meta["h_tilde"].items()}
+        write_checkpoint(path, members, meta)
         resumed_state = resume(Checkpoint.load(path), toy_pair_dataset(drop_in_first=2))
         resumed_metrics = train_epoch(resumed_state)
 
@@ -366,70 +380,83 @@ class TestCheckpoint:
     def _saved_payload(tmp_path):
         state = TrainState(toy_pair_dataset(), small_config())
         state.initialize_entropy_baseline()
-        path = tmp_path / "checkpoint.json"
+        path = tmp_path / "checkpoint.npz"
         snapshot(state, 0.0).save(path)
-        return path, json.loads(path.read_text())
+        return (path, *read_checkpoint(path))
 
     def test_missing_key_is_malformed(self, tmp_path):
-        path, payload = self._saved_payload(tmp_path)
-        del payload["entropy"]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(TrainError, match="is malformed: missing key 'entropy'"):
+        path, members, meta = self._saved_payload(tmp_path)
+        del meta["h_tilde"]
+        write_checkpoint(path, members, meta)
+        with pytest.raises(TrainError, match="is malformed: missing key 'h_tilde'"):
             Checkpoint.load(path)
 
     def test_parameter_data_not_fitting_its_shape_is_malformed(self, tmp_path):
-        path, payload = self._saved_payload(tmp_path)
-        payload["parameters"]["completion/entity0"]["shape"] = [5, 5]
-        path.write_text(json.dumps(payload))
-        with pytest.raises(TrainError, match="is malformed"):
+        # the member's header still names a (24, 6) table; its data ends 8 bytes short
+        path, _, _ = self._saved_payload(tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            raw = {info.filename: archive.read(info) for info in archive.infolist()}
+        raw["parameters/completion/entity0.npy"] = raw["parameters/completion/entity0.npy"][:-8]
+        with zipfile.ZipFile(path, "w") as archive:
+            for filename, data in raw.items():
+                archive.writestr(filename, data)
+        with pytest.raises(TrainError, match="is malformed: EOF: reading array data"):
+            Checkpoint.load(path)
+
+    def test_corrupt_member_is_malformed(self, tmp_path):
+        # a flipped data byte of the first member fails its CRC, which zipfile
+        # reports as BadZipFile, neither a ValueError nor an OSError
+        path, _, _ = self._saved_payload(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[data.index(b"\x93NUMPY") + 200] ^= 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(TrainError, match="is malformed: Bad CRC-32"):
             Checkpoint.load(path)
 
     def test_missing_transfer_entry_is_malformed(self, tmp_path):
-        path, payload = self._saved_payload(tmp_path)
-        del payload["transferred"]["bb"]
-        path.write_text(json.dumps(payload))
+        path, members, meta = self._saved_payload(tmp_path)
+        del members["transferred/bb"]
+        write_checkpoint(path, members, meta)
         with pytest.raises(TrainError, match="malformed: no transferred triples for bb"):
             resume(Checkpoint.load(path), toy_pair_dataset())
 
     def test_resume_rejects_a_parameter_of_the_wrong_shape(self, tmp_path):
-        path, payload = self._saved_payload(tmp_path)
-        entity0 = payload["parameters"]["completion/entity0"]
-        assert entity0["shape"] == [24, 6]
-        row = np.ones((1, 6))
-        entity0.update(shape=[1, 6], data=base64.b64encode(row.tobytes()).decode("ascii"))
-        path.write_text(json.dumps(payload))
+        path, members, meta = self._saved_payload(tmp_path)
+        assert members["parameters/completion/entity0"].shape == (24, 6)
+        members["parameters/completion/entity0"] = np.ones((1, 6))
+        write_checkpoint(path, members, meta)
         with pytest.raises(TrainError, match="completion/entity0 has shape"):
             resume(Checkpoint.load(path), toy_pair_dataset())
 
     def test_resume_rejects_an_adam_moment_of_the_wrong_shape(self, tmp_path):
-        path, payload = self._saved_payload(tmp_path)
-        moment = payload["adam_completion"]["m"][0]
-        assert moment["shape"] == [24, 6]
-        moment.update(shape=[1, 6], data=base64.b64encode(np.ones((1, 6)).tobytes()).decode())
-        path.write_text(json.dumps(payload))
+        path, members, meta = self._saved_payload(tmp_path)
+        assert members["adam_completion/m/0"].shape == (24, 6)
+        members["adam_completion/m/0"] = np.ones((1, 6))
+        write_checkpoint(path, members, meta)
         with pytest.raises(TrainError, match="malformed: an Adam moment does not match"):
             resume(Checkpoint.load(path), toy_pair_dataset())
 
     def test_resume_rejects_a_seed_pair_of_no_kg_pair(self, tmp_path):
-        path, payload = self._saved_payload(tmp_path)
-        seed_set = payload["train_seeds"].pop("aa|bb")
-        payload["train_seeds"]["bb|aa"] = seed_set
-        path.write_text(json.dumps(payload))
+        path, members, meta = self._saved_payload(tmp_path)
+        members["train_seeds/bb|aa"] = members.pop("train_seeds/aa|bb")
+        provenance = meta["provenance"]["train_seeds"]
+        provenance["bb|aa"] = provenance.pop("aa|bb")
+        write_checkpoint(path, members, meta)
         with pytest.raises(TrainError, match="malformed: seeds for \\('bb', 'aa'\\)"):
             resume(Checkpoint.load(path), toy_pair_dataset())
 
     def test_resume_rejects_a_missing_entropy_baseline(self, tmp_path):
-        path, payload = self._saved_payload(tmp_path)
-        payload["entropy"]["h_tilde"] = {}
-        path.write_text(json.dumps(payload))
+        path, members, meta = self._saved_payload(tmp_path)
+        meta["h_tilde"] = {}
+        write_checkpoint(path, members, meta)
         with pytest.raises(TrainError, match="malformed: no pre-training entropy"):
             resume(Checkpoint.load(path), toy_pair_dataset())
 
     @pytest.mark.parametrize("row", [[0, 0, 24, 1], [-1, 0, 0, 1], [0, 2, 0, 1], [0, 0, 0, -1]])
     def test_resume_rejects_a_transferred_row_out_of_range(self, tmp_path, row):
-        path, payload = self._saved_payload(tmp_path)
-        payload["transferred"]["aa"] = [row]
-        path.write_text(json.dumps(payload))
+        path, members, meta = self._saved_payload(tmp_path)
+        members["transferred/aa"] = np.array([row], dtype=np.int64)
+        write_checkpoint(path, members, meta)
         with pytest.raises(TrainError, match="malformed: a transferred row of aa"):
             resume(Checkpoint.load(path), toy_pair_dataset())
 

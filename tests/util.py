@@ -1,5 +1,6 @@
 """Shared construction helpers and reference implementations for the test
 suite."""
+import json
 import tracemalloc
 from pathlib import Path
 
@@ -347,6 +348,19 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak - start
+
+
+def read_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
+    """A saved checkpoint's array members by name, and its parsed `meta`."""
+    with np.load(path, allow_pickle=False) as archive:
+        members = {name: archive[name] for name in archive.files}
+    return members, json.loads(members.pop("meta").item())
+
+
+def write_checkpoint(path: Path, members: dict[str, np.ndarray], meta: dict) -> None:
+    """Save (possibly edited) members and `meta` the way `Checkpoint.save` does."""
+    with open(path, "wb") as handle:
+        np.savez(handle, meta=np.array(json.dumps(meta, sort_keys=True)), **members)
 
 
 def held_arrays(node: Tensor) -> list[np.ndarray]:
