@@ -832,17 +832,20 @@ class Adam:
     with beta1, beta2 and eps fixed to ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
     Parameters whose .grad is None at step time are left untouched. Each
-    optimizer owns its own moment buffers, so two optimizers over disjoint
-    parameter sets never interact. `state_dict` holds the step count `t` and
-    the moments `m` and `v`; the learning rate comes from the caller.
+    optimizer keeps one moment buffer per parameter, so two optimizers over
+    disjoint parameter sets never interact. `state_dict` holds the step count
+    `t` and copies of the moments `m` and `v`; the learning rate comes from
+    the caller. Moments start as `np.zeros` (calloc), whose pages become
+    resident only when a step writes them, and never if `load_state_dict`
+    replaces them first.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p.values) for p in self.params]
-        self.v = [np.zeros_like(p.values) for p in self.params]
+        self.m = [np.zeros(p.values.shape) for p in self.params]
+        self.v = [np.zeros(p.values.shape) for p in self.params]
 
     def step(self) -> None:
         self.t += 1
@@ -875,8 +878,10 @@ class Adam:
         return {"t": self.t, "m": [m.copy() for m in self.m], "v": [v.copy() for v in self.v]}
 
     def load_state_dict(self, state: dict) -> None:
+        """Take the given moment arrays, so later steps write into them; only
+        a non-float64, non-C-contiguous or read-only one is copied first."""
         if len(state["m"]) != len(self.params):
             raise DiffError("optimizer state does not match parameter count")
         self.t = int(state["t"])
-        self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
-        self.v = [np.array(v, dtype=np.float64) for v in state["v"]]
+        self.m = [np.require(m, np.float64, ("C", "A", "W")) for m in state["m"]]
+        self.v = [np.require(v, np.float64, ("C", "A", "W")) for v in state["v"]]

@@ -567,6 +567,11 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
     The multikg must be freshly loaded from the same data the checkpoint was
     trained on: its vocab hash is verified, and seed pairs, transferred rows,
     parameters and Adam moments are checked against the data and the model.
+
+    The state takes the checkpoint's parameter and moment arrays (only a
+    non-float64, non-C-contiguous or read-only one is copied), so training it
+    changes `checkpoint.parameters` and the checkpoint's moments. For a second
+    independent run, load or snapshot the checkpoint again.
     """
     if multikg.vocab_hash() != checkpoint.vocab_hash:
         raise TrainError("checkpoint/data mismatch")
@@ -589,7 +594,7 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
         if saved.shape != tensor.values.shape:
             raise _malformed(f"parameter {name} has shape {saved.shape}, "
                              f"the model's has {tensor.values.shape}")
-        tensor.values[:] = saved
+        tensor.values = np.require(saved, np.float64, ("C", "A", "W"))
     for adam, saved in ((state.adam_completion, checkpoint.adam_completion),
                         (state.adam_alignment, checkpoint.adam_alignment)):
         shapes = [p.values.shape for p in adam.params]

@@ -1,7 +1,10 @@
 """Memory guards for the fused and blocked ops: one tape node per `Mlp`
 layer, no per-pairing rows on the alignment hinge's node, traced peaks of
 the blocked ops bounded by their kept tables plus a few block budgets or
-cache tiles, and checkpoint saves and loads that build no whole-file copy."""
+cache tiles, checkpoint saves and loads that build no whole-file copy, and a
+resume that keeps no second copy of the checkpoint's arrays."""
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts its import
@@ -9,7 +12,7 @@ import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts i
 from jointkg import diff
 from jointkg.alignment import alignment_loss
 from jointkg.entr import matrix_entropy
-from jointkg.train import Checkpoint, TrainState, snapshot
+from jointkg.train import Checkpoint, TrainState, resume, snapshot
 
 from .test_train import small_config
 from .util import held_arrays, toy_pair_dataset, traced_peak
@@ -130,3 +133,25 @@ def test_checkpoint_load_peak_stays_near_the_arrays_it_returns(tmp_path):
     _large_checkpoint().save(path)
     _, peak = traced_peak(lambda: Checkpoint.load(path))
     assert peak < 1.5 * path.stat().st_size
+
+
+def test_resume_retains_no_second_copy_of_parameters_or_moments(tmp_path):
+    # the resumed state takes the loaded arrays; a copy of the parameters
+    # alone is a third of them, a copy of the moments two thirds
+    path = tmp_path / "checkpoint.npz"
+    original = TrainState(toy_pair_dataset(), small_config(layers=2, dim=128))
+    original.initialize_entropy_baseline()
+    snapshot(original, 0.0).save(path)
+    checkpoint, multikg = Checkpoint.load(path), toy_pair_dataset()
+    saved = sum(values.nbytes for values in checkpoint.parameters.values()) + sum(
+        moment.nbytes for side in (checkpoint.adam_completion, checkpoint.adam_alignment)
+        for key in ("m", "v") for moment in side[key])
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        state = resume(checkpoint, multikg)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.epoch == checkpoint.epoch
+    assert after - before < 0.1 * saved

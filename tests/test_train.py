@@ -490,6 +490,91 @@ class TestCheckpoint:
         with pytest.raises(TrainError, match="checkpoint/data mismatch"):
             resume(checkpoint, other)
 
+    @staticmethod
+    def _trained_file(tmp_path):
+        """A checkpoint file saved one epoch into a run."""
+        state = TrainState(toy_pair_dataset(drop_in_first=2), small_config())
+        state.initialize_entropy_baseline()
+        train_epoch(state)
+        path = tmp_path / "checkpoint.npz"
+        snapshot(state, 0.0).save(path)
+        return path
+
+    @staticmethod
+    def _moments(state):
+        return [moment for adam in (state.adam_completion, state.adam_alignment)
+                for moment in adam.m + adam.v]
+
+    @staticmethod
+    def _saved_moments(checkpoint):
+        return [moment for side in (checkpoint.adam_completion, checkpoint.adam_alignment)
+                for moment in side["m"] + side["v"]]
+
+    def test_resume_takes_the_checkpoint_arrays(self, tmp_path):
+        path = self._trained_file(tmp_path)
+        checkpoint = Checkpoint.load(path)
+        state = resume(checkpoint, toy_pair_dataset(drop_in_first=2))
+        for name, tensor in state.model.named_parameters():
+            assert np.shares_memory(tensor.values, checkpoint.parameters[name]), name
+        for moment, saved in zip(self._moments(state), self._saved_moments(checkpoint),
+                                 strict=True):
+            assert np.shares_memory(moment, saved)
+
+        # a snapshot copies, so training the state afterwards leaves it as saved
+        kept = snapshot(state, 0.0)
+        train_epoch(state)
+        fresh = Checkpoint.load(path)
+        for name, values in kept.parameters.items():
+            assert np.array_equal(values, fresh.parameters[name]), name
+        for moment, saved in zip(self._saved_moments(kept), self._saved_moments(fresh),
+                                 strict=True):
+            assert np.array_equal(moment, saved)
+
+    @staticmethod
+    def _rewrite_entity_table_and_its_first_moment(path, convert):
+        members, meta = read_checkpoint(path)
+        for name in ("parameters/completion/entity0", "adam_completion/m/0"):
+            assert members[name].shape == (24, 6)
+            members[name] = convert(members[name])
+        write_checkpoint(path, members, meta)
+        checkpoint = Checkpoint.load(path)
+        return (checkpoint.parameters["completion/entity0"],
+                checkpoint.adam_completion["m"][0])
+
+    @staticmethod
+    def _entity_table_and_its_first_moment(state):
+        tensor = dict(state.model.named_parameters())["completion/entity0"]
+        assert state.adam_completion.params[0] is tensor
+        return tensor.values, state.adam_completion.m[0]
+
+    def test_resume_casts_a_float32_member_to_float64(self, tmp_path):
+        path = self._trained_file(tmp_path)
+        saved = self._rewrite_entity_table_and_its_first_moment(
+            path, lambda values: values.astype(np.float32))
+        assert all(values.dtype == np.float32 for values in saved)
+        state = resume(Checkpoint.load(path), toy_pair_dataset(drop_in_first=2))
+        for values, member in zip(self._entity_table_and_its_first_moment(state), saved):
+            assert values.dtype == np.float64
+            assert values.flags.c_contiguous and values.flags.writeable
+            assert np.array_equal(values, member.astype(np.float64))
+
+    def test_fortran_ordered_members_resume_like_c_ordered_ones(self, tmp_path):
+        path = self._trained_file(tmp_path)
+        direct = resume(Checkpoint.load(path), toy_pair_dataset(drop_in_first=2))
+        direct_metrics = train_epoch(direct)
+
+        saved = self._rewrite_entity_table_and_its_first_moment(path, np.asfortranarray)
+        assert not any(values.flags.c_contiguous for values in saved)
+        state = resume(Checkpoint.load(path), toy_pair_dataset(drop_in_first=2))
+        assert all(values.flags.c_contiguous and values.flags.writeable
+                   for values in self._entity_table_and_its_first_moment(state))
+        assert train_epoch(state) == direct_metrics
+        for (name, t_a), (_, t_b) in zip(direct.model.named_parameters(),
+                                         state.model.named_parameters()):
+            assert np.array_equal(t_a.values, t_b.values), name
+        for a, b in zip(self._moments(direct), self._moments(state), strict=True):
+            assert np.array_equal(a, b)
+
 
 class TestJointModel:
     def test_one_gnn_shares_the_completion_encoder(self):
