@@ -2,8 +2,8 @@
 alignment encoder, the final entity head over the layer stack, the dense
 similarity matrix, nearest-entity negatives, the margin loss over aligned
 pairs, and greedy one-to-one matching. The fusion and head MLPs record one
-`diff.affine` node per layer, and the margin loss one `diff.cosine_hinge`
-node.
+`diff.affine` node per layer over column parts, no taped concatenation, and
+the margin loss one `diff.cosine_hinge` node.
 
 The similarity matrix is a plain (source x target) ndarray of cosines.
 Aligned pairs are (left, right) rows, as in `SeedSet.pairs`; negatives are
@@ -54,8 +54,8 @@ class FusionParams(ParameterBlock):
 
 def sir_fuse(completion_table: Tensor, alignment_table: Tensor, fuser: Mlp) -> Tensor:
     """Fuse one layer's completion table (a constant here) into the alignment
-    table: MLP(completion || alignment)."""
-    return fuser(diff.concat([completion_table, alignment_table], axis=1))
+    table: MLP(completion || alignment), the two as column parts."""
+    return fuser([completion_table, alignment_table])
 
 
 def make_fusion_hook(completion_layers: LayerEmbeddings, fusion: FusionParams) -> FusionHook:
@@ -77,11 +77,10 @@ def make_fusion_hook(completion_layers: LayerEmbeddings, fusion: FusionParams) -
 
 
 def final_embeddings(layers: LayerEmbeddings, head: Mlp) -> tuple[Tensor, Tensor]:
-    """The entity finals, `head` over the concatenated layer 0..K entity
-    vectors, and the concatenated layer 0..K relation vectors, unmapped:
-    only the entity finals enter the loss, ranking and matching."""
-    return (head(diff.concat(layers.entities, axis=1)),
-            diff.concat(layers.relations, axis=1))
+    """The entity finals, `head` over the layer 0..K entity tables as column
+    parts, and the concatenated layer 0..K relation vectors, unmapped: only
+    the entity finals enter the loss, ranking and matching."""
+    return head(list(layers.entities)), diff.concat(layers.relations, axis=1)
 
 
 def _unit_rows(table: np.ndarray, side: str) -> np.ndarray:

@@ -20,8 +20,9 @@ tables, `np.bincount` for vectors.
 The fused ops `affine`, `translation_l1`, `neighbor_attention` and
 `cosine_hinge` each record one node where the composed graph they replace
 recorded several; `affine` and `cosine_hinge` match theirs bit for bit, in
-values and gradients. Their (rows x dim) temporaries come in two kinds of
-loop. Memory budgets of at most `BLOCK_BYTES` bytes (`blocks`) bound
+values and gradients. `affine` reads a list of column parts as their
+`concat`, so no concatenated table is taped. Their (rows x dim) temporaries
+come in two kinds of loop. Memory budgets of at most `BLOCK_BYTES` bytes (`blocks`) bound
 `cosine_hinge`'s row and column blocks and `translation_l1`'s backward
 column blocks. Cache tiles of `_EDGE_BLOCK` rows, sized for speed, carry
 `translation_l1`'s forward and `neighbor_attention`'s per-edge weight
@@ -60,8 +61,8 @@ _grad_enabled = True
 
 # A memory budget, not a cache tile: bytes per blocked temporary in
 # `cosine_hinge`'s (rows x dim) tables and `translation_l1`'s backward
-# columns, and in the similarity, distance and value rows of
-# `entr.matrix_entropy`, `completion.score_all_tails`,
+# columns, in the softmax rows of `entr.matrix_entropy`, and in the
+# similarity, distance and value rows of `completion.score_all_tails`,
 # `alignment.nearest_negatives` and greedy's candidate prefixes. Large
 # enough that a criterion-6-sized call runs in one block.
 BLOCK_BYTES = 16 << 20
@@ -206,20 +207,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.values @ b.values, (a, b), grad_fn, "matmul")
 
 
-def affine(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
+def affine(x: Tensor | Sequence[Tensor], w: Tensor, b: Tensor, activation: str) -> Tensor:
     """act(x @ w + b) with act one of identity, tanh and leakyrelu: one node
     with the values and gradients of `matmul`, `add` and the activation's
-    node. It keeps no product, sum or pre-activation table; the leaky-ReLU
-    mask comes from the output, which is positive exactly where its
-    pre-activation is."""
-    xv, wv, bv = x.values, w.values, b.values
-    if xv.ndim != 2 or wv.ndim != 2 or xv.shape[1] != wv.shape[0]:
-        raise DiffError(f"affine shape mismatch {xv.shape} x {wv.shape}")
+    node. `x` is a tensor or a list of column parts read as their `concat`;
+    the parts are the node's parents, and it rebuilds their concatenation in
+    the backward rather than keep it. It keeps no product, sum or
+    pre-activation table; the leaky-ReLU mask comes from the output, which
+    is positive exactly where its pre-activation is."""
+    parts = [x] if isinstance(x, Tensor) else list(x)
+    part_values = [p.values for p in parts]  # captured, as `resume` rebinds `.values`
+    wv, bv = w.values, b.values
+    shapes = [v.shape for v in part_values]
+    if (any(len(s) != 2 for s in shapes) or len({s[0] for s in shapes}) != 1
+            or wv.ndim != 2 or sum(s[1] for s in shapes) != wv.shape[0]):
+        raise DiffError(f"affine shape mismatch {shapes} x {wv.shape}")
     if bv.shape != (wv.shape[1],):
         raise DiffError(f"affine bias shape {bv.shape} does not match {wv.shape}")
     if activation not in _ACTIVATIONS:
         raise DiffError(f"unknown activation {activation!r}")
-    out = xv @ wv
+    splits = np.cumsum([s[1] for s in shapes])[:-1]
+
+    def whole():
+        return part_values[0] if len(parts) == 1 else np.concatenate(part_values, axis=1)
+
+    out = whole() @ wv
     out += bv
     if activation == "tanh":
         np.tanh(out, out=out)
@@ -232,9 +244,13 @@ def affine(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
         elif activation == "leakyrelu":
             slopes = np.where(out > 0, 1.0, _LEAKY_SLOPE)
             g = np.multiply(slopes, g, out=slopes)
-        return g @ wv.T, xv.T @ g, _unbroadcast(g, bv.shape)
+        # a part that needs a gradient gets a copy of its columns, so the
+        # whole-width gradient is freed at once; a constant part gets None
+        x_grads = [np.ascontiguousarray(c) if p.requires_grad else None
+                   for p, c in zip(parts, np.split(g @ wv.T, splits, axis=1))]
+        return (*x_grads, whole().T @ g, _unbroadcast(g, bv.shape))
 
-    return _result(out, (x, w, b), grad_fn, "affine")
+    return _result(out, (*parts, w, b), grad_fn, "affine")
 
 
 def concat(parts: Sequence[Tensor], axis: int = 1) -> Tensor:
@@ -808,7 +824,7 @@ class Mlp(ParameterBlock):
     def out_dim(self) -> int:
         return self.weights[-1].values.shape[1]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor | Sequence[Tensor]) -> Tensor:
         for w, b, act in zip(self.weights, self.biases, self.activations):
             x = affine(x, w, b, act)
         return x

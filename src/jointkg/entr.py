@@ -22,27 +22,27 @@ from .kgdata import ENLARGED, GIVEN, MultiKg, SeedSet, triple_keys
 
 
 def matrix_entropy(matrix: np.ndarray) -> float:
-    """Shannon entropy (natural log) of the row softmax, summed over rows; a
-    probability that underflows to 0 adds 0, the limit of p log p.
+    """Shannon entropy (natural log) of the row softmax, summed over rows.
 
-    One p log p table is filled from row blocks of at most
-    `diff.BLOCK_BYTES` bytes, so the softmax temporaries never span the
-    whole matrix; the entropy is that table's single flat sum, so blocking
-    moves no bit."""
+    With s = row - max(row) and Z = sum_j e^{s_j}, a row gives
+    log Z - sum_j e^{s_j} s_j / Z; an e^{s_j} that underflows to 0 adds 0,
+    the limit of p log p. Rows run in blocks of at most `diff.BLOCK_BYTES`
+    bytes into one (rows,) vector, whose single flat sum is the entropy, so
+    no table spans the matrix and blocking moves no bit."""
     values = np.asarray(matrix)
     if values.ndim != 2 or values.size == 0:
         raise EnTrError(f"entropy needs a non-empty matrix, got shape {values.shape}")
-    p_log_p = np.zeros(values.shape, dtype=values.dtype)
+    row_entropy = np.empty(values.shape[0])
     for rows in diff.blocks(values.shape[0], values.itemsize * values.shape[1]):
         block = values[rows]
         if not np.all(np.isfinite(block)):
             raise EnTrError("entropy requires a finite matrix")
-        p = block - block.max(axis=1, keepdims=True)
-        np.exp(p, out=p)
-        p /= p.sum(axis=1, keepdims=True)
-        np.log(p, out=p_log_p[rows], where=p > 0)
-        p_log_p[rows] *= p
-    return float(-p_log_p.sum())
+        s = block - block.max(axis=1, keepdims=True)
+        e = np.exp(s)
+        z = e.sum(axis=1)
+        e *= s
+        row_entropy[rows] = np.log(z) - e.sum(axis=1) / z
+    return float(row_entropy.sum())
 
 
 def seed_budget(h_tilde: float, h_current: float, beta: float,

@@ -691,6 +691,48 @@ class TestAffine:
         for got, expected in zip(run(diff.affine), run(reference_affine)):
             assert np.array_equal(_bits(got), _bits(expected))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_column_parts_equal_concat_bitwise(self, data):
+        rows, n_out = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        widths = data.draw(st.lists(st.integers(1, 5), min_size=1, max_size=3))
+        constant = data.draw(st.lists(st.booleans(), min_size=len(widths),
+                                      max_size=len(widths)))
+        activation = data.draw(st.sampled_from(diff._ACTIVATIONS))
+        values = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-3, 1e8]),
+                           st.floats(-1e3, 1e3))
+        parts = [data.draw(arrays(np.float64, (rows, width), elements=values))
+                 for width in widths]
+        w, b = (data.draw(arrays(np.float64, shape, elements=values))
+                for shape in ((sum(widths), n_out), (n_out,)))
+        g = data.draw(arrays(np.float64, (rows, n_out), elements=values))
+
+        def run(join):
+            inputs = [diff.tensor(v) if c else diff.param(v) for v, c in zip(parts, constant)]
+            leaves = inputs + [diff.param(w), diff.param(b)]
+            out = diff.affine(join(inputs), *leaves[-2:], activation)
+            diff.backward(diff.sum_all(diff.mul(out, diff.tensor(g))))
+            return [out.values] + [leaf.grad for leaf in leaves]
+
+        def assert_same(got, expected):
+            for a, b in zip(got, expected, strict=True):
+                assert (a is None) == (b is None)
+                assert a is None or np.array_equal(_bits(a), _bits(b))
+
+        fused = run(list)
+        assert_same(fused, run(lambda inputs: diff.concat(inputs, axis=1)))
+        assert [grad is None for grad in fused[1:1 + len(parts)]] == constant
+        if len(parts) == 1:
+            assert_same(fused, run(lambda inputs: inputs[0]))
+
+    def test_column_parts_with_different_row_counts_error(self):
+        w, b = diff.tensor(np.ones((5, 4))), diff.tensor(np.zeros(4))
+        with pytest.raises(DiffError, match="shape mismatch"):
+            diff.affine([diff.param(np.ones((2, 3))), diff.param(np.ones((3, 2)))], w, b,
+                        "identity")
+        with pytest.raises(DiffError, match="shape mismatch"):
+            diff.affine([], w, b, "identity")
+
     def test_shape_errors(self):
         x, w = diff.tensor(np.ones((2, 3))), diff.tensor(np.ones((3, 4)))
         with pytest.raises(DiffError, match="shape mismatch"):

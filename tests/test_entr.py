@@ -17,6 +17,7 @@ from jointkg.kgdata import ENLARGED, GIVEN, Kg, MultiKg, RelationVocab, SeedSet
 
 from .util import (
     reference_matrix_entropy,
+    reference_p_log_p_entropy,
     reference_prune_stale_transfers,
     reference_store,
     reference_transfer_triples,
@@ -93,6 +94,17 @@ class TestMatrixEntropy:
             got = matrix_entropy(values)
         expected = reference_matrix_entropy(values)
         assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_row_form_stays_near_p_log_p_form(self, data):
+        shape = (data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12)))
+        # few distinct values make ties; -1000 underflows to p = 0
+        distinct = st.sampled_from([0.0, -1000.0, 1.0, -1.0, 30.0, 1e-9])
+        elements = data.draw(st.sampled_from([distinct, st.one_of(distinct, st.floats(-50, 50))]))
+        values = data.draw(arrays(np.float64, shape, elements=elements))
+        assert matrix_entropy(values) == pytest.approx(reference_p_log_p_entropy(values),
+                                                       rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_in_a_later_block_errors(self, bad):

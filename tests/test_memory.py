@@ -1,8 +1,9 @@
 """Memory guards for the fused and blocked ops: one tape node per `Mlp`
-layer, no per-pairing rows on the alignment hinge's node, traced peaks of
-the blocked ops bounded by their kept tables plus a few block budgets or
-cache tiles, checkpoint saves and loads that build no whole-file copy, and a
-resume that keeps no second copy of the checkpoint's arrays."""
+layer, no per-pairing rows on the alignment hinge's node, no concatenated
+fusion or head input on the alignment tape, traced peaks of the blocked ops
+bounded by their kept tables plus a few block budgets or cache tiles,
+checkpoint saves and loads that build no whole-file copy, and a resume that
+keeps no second copy of the checkpoint's arrays."""
 import tracemalloc
 
 import numpy as np
@@ -105,9 +106,31 @@ def test_hinge_peak_stays_within_vectors_and_budgets(small_budget):
 
 
 def test_matrix_entropy_peak_stays_within_one_table_and_budgets(small_budget):
+    # the one table kept is the (rows,) vector of row entropies; a table of
+    # the matrix's size exceeds the bound
     matrix = np.random.default_rng(4).normal(size=(2_000, 1_500))
     _, peak = traced_peak(lambda: matrix_entropy(matrix))
-    assert peak < matrix.nbytes + 4 * BUDGET
+    assert peak < 4 * BUDGET + 8 * len(matrix)
+
+
+def test_alignment_tape_keeps_no_fusion_or_head_concatenation():
+    # at K = 2 the taped alignment graph keeps about 15 (N x dim) tables:
+    # layer outputs, MLP hidden outputs and the attention nodes' state. One
+    # (N x 2 dim) fusion input per fused layer and the head's (N x 3 dim)
+    # layer stack, held as concatenations, would add 9 more; any one of
+    # them alone adds at least 2
+    state = TrainState(toy_pair_dataset(entities=2_000, extra_edges=4_000, seed_pairs=200),
+                       small_config(layers=2, dim=32))
+    hook = state.fusion_hook()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        finals, _ = state.alignment_layers_and_finals(tape=True, hook=hook)
+        after, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert finals.requires_grad
+    assert after - before < 16.5 * finals.values.size * 8
 
 
 def _large_checkpoint():

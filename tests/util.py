@@ -261,8 +261,11 @@ def score(head: int, relation: int, tail: int, layers: LayerEmbeddings) -> Tenso
 # the whole-table forms of the blocked ones: bitwise oracles.
 
 
-def reference_affine(x: Tensor, w: Tensor, b: Tensor, activation: str) -> Tensor:
-    """One `Mlp` layer as `matmul`, `add`, then a `tanh` or `leakyrelu` node."""
+def reference_affine(x, w: Tensor, b: Tensor, activation: str) -> Tensor:
+    """One `Mlp` layer as `matmul`, `add`, then a `tanh` or `leakyrelu` node;
+    a list of column parts first goes through a `concat` node."""
+    if not isinstance(x, Tensor):
+        x = diff.concat(x, axis=1)
     out = diff.add(diff.matmul(x, w), b)
     if activation == "tanh":
         return diff.tanh(out)
@@ -327,7 +330,20 @@ def reference_adam_step(params, grads, m, v, t: int, lr: float) -> None:
 
 
 def reference_matrix_entropy(matrix: np.ndarray) -> float:
-    """Row-softmax entropy from whole-matrix temporaries."""
+    """Row-softmax entropy from whole-matrix temporaries, in the blocked
+    op's form: per row log Z - sum_j e^{s_j} s_j / Z with s = row - max(row)
+    and Z = sum_j e^{s_j}, then one flat sum of the row entropies."""
+    values = np.asarray(matrix)
+    s = values - values.max(axis=1, keepdims=True)
+    e = np.exp(s)
+    z = e.sum(axis=1)
+    e *= s
+    return float((np.log(z) - e.sum(axis=1) / z).sum())
+
+
+def reference_p_log_p_entropy(matrix: np.ndarray) -> float:
+    """Row-softmax entropy as -sum p log p over one whole-matrix table, a
+    probability that underflows to 0 adding 0."""
     values = np.asarray(matrix)
     p = values - values.max(axis=1, keepdims=True)
     np.exp(p, out=p)
