@@ -14,6 +14,7 @@ bytes of float64 values."""
 from __future__ import annotations
 
 import heapq
+from pathlib import Path
 
 import numpy as np
 
@@ -52,26 +53,20 @@ class FusionParams(ParameterBlock):
         return named
 
 
-def sir_fuse(completion_table: Tensor, alignment_table: Tensor, fuser: Mlp) -> Tensor:
-    """Fuse one layer's completion table (a constant here) into the alignment
-    table: MLP(completion || alignment), the two as column parts."""
-    return fuser([completion_table, alignment_table])
-
-
 def make_fusion_hook(completion_layers: LayerEmbeddings, fusion: FusionParams) -> FusionHook:
-    """Hook for the alignment encoder that applies the per-layer fusion.
+    """Hook for the alignment encoder that applies the per-layer fusion
+    MLP(completion || alignment) to the entity and the relation table.
 
-    Completion embeddings enter as detached constants: the alignment loss
-    must not reach completion parameters through the fusion.
+    Completion tables enter as detached constant column parts: the alignment
+    loss must not reach completion parameters through the fusion.
     """
     constants = completion_layers.detached()
     if fusion.layer_count != constants.layer_count:
         raise AlignmentError("fusion depth does not match encoder depth")
 
     def hook(entity: Tensor, relation: Tensor, layer: int) -> tuple[Tensor, Tensor]:
-        fused_e = sir_fuse(constants.entities[layer], entity, fusion.entity_fusers[layer])
-        fused_r = sir_fuse(constants.relations[layer], relation, fusion.relation_fusers[layer])
-        return fused_e, fused_r
+        return (fusion.entity_fusers[layer]([constants.entities[layer], entity]),
+                fusion.relation_fusers[layer]([constants.relations[layer], relation]))
 
     return hook
 
@@ -237,6 +232,4 @@ def write_matches(matches: list[tuple[int, int, float]], source_labels: list[str
                   target_labels: list[str], path) -> None:
     """entity<TAB>entity<TAB>score, one line per matched pair."""
     lines = [f"{source_labels[r]}\t{target_labels[c]}\t{s:.6f}" for r, c, s in matches]
-    from pathlib import Path
-
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

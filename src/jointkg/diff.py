@@ -357,17 +357,12 @@ def l1_norm_row(a: Tensor) -> Tensor:
 
 
 def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
-    """1 - cos(a, b); rowwise when given matrices of identical shape."""
-    if a.values.shape != b.values.shape:
-        raise DiffError(f"cosine_distance shape mismatch {a.values.shape} vs {b.values.shape}")
-    if a.values.ndim == 1:
-        u = a.values[None, :]
-        v = b.values[None, :]
-    elif a.values.ndim == 2:
-        u = a.values
-        v = b.values
-    else:
-        raise DiffError(f"cosine_distance expects vectors or matrices, got {a.values.shape}")
+    """Rowwise 1 - cos(a, b) of two matrices of identical shape."""
+    u, v = a.values, b.values
+    if u.shape != v.shape:
+        raise DiffError(f"cosine_distance shape mismatch {u.shape} vs {v.shape}")
+    if u.ndim != 2:
+        raise DiffError(f"cosine_distance expects matrices, got {u.shape}")
 
     nu = np.sqrt((u * u).sum(axis=1))
     nv = np.sqrt((v * v).sum(axis=1))
@@ -378,15 +373,12 @@ def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
     out = 1.0 - cos
 
     def grad_fn(g):
-        gcol = -np.atleast_1d(g)[:, None] if a.values.ndim == 1 else -g[:, None]
+        gcol = -g[:, None]
         gu = gcol * (v / (nu * nv)[:, None] - (cos / (nu * nu))[:, None] * u)
         gv = gcol * (u / (nu * nv)[:, None] - (cos / (nv * nv))[:, None] * v)
-        if a.values.ndim == 1:
-            return gu[0], gv[0]
         return gu, gv
 
-    values = np.asarray(out[0]) if a.values.ndim == 1 else out
-    return _result(values, (a, b), grad_fn, "cosine_distance")
+    return _result(out, (a, b), grad_fn, "cosine_distance")
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .errors import EvalError
 from .kgdata import MultiKg, SeedSet
 
 TripleKey = tuple[int, int, int]
+HITS_AT = (1, 10)  # the paper reports Hits@1 and Hits@10
 
 
 @dataclass
@@ -81,13 +82,13 @@ def kga_rank(similarities: np.ndarray, true_target: int) -> RankResult:
     return RankResult(query=(true_target,), rank=rank, candidate_count=candidates)
 
 
-def aggregate(ranks: list[int], k_list: tuple[int, ...] = (1, 10)) -> dict[str, float]:
-    """MRR and Hits@k for a list of ranks."""
+def aggregate(ranks: list[int]) -> dict[str, float]:
+    """MRR and Hits@k, k in HITS_AT, for a list of ranks."""
     if not ranks:
         raise EvalError("cannot aggregate an empty rank list")
     ranks_array = np.asarray(ranks, dtype=np.float64)
     metrics = {"MRR": float((1.0 / ranks_array).mean())}
-    for k in k_list:
+    for k in HITS_AT:
         metrics[f"Hits@{k}"] = float((ranks_array <= k).mean())
     return metrics
 
@@ -97,8 +98,8 @@ def aggregate(ranks: list[int], k_list: tuple[int, ...] = (1, 10)) -> dict[str, 
 
 
 def evaluate_kgc(multikg: MultiKg, entity_layer_values: list[np.ndarray],
-                 relation_layer_values: list[np.ndarray], split: str = "test",
-                 k_list: tuple[int, ...] = (1, 10)) -> dict[str, dict[str, float]]:
+                 relation_layer_values: list[np.ndarray], split: str = "test"
+                 ) -> dict[str, dict[str, float]]:
     """Per-KG completion metrics for one kgc split."""
     results: dict[str, dict[str, float]] = {}
     for kg in multikg.kgs:
@@ -111,31 +112,30 @@ def evaluate_kgc(multikg: MultiKg, entity_layer_values: list[np.ndarray],
                                  relation_layer_values, offset, kg.entity_count)
         ranks = [kgc_rank(triple, kg.entity_count, known, row).rank
                  for triple, row in zip(triples.tolist(), scores)]
-        metrics = aggregate(ranks, k_list)
+        metrics = aggregate(ranks)
         metrics["count"] = float(len(ranks))
         results[kg.id] = metrics
     return results
 
 
-def kga_metrics(similarities: np.ndarray, seed_set: SeedSet,
-                k_list: tuple[int, ...] = (1, 10)) -> dict[str, float]:
+def kga_metrics(similarities: np.ndarray, seed_set: SeedSet) -> dict[str, float]:
     """Metrics of one pair's seed pairs ranked in its (source x target) block."""
     ranks = [kga_rank(similarities[e], e_star).rank for e, e_star in seed_set.pairs.tolist()]
-    metrics = aggregate(ranks, k_list)
+    metrics = aggregate(ranks)
     metrics["count"] = float(len(ranks))
     return metrics
 
 
 def evaluate_kga(multikg: MultiKg, entity_finals: np.ndarray,
-                 test_seeds: dict[tuple[str, str], SeedSet],
-                 k_list: tuple[int, ...] = (1, 10)) -> dict[tuple[str, str], dict[str, float]]:
+                 test_seeds: dict[tuple[str, str], SeedSet]
+                 ) -> dict[tuple[str, str], dict[str, float]]:
     """Per-pair alignment metrics over held-out seed pairs."""
     results: dict[tuple[str, str], dict[str, float]] = {}
     for pair, seed_set in sorted(test_seeds.items()):
         if len(seed_set) == 0:
             continue
         source, target, _, _ = multikg.pair_blocks(pair, entity_finals)
-        results[pair] = kga_metrics(build_alignment_matrix(source, target), seed_set, k_list)
+        results[pair] = kga_metrics(build_alignment_matrix(source, target), seed_set)
     return results
 
 

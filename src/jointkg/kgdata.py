@@ -262,6 +262,17 @@ def _read_lines(path: Path, what: str) -> list[str]:
     return text.splitlines()
 
 
+def _tsv_fields(path: Path, what: str, width: int):
+    """Yield (line number, fields) of a tab-separated file whose every line
+    has `width` fields."""
+    for number, line in enumerate(_read_lines(path, what), start=1):
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise ParseError(f"{path}:{number}: expected {width} tab-separated fields, "
+                             f"got {len(fields)}")
+        yield number, fields
+
+
 def parse_triples(path: Path, kg_id: str, relations: RelationVocab | None = None) -> Kg:
     """Parse a tab-separated triple file into a Kg with dense first-seen ids.
 
@@ -271,10 +282,7 @@ def parse_triples(path: Path, kg_id: str, relations: RelationVocab | None = None
     relations = relations if relations is not None else RelationVocab()
     kg = Kg(kg_id, relations)
     ids = []
-    for number, line in enumerate(_read_lines(path, "triple"), start=1):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"{path}:{number}: expected 3 tab-separated fields, got {len(fields)}")
+    for _, fields in _tsv_fields(path, "triple", 3):
         ids.append((kg.intern_entity(fields[0]), relations.intern(fields[1]),
                     kg.intern_entity(fields[2])))
     if not ids:
@@ -296,10 +304,7 @@ def parse_seeds(path: Path, kg_left: Kg, kg_right: Kg) -> tuple[SeedSet, int]:
     used_left: set[int] = set()
     used_right: set[int] = set()
     skipped = 0
-    for number, line in enumerate(_read_lines(path, "seed"), start=1):
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ParseError(f"{path}:{number}: expected 2 tab-separated fields, got {len(fields)}")
+    for number, fields in _tsv_fields(path, "seed", 2):
         left = kg_left.entity_index.get(fields[0])
         right = kg_right.entity_index.get(fields[1])
         if left is None or right is None:
@@ -381,10 +386,7 @@ def load_initial_vectors(path: Path, multikg: MultiKg) -> dict[str, int]:
 
 def _resolve_split_triples(path: Path, kg: Kg) -> list[tuple[int, int, int]]:
     triples = []
-    for number, line in enumerate(_read_lines(path, "kgc split"), start=1):
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise ParseError(f"{path}:{number}: expected 3 tab-separated fields, got {len(fields)}")
+    for number, fields in _tsv_fields(path, "kgc split", 3):
         head = kg.entity_index.get(fields[0])
         relation = kg.relations.index.get(fields[1])
         tail = kg.entity_index.get(fields[2])

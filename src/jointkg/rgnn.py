@@ -156,18 +156,18 @@ class EncoderParams(ParameterBlock):
 
 def layer_forward(edges: EdgeList, entity_k: Tensor, relation_k: Tensor,
                   params: EncoderParams, layer: int) -> tuple[Tensor, Tensor]:
-    """One message-passing transition: tables at layer k -> layer k+1."""
-    if edges.count:
-        if params.relation_aware:
-            att = params.att[layer]
-            attention = (params.comp[layer](relation_k), att.weights[0], att.biases[0])
-        else:
-            attention = (None, None, None)
-        aggregated = diff.neighbor_attention(entity_k, *attention, edges.centers,
-                                             edges.neighbors, edges.relations, edges.indptr)
-        entity_next = params.g[layer](diff.add(aggregated, entity_k))
+    """One message-passing transition: tables at layer k -> layer k+1.
+
+    Without edges the attended sum is zero, so this is g(e) bitwise, and the
+    comp and attention parameters get zero gradients: Adam leaves them be."""
+    if params.relation_aware:
+        att = params.att[layer]
+        attention = (params.comp[layer](relation_k), att.weights[0], att.biases[0])
     else:
-        entity_next = params.g[layer](entity_k)
+        attention = (None, None, None)
+    aggregated = diff.neighbor_attention(entity_k, *attention, edges.centers,
+                                         edges.neighbors, edges.relations, edges.indptr)
+    entity_next = params.g[layer](diff.add(aggregated, entity_k))
     relation_next = params.rel[layer](relation_k)
     return entity_next, relation_next
 

@@ -158,7 +158,7 @@ def generate(spec: SynthSpec) -> SynthResult:
     for kg_id in (KG_FIRST, KG_SECOND):
         per_split: dict[str, list[tuple[int, int, int]]] = {}
         for split, indices in base_split.items():
-            rows = [i for i in range(len(base)) if i in indices]
+            rows = sorted(indices)
             if kg_id == KG_FIRST:
                 rows = [i for i in rows if i in kept_set]
                 per_split[split] = [base[i] for i in rows]

@@ -15,7 +15,6 @@ from jointkg.alignment import (
     greedy_one_to_one,
     make_fusion_hook,
     nearest_negatives,
-    sir_fuse,
     top_columns,
 )
 from jointkg.errors import AlignmentError
@@ -38,6 +37,14 @@ def select_first_block(total, n):
     w = np.zeros((total, n))
     w[:n] = np.eye(n)
     return weight_mlp(w)
+
+
+def sir_fuse(c, a, fuser):
+    """The fusion hook's layer-0 entity table for completion table `c` and
+    alignment table `a`, with `fuser` as the entity and the relation fuser."""
+    relation = diff.tensor(np.ones((1, c.values.shape[1])))
+    hook = make_fusion_hook(LayerEmbeddings([c], [relation]), FusionParams([fuser], [fuser]))
+    return hook(a, relation, 0)[0]
 
 
 class TestSirFuse:

@@ -44,14 +44,20 @@ def test_tanh_at_zero():
 
 
 def test_cosine_distance_identical_vectors():
-    u = np.array([0.3, -1.2, 2.0])
+    u = np.array([[0.3, -1.2, 2.0]])
     d = diff.cosine_distance(diff.tensor(u), diff.tensor(u.copy()))
-    assert abs(d.item()) < 1e-12
+    assert d.values.shape == (1,) and abs(d.values[0]) < 1e-12
 
 
 def test_cosine_distance_zero_vector_errors():
     with pytest.raises(DiffError, match="zero-norm embedding"):
-        diff.cosine_distance(diff.tensor(np.zeros(3)), diff.tensor(np.ones(3)))
+        diff.cosine_distance(diff.tensor(np.zeros((1, 3))), diff.tensor(np.ones((1, 3))))
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
+def test_cosine_distance_takes_matrices_only(shape):
+    with pytest.raises(DiffError, match="expects matrices"):
+        diff.cosine_distance(diff.tensor(np.ones(shape)), diff.tensor(np.ones(shape)))
 
 
 def test_l1_norm_row_hand_value():
@@ -113,6 +119,12 @@ def _single_op_cases(rng):
     idx = np.array([0, 2, 2, 1])
     other = rng.normal(size=(4, 3))
     vec = away_from_kinks(rng.normal(size=5))
+    # every |e[h] + r[rel] - e[t]| coordinate at least 0.05, 5,000 steps from the L1 kink
+    l1_index = (TestTranslationL1.HEADS, TestTranslationL1.RELS, TestTranslationL1.TAILS)
+    l1_entities, l1_relations = TestTranslationL1._tables(int(rng.integers(1 << 31)))
+    proj5 = rng.normal(size=5)
+    attention_inputs = [rng.normal(size=(4, 3)), rng.normal(size=(2, 3)),
+                        rng.normal(size=(6, 1)), rng.normal(size=1)]
 
     def weighted(x, p):
         return diff.sum_all(diff.mul(x, diff.tensor(p)))
@@ -124,6 +136,11 @@ def _single_op_cases(rng):
 
     def affine(x, w, bias, activation):
         return weighted(diff.affine(x, w, bias, activation), proj45)
+
+    def attention(t, which):
+        """Relation-aware attention with input `which` replaced by `t`."""
+        inputs = [t if i == which else diff.tensor(x) for i, x in enumerate(attention_inputs)]
+        return weighted(TestNeighborAttention._call(*inputs), proj)
 
     # margin halfway between the two middle d(neg) - d(pos) gaps: two hinges
     # active, two not, each well away from its kink
@@ -153,7 +170,8 @@ def _single_op_cases(rng):
         ("softmax_row", lambda t: weighted(diff.softmax_row(t), proj), a),
         ("l1_norm_row", lambda t: diff.sum_all(diff.l1_norm_row(t)), away_from_kinks(a)),
         ("cosine_rows", lambda t: weighted(diff.cosine_distance(t, diff.tensor(other)), proj4), a + 2.0),
-        ("cosine_vec", lambda t: diff.cosine_distance(t, diff.tensor(np.ones(5))), vec),
+        ("cosine_row", lambda t: diff.sum_all(
+            diff.cosine_distance(t, diff.tensor(np.ones((1, 5))))), vec[None, :]),
         ("gather_rows", lambda t: weighted(diff.gather_rows(t, idx), proj), m[:4]),
         ("scatter_messages", lambda t: weighted(
             diff.scatter_weighted_sum(t, diff.tensor(w), seg, 3), proj33), m),
@@ -172,6 +190,16 @@ def _single_op_cases(rng):
         ("affine_bias", lambda t: affine(diff.tensor(x_unit), diff.tensor(w_unit), t,
                                          "leakyrelu"), shift),
         ("cosine_hinge", lambda t: diff.cosine_hinge(t, *hinge_index, margin), table),
+        ("translation_l1_entities", lambda t: weighted(
+            diff.translation_l1(t, diff.tensor(l1_relations), *l1_index), proj5), l1_entities),
+        ("translation_l1_relations", lambda t: weighted(
+            diff.translation_l1(diff.tensor(l1_entities), t, *l1_index), proj5), l1_relations),
+        ("attention_entities", lambda t: attention(t, 0), attention_inputs[0]),
+        ("attention_composed", lambda t: attention(t, 1), attention_inputs[1]),
+        ("attention_weight", lambda t: attention(t, 2), attention_inputs[2]),
+        ("attention_bias", lambda t: attention(t, 3), attention_inputs[3]),
+        ("attention_uniform", lambda t: weighted(
+            TestNeighborAttention._call(t, None, None, None), proj), attention_inputs[0]),
     ]
 
 

@@ -7,7 +7,7 @@ from jointkg import diff
 from jointkg import evaluate as ev
 from jointkg.completion import score_all_tails
 from jointkg.errors import EvalError
-from jointkg.evaluate import aggregate, kga_rank, kgc_rank, pessimistic_rank
+from jointkg.evaluate import HITS_AT, aggregate, kga_rank, kgc_rank, pessimistic_rank
 from jointkg.kgdata import load_multikg
 from jointkg.synth import SynthSpec, generate, write_dataset
 
@@ -77,9 +77,7 @@ class TestAggregate:
         assert aggregate([1, 2, 10])["Hits@1"] == pytest.approx(1 / 3)
 
     def test_all_rank_one(self):
-        metrics = aggregate([1, 1, 1], k_list=(1, 3, 10))
-        assert metrics["MRR"] == 1.0
-        assert all(metrics[f"Hits@{k}"] == 1.0 for k in (1, 3, 10))
+        assert aggregate([1, 1, 1]) == {"MRR": 1.0, "Hits@1": 1.0, "Hits@10": 1.0}
 
     def test_empty_errors(self):
         with pytest.raises(EvalError, match="empty"):
@@ -88,10 +86,10 @@ class TestAggregate:
     def test_hits_non_decreasing_and_mrr_bounds(self):
         rng = np.random.default_rng(0)
         ranks = [int(r) for r in rng.integers(1, 30, size=50)]
-        metrics = aggregate(ranks, k_list=(1, 3, 10, 30))
-        values = [metrics[f"Hits@{k}"] for k in (1, 3, 10, 30)]
+        metrics = aggregate(ranks)
+        values = [metrics[f"Hits@{k}"] for k in HITS_AT]
         assert values == sorted(values)
-        assert values[-1] == 1.0
+        assert metrics["Hits@10"] == sum(rank <= 10 for rank in ranks) / len(ranks)
         assert 0.0 < metrics["MRR"] <= 1.0
 
 

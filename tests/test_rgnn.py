@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from jointkg import diff
 from jointkg.kgdata import Kg, MultiKg, RelationVocab
-from jointkg.rgnn import EncoderParams, build_edges, encode, layer_forward
+from jointkg.rgnn import EdgeList, EncoderParams, build_edges, encode, layer_forward
 
 from .util import (
     append_transferred,
@@ -172,6 +172,45 @@ class TestLayerForward:
         _, relation = layer_forward(build_edges(multikg), params.entity0, params.relation0,
                                     params, 0)
         assert np.array_equal(relation.values, r0)
+
+
+class TestEdgelessGraph:
+    """Without edges the attended sum is the zero table, so one layer and the
+    whole encoder are g(e) (and the relation MLPs) bitwise, in values and in
+    the entity gradient."""
+
+    @pytest.mark.parametrize("relation_aware", [True, False])
+    def test_layer_and_encode_equal_g_of_e(self, relation_aware):
+        rng = np.random.default_rng(11)
+        empty = np.empty(0, dtype=np.int64)
+        edges = EdgeList(empty, empty, empty, num_entities=5)
+        params = EncoderParams.create(2, 4, 5, 2, rng, relation_aware=relation_aware)
+        probe = diff.tensor(rng.normal(size=(5, 4)))
+
+        def run(tables):
+            for p in params.parameters():
+                p.grad = None
+            entity, relation = tables()
+            diff.backward(diff.add(diff.sum_all(diff.mul(entity, probe)),
+                                   diff.sum_all(relation)))
+            return [entity.values, relation.values, params.entity0.grad]
+
+        e0, r0 = params.entity0, params.relation0
+        g, rel = params.g, params.rel
+        one_layer = run(lambda: layer_forward(edges, e0, r0, params, 0))
+        if relation_aware:
+            # zero gradients, not None: Adam then leaves these parameters be
+            for block in (params.comp[0], params.att[0]):
+                assert all(not p.grad.any() for p in block.parameters())
+        for got, want in zip(one_layer, run(lambda: (g[0](e0), rel[0](r0)))):
+            assert got.tobytes() == want.tobytes()
+
+        def encoded():
+            layers = encode(edges, params)
+            return layers.entities[-1], layers.relations[-1]
+
+        for got, want in zip(run(encoded), run(lambda: (g[1](g[0](e0)), rel[1](rel[0](r0))))):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestEncode:

@@ -193,8 +193,6 @@ def reference_layer_forward(edges: EdgeList, entity_k: Tensor, relation_k: Tenso
     concatenated center and message rows, `segment_softmax` and
     `scatter_weighted_sum` (uniform 1/deg weights without relation
     awareness)."""
-    if not edges.count:
-        return params.g[layer](entity_k), params.rel[layer](relation_k)
     neighbor_rows = diff.gather_rows(entity_k, edges.neighbors)
     if params.relation_aware:
         composed = params.comp[layer](relation_k)
