@@ -3,7 +3,8 @@ alignment encoder, the final entity head over the layer stack, the dense
 similarity matrix, nearest-entity negatives, the margin loss over aligned
 pairs, and greedy one-to-one matching. The fusion and head MLPs record one
 `diff.affine` node per layer over column parts, no taped concatenation, and
-the margin loss one `diff.cosine_hinge` node.
+the margin loss reads its pairs' rows through `diff.cosine_distance`, no
+taped gathers.
 
 The similarity matrix is a plain (source x target) ndarray of cosines.
 Aligned pairs are (left, right) rows, as in `SeedSet.pairs`; negatives are
@@ -142,19 +143,19 @@ def nearest_negatives(pairs: np.ndarray, source_finals: np.ndarray,
 def alignment_loss(pairs, negatives: list[tuple[int, tuple[int, int]]],
                    gamma_a: float, entity_finals: Tensor) -> Tensor:
     """Hinge gamma_a + d(pos) - d(neg) per positive-negative pairing, mean
-    over all pairings, d the cosine distance. `pairs` are (left, right)
-    rows, as an array or a list. Indices here are rows of the shared finals
-    table. One `diff.cosine_hinge` node; it keeps no gathered (pairings x
-    dim) rows, and its gradient adds negatives' left, negatives' right,
-    positives' left, then positives' right rows, as the composed graph of
-    gathers and cosine distances did."""
+    over all pairings, d the `diff.cosine_distance` of one pairing's rows.
+    `pairs` are (left, right) rows, as an array or a list. Indices here are
+    rows of the shared finals table. No node keeps gathered (pairings x dim)
+    rows; the finals' gradient adds negatives' left, negatives' right,
+    positives' left, then positives' right rows, as gathers would."""
     if not negatives:
         raise AlignmentError("alignment loss needs at least one negative pair")
     index, negative_pairs = zip(*negatives)
     positive = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[np.asarray(index)]
     negative = np.asarray(negative_pairs, dtype=np.int64)
-    return diff.cosine_hinge(entity_finals, positive[:, 0], positive[:, 1],
-                             negative[:, 0], negative[:, 1], gamma_a)
+    d_pos = diff.cosine_distance(entity_finals, positive[:, 0], positive[:, 1])
+    d_neg = diff.cosine_distance(entity_finals, negative[:, 0], negative[:, 1])
+    return diff.mean_all(diff.relu(diff.add(diff.sub(diff.tensor(gamma_a), d_neg), d_pos)))
 
 
 # Each free row starts with its first _GREEDY_CANDIDATES free columns.

@@ -80,9 +80,7 @@ def alignment_constraint_loss(pairs: np.ndarray, layers: LayerEmbeddings) -> Ten
     left, right = pairs[:, 0], pairs[:, 1]
     total = None
     for k in range(layers.layer_count + 1):
-        e = layers.entities[k]
-        distances = diff.cosine_distance(diff.gather_rows(e, left), diff.gather_rows(e, right))
-        layer_loss = diff.sum_all(distances)
+        layer_loss = diff.sum_all(diff.cosine_distance(layers.entities[k], left, right))
         total = layer_loss if total is None else diff.add(total, layer_loss)
     return total
 

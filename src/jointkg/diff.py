@@ -1,14 +1,14 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Covers exactly the operations the encoder and loss graphs need: affine maps,
-pointwise nonlinearities, row softmax, L1 norms, cosine distance, the fused
-translation score, the fused neighbor attention of one encoder layer, the
-fused cosine hinge of the alignment loss, and the gather/scatter/segment
-primitives of full-graph message passing. Graphs are recorded eagerly;
-`backward` on a scalar accumulates gradients into the `.grad` of every
-reachable leaf made by `param` (intermediates get none) and frees each
-intermediate gradient once propagated. Calling `backward` again without
-zeroing adds a second contribution on top.
+pointwise nonlinearities, row softmax, L1 norms, the cosine distance of
+index pairs into one table, the fused translation score, the fused neighbor
+attention of one encoder layer, and the gather/scatter/segment primitives of
+full-graph message passing. Graphs are recorded eagerly; `backward` on a
+scalar accumulates gradients into the `.grad` of every reachable leaf made
+by `param` (intermediates get none) and frees each intermediate gradient
+once propagated. Calling `backward` again without zeroing adds a second
+contribution on top.
 
 All values are 64-bit floats and every reduction runs in a fixed order, so
 identical inputs give bit-identical forwards and gradients. The row
@@ -18,18 +18,19 @@ input position from 0.0, the order of `np.add.at`: a CSR product for
 tables, `np.bincount` for vectors.
 
 The fused ops `affine`, `translation_l1`, `neighbor_attention` and
-`cosine_hinge` each record one node where the composed graph they replace
-recorded several; `affine` and `cosine_hinge` match theirs bit for bit, in
-values and gradients. `affine` reads a list of column parts as their
-`concat`, so no concatenated table is taped. Their (rows x dim) temporaries
-come in two kinds of loop. Memory budgets of at most `BLOCK_BYTES` bytes (`blocks`) bound
-`cosine_hinge`'s row and column blocks and `translation_l1`'s backward
-column blocks. Cache tiles of `_EDGE_BLOCK` rows, sized for speed, carry
-`translation_l1`'s forward and `neighbor_attention`'s per-edge weight
-gradient. Rows are split where each output row reads only its own input
-rows, columns where a scatter-sum adds many rows into one, so each target
-column still adds its rows in ascending input position and no block or
-tile size moves a bit.
+`cosine_distance` each record one node where the composed graph they
+replace recorded several; `affine` and `cosine_distance` match theirs bit
+for bit, in values and gradients. `affine` reads a list of column parts as
+their `concat`, and `cosine_distance` reads its pairs' rows from the table,
+so no concatenated or gathered table is taped. Their (rows x dim)
+temporaries come in two kinds of loop. Memory budgets of at most
+`BLOCK_BYTES` bytes (`blocks`) bound `cosine_distance`'s row and column
+blocks and `translation_l1`'s backward column blocks. Cache tiles of
+`_EDGE_BLOCK` rows, sized for speed, carry `translation_l1`'s forward and
+`neighbor_attention`'s per-edge weight gradient. Rows are split where each
+output row reads only its own input rows, columns where a scatter-sum adds
+many rows into one, so each target column still adds its rows in ascending
+input position and no block or tile size moves a bit.
 
 `translation_l1` gives -sum_j |e[h] + r[rel] - e[t]|_j per row, the same
 values as three gathers, add, sub, `l1_norm_row` and `scale(-1)`; its node
@@ -60,7 +61,7 @@ from .errors import DiffError
 _grad_enabled = True
 
 # A memory budget, not a cache tile: bytes per blocked temporary in
-# `cosine_hinge`'s (rows x dim) tables and `translation_l1`'s backward
+# `cosine_distance`'s (rows x dim) tables and `translation_l1`'s backward
 # columns, in the softmax rows of `entr.matrix_entropy`, and in the
 # similarity, distance and value rows of `completion.score_all_tails`,
 # `alignment.nearest_negatives` and greedy's candidate prefixes. Large
@@ -356,31 +357,6 @@ def l1_norm_row(a: Tensor) -> Tensor:
     return _result(out, (a,), grad_fn, "l1_norm_row")
 
 
-def cosine_distance(a: Tensor, b: Tensor) -> Tensor:
-    """Rowwise 1 - cos(a, b) of two matrices of identical shape."""
-    u, v = a.values, b.values
-    if u.shape != v.shape:
-        raise DiffError(f"cosine_distance shape mismatch {u.shape} vs {v.shape}")
-    if u.ndim != 2:
-        raise DiffError(f"cosine_distance expects matrices, got {u.shape}")
-
-    nu = np.sqrt((u * u).sum(axis=1))
-    nv = np.sqrt((v * v).sum(axis=1))
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise DiffError("zero-norm embedding")
-    dot = (u * v).sum(axis=1)
-    cos = dot / (nu * nv)
-    out = 1.0 - cos
-
-    def grad_fn(g):
-        gcol = -g[:, None]
-        gu = gcol * (v / (nu * nv)[:, None] - (cos / (nu * nu))[:, None] * u)
-        gv = gcol * (u / (nu * nv)[:, None] - (cos / (nv * nv))[:, None] * v)
-        return gu, gv
-
-    return _result(out, (a, b), grad_fn, "cosine_distance")
-
-
 # ---------------------------------------------------------------------------
 # graph aggregation primitives
 
@@ -477,73 +453,52 @@ def translation_l1(entities: Tensor, relations: Tensor, heads, rels, tails) -> T
     return _result(out, (entities, relations), grad_fn, "translation_l1")
 
 
-def cosine_hinge(table: Tensor, positive_left, positive_right, negative_left,
-                 negative_right, margin: float) -> Tensor:
-    """Mean over pairings i of relu(margin + d(pos_i) - d(neg_i)), where
-    d(pos_i) = 1 - cos(table[positive_left[i]], table[positive_right[i]])
-    and d(neg_i) likewise on the negative indices.
+def cosine_distance(table: Tensor, left, right) -> Tensor:
+    """1 - cos(table[left[i]], table[right[i]]) per pair i.
 
-    Bit-identical to `cosine_distance` on `gather_rows` of each side,
-    `relu(add(sub(margin, d_neg), d_pos))` and `mean_all`. The node keeps the
-    index arrays, each pairing's norms and cosines and the active-hinge mask,
-    but no gathered (pairings x dim) rows: the forward takes dot products in
-    row blocks, and the backward forms the row gradients in column blocks.
-    The table gradient adds the four scatter-sums in the composed graph's
-    order: negatives' left, negatives' right, positives' left, then
-    positives' right; within each, a row adds its pairings in ascending order.
+    Bit-identical to `gather_rows` of each side followed by the rowwise
+    cosine distance of the two gathered matrices. The node keeps the index
+    arrays and each pair's norms and cosine, but no gathered (pairs x dim)
+    rows: the forward takes row norms and dot products in row blocks, and
+    the backward forms the row gradients in column blocks. Its two parent
+    slots are `table` twice, the left rows' scatter-sum then the right
+    rows', so `backward` adds them in the order the two gathers did; within
+    each, a row adds its pairs in ascending order.
     """
     x = table.values
-    indices = [np.asarray(index, dtype=np.int64)
-               for index in (negative_left, negative_right, positive_left, positive_right)]
-    count = indices[0].size
-    if any(index.shape != (count,) for index in indices):
-        raise DiffError("cosine_hinge needs four one-dimensional index arrays of one length")
-    if count == 0:
-        raise DiffError("mean of empty tensor")
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    if left.ndim != 1 or right.shape != left.shape:
+        raise DiffError("cosine_distance needs two one-dimensional index arrays of one length")
     if x.ndim != 2:
-        raise DiffError(f"cosine_hinge expects a matrix, got shape {x.shape}")
-    for index in indices:
-        _check_range(index, x.shape[0], "cosine_hinge index")
-    dim = x.shape[1]
+        raise DiffError(f"cosine_distance expects a matrix, got shape {x.shape}")
+    _check_range(left, x.shape[0], "cosine_distance index")
+    _check_range(right, x.shape[0], "cosine_distance index")
+    count, dim = left.size, x.shape[1]
     row_norms = np.empty(x.shape[0])
     for rows in blocks(x.shape[0], 8 * dim):
         row_norms[rows] = np.sqrt((x[rows] * x[rows]).sum(axis=1))
-
-    def pairing(left, right):
-        nu, nv = row_norms[left], row_norms[right]
-        if np.any(nu == 0.0) or np.any(nv == 0.0):
-            raise DiffError("zero-norm embedding")
-        dot = np.empty(count)
-        for rows in blocks(count, 8 * dim):
-            dot[rows] = (x[left[rows]] * x[right[rows]]).sum(axis=1)
-        return left, right, nu, nv, dot / (nu * nv)
-
-    negative, positive = pairing(*indices[:2]), pairing(*indices[2:])
-    d_neg, d_pos = 1.0 - negative[-1], 1.0 - positive[-1]
-    hinge = (float(margin) - d_neg) + d_pos
-    active = hinge > 0
-    scale_by = float(1.0 / count)
-    out = np.asarray(np.where(active, hinge, 0.0 * hinge).sum()) * scale_by
+    nu, nv = row_norms[left], row_norms[right]
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
+        raise DiffError("zero-norm embedding")
+    dot = np.empty(count)
+    for rows in blocks(count, 8 * dim):
+        dot[rows] = (x[left[rows]] * x[right[rows]]).sum(axis=1)
+    cos = dot / (nu * nv)
 
     def grad_fn(g):
-        hinge_grad = np.full(count, float(g * scale_by)) * np.where(active, 1.0, 0.0)
-        # cosine_distance's backward negates its incoming gradient, which is
-        # -hinge_grad for d_neg and hinge_grad for d_pos
-        sides = [(pair, outer[:, None], [_scatter_plan(index, x.shape[0], count)
-                                         for index in pair[:2]])
-                 for pair, outer in ((negative, hinge_grad), (positive, -hinge_grad))]
-        table_grad = np.empty(x.shape)
+        gcol, nunv = -g[:, None], (nu * nv)[:, None]
+        cos_nu, cos_nv = (cos / (nu * nu))[:, None], (cos / (nv * nv))[:, None]
+        left_plan = _scatter_plan(left, x.shape[0], count)
+        right_plan = _scatter_plan(right, x.shape[0], count)
+        left_grad, right_grad = np.empty(x.shape), np.empty(x.shape)
         for cols in blocks(dim, 8 * count):
-            sums = []  # negatives' left, negatives' right, positives' left, positives' right
-            for (left, right, nu, nv, cos), outer, (left_plan, right_plan) in sides:
-                u, v = x[left, cols], x[right, cols]
-                nunv = (nu * nv)[:, None]
-                sums.append(left_plan @ (outer * (v / nunv - (cos / (nu * nu))[:, None] * u)))
-                sums.append(right_plan @ (outer * (u / nunv - (cos / (nv * nv))[:, None] * v)))
-            table_grad[:, cols] = sums[0] + sums[1] + sums[2] + sums[3]
-        return (table_grad,)
+            u, v = x[left, cols], x[right, cols]
+            left_grad[:, cols] = left_plan @ (gcol * (v / nunv - cos_nu * u))
+            right_grad[:, cols] = right_plan @ (gcol * (u / nunv - cos_nv * v))
+        return left_grad, right_grad
 
-    return _result(out, (table,), grad_fn, "cosine_hinge")
+    return _result(1.0 - cos, (table, table), grad_fn, "cosine_distance")
 
 
 def scatter_weighted_sum(messages: Tensor, weights: Tensor, segments, num_segments: int) -> Tensor:

@@ -297,7 +297,7 @@ class TrainState:
         for kg_id, loaded, transferred in self.completion_positives():
             kg = self.multikg.by_id[kg_id]
             offset = self.multikg.entity_offset(kg_id)
-            known = np.unique(triple_keys(np.concatenate([loaded, transferred]),
+            known = np.unique(triple_keys(np.concatenate([loaded, kg.transferred]),
                                           kg.entity_count))
             for positives, stream in ((loaded, ()), (transferred, ("transferred",))):
                 if len(positives) == 0:

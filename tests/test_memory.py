@@ -1,5 +1,5 @@
 """Memory guards for the fused and blocked ops: one tape node per `Mlp`
-layer, no per-pairing rows on the alignment hinge's node, no concatenated
+layer, no per-pair rows on the tape of either cosine loss, no concatenated
 fusion or head input on the alignment tape, traced peaks of the blocked ops
 bounded by their kept tables plus a few block budgets or cache tiles,
 checkpoint saves and loads that build no whole-file copy, and a resume that
@@ -12,7 +12,9 @@ import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts i
 
 from jointkg import diff
 from jointkg.alignment import alignment_loss
+from jointkg.completion import alignment_constraint_loss
 from jointkg.entr import matrix_entropy
+from jointkg.rgnn import LayerEmbeddings
 from jointkg.train import Checkpoint, TrainState, resume, snapshot
 
 from .test_train import small_config
@@ -43,19 +45,23 @@ def test_each_mlp_layer_leaves_one_node(activations):
 
 
 def test_hinge_node_holds_no_per_pairing_rows():
+    # neither cosine loss tapes a (pairs x dim) float64 array: the alignment
+    # hinge over 15 pairings of 3 pairs, the seed constraint over 5 pairs on
+    # each of 3 layers; every table has 9 rows
     rng = np.random.default_rng(1)
     finals = diff.param(rng.normal(size=(9, 4)))
     pairs = [(0, 5), (1, 6), (2, 7)]
     negatives = [(i, (int(rng.integers(9)), right)) for i, (_, right) in enumerate(pairs)
                  for _ in range(5)]
-    loss = alignment_loss(pairs, negatives, 0.5, finals)
-    count = len(negatives)
-    assert count not in (9, 4, 3)
-    nodes = [node for node in diff._topo(loss) if node._grad_fn is not None]
-    assert [node._op for node in nodes] == ["cosine_hinge"]
-    for array in held_arrays(nodes[0]):
-        assert not (array.ndim == 2 and array.dtype == np.float64 and array.shape[0] == count), \
-            f"the hinge holds a {array.shape} float64 array"
+    seeds = np.array([[0, 5], [1, 6], [2, 7], [3, 8], [4, 4]])
+    layers = LayerEmbeddings([diff.param(rng.normal(size=(9, 4))) for _ in range(3)], [])
+    for loss, counts in ((alignment_loss(pairs, negatives, 0.5, finals), (3, 15)),
+                         (alignment_constraint_loss(seeds, layers), (5,))):
+        for node in diff._topo(loss):
+            for array in held_arrays(node):
+                assert not (array.ndim == 2 and array.dtype == np.float64
+                            and array.shape[0] in counts), \
+                    f"{node!r} holds a {array.shape} float64 array"
 
 
 # Peaks on shapes that span about twenty blocks. Each bound is what the op
@@ -100,8 +106,9 @@ def test_translation_l1_forward_peak_stays_within_signs_output_and_tiles():
 def test_hinge_peak_stays_within_vectors_and_budgets(small_budget):
     rng = np.random.default_rng(3)
     finals = diff.param(rng.normal(size=(2_000, DIM)))
-    index = [rng.integers(2_000, size=ROWS) for _ in range(4)]
-    _, peak = traced_peak(lambda: diff.backward(diff.cosine_hinge(finals, *index, 0.5)))
+    pairs = rng.integers(2_000, size=(ROWS, 2))
+    negatives = list(zip(range(ROWS), map(tuple, rng.integers(2_000, size=(ROWS, 2)).tolist())))
+    _, peak = traced_peak(lambda: diff.backward(alignment_loss(pairs, negatives, 0.5, finals)))
     assert peak < 32 * VECTOR + 8 * BUDGET
 
 

@@ -7,7 +7,7 @@ from jointkg import diff
 from jointkg.completion import sample_negatives
 from jointkg.entr import transfer_triples
 from jointkg.errors import TrainError
-from jointkg.kgdata import GIVEN, Kg, MultiKg, RelationVocab, SeedSet
+from jointkg.kgdata import GIVEN, Kg, MultiKg, RelationVocab, SeedSet, triple_keys
 from jointkg.rgnn import build_edges
 from jointkg.train import (
     ABLATIONS,
@@ -210,6 +210,27 @@ class TestNegativePairing:
         paired = corruptions_of_loaded(transfer=False)
         assert {kg_id for kg_id, *_ in paired} == {"aa", "bb"}
         assert corruptions_of_loaded(transfer=True) == paired
+
+    @pytest.mark.parametrize("as_positives", [True, False])
+    def test_transferred_triples_stay_out_of_the_negatives(self, monkeypatch, as_positives):
+        multikg = toy_pair_dataset(drop_in_first=3)
+        kg_a, kg_b = multikg.by_id["aa"], multikg.by_id["bb"]
+        missing = np.array(sorted(set(map(tuple, kg_b.triples.tolist()))
+                                  - set(map(tuple, kg_a.triples.tolist()))), dtype=np.int64)
+        kg_a.set_transferred(missing, [1] * len(missing))
+        state = TrainState(multikg, small_config(transferred_as_positives=as_positives))
+        filters = []
+
+        def recording(positives, entity_count, known, *args):
+            if positives is multikg.kgc_splits["aa"]["train"] or positives is kg_a.transferred:
+                filters.append(known)
+            return sample_negatives(positives, entity_count, known, *args)
+
+        monkeypatch.setattr("jointkg.train.sample_negatives", recording)
+        state.completion_step()
+        assert len(filters) == (2 if as_positives else 1)
+        for known in filters:
+            assert np.isin(triple_keys(missing, kg_a.entity_count), known).all()
 
 
 class TestNoSirEqualsNoComple:

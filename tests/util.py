@@ -8,7 +8,7 @@ import numpy as np
 
 from jointkg import diff
 from jointkg.diff import Mlp, Tensor
-from jointkg.errors import CompletionError
+from jointkg.errors import CompletionError, DiffError
 from jointkg.kgdata import Kg, MultiKg, RelationVocab
 from jointkg.rgnn import EdgeList, EncoderParams, LayerEmbeddings
 
@@ -272,15 +272,48 @@ def reference_affine(x, w: Tensor, b: Tensor, activation: str) -> Tensor:
     return out
 
 
-def reference_cosine_hinge(table: Tensor, positive_left, positive_right, negative_left,
-                           negative_right, margin: float) -> Tensor:
-    """The alignment hinge from four `gather_rows`, two `cosine_distance`,
-    sub, add, `relu` and `mean_all` nodes."""
-    d_pos = diff.cosine_distance(diff.gather_rows(table, positive_left),
-                                 diff.gather_rows(table, positive_right))
-    d_neg = diff.cosine_distance(diff.gather_rows(table, negative_left),
-                                 diff.gather_rows(table, negative_right))
-    hinge = diff.relu(diff.add(diff.sub(diff.tensor(margin), d_neg), d_pos))
+def _rowwise_cosine_distance(a: Tensor, b: Tensor) -> Tensor:
+    """Rowwise 1 - cos(a, b) of two matrices of identical shape, as one node
+    that keeps both matrices."""
+    u, v = a.values, b.values
+    if u.shape != v.shape:
+        raise DiffError(f"cosine_distance shape mismatch {u.shape} vs {v.shape}")
+    if u.ndim != 2:
+        raise DiffError(f"cosine_distance expects matrices, got {u.shape}")
+
+    nu = np.sqrt((u * u).sum(axis=1))
+    nv = np.sqrt((v * v).sum(axis=1))
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
+        raise DiffError("zero-norm embedding")
+    dot = (u * v).sum(axis=1)
+    cos = dot / (nu * nv)
+    out = 1.0 - cos
+
+    def grad_fn(g):
+        gcol = -g[:, None]
+        gu = gcol * (v / (nu * nv)[:, None] - (cos / (nu * nu))[:, None] * u)
+        gv = gcol * (u / (nu * nv)[:, None] - (cos / (nv * nv))[:, None] * v)
+        return gu, gv
+
+    return diff._result(out, (a, b), grad_fn, "cosine_distance")
+
+
+def reference_cosine_distance(table: Tensor, left, right) -> Tensor:
+    """The gathered oracle of `diff.cosine_distance`: a `gather_rows` node
+    per side and the rowwise cosine distance of the two gathered matrices."""
+    return _rowwise_cosine_distance(diff.gather_rows(table, left),
+                                    diff.gather_rows(table, right))
+
+
+def reference_alignment_loss(pairs, negatives, gamma_a: float, finals: Tensor) -> Tensor:
+    """`alignment.alignment_loss` from four `gather_rows`, two rowwise
+    cosine distances, sub, add, `relu` and `mean_all` nodes."""
+    index, negative_pairs = zip(*negatives)
+    positive = np.asarray(pairs, dtype=np.int64)[np.asarray(index)]
+    negative = np.asarray(negative_pairs, dtype=np.int64)
+    d_pos = reference_cosine_distance(finals, positive[:, 0], positive[:, 1])
+    d_neg = reference_cosine_distance(finals, negative[:, 0], negative[:, 1])
+    hinge = diff.relu(diff.add(diff.sub(diff.tensor(gamma_a), d_neg), d_pos))
     return diff.mean_all(hinge)
 
 
