@@ -46,8 +46,9 @@ maths as gathers, sub, concat, the attention map, `segment_softmax` and
 gathered to the edges, (e.w_c)[c] + (e.w_m)[nb] - (comp.w_m)[rel] + b, and
 each center sums alpha[i] * e[nb[i]] in one CSR product and
 alpha[i] * comp[rel[i]] in another, both in ascending edge order, then takes
-the second sum from the first. Its node keeps no (edges x dim) array; see
-its docstring for the backward.
+the second sum from the first. Zero relations, weight and bias give the
+uniform 1/deg(c) sum of bare neighbor rows bit for bit. Its node keeps no
+(edges x dim) array; see its docstring for the backward.
 """
 from __future__ import annotations
 
@@ -551,16 +552,15 @@ def segment_softmax(logits: Tensor, segments, num_segments: int) -> Tensor:
     return _result(out, (logits,), grad_fn, "segment_softmax")
 
 
-def neighbor_attention(entities: Tensor, composed: Tensor | None, weight: Tensor | None,
-                       bias: Tensor | None, centers, neighbors, relations, indptr) -> Tensor:
+def neighbor_attention(entities: Tensor, composed: Tensor, weight: Tensor, bias: Tensor,
+                       centers, neighbors, relations, indptr) -> Tensor:
     """Attention-weighted neighbor sum of one encoder layer:
     out[c] = sum over edges i of center c of alpha[i] * (e[nb[i]] - comp[rel[i]]).
 
-    With `composed`, `weight` (2n x 1) and `bias` (1,) given, alpha is the
-    softmax over each center's edges of the logits
-    att(concat[e[c], e[nb] - comp[rel]]); with all three None, alpha is
-    1/deg(c) and the messages are e[nb]. `centers` must be sorted, and
-    `indptr` is its row pointer (center c owns edges indptr[c]:indptr[c+1]).
+    alpha is the softmax over each center's edges of the logits
+    att(concat[e[c], e[nb] - comp[rel]]), with `weight` (2n x 1) and `bias`
+    (1,). `centers` must be sorted, and `indptr` is its row pointer (center c
+    owns edges indptr[c]:indptr[c+1]).
 
     The logits come from node projections gathered to the edges, added in
     the order (e.w_c)[c] + (e.w_m)[nb] - (comp.w_m)[rel] + b. The output is
@@ -593,19 +593,6 @@ def neighbor_attention(entities: Tensor, composed: Tensor | None, weight: Tensor
     degrees = np.bincount(c, minlength=n)
     if ptr.shape != (n + 1,) or ptr[0] != 0 or not np.array_equal(np.diff(ptr), degrees):
         raise DiffError("neighbor_attention indptr is not the row pointer of the centers")
-
-    if {composed is None, weight is None, bias is None} != {composed is None}:
-        raise DiffError("neighbor_attention takes composed relations, weight and bias "
-                        "together or none of them")
-    if composed is None:
-        alpha = np.repeat(1.0 / np.maximum(degrees, 1), degrees)
-        a_plan = csr_matrix((alpha, nb, ptr), shape=(n, n))
-
-        def uniform_grad_fn(g):
-            return (a_plan.T @ g,)
-
-        return _result(a_plan @ e, (entities,), uniform_grad_fn, "neighbor_attention")
-
     comp = composed.values
     w, b = weight.values, bias.values
     if comp.ndim != 2 or comp.shape[1] != dim or w.shape != (2 * dim, 1) or b.shape != (1,):

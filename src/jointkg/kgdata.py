@@ -165,6 +165,8 @@ class SeedSet:
         self.pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
         if len(self.pairs) != len(self.provenance):
             raise KgDataError("seed pairs and provenance lists must match")
+        if not set(self.provenance) <= {GIVEN, ENLARGED}:
+            raise KgDataError(f"seed provenance must be {GIVEN!r} or {ENLARGED!r}")
         self.validate_one_to_one()
 
     def validate_one_to_one(self) -> None:

@@ -92,8 +92,8 @@ class EncoderParams(ParameterBlock):
 
     Per transition k (0..K-1): a two-layer composition MLP and relation MLP,
     a single-layer attention map (2n -> 1), and the linear+tanh output
-    transform. `relation_aware=False` downgrades messages to the bare
-    neighbor vector and attention to uniform weights.
+    transform. `relation_aware=False` runs the attention on zeros instead of
+    comp and att, which gives uniform weights over the bare neighbor vectors.
     """
 
     def __init__(self, layer_count: int, dim: int, entity0: Tensor, relation0: Tensor,
@@ -158,13 +158,16 @@ def layer_forward(edges: EdgeList, entity_k: Tensor, relation_k: Tensor,
                   params: EncoderParams, layer: int) -> tuple[Tensor, Tensor]:
     """One message-passing transition: tables at layer k -> layer k+1.
 
-    Without edges the attended sum is zero, so this is g(e) bitwise, and the
-    comp and attention parameters get zero gradients: Adam leaves them be."""
+    Without relation awareness the attention runs on zero constants, which
+    weigh each center's edges 1/deg over the bare neighbor rows. Without
+    edges the attended sum is zero, so this is g(e) bitwise, and the comp
+    and attention parameters get zero gradients: Adam leaves them be."""
     if params.relation_aware:
         att = params.att[layer]
         attention = (params.comp[layer](relation_k), att.weights[0], att.biases[0])
     else:
-        attention = (None, None, None)
+        attention = (diff.tensor(np.zeros(relation_k.values.shape)),
+                     diff.tensor(np.zeros((2 * params.dim, 1))), diff.tensor(np.zeros(1)))
     aggregated = diff.neighbor_attention(entity_k, *attention, edges.centers,
                                          edges.neighbors, edges.relations, edges.indptr)
     entity_next = params.g[layer](diff.add(aggregated, entity_k))

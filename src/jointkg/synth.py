@@ -1,9 +1,11 @@
 """Synthetic KG-pair generator.
 
-Builds one connected base graph, then derives two KGs: the first drops each
-triple independently with the configured missing rate, the second keeps the
-full graph under a shuffled entity relabeling. The ground-truth alignment is
-that relabeling, and a configurable fraction of it is written out as seeds.
+Builds one connected base graph, then derives each KG as a view of it: the
+base triples that KG keeps and the id it gives each base entity. The first
+KG drops each triple independently with the configured missing rate and
+keeps the base ids; the second keeps every triple under a shuffled entity
+relabeling. The ground-truth alignment is that relabeling, and a
+configurable fraction of it is written out as seeds.
 
 Each KG is split train/valid/test on shared base-triple indices (so the two
 training graphs stay aligned), and the written triples_<kg>.tsv file is the
@@ -95,48 +97,45 @@ def _base_graph(spec: SynthSpec, rng: np.random.Generator) -> list[tuple[int, in
 class SynthResult:
     """Each KG's "train" split is its training graph (what the
     triples_<kg>.tsv files carry); the kept KGs are the unions of each KG's
-    three splits. Entity i of the first KG is entity permutation[i] of the
-    second."""
+    three splits. Splits hold (n x 3) and seeds (n x 2) int64 rows, as
+    `kgdata` keeps them. Entity i of the first KG is entity permutation[i]
+    of the second, so the ground truth is the rows (i, permutation[i])."""
 
     spec: SynthSpec
     permutation: np.ndarray
-    seeds: list[tuple[int, int]]
-    splits: dict[str, dict[str, list[tuple[int, int, int]]]]
+    seeds: np.ndarray
+    splits: dict[str, dict[str, np.ndarray]]
 
 
-def _sweep_into_train(splits: dict[str, list[tuple[int, int, int]]]) -> None:
+def _sweep_into_train(splits: dict[str, np.ndarray]) -> None:
     """Move held-out triples into train until every entity and relation of
     the KG appears in the training graph (held-out labels must resolve)."""
-    covered_entities = {e for h, _, t in splits["train"] for e in (h, t)}
-    covered_relations = {r for _, r, _ in splits["train"]}
+    covered_entities = set(splits["train"][:, [0, 2]].ravel().tolist())
+    covered_relations = set(splits["train"][:, 1].tolist())
     for split in ("valid", "test"):
-        keep = []
-        for triple in splits[split]:
-            h, r, t = triple
-            if h in covered_entities and t in covered_entities and r in covered_relations:
-                keep.append(triple)
-            else:
-                splits["train"].append(triple)
+        resolves = np.ones(len(splits[split]), dtype=bool)
+        for i, (h, r, t) in enumerate(splits[split].tolist()):
+            if not (h in covered_entities and t in covered_entities and r in covered_relations):
+                resolves[i] = False
                 covered_entities.update((h, t))
                 covered_relations.add(r)
-        splits[split] = keep
+        splits["train"] = np.concatenate([splits["train"], splits[split][~resolves]])
+        splits[split] = splits[split][resolves]
 
 
 def generate(spec: SynthSpec) -> SynthResult:
     rng = substream(spec.rng_seed, "synth")
-    base = _base_graph(spec, rng)
+    base = np.array(_base_graph(spec, rng), dtype=np.int64)
 
-    dropped = rng.random(len(base)) < spec.missing_rate
-    kept_index = [i for i in range(len(base)) if not dropped[i]]
-    if not kept_index:
+    kept = rng.random(len(base)) >= spec.missing_rate
+    if not kept.any():
         raise SynthError("missing_rate removed every triple")
 
     permutation = rng.permutation(spec.entity_count)
-    relabel = lambda t: (int(permutation[t[0]]), t[1], int(permutation[t[2]]))
 
     seed_count = max(1, int(np.floor(spec.seed_fraction * spec.entity_count)))
     chosen = np.sort(rng.choice(spec.entity_count, size=seed_count, replace=False))
-    seeds = [(int(i), int(permutation[i])) for i in chosen]
+    seeds = np.column_stack([chosen, permutation[chosen]])
 
     # one split over base indices keeps the two KGs' training graphs aligned
     order = rng.permutation(len(base))
@@ -147,40 +146,25 @@ def generate(spec: SynthSpec) -> SynthResult:
         n_valid = 1
     if n_train < 1:
         raise SynthError("too few triples to split into train/valid/test")
-    base_split = {
-        "train": set(order[:n_train].tolist()),
-        "valid": set(order[n_train:n_train + n_valid].tolist()),
-        "test": set(order[n_train + n_valid:].tolist()),
-    }
+    base_split = {split: np.sort(rows) for split, rows in
+                  zip(("train", "valid", "test"), np.split(order, [n_train, n_train + n_valid]))}
 
-    splits: dict[str, dict[str, list[tuple[int, int, int]]]] = {}
-    kept_set = set(kept_index)
-    for kg_id in (KG_FIRST, KG_SECOND):
-        per_split: dict[str, list[tuple[int, int, int]]] = {}
-        for split, indices in base_split.items():
-            rows = sorted(indices)
-            if kg_id == KG_FIRST:
-                rows = [i for i in rows if i in kept_set]
-                per_split[split] = [base[i] for i in rows]
-            else:
-                per_split[split] = [relabel(base[i]) for i in rows]
+    # a KG's view of the base graph: the base triples it keeps and its id of each base entity
+    views = {KG_FIRST: (kept, np.arange(spec.entity_count)),
+             KG_SECOND: (np.ones(len(base), dtype=bool), permutation)}
+    splits: dict[str, dict[str, np.ndarray]] = {}
+    for kg_id, (keeps, ids) in views.items():
+        triples = np.column_stack([ids[base[:, 0]], base[:, 1], ids[base[:, 2]]])
+        per_split = {split: triples[rows[keeps[rows]]] for split, rows in base_split.items()}
         _sweep_into_train(per_split)
-        if not per_split["valid"] or not per_split["test"]:
+        if not len(per_split["valid"]) or not len(per_split["test"]):
             raise SynthError("too few triples to split into train/valid/test")
         splits[kg_id] = per_split
 
     return SynthResult(spec, permutation, seeds, splits)
 
 
-def entity_label(kg_id: str, index: int) -> str:
-    prefix = "a" if kg_id == KG_FIRST else "b"
-    return f"{prefix}{index:05d}"
-
-
-def _triple_lines(kg_id: str, triples: list[tuple[int, int, int]]) -> str:
-    lines = [f"{entity_label(kg_id, h)}\tr{r}\t{entity_label(kg_id, t)}"
-             for h, r, t in triples]
-    return "\n".join(lines) + "\n"
+_LABELS = {KG_FIRST: "a{:05d}", KG_SECOND: "b{:05d}"}
 
 
 def write_dataset(result: SynthResult, out_dir: Path) -> list[Path]:
@@ -189,20 +173,20 @@ def write_dataset(result: SynthResult, out_dir: Path) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
 
-    def emit(name: str, text: str) -> None:
+    def emit(name: str, rows: np.ndarray, line: str) -> None:
         path = out_dir / name
-        path.write_text(text, encoding="utf-8")
+        path.write_text("\n".join(line.format(*row) for row in rows.tolist()) + "\n",
+                        encoding="utf-8")
         written.append(path)
 
-    for kg_id in (KG_FIRST, KG_SECOND):
-        emit(f"triples_{kg_id}.tsv", _triple_lines(kg_id, result.splits[kg_id]["train"]))
-    for kg_id in (KG_FIRST, KG_SECOND):
-        for split, triples in result.splits[kg_id].items():
-            emit(f"kgc_{split}_{kg_id}.tsv", _triple_lines(kg_id, triples))
-    seed_lines = [f"{entity_label(KG_FIRST, a)}\t{entity_label(KG_SECOND, b)}"
-                  for a, b in result.seeds]
-    emit(f"seeds_{KG_FIRST}_{KG_SECOND}.tsv", "\n".join(seed_lines) + "\n")
-    truth_lines = [f"{entity_label(KG_FIRST, a)}\t{entity_label(KG_SECOND, b)}"
-                   for a, b in enumerate(result.permutation.tolist())]
-    emit(f"ground_truth_{KG_FIRST}_{KG_SECOND}.tsv", "\n".join(truth_lines) + "\n")
+    triple_line = {kg_id: f"{label}\tr{{}}\t{label}" for kg_id, label in _LABELS.items()}
+    for kg_id, per_split in result.splits.items():
+        emit(f"triples_{kg_id}.tsv", per_split["train"], triple_line[kg_id])
+    for kg_id, per_split in result.splits.items():
+        for split, triples in per_split.items():
+            emit(f"kgc_{split}_{kg_id}.tsv", triples, triple_line[kg_id])
+    pair_line = f"{_LABELS[KG_FIRST]}\t{_LABELS[KG_SECOND]}"
+    emit(f"seeds_{KG_FIRST}_{KG_SECOND}.tsv", result.seeds, pair_line)
+    truth = np.column_stack([np.arange(len(result.permutation)), result.permutation])
+    emit(f"ground_truth_{KG_FIRST}_{KG_SECOND}.tsv", truth, pair_line)
     return written

@@ -31,7 +31,7 @@ from .alignment import (
 )
 from .completion import alignment_constraint_loss, completion_loss, ranking_loss, sample_negatives
 from .entr import enlarge_seeds, matrix_entropy, prune_stale_transfers, seed_budget, transfer_triples
-from .errors import TrainError
+from .errors import KgDataError, TrainError
 from .evaluate import evaluate_kgc, overall_mean
 from .kgdata import MultiKg, SeedSet, split_seeds, triple_keys
 from .rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
@@ -361,10 +361,11 @@ class TrainState:
                             src.shape[0], tgt.shape[0])
             budget_total += q
             self.train_seeds[pair] = enlarge_seeds(matrix, q, self.train_seeds[pair])
-        prune_stale_transfers(self.multikg, self.train_seeds)
+        pruned = prune_stale_transfers(self.multikg, self.train_seeds)
         transferred = transfer_triples(
             [self.train_seeds[pair] for pair in sorted(self.train_seeds)], self.multikg, self.epoch)
-        self.edges = build_edges(self.multikg)
+        if pruned or transferred:
+            self.edges = build_edges(self.multikg)
         return budget_total, transferred
 
     def initialize_entropy_baseline(self) -> None:
@@ -493,7 +494,8 @@ class Checkpoint:
     def load(cls, path: Path) -> "Checkpoint":
         """Read a version-3 checkpoint. A missing or non-zip file (versions 1
         and 2 are JSON), a corrupt member, another version, a missing member
-        or key, or an undecodable value raises TrainError."""
+        or key, an undecodable value or a seed set `SeedSet` rejects raises
+        TrainError."""
         def moments(side: str, key: str) -> list[np.ndarray]:
             by_index = _group(members, f"{side}/{key}")
             return [by_index[str(i)] for i in range(len(by_index))]
@@ -524,7 +526,7 @@ class Checkpoint:
             )
         except KeyError as error:
             raise TrainError(f"checkpoint {path} is malformed: missing key {error}") from None
-        except (AttributeError, TypeError, ValueError, zipfile.BadZipFile) as error:
+        except (AttributeError, TypeError, ValueError, zipfile.BadZipFile, KgDataError) as error:
             raise TrainError(f"checkpoint {path} is malformed: {error}") from None
 
     def restore_transfers(self, multikg: MultiKg) -> None:

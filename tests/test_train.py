@@ -174,6 +174,22 @@ class TestEntrStep:
         assert multikg.by_id["k2"].transferred.tolist() == [[0, 0, 1]]
         assert multikg.by_id["k1"].transferred.tolist() == [[0, 0, 1]]
 
+    def test_edges_are_rebuilt_only_when_the_triples_change(self, monkeypatch):
+        state = TrainState(toy_pair_dataset(drop_in_first=3), small_config())
+        state.train_seeds = {("aa", "bb"): SeedSet(("aa", "bb"), [(i, i) for i in range(12)],
+                                                   [GIVEN] * 12)}
+        state.initialize_entropy_baseline()
+        calls = []
+        monkeypatch.setattr("jointkg.train.build_edges",
+                            lambda multikg: calls.append(multikg) or build_edges(multikg))
+        assert state.entr_step()[1] == 3
+        assert len(calls) == 1
+        assert state.entr_step()[1] == 0
+        assert len(calls) == 1
+        for name in ("centers", "neighbors", "relations"):
+            assert np.array_equal(getattr(state.edges, name),
+                                  getattr(build_edges(state.multikg), name))
+
 
 class TestNegativePairing:
     def test_transferred_triples_leave_loaded_corruptions_unchanged(self, monkeypatch):
@@ -410,6 +426,23 @@ class TestCheckpoint:
         del meta["h_tilde"]
         write_checkpoint(path, members, meta)
         with pytest.raises(TrainError, match="is malformed: missing key 'h_tilde'"):
+            Checkpoint.load(path)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda members, provenance: provenance.__setitem__(0, "bogus"),
+         "seed provenance must be 'given' or 'enlarged'"),
+        (lambda members, provenance: provenance.append(GIVEN),
+         "seed pairs and provenance lists must match"),
+        (lambda members, provenance: members["train_seeds/aa|bb"].__setitem__(1, (0, 0)),
+         "seed set for \\('aa', 'bb'\\) reuses an entity")],
+        ids=["unknown-provenance", "provenance-length", "repeated-entity"])
+    def test_malformed_seed_set_is_malformed(self, tmp_path, edit, reason):
+        # an unknown provenance would leave `given_pairs()` empty, so the
+        # next ENTR step would drop every train seed
+        path, members, meta = self._saved_payload(tmp_path)
+        edit(members, meta["provenance"]["train_seeds"]["aa|bb"])
+        write_checkpoint(path, members, meta)
+        with pytest.raises(TrainError, match=f"is malformed: {reason}"):
             Checkpoint.load(path)
 
     def test_parameter_data_not_fitting_its_shape_is_malformed(self, tmp_path):
