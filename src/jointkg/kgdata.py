@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -188,7 +189,11 @@ class SeedSet:
 
 
 class MultiKg:
-    """KGs over one shared relation vocabulary, plus seeds, splits, vectors."""
+    """KGs over one shared relation vocabulary, plus seeds, splits, vectors.
+
+    Surface-information vectors sit in `entity_vectors` by global entity
+    row (`entity_offset` + local id) and in `relation_vectors` by relation
+    id; `vector_dim` is their length, None until a vector file loads."""
 
     def __init__(self, kgs: list[Kg], relations: RelationVocab):
         self.kgs = list(kgs)
@@ -201,14 +206,11 @@ class MultiKg:
             kg.id: {split: np.empty((0, 3), dtype=np.int64)
                     for split in ("train", "valid", "test")} for kg in self.kgs
         }
-        self.entity_vectors: dict[str, dict[int, np.ndarray]] = {kg.id: {} for kg in self.kgs}
+        self.entity_vectors: dict[int, np.ndarray] = {}
         self.relation_vectors: dict[int, np.ndarray] = {}
         self.vector_dim: int | None = None
-        self._offsets: dict[str, int] = {}
-        offset = 0
-        for kg in self.kgs:
-            self._offsets[kg.id] = offset
-            offset += kg.entity_count
+        starts = accumulate((kg.entity_count for kg in self.kgs), initial=0)
+        self._offsets: dict[str, int] = dict(zip(self.by_id, starts))
 
     @property
     def total_entities(self) -> int:
@@ -338,8 +340,9 @@ def split_seeds(seed_set: SeedSet, train_fraction: float, rng_seed: int) -> tupl
 def load_initial_vectors(path: Path, multikg: MultiKg) -> dict[str, int]:
     """Attach surface-information vectors by label; returns coverage counts.
 
-    A label can resolve to entities of several KGs and to a relation at once.
-    Anything without a vector keeps the random initialization.
+    A label can resolve to entities of several KGs and to a relation at once;
+    each entity's vector goes under its global row, each relation's under
+    its id. Anything without a vector keeps the random initialization.
     """
     covered_entities = 0
     covered_relations = 0
@@ -365,19 +368,18 @@ def load_initial_vectors(path: Path, multikg: MultiKg) -> dict[str, int]:
             raise KgDataError(
                 f"{path}:{number}: vector dimension {vector.size} != {multikg.vector_dim}"
             )
-        hit = False
+        entity_hits = 0
         for kg in multikg.kgs:
             eid = kg.entity_index.get(label)
             if eid is not None:
-                multikg.entity_vectors[kg.id][eid] = vector
-                covered_entities += 1
-                hit = True
+                multikg.entity_vectors[multikg.entity_offset(kg.id) + eid] = vector
+                entity_hits += 1
+        covered_entities += entity_hits
         rid = multikg.relations.index.get(label)
         if rid is not None:
             multikg.relation_vectors[rid] = vector
             covered_relations += 1
-            hit = True
-        if not hit:
+        elif not entity_hits:
             unknown += 1
     return {
         "covered_entities": covered_entities,

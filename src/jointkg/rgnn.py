@@ -123,20 +123,12 @@ class EncoderParams(ParameterBlock):
 
     @classmethod
     def create(cls, layer_count: int, dim: int, entity_count: int, relation_count: int,
-               rng: np.random.Generator, relation_aware: bool = True,
-               entity_vectors: dict[int, np.ndarray] | None = None,
-               relation_vectors: dict[int, np.ndarray] | None = None) -> "EncoderParams":
+               rng: np.random.Generator, relation_aware: bool = True) -> "EncoderParams":
+        """Draw every table from `rng`, layer 0 uniform in +-1/sqrt(dim);
+        `JointModel` writes surface-information vectors after all draws."""
         bound = 1.0 / np.sqrt(dim)
         e0 = rng.uniform(-bound, bound, size=(entity_count, dim))
         r0 = rng.uniform(-bound, bound, size=(relation_count, dim))
-        for row, vec in (entity_vectors or {}).items():
-            if vec.size != dim:
-                raise EncoderError(f"initial vector dimension {vec.size} != {dim}")
-            e0[row] = vec
-        for row, vec in (relation_vectors or {}).items():
-            if vec.size != dim:
-                raise EncoderError(f"initial vector dimension {vec.size} != {dim}")
-            r0[row] = vec
         comp, rel, att, g = [], [], [], []
         for _ in range(layer_count):
             comp.append(Mlp.create([dim, dim, dim], ("leakyrelu", "identity"), rng))

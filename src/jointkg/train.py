@@ -156,6 +156,8 @@ class JointModel:
 
     Every block is created in a fixed order from the init stream regardless
     of ablation flags, so variants of one seed start from identical values.
+    Under si_mode "with", the rows of both encoders' layer-0 tables that
+    have a surface-information vector then take it; all else is as "without".
     """
 
     def __init__(self, config: TrainConfig, multikg: MultiKg):
@@ -165,30 +167,23 @@ class JointModel:
             raise TrainError(
                 f"si vectors have dimension {multikg.vector_dim}, config dim is {config.dim}"
             )
-        entity_vectors: dict[int, np.ndarray] = {}
-        relation_vectors: dict[int, np.ndarray] = {}
-        if config.si_mode == "with":
-            for kg in multikg.kgs:
-                offset = multikg.entity_offset(kg.id)
-                for local, vec in multikg.entity_vectors[kg.id].items():
-                    entity_vectors[offset + local] = vec
-            relation_vectors = dict(multikg.relation_vectors)
-
         rng = substream(config.rng_seed, "init")
         relation_aware = not config.flag("no_ra_gnn")
-        self.completion_encoder = EncoderParams.create(
-            config.layers, config.dim, multikg.total_entities, len(multikg.relations), rng,
-            relation_aware=relation_aware, entity_vectors=entity_vectors,
-            relation_vectors=relation_vectors)
-        self.alignment_encoder = EncoderParams.create(
-            config.layers, config.dim, multikg.total_entities, len(multikg.relations), rng,
-            relation_aware=relation_aware, entity_vectors=entity_vectors,
-            relation_vectors=relation_vectors)
+        self.completion_encoder, self.alignment_encoder = (
+            EncoderParams.create(config.layers, config.dim, multikg.total_entities,
+                                 len(multikg.relations), rng, relation_aware=relation_aware)
+            for _ in range(2))
         self.fusion = FusionParams.create(config.layers, config.dim, rng)
         self.entity_head = diff.Mlp.create(
             [(config.layers + 1) * config.dim, config.dim, config.dim],
             ("leakyrelu", "identity"), rng)
         self.one_gnn = config.flag("one_gnn")
+        if config.si_mode == "with":
+            for encoder in (self.completion_encoder, self.alignment_encoder):
+                for row, vector in multikg.entity_vectors.items():
+                    encoder.entity0.values[row] = vector
+                for row, vector in multikg.relation_vectors.items():
+                    encoder.relation0.values[row] = vector
 
     @property
     def alignment_side_encoder(self) -> EncoderParams:
@@ -256,28 +251,14 @@ class TrainState:
     def pair_blocks(self, pair: tuple[str, str], finals: np.ndarray):
         return self.multikg.pair_blocks(pair, finals)
 
-    def global_seed_pairs(self) -> np.ndarray:
-        offsets = self.multikg.entity_offset
-        return np.concatenate([np.empty((0, 2), dtype=np.int64)] + [
-            self.train_seeds[pair].pairs + (offsets(pair[0]), offsets(pair[1]))
-            for pair in sorted(self.train_seeds)])
-
     # ---- loss assembly ---------------------------------------------------
-
-    def completion_positives(self) -> list[tuple[str, np.ndarray, np.ndarray]]:
-        """Per KG: its loaded training triples, then its transferred triples
-        (none unless transferred_as_positives), as int64 rows."""
-        per_kg = []
-        for kg in self.multikg.kgs:
-            loaded = self.multikg.kgc_splits[kg.id]["train"]
-            transferred = kg.transferred if self.config.transferred_as_positives else loaded[:0]
-            per_kg.append((kg.id, loaded, transferred))
-        return per_kg
 
     def completion_step(self) -> tuple[float, float]:
         """One completion update; returns (total loss, ranking loss).
 
-        Corruptions of a KG's loaded positives come from a stream keyed by
+        A KG's positives are its loaded training triples, then its
+        transferred triples (none unless transferred_as_positives).
+        Corruptions of its loaded positives come from a stream keyed by
         (kg, epoch, step); those of its transferred positives come from the
         same key extended by "transferred". So runs that differ only in
         transferred triples draw identical corruptions for every loaded
@@ -294,15 +275,16 @@ class TrainState:
         # relations, tails and positive index
         blocks = []
         base = 0
-        for kg_id, loaded, transferred in self.completion_positives():
-            kg = self.multikg.by_id[kg_id]
-            offset = self.multikg.entity_offset(kg_id)
+        for kg in self.multikg.kgs:
+            loaded = self.multikg.kgc_splits[kg.id]["train"]
+            transferred = kg.transferred if self.config.transferred_as_positives else loaded[:0]
+            offset = self.multikg.entity_offset(kg.id)
             known = np.unique(triple_keys(np.concatenate([loaded, kg.transferred]),
                                           kg.entity_count))
             for positives, stream in ((loaded, ()), (transferred, ("transferred",))):
                 if len(positives) == 0:
                     continue
-                rng = substream(self.config.rng_seed, "negatives", kg_id,
+                rng = substream(self.config.rng_seed, "negatives", kg.id,
                                 f"epoch{self.epoch}", f"step{self.step_in_epoch}", *stream)
                 nh, nr, nt, np_of = sample_negatives(
                     positives, kg.entity_count, known,
@@ -314,19 +296,22 @@ class TrainState:
             raise TrainError("no completion training triples in any KG")
         columns = tuple(np.concatenate(column) for column in zip(*blocks))
         ranking = ranking_loss(columns[:3], columns[3:], self.config.gamma_completion, layers)
-        constraint = alignment_constraint_loss(self.global_seed_pairs(), layers)
+        offset_of = self.multikg.entity_offset
+        seed_pairs = np.concatenate([np.empty((0, 2), dtype=np.int64)] + [
+            self.train_seeds[pair].pairs + (offset_of(pair[0]), offset_of(pair[1]))
+            for pair in sorted(self.train_seeds)])
+        constraint = alignment_constraint_loss(seed_pairs, layers)
         return (self.optimizer_step(completion_loss(ranking, constraint), self.adam_completion,
                                     "completion"), ranking.item())
 
     def alignment_step(self, hook=None) -> float:
         entity_finals, _ = self.alignment_layers_and_finals(tape=True, hook=hook)
-        finals_values = entity_finals.values
         total = None
         for pair in sorted(self.train_seeds):
             seed_set = self.train_seeds[pair]
             if len(seed_set) == 0:
                 continue
-            src, tgt, off_l, off_r = self.pair_blocks(pair, finals_values)
+            src, tgt, off_l, off_r = self.pair_blocks(pair, entity_finals.values)
             local_negatives = nearest_negatives(
                 seed_set.pairs, src, tgt, self.config.nearest_neighbor_negatives)
             global_pairs = seed_set.pairs + (off_l, off_r)
@@ -350,15 +335,19 @@ class TrainState:
         self.adam_alignment.zero_grad()
         return value
 
-    def entr_step(self, hook=None) -> tuple[int, int]:
+    def pair_matrices(self, hook=None):
+        """Yield each seeded pair and its alignment matrix over the untaped
+        alignment-side finals (`hook` as in `alignment_layers_and_finals`)."""
         entity_finals, _ = self.alignment_layers_and_finals(tape=False, hook=hook)
-        finals_values = entity_finals.values
-        budget_total = 0
         for pair in sorted(self.train_seeds):
-            src, tgt, _, _ = self.pair_blocks(pair, finals_values)
-            matrix = build_alignment_matrix(src, tgt)
+            src, tgt, _, _ = self.pair_blocks(pair, entity_finals.values)
+            yield pair, build_alignment_matrix(src, tgt)
+
+    def entr_step(self, hook=None) -> tuple[int, int]:
+        budget_total = 0
+        for pair, matrix in self.pair_matrices(hook):
             q = seed_budget(self.h_tilde[pair], matrix_entropy(matrix), self.config.beta,
-                            src.shape[0], tgt.shape[0])
+                            *matrix.shape)
             budget_total += q
             self.train_seeds[pair] = enlarge_seeds(matrix, q, self.train_seeds[pair])
         pruned = prune_stale_transfers(self.multikg, self.train_seeds)
@@ -370,10 +359,8 @@ class TrainState:
 
     def initialize_entropy_baseline(self) -> None:
         """Entropy of the untrained model's alignment matrices (run once)."""
-        entity_finals, _ = self.alignment_layers_and_finals(tape=False)
-        for pair in sorted(self.train_seeds):
-            src, tgt, _, _ = self.pair_blocks(pair, entity_finals.values)
-            self.h_tilde[pair] = matrix_entropy(build_alignment_matrix(src, tgt))
+        for pair, matrix in self.pair_matrices():
+            self.h_tilde[pair] = matrix_entropy(matrix)
 
 
 def train_epoch(state: TrainState) -> dict:
@@ -586,6 +573,9 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
             counts = [multikg.by_id[kg_id].entity_count for kg_id in pair]
             if np.any((seed_set.pairs < 0) | (seed_set.pairs >= counts)):
                 raise _malformed(f"a seed pair of {pair} names an entity outside its KG")
+    for pair in sorted(multikg.seed_sets):
+        if pair not in checkpoint.train_seeds or pair not in checkpoint.test_seeds:
+            raise _malformed(f"no seeds for {pair}, a seeded KG pair of the data")
     checkpoint.restore_transfers(multikg)
     state = TrainState(multikg, checkpoint.config)
     named = dict(state.model.named_parameters())

@@ -212,8 +212,8 @@ class TestInitialVectors:
         m = self.build()
         path = write(tmp_path, "v.tsv", ["a 1.0 2.0"])
         load_initial_vectors(path, m)
-        assert 0 in m.entity_vectors["aa"]
-        assert 1 not in m.entity_vectors["aa"]
+        assert list(m.entity_vectors) == [0]
+        assert np.array_equal(m.entity_vectors[0], [1.0, 2.0])
 
     def test_dimension_mismatch_errors(self, tmp_path):
         m = self.build()
@@ -223,8 +223,24 @@ class TestInitialVectors:
 
     def test_absent_file_means_all_random_init(self):
         m = self.build()
-        assert m.entity_vectors["aa"] == {}
+        assert m.entity_vectors == {}
+        assert m.relation_vectors == {}
         assert m.vector_dim is None
+
+    def test_a_label_fills_its_global_row_in_every_kg_and_its_relation(self, tmp_path):
+        # "x" is entity 1 of aa (rows 0-1), entity 0 of bb (rows 2-3) and
+        # relation 1; the tab line and the space line parse alike
+        vocab = RelationVocab()
+        m = MultiKg([make_kg("aa", [("a", "r", "x")], vocab),
+                     make_kg("bb", [("x", "x", "b")], vocab)], vocab)
+        path = write(tmp_path, "v.tsv", ["x\t1.0 2.0", "b 3.0 4.0", "zz 5.0 6.0"])
+        counts = load_initial_vectors(path, m)
+        assert counts == {"covered_entities": 3, "covered_relations": 1, "unknown_labels": 1}
+        assert sorted(m.entity_vectors) == [1, 2, 3]
+        for row, vector in ((1, [1.0, 2.0]), (2, [1.0, 2.0]), (3, [3.0, 4.0])):
+            assert np.array_equal(m.entity_vectors[row], vector)
+        assert list(m.relation_vectors) == [1]
+        assert np.array_equal(m.relation_vectors[1], [1.0, 2.0])
 
 
 class TestMultiKg:

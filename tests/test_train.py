@@ -7,7 +7,15 @@ from jointkg import diff
 from jointkg.completion import sample_negatives
 from jointkg.entr import transfer_triples
 from jointkg.errors import TrainError
-from jointkg.kgdata import GIVEN, Kg, MultiKg, RelationVocab, SeedSet, triple_keys
+from jointkg.kgdata import (
+    GIVEN,
+    Kg,
+    MultiKg,
+    RelationVocab,
+    SeedSet,
+    load_initial_vectors,
+    triple_keys,
+)
 from jointkg.rgnn import build_edges
 from jointkg.train import (
     ABLATIONS,
@@ -499,6 +507,18 @@ class TestCheckpoint:
         with pytest.raises(TrainError, match="malformed: seeds for \\('bb', 'aa'\\)"):
             resume(Checkpoint.load(path), toy_pair_dataset())
 
+    @pytest.mark.parametrize("group", ["train_seeds", "test_seeds"])
+    def test_resume_rejects_a_seeded_pair_without_seeds(self, tmp_path, group):
+        # without this check the state would hold no seeds for the pair, and
+        # evaluation would report nothing for it
+        path, members, meta = self._saved_payload(tmp_path)
+        del members[f"{group}/aa|bb"]
+        del meta["provenance"][group]["aa|bb"]
+        write_checkpoint(path, members, meta)
+        with pytest.raises(TrainError, match="malformed: no seeds for \\('aa', 'bb'\\), "
+                                             "a seeded KG pair of the data"):
+            resume(Checkpoint.load(path), toy_pair_dataset())
+
     def test_resume_rejects_a_missing_entropy_baseline(self, tmp_path):
         path, members, meta = self._saved_payload(tmp_path)
         meta["h_tilde"] = {}
@@ -647,10 +667,26 @@ class TestJointModel:
         multikg = toy_pair_dataset()
         vec = np.arange(6, dtype=np.float64)
         multikg.vector_dim = 6
-        multikg.entity_vectors["aa"][2] = vec
+        multikg.entity_vectors[14] = vec  # entity 2 of bb
         model = JointModel(small_config(si_mode="with"), multikg)
-        assert np.array_equal(model.completion_encoder.entity0.values[2], vec)
-        assert np.array_equal(model.alignment_encoder.entity0.values[2], vec)
+        assert np.array_equal(model.completion_encoder.entity0.values[14], vec)
+        assert np.array_equal(model.alignment_encoder.entity0.values[14], vec)
+
+    def test_a_label_of_two_kgs_and_a_relation_seeds_all_its_rows(self, tmp_path):
+        # "x" is entity 1 of aa (rows 0-1), entity 0 of bb (rows 2-3) and relation 1
+        vocab = RelationVocab()
+        kgs = [Kg("aa", vocab), Kg("bb", vocab)]
+        for kg, (head, relation, tail) in zip(kgs, (("a", "r", "x"), ("x", "x", "b"))):
+            kg.add_triple(kg.intern_entity(head), vocab.intern(relation), kg.intern_entity(tail))
+        multikg = MultiKg(kgs, vocab)
+        vec = np.arange(6, dtype=np.float64)
+        path = tmp_path / "vectors.tsv"
+        path.write_text("x " + " ".join(map(str, vec)) + "\n", encoding="utf-8")
+        load_initial_vectors(path, multikg)
+        model = JointModel(small_config(si_mode="with"), multikg)
+        for encoder in (model.completion_encoder, model.alignment_encoder):
+            assert np.array_equal(encoder.entity0.values[[1, 2]], [vec, vec])
+            assert np.array_equal(encoder.relation0.values[1], vec)
 
     def test_parameters_are_the_named_tensors_in_order(self):
         model = JointModel(small_config(layers=2), toy_pair_dataset())
@@ -698,9 +734,34 @@ class TestJointModel:
 
     def test_variants_share_initialization_for_one_seed(self):
         multikg = toy_pair_dataset()
-        base = JointModel(small_config(), multikg)
-        ablated = JointModel(small_config(ablations=("no_sir", "no_entr")), multikg)
-        for (name_a, t_a), (name_b, t_b) in zip(base.named_parameters(),
-                                                ablated.named_parameters()):
-            assert name_a == name_b
-            assert np.array_equal(t_a.values, t_b.values)
+        base = JointModel(small_config(), multikg).named_parameters()
+        for flags in [(flag,) for flag in ABLATIONS] + [ABLATIONS]:
+            ablated = JointModel(small_config(ablations=flags), multikg).named_parameters()
+            assert [name for name, _ in ablated] == [name for name, _ in base]
+            for (name, t_a), (_, t_b) in zip(base, ablated):
+                assert np.array_equal(t_a.values, t_b.values), (flags, name)
+
+    def test_si_changes_only_the_rows_with_vectors(self, tmp_path):
+        """Under si_mode "with", a label's vector fills its rows of both
+        encoders' entity0 / relation0 tables; every other initial value is
+        the "without" model's."""
+        multikg = toy_pair_dataset()
+        rng = np.random.default_rng(3)
+        labels = {"a2": ("entity0", 2), "a7": ("entity0", 7), "b5": ("entity0", 17),
+                  "r1": ("relation0", 1)}
+        vectors = {label: rng.normal(size=6) for label in labels}
+        path = tmp_path / "vectors.tsv"
+        path.write_text("".join(f"{label} {' '.join(map(repr, vector.tolist()))}\n"
+                                for label, vector in vectors.items()), encoding="utf-8")
+        load_initial_vectors(path, multikg)
+        without = dict(JointModel(small_config(), multikg).named_parameters())
+        with_si = dict(JointModel(small_config(si_mode="with"), multikg).named_parameters())
+        assert list(with_si) == list(without)
+        expected = {name: t.values.copy() for name, t in without.items()}
+        for label, (table, row) in labels.items():
+            for encoder in ("completion", "alignment"):
+                expected[f"{encoder}/{table}"][row] = vectors[label]
+        for name, tensor in with_si.items():
+            assert np.array_equal(tensor.values, expected[name]), name
+        assert not np.array_equal(with_si["completion/entity0"].values,
+                                  without["completion/entity0"].values)
