@@ -9,9 +9,10 @@ taped gathers.
 The similarity matrix is a plain (source x target) ndarray of cosines.
 Aligned pairs are (left, right) rows, as in `SeedSet.pairs`; negatives are
 (positive index, (left, right)) items, the form `nearest_negatives` returns
-and `alignment_loss` reads. Nearest negatives and greedy matching both rank
-columns through `top_columns`, in row blocks of at most `diff.BLOCK_BYTES`
-bytes of float64 values."""
+and `alignment_loss` reads. Nearest negatives rank columns through
+`top_columns`, and greedy matching computes each row's best free column;
+both work in row blocks of at most `diff.BLOCK_BYTES` bytes of float64
+values."""
 from __future__ import annotations
 
 import heapq
@@ -100,7 +101,8 @@ def top_columns(values: np.ndarray, k: int) -> np.ndarray:
     descending, column ascending), as a (rows x k) int64 array; NaN ranks
     last, as in a stable sort of the negated values. It holds three
     float64 tables of `values`' shape at once (`values`, its negation and
-    the partitioned copy), so callers block rows by 3 * 8 * columns bytes."""
+    the partitioned copy), so its one caller, `nearest_negatives`, blocks
+    rows by 3 * 8 * columns bytes."""
     key = -values
     # a row keeps at least k entries: its k least keys, ties at the k-th included
     kept = ~(key > np.partition(key, k - 1, axis=1)[:, k - 1, None])
@@ -158,10 +160,6 @@ def alignment_loss(pairs, negatives: list[tuple[int, tuple[int, int]]],
     return diff.mean_all(diff.relu(diff.add(diff.sub(diff.tensor(gamma_a), d_neg), d_pos)))
 
 
-# Each free row starts with its first _GREEDY_CANDIDATES free columns.
-_GREEDY_CANDIDATES = 32
-
-
 def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=()
                       ) -> list[tuple[int, int]]:
     """Up to `limit` (row, column) picks, using each row and column at most
@@ -169,56 +167,42 @@ def greedy_one_to_one(values: np.ndarray, limit: int, taken_rows=(), taken_cols=
 
     The picks are those of a walk over every entry in the order (value
     descending, row ascending, column ascending) that takes each entry whose
-    row and column are both still free. It runs as a lazy heap of row heads:
-    each free row holds the first _GREEDY_CANDIDATES free columns of its
-    `top_columns` order, the heap pops the least (-value, row, column) head,
-    a head whose column was taken meanwhile advances to the row's next
-    candidate, and a row whose list runs out refills with its full order
-    over the columns still free. With a positive limit, a non-finite matrix
+    row and column are both still free. Ties go to the lowest row and column
+    only between bit-equal values, and BLAS may round the cosines of
+    identical rows apart. It runs as a lazy heap of row heads: each free
+    row's head is its best free column (`argmax`, lowest column among ties),
+    computed in row blocks of at most `diff.BLOCK_BYTES` bytes with the taken
+    columns at -inf; the heap pops the least (-value, row, column) head, and
+    a head whose column was taken meanwhile is recomputed over the columns
+    still free and pushed back. With a positive limit, a non-finite matrix
     raises AlignmentError, since NaN has no place in that order.
     """
     picks: list[tuple[int, int]] = []
+    if limit > 0 and not np.all(np.isfinite(values)):
+        raise AlignmentError("greedy matching requires a finite matrix")
+    free_rows = np.delete(np.arange(values.shape[0]), list(taken_rows))
+    col_used = np.zeros(values.shape[1], dtype=bool)
+    col_used[list(taken_cols)] = True
+    limit = min(limit, free_rows.size, int(np.count_nonzero(~col_used)))
     if limit <= 0:
         return picks
-    if not np.all(np.isfinite(values)):
-        raise AlignmentError("greedy matching requires a finite matrix")
-    n_rows, n_cols = values.shape
-    row_used = np.zeros(n_rows, dtype=bool)
-    col_used = np.zeros(n_cols, dtype=bool)
-    row_used[list(taken_rows)] = True
-    col_used[list(taken_cols)] = True
-    free_rows = np.flatnonzero(~row_used)
-    free_cols = np.flatnonzero(~col_used)
-    if free_rows.size == 0 or free_cols.size == 0:
-        return picks
-
-    width = min(_GREEDY_CANDIDATES, free_cols.size)
-    prefixes = [top_columns(values[free_rows[rows]].take(free_cols, axis=1), width)
-                for rows in diff.blocks(free_rows.size, 3 * 8 * free_cols.size)]
-    candidates = dict(zip(free_rows.tolist(), free_cols[np.vstack(prefixes)]))
-    position = dict.fromkeys(candidates, 0)
-    heap = [(-float(values[r, cols[0]]), r, int(cols[0])) for r, cols in candidates.items()]
+    heap: list[tuple[float, int, int]] = []
+    for rows in diff.blocks(free_rows.size, 8 * values.shape[1]):
+        block = values[free_rows[rows]]
+        np.copyto(block, -np.inf, where=col_used)
+        heads = block.argmax(axis=1)
+        del block  # freed before the next block is built
+        heap += zip((-values[free_rows[rows], heads]).tolist(), free_rows[rows].tolist(),
+                    heads.tolist())
     heapq.heapify(heap)
-    while heap:
+    while len(picks) < limit:
         _, r, c = heapq.heappop(heap)
-        if not col_used[c]:
-            col_used[c] = True
-            picks.append((r, c))
-            if len(picks) == limit:
-                break
+        if col_used[c]:
+            c = int(np.where(col_used, -np.inf, values[r]).argmax())
+            heapq.heappush(heap, (-float(values[r, c]), r, c))
             continue
-        cols = candidates[r]
-        free_after = np.flatnonzero(~col_used[cols[position[r] + 1:]])
-        at = position[r] + 1 + int(free_after[0]) if free_after.size else cols.size
-        if at == cols.size:
-            free = np.flatnonzero(~col_used)
-            if free.size == 0:
-                continue
-            cols = candidates[r] = free[top_columns(values[r, free][None], free.size)[0]]
-            at = 0
-        position[r] = at
-        c = int(cols[at])
-        heapq.heappush(heap, (-float(values[r, c]), r, c))
+        col_used[c] = True
+        picks.append((r, c))
     return picks
 
 

@@ -65,7 +65,7 @@ _grad_enabled = True
 # `cosine_distance`'s (rows x dim) tables and `translation_l1`'s backward
 # columns, in the softmax rows of `entr.matrix_entropy`, and in the
 # similarity, distance and value rows of `completion.score_all_tails`,
-# `alignment.nearest_negatives` and greedy's candidate prefixes. Large
+# `alignment.nearest_negatives` and greedy matching's head blocks. Large
 # enough that a criterion-6-sized call runs in one block.
 BLOCK_BYTES = 16 << 20
 

@@ -70,9 +70,7 @@ def kgc_rank(test_triple: TripleKey, entity_count: int,
     h, r, t = test_triple
     if scores.shape != (entity_count,):
         raise EvalError(f"expected {entity_count} candidate scores, got {scores.shape}")
-    filtered = set(known.get((h, r), set()))
-    filtered.discard(t)
-    rank, candidates = pessimistic_rank(scores, t, filtered)
+    rank, candidates = pessimistic_rank(scores, t, known.get((h, r), ()))
     return RankResult(query=test_triple, rank=rank, candidate_count=candidates)
 
 

@@ -342,11 +342,13 @@ def load_initial_vectors(path: Path, multikg: MultiKg) -> dict[str, int]:
 
     A label can resolve to entities of several KGs and to a relation at once;
     each entity's vector goes under its global row, each relation's under
-    its id. Anything without a vector keeps the random initialization.
+    its id. Anything without a vector keeps the random initialization. A
+    label on two lines, or a NaN or infinite component, is a ParseError.
     """
     covered_entities = 0
     covered_relations = 0
     unknown = 0
+    first_line: dict[str, int] = {}
     for number, line in enumerate(_read_lines(path, "vector"), start=1):
         if not line.strip():
             continue
@@ -356,12 +358,17 @@ def load_initial_vectors(path: Path, multikg: MultiKg) -> dict[str, int]:
         else:
             tokens = line.split()
             label, parts = tokens[0], tokens[1:]
+        if label in first_line:
+            raise ParseError(f"{path}:{number}: label {label!r} repeats line {first_line[label]}")
+        first_line[label] = number
         try:
             vector = np.array([float(p) for p in parts], dtype=np.float64)
         except ValueError:
             raise ParseError(f"{path}:{number}: non-numeric vector component") from None
         if vector.size == 0:
             raise ParseError(f"{path}:{number}: no vector components")
+        if not np.all(np.isfinite(vector)):
+            raise ParseError(f"{path}:{number}: non-finite vector component")
         if multikg.vector_dim is None:
             multikg.vector_dim = int(vector.size)
         elif vector.size != multikg.vector_dim:

@@ -221,6 +221,20 @@ class TestInitialVectors:
         with pytest.raises(KgDataError, match="dimension"):
             load_initial_vectors(path, m)
 
+    @pytest.mark.parametrize("component", ["nan", "inf", "-inf"])
+    def test_non_finite_component_errors(self, tmp_path, component):
+        m = self.build()
+        path = write(tmp_path, "v.tsv", ["a 1.0 2.0", f"b {component} 0.5"])
+        with pytest.raises(ParseError, match=r"v\.tsv:2: non-finite vector component"):
+            load_initial_vectors(path, m)
+        assert 1 not in m.entity_vectors
+
+    def test_repeated_label_names_both_lines(self, tmp_path):
+        m = self.build()
+        path = write(tmp_path, "v.tsv", ["a 1.0 2.0", "b 1.0 2.0", "a\t3.0 4.0"])
+        with pytest.raises(ParseError, match=r"v\.tsv:3: label 'a' repeats line 1"):
+            load_initial_vectors(path, m)
+
     def test_absent_file_means_all_random_init(self):
         m = self.build()
         assert m.entity_vectors == {}

@@ -1,7 +1,8 @@
 """Memory guards for the fused and blocked ops: one tape node per `Mlp`
 layer, no per-pair rows on the tape of either cosine loss, no concatenated
 fusion or head input on the alignment tape, traced peaks of the blocked ops
-bounded by their kept tables plus a few block budgets or cache tiles,
+and of greedy matching bounded by their kept tables plus a few block
+budgets or cache tiles,
 checkpoint saves and loads that build no whole-file copy, and a resume that
 keeps no second copy of the checkpoint's arrays."""
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts its import
 
 from jointkg import diff
-from jointkg.alignment import alignment_loss
+from jointkg.alignment import alignment_loss, greedy_one_to_one
 from jointkg.completion import alignment_constraint_loss
 from jointkg.entr import matrix_entropy
 from jointkg.rgnn import LayerEmbeddings
@@ -118,6 +119,18 @@ def test_matrix_entropy_peak_stays_within_one_table_and_budgets(small_budget):
     matrix = np.random.default_rng(4).normal(size=(2_000, 1_500))
     _, peak = traced_peak(lambda: matrix_entropy(matrix))
     assert peak < 4 * BUDGET + 8 * len(matrix)
+
+
+def test_greedy_peak_stays_within_vectors_and_budgets(small_budget):
+    # row heads come from blocks of one budget each, and the heap and the
+    # picks take a few hundred bytes per row and column; heads computed on
+    # the whole free part at once would hold a table of the matrix's size
+    n = 1_000
+    values = np.random.default_rng(6).normal(size=(n, n))
+    picks, peak = traced_peak(lambda: greedy_one_to_one(values, n, range(0, n, 7),
+                                                        range(0, n, 5)))
+    assert len(picks) == 800
+    assert peak < 2 * BUDGET + 256 * (n + n)
 
 
 def test_alignment_tape_keeps_no_fusion_or_head_concatenation():
