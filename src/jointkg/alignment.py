@@ -8,8 +8,8 @@ taped gathers.
 
 The similarity matrix is a plain (source x target) ndarray of cosines.
 Aligned pairs are (left, right) rows, as in `SeedSet.pairs`; negatives are
-(positive index, (left, right)) items, the form `nearest_negatives` returns
-and `alignment_loss` reads. Nearest negatives rank columns through
+int64 (positive index, left, right) rows, the form `nearest_negatives`
+returns and `alignment_loss` reads. Nearest negatives rank columns through
 `top_columns`, and greedy matching computes each row's best free column;
 both work in row blocks of at most `diff.BLOCK_BYTES` bytes of float64
 values."""
@@ -114,15 +114,14 @@ def top_columns(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def nearest_negatives(pairs: np.ndarray, source_finals: np.ndarray,
-                      target_finals: np.ndarray, k_neg: int
-                      ) -> list[tuple[int, tuple[int, int]]]:
+                      target_finals: np.ndarray, k_neg: int) -> np.ndarray:
     """For each positive pair, 2*k_neg negatives made by swapping either side
     for its k_neg nearest same-KG entities (cosine; never the entity
     itself). Bit-equal cosines tie to the lowest id, but BLAS may round the
     cosines of identical rows differently, so duplicated or collapsed finals
-    can rank by rounding rather than by id. Returns (positive_index,
-    negative_pair) items, each positive's left swaps before its right
-    swaps."""
+    can rank by rounding rather than by id. Returns an int64 (pairs * 2k_neg
+    x 3) array of (positive index, left, right) rows, each positive's left
+    swaps before its right swaps."""
     if k_neg < 1:
         raise AlignmentError(f"k_neg must be >= 1, got {k_neg}")
     if len(source_finals) <= k_neg or len(target_finals) <= k_neg:
@@ -138,25 +137,29 @@ def nearest_negatives(pairs: np.ndarray, source_finals: np.ndarray,
             nearest[s, rows] = top_columns(sims, k_neg)
     left = np.hstack([nearest[0], np.repeat(pairs[:, :1], k_neg, axis=1)])
     right = np.hstack([np.repeat(pairs[:, 1:], k_neg, axis=1), nearest[1]])
-    index = np.repeat(np.arange(len(pairs)), 2 * k_neg)
-    return list(zip(index.tolist(), zip(left.ravel().tolist(), right.ravel().tolist())))
+    index = np.repeat(np.arange(len(pairs), dtype=np.int64), 2 * k_neg)
+    return np.column_stack([index, left.ravel(), right.ravel()])
 
 
-def alignment_loss(pairs, negatives: list[tuple[int, tuple[int, int]]],
-                   gamma_a: float, entity_finals: Tensor) -> Tensor:
+def alignment_loss(pairs, negatives, gamma_a: float, entity_finals: Tensor) -> Tensor:
     """Hinge gamma_a + d(pos) - d(neg) per positive-negative pairing, mean
     over all pairings, d the `diff.cosine_distance` of one pairing's rows.
-    `pairs` are (left, right) rows, as an array or a list. Indices here are
-    rows of the shared finals table. No node keeps gathered (pairings x dim)
-    rows; the finals' gradient adds negatives' left, negatives' right,
-    positives' left, then positives' right rows, as gathers would."""
-    if not negatives:
+    `pairs` are (left, right) rows, as an array or a list; `negatives` are
+    (positive index, left, right) rows or (index, (left, right)) items, and
+    an index outside `pairs` raises AlignmentError. Entity ids are rows of
+    the shared finals table. No node keeps gathered (pairings x dim) rows;
+    the finals' gradient adds negatives' left, negatives' right, positives'
+    left, then positives' right rows, as gathers would."""
+    if len(negatives) == 0:
         raise AlignmentError("alignment loss needs at least one negative pair")
-    index, negative_pairs = zip(*negatives)
-    positive = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)[np.asarray(index)]
-    negative = np.asarray(negative_pairs, dtype=np.int64)
-    d_pos = diff.cosine_distance(entity_finals, positive[:, 0], positive[:, 1])
-    d_neg = diff.cosine_distance(entity_finals, negative[:, 0], negative[:, 1])
+    if not isinstance(negatives, np.ndarray):
+        negatives = np.column_stack(tuple(zip(*negatives)))
+    index, left, right = negatives.T
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    if np.any((index < 0) | (index >= len(pairs))):
+        raise AlignmentError(f"a negative names a positive outside 0..{len(pairs) - 1}")
+    d_pos = diff.cosine_distance(entity_finals, pairs[index, 0], pairs[index, 1])
+    d_neg = diff.cosine_distance(entity_finals, left, right)
     return diff.mean_all(diff.relu(diff.add(diff.sub(diff.tensor(gamma_a), d_neg), d_pos)))
 
 

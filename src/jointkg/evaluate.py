@@ -2,12 +2,15 @@
 
 Completion: each test triple competes against every same-KG entity as a tail
 candidate; candidates forming another known-true triple are removed first
-(filtered protocol) and ties count against the model. A KG's whole split is
-scored in one `score_all_tails` call: a (queries x candidates) matrix that
-starts at 0.0 and subtracts, layer by layer in order, scipy's cityblock
-distance from head + relation to each candidate (summed over dimensions in
-order). Each row is then ranked on its own. Alignment: the true counterpart
-is ranked among all target entities by cosine similarity.
+(filtered protocol) and ties count against the model. The filter is the
+sorted `triple_keys` of the KG's train, valid and test triples (never its
+transferred ones): the known tails of (h, r) are its keys in [key(h, r, 0),
+key(h, r, n)). A KG's whole split is scored in one `score_all_tails` call:
+a (queries x candidates) matrix that starts at 0.0 and subtracts, layer by
+layer in order, scipy's cityblock distance from head + relation to each
+candidate (summed over dimensions in order). Each row is then ranked on its
+own. Alignment: the true counterpart is ranked among all target entities by
+cosine similarity.
 """
 from __future__ import annotations
 
@@ -19,9 +22,8 @@ import numpy as np
 from .alignment import build_alignment_matrix
 from .completion import score_all_tails
 from .errors import EvalError
-from .kgdata import MultiKg, SeedSet
+from .kgdata import MultiKg, SeedSet, triple_keys
 
-TripleKey = tuple[int, int, int]
 HITS_AT = (1, 10)  # the paper reports Hits@1 and Hits@10
 
 
@@ -38,29 +40,19 @@ class RankResult:
             )
 
 
-def pessimistic_rank(scores: np.ndarray, true_index: int, excluded: set[int]) -> tuple[int, int]:
-    """Rank of true_index among the non-excluded candidates, counting every
-    tie as scoring higher; returns (rank, candidate count)."""
+def pessimistic_rank(scores: np.ndarray, true_index: int, excluded) -> tuple[int, int]:
+    """Rank of true_index among candidates not in `excluded` (any iterable of
+    ints), counting every tie as scoring higher; returns (rank, candidates)."""
     keep = np.ones(scores.shape[0], dtype=bool)
     keep[true_index] = False
-    keep[list(excluded)] = False
+    keep[np.fromiter(excluded, dtype=np.int64)] = False
     candidates = scores[keep]
     # NaN compares False either way, so a NaN candidate never outranks
     better_or_equal = int(np.count_nonzero(candidates >= scores[true_index]))
     return better_or_equal + 1, candidates.size + 1
 
 
-def known_tails(multikg: MultiKg, kg_id: str) -> dict[tuple[int, int], set[int]]:
-    """(head, relation) -> known true tails over the kgc splits. Transferred
-    triples are model output and never enter the filter."""
-    table: dict[tuple[int, int], set[int]] = {}
-    for split in ("train", "valid", "test"):
-        for h, r, t in multikg.kgc_splits[kg_id][split].tolist():
-            table.setdefault((h, r), set()).add(t)
-    return table
-
-
-def kgc_rank(test_triple: TripleKey, entity_count: int,
+def kgc_rank(test_triple: tuple[int, int, int], entity_count: int,
              known: dict[tuple[int, int], set[int]], scores: np.ndarray) -> RankResult:
     """Filtered rank of the true tail among all candidate tails.
 
@@ -104,24 +96,22 @@ def evaluate_kgc(multikg: MultiKg, entity_layer_values: list[np.ndarray],
         triples = multikg.kgc_splits[kg.id][split]
         if len(triples) == 0:
             continue
-        offset = multikg.entity_offset(kg.id)
-        known = known_tails(multikg, kg.id)
+        offset, n = multikg.entity_offset(kg.id), kg.entity_count
+        known = np.unique(triple_keys(np.concatenate([*multikg.kgc_splits[kg.id].values()]), n))
+        first = triple_keys(triples, n) - triples[:, 2]  # key(h, r, 0) per query
+        bounds = np.searchsorted(known, first[:, None] + (0, n))
         scores = score_all_tails(offset + triples[:, 0], triples[:, 1], entity_layer_values,
-                                 relation_layer_values, offset, kg.entity_count)
-        ranks = [kgc_rank(triple, kg.entity_count, known, row).rank
-                 for triple, row in zip(triples.tolist(), scores)]
-        metrics = aggregate(ranks)
-        metrics["count"] = float(len(ranks))
-        results[kg.id] = metrics
+                                 relation_layer_values, offset, n)
+        ranks = [pessimistic_rank(row, t, known[lo:hi] - base)[0] for row, t, base, (lo, hi)
+                 in zip(scores, triples[:, 2].tolist(), first.tolist(), bounds.tolist())]
+        results[kg.id] = dict(aggregate(ranks), count=float(len(ranks)))
     return results
 
 
 def kga_metrics(similarities: np.ndarray, seed_set: SeedSet) -> dict[str, float]:
     """Metrics of one pair's seed pairs ranked in its (source x target) block."""
     ranks = [kga_rank(similarities[e], e_star).rank for e, e_star in seed_set.pairs.tolist()]
-    metrics = aggregate(ranks)
-    metrics["count"] = float(len(ranks))
-    return metrics
+    return dict(aggregate(ranks), count=float(len(ranks)))
 
 
 def evaluate_kga(multikg: MultiKg, entity_finals: np.ndarray,

@@ -11,13 +11,13 @@ in one vocabulary shared by every KG, which is what makes cross-KG triple
 transfer well defined.
 
 Triples are int64 (head, relation, tail) rows kept in order (see `Kg`).
-Where membership matters, `triple_keys` encodes rows as int64 keys on the
-spot; keys depend on the KG's entity count, which grows while it loads, so
-none are stored. Seed pairs (`SeedSet.pairs`) are an (n x 2) int64 array of
-(left id, right id) rows and each completion split
-(`MultiKg.kgc_splits[kg][split]`) an (n x 3) int64 array of triples; both
-are converted once, when the object is built, from whatever sequence of
-pairs or triples the caller passes.
+Where membership matters (negative sampling, transfer, the ranking filter),
+`triple_keys` encodes rows as int64 keys on the spot; keys depend on the
+KG's entity count, which grows while it loads, so none are stored. Seed
+pairs (`SeedSet.pairs`) are an (n x 2) int64 array of (left id, right id)
+rows and each completion split (`MultiKg.kgc_splits[kg][split]`) an (n x 3)
+int64 array of triples; both are converted once, when the object is built,
+from whatever sequence of pairs or triples the caller passes.
 """
 from __future__ import annotations
 
@@ -47,9 +47,9 @@ class Triple:
 
 
 def triple_keys(rows: np.ndarray, entity_count: int) -> np.ndarray:
-    """One int64 key per (head, relation, tail) row of a KG with
-    `entity_count` entities; two rows share a key exactly when they are
-    equal."""
+    """One int64 key per (head, relation, tail) row of a KG with n =
+    `entity_count` entities; rows share a key exactly when equal, and the
+    tails of (h, r) fill the key run [key(h, r, 0), key(h, r, n))."""
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 3)
     return (rows[:, 1] * entity_count + rows[:, 0]) * entity_count + rows[:, 2]
 

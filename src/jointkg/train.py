@@ -312,11 +312,10 @@ class TrainState:
             if len(seed_set) == 0:
                 continue
             src, tgt, off_l, off_r = self.pair_blocks(pair, entity_finals.values)
-            local_negatives = nearest_negatives(
+            negatives = nearest_negatives(
                 seed_set.pairs, src, tgt, self.config.nearest_neighbor_negatives)
-            global_pairs = seed_set.pairs + (off_l, off_r)
-            global_negatives = [(i, (off_l + a, off_r + b)) for i, (a, b) in local_negatives]
-            pair_loss = alignment_loss(global_pairs, global_negatives,
+            pair_loss = alignment_loss(seed_set.pairs + (off_l, off_r),
+                                       negatives + (0, off_l, off_r),
                                        self.config.gamma_alignment, entity_finals)
             total = pair_loss if total is None else diff.add(total, pair_loss)
         if total is None:
@@ -554,8 +553,9 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
     """Rebuild a TrainState that continues the checkpointed run bitwise.
 
     The multikg must be freshly loaded from the same data the checkpoint was
-    trained on: its vocab hash is verified, and seed pairs, transferred rows,
-    parameters and Adam moments are checked against the data and the model.
+    trained on: its vocab hash is verified, seed pairs, transferred rows,
+    parameters and Adam moments are checked against the data and the model,
+    and a non-finite parameter, moment or pre-training entropy is refused.
 
     The state takes the checkpoint's parameter and moment arrays (only a
     non-float64, non-C-contiguous or read-only one is copied), so training it
@@ -576,6 +576,8 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
     for pair in sorted(multikg.seed_sets):
         if pair not in checkpoint.train_seeds or pair not in checkpoint.test_seeds:
             raise _malformed(f"no seeds for {pair}, a seeded KG pair of the data")
+    if not np.isfinite(list(checkpoint.h_tilde.values())).all():
+        raise _malformed("a pre-training entropy holds a non-finite value")
     checkpoint.restore_transfers(multikg)
     state = TrainState(multikg, checkpoint.config)
     named = dict(state.model.named_parameters())
@@ -586,12 +588,16 @@ def resume(checkpoint: Checkpoint, multikg: MultiKg) -> TrainState:
         if saved.shape != tensor.values.shape:
             raise _malformed(f"parameter {name} has shape {saved.shape}, "
                              f"the model's has {tensor.values.shape}")
+        if not np.isfinite(saved).all():
+            raise _malformed(f"parameter {name} holds a non-finite value")
         tensor.values = np.require(saved, np.float64, ("C", "A", "W"))
     for adam, saved in ((state.adam_completion, checkpoint.adam_completion),
                         (state.adam_alignment, checkpoint.adam_alignment)):
         shapes = [p.values.shape for p in adam.params]
         if any([moment.shape for moment in saved[key]] != shapes for key in ("m", "v")):
             raise _malformed("an Adam moment does not match its parameter's shape")
+        if not all(np.isfinite(moment).all() for key in ("m", "v") for moment in saved[key]):
+            raise _malformed("an Adam moment holds a non-finite value")
         adam.load_state_dict(saved)
     state.h_tilde = dict(checkpoint.h_tilde)
     state.epoch = checkpoint.epoch

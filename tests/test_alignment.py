@@ -167,14 +167,14 @@ class TestNearestNegatives:
         source = np.array([[1.0, 0.0], [0.99, 0.1], [-1.0, 0.5]])
         target = np.array([[0.5, 0.5], [0.0, 1.0]])
         negatives = nearest_negatives([(0, 0)], source, target, k_neg=1)
-        assert (0, (1, 0)) in negatives  # entity 1 is uniquely nearest to entity 0
+        assert [0, 1, 0] in negatives.tolist()  # entity 1 is uniquely nearest to entity 0
 
     def test_tie_breaks_to_lowest_id(self):
         source = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
         target = np.array([[1.0, 1.0], [1.0, -1.0]])
         negatives = nearest_negatives([(0, 0)], source, target, k_neg=1)
-        swapped_left = [n for i, n in negatives if n[1] == 0 and n[0] != 0]
-        assert swapped_left == [(1, 0)]  # ids 1 and 2 tie at cosine 1; lowest wins
+        swapped_left = [[a, b] for _, a, b in negatives.tolist() if b == 0 and a != 0]
+        assert swapped_left == [[1, 0]]  # ids 1 and 2 tie at cosine 1; lowest wins
 
     def test_positive_pair_never_appears(self):
         rng = np.random.default_rng(9)
@@ -182,9 +182,9 @@ class TestNearestNegatives:
         target = rng.normal(size=(6, 3))
         pairs = [(0, 3), (2, 1)]
         negatives = nearest_negatives(pairs, source, target, k_neg=2)
-        assert len(negatives) == len(pairs) * 4
-        for index, negative in negatives:
-            assert negative != pairs[index]
+        assert negatives.dtype == np.int64 and negatives.shape == (len(pairs) * 4, 3)
+        for index, left, right in negatives.tolist():
+            assert (left, right) != pairs[index]
 
     def test_kg_too_small_errors(self):
         with pytest.raises(AlignmentError, match="smaller than"):
@@ -247,12 +247,15 @@ class TestNearestNegativesOracle:
     def test_equals_reference_loop(self, case, block_bytes):
         """Ties everywhere (duplicate rows, rank-one tables), with budgets of
         1-240 bytes, so blocks of 1-15 rows and positives straddle block
-        edges."""
+        edges; the (positive index, left, right) rows agree one by one."""
         pairs, source, target, k_neg = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(diff, "BLOCK_BYTES", block_bytes)
-            assert (nearest_negatives(pairs, source, target, k_neg)
-                    == reference_nearest_negatives(pairs, source, target, k_neg))
+            negatives = nearest_negatives(pairs, source, target, k_neg)
+        assert negatives.dtype == np.int64 and negatives.shape == (2 * k_neg * len(pairs), 3)
+        assert (negatives.tolist()
+                == [list(row) for row in reference_nearest_negatives(pairs, source, target,
+                                                                     k_neg)])
 
 
 class TestAlignmentLoss:
@@ -285,6 +288,37 @@ class TestAlignmentLoss:
         doubled = alignment_loss([(0, 3)], [(0, (0, 4)), (0, (0, 4))], 0.5, finals).item()
         assert doubled == pytest.approx(single)
         assert single >= 0.0
+
+    @pytest.mark.parametrize("index", [-1, 2])
+    @pytest.mark.parametrize("form", ["items", "array"])
+    def test_positive_index_outside_pairs_errors(self, index, form):
+        # -1 would read the last pair and 2 escape as an IndexError
+        negatives = [(index, (0, 2))]
+        if form == "array":
+            negatives = np.array([[index, 0, 2]], dtype=np.int64)
+        with pytest.raises(AlignmentError, match="outside 0..1"):
+            alignment_loss([(0, 3), (0, 4)], negatives, 1.9, self.finals())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_item_form_equals_array_form_bitwise(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        n = data.draw(st.integers(2, 8))
+        table = rng.normal(size=(n, data.draw(st.integers(1, 4))))
+        ids = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=4))
+        items = data.draw(st.lists(st.tuples(st.integers(0, len(pairs) - 1),
+                                             st.tuples(ids, ids)), min_size=1, max_size=20))
+        rows = np.array([(i, a, b) for i, (a, b) in items], dtype=np.int64)
+        runs = []
+        for negatives in (items, rows):
+            leaf = diff.param(table.copy())
+            loss = alignment_loss(pairs, negatives, 0.5, leaf)
+            diff.backward(loss)
+            runs.append((loss.values, leaf.grad))
+        (loss_items, grad_items), (loss_rows, grad_rows) = runs
+        assert loss_items.tobytes() == loss_rows.tobytes()
+        assert grad_items.tobytes() == grad_rows.tobytes()
 
 
 class TestGreedyMatch:

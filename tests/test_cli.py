@@ -316,6 +316,23 @@ class TestCheckpointAgainstData:
         assert code == 1
         assert "error [train]: checkpoint is malformed: " in capsys.readouterr().err
 
+    def test_non_finite_parameters_are_refused(self, dataset, trained_checkpoint, tmp_path,
+                                               capsys):
+        # with every completion parameter NaN, each true tail would rank
+        # first and eval would report MRR 1
+        members, meta = read_checkpoint(trained_checkpoint)
+        for name in members:
+            if name.startswith("parameters/completion/"):
+                members[name] = np.full_like(members[name], np.nan)
+        checkpoint = tmp_path / "checkpoint.npz"
+        write_checkpoint(checkpoint, members, meta)
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+                     "--out", str(tmp_path / "eval"), "--task", "kgc"])
+        assert code == 1
+        assert "error [train]: checkpoint is malformed: parameter completion/" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "eval" / "results.tsv").exists()
+
     def test_version_2_checkpoint_is_refused(self, dataset, trained_checkpoint, tmp_path,
                                              capsys):
         """A version-2 checkpoint (one JSON document) is no zip archive and is

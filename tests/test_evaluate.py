@@ -11,7 +11,8 @@ from jointkg.evaluate import HITS_AT, aggregate, kga_rank, kgc_rank, pessimistic
 from jointkg.kgdata import load_multikg
 from jointkg.synth import SynthSpec, generate, write_dataset
 
-from .util import reference_pessimistic_rank, reference_score_all_tails
+from .util import (append_transferred, reference_known_tails, reference_pessimistic_rank,
+                   reference_score_all_tails, single_kg)
 
 
 def brute_force_kgc_rank(scores, true_tail, filtered_tails):
@@ -131,6 +132,9 @@ class TestOracleEquivalence:
         got = pessimistic_rank(scores, true_index, excluded)
         assert got == expected
         assert all(type(value) is int for value in got)
+        # the ranking filter passes the same tails as an int64 array
+        assert pessimistic_rank(scores, true_index,
+                                np.array(sorted(excluded), dtype=np.int64)) == expected
 
 
 class TestMonotonicity:
@@ -228,8 +232,10 @@ def reference_sweep(multikg, entity_values, relation_values, split):
     """evaluate_kgc's metrics from one reference score row per query."""
     results = {}
     for kg in multikg.kgs:
+        if len(multikg.kgc_splits[kg.id][split]) == 0:
+            continue
         offset = multikg.entity_offset(kg.id)
-        known = ev.known_tails(multikg, kg.id)
+        known = reference_known_tails(multikg, kg.id)
         ranks = [kgc_rank((h, r, t), kg.entity_count, known,
                           reference_score_all_tails(offset + h, r, entity_values,
                                                     relation_values, offset,
@@ -262,5 +268,45 @@ class TestBatchedScoring:
         entity_values = [rng.normal(size=(multikg.total_entities, 4)) for _ in range(3)]
         relation_values = [rng.normal(size=(len(multikg.relations), 4)) for _ in range(3)]
         for split in ("valid", "test"):
+            assert (ev.evaluate_kgc(multikg, entity_values, relation_values, split=split)
+                    == reference_sweep(multikg, entity_values, relation_values, split))
+
+
+@st.composite
+def filter_cases(draw):
+    """One KG of 2-8 entities and 1-3 relations whose triples fall in the
+    three kgc splits, heads from a few ids so (h, r) queries repeat, and
+    transferred triples the KG lacks; 0/1 layer values tie many scores."""
+    n, relations = draw(st.integers(2, 8)), draw(st.integers(1, 3))
+    triple = st.tuples(st.integers(0, min(n, 3) - 1), st.integers(0, relations - 1),
+                       st.integers(0, n - 1))
+    triples = draw(st.lists(triple, min_size=1, max_size=30, unique=True))
+    triples.append((0, relations - 1, 0))  # every relation id enters the vocabulary
+    triples = list(dict.fromkeys(triples))
+    multikg = single_kg(triples, entity_count=n)
+    splits = [draw(st.sampled_from(["train", "valid", "test"])) for _ in triples]
+    for split in ("train", "valid", "test"):
+        multikg.set_kgc_split("xx", split, [t for t, s in zip(triples, splits) if s == split])
+    others = [(h, r, t) for h in range(n) for r in range(relations) for t in range(n)
+              if (h, r, t) not in triples]
+    if others:
+        rows = draw(st.lists(st.sampled_from(others), max_size=10))
+        append_transferred(multikg.kgs[0], rows, epoch=1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers, dim = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    entity_values = [rng.integers(2, size=(n, dim)).astype(np.float64) for _ in range(layers)]
+    relation_values = [rng.integers(2, size=(relations, dim)).astype(np.float64)
+                       for _ in range(layers)]
+    return multikg, entity_values, relation_values
+
+
+class TestRankingFilter:
+    @settings(max_examples=200, deadline=None)
+    @given(filter_cases())
+    def test_evaluate_kgc_equals_dict_of_sets_oracle(self, case):
+        """The sorted-key filter ranks as the (h, r) -> tails dict does, on
+        tie-heavy scores, with transferred triples kept out of the filter."""
+        multikg, entity_values, relation_values = case
+        for split in ("train", "valid", "test"):
             assert (ev.evaluate_kgc(multikg, entity_values, relation_values, split=split)
                     == reference_sweep(multikg, entity_values, relation_values, split))

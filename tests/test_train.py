@@ -498,6 +498,26 @@ class TestCheckpoint:
         with pytest.raises(TrainError, match="malformed: an Adam moment does not match"):
             resume(Checkpoint.load(path), toy_pair_dataset())
 
+    @pytest.mark.parametrize("edit, reason", [
+        ("parameters/completion/entity0", "parameter completion/entity0"),
+        ("parameters/heads/entity/w0", "parameter heads/entity/w0"),
+        ("adam_alignment/v/0", "an Adam moment"),
+        ("h_tilde", "a pre-training entropy"),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_resume_rejects_a_non_finite_value(self, tmp_path, edit, reason, value):
+        # NaN scores rank every true tail first, so such a checkpoint would
+        # evaluate as perfect
+        path, members, meta = self._saved_payload(tmp_path)
+        if edit == "h_tilde":
+            meta["h_tilde"]["aa|bb"] = value
+        else:
+            members[edit] = members[edit].copy()
+            members[edit].flat[-1] = value
+        write_checkpoint(path, members, meta)
+        with pytest.raises(TrainError, match=f"malformed: {reason} holds a non-finite value"):
+            resume(Checkpoint.load(path), toy_pair_dataset())
+
     def test_resume_rejects_a_seed_pair_of_no_kg_pair(self, tmp_path):
         path, members, meta = self._saved_payload(tmp_path)
         members["train_seeds/bb|aa"] = members.pop("train_seeds/aa|bb")

@@ -505,9 +505,10 @@ def reference_backward(loss: Tensor) -> None:
 
 
 def reference_nearest_negatives(pairs, source_finals: np.ndarray, target_finals: np.ndarray,
-                                k_neg: int) -> list[tuple[int, tuple[int, int]]]:
+                                k_neg: int) -> list[tuple[int, int, int]]:
     """Per positive, a matrix-vector product and a full lexsort of every
-    same-KG entity on each side: k_neg left swaps, then k_neg right swaps."""
+    same-KG entity on each side: k_neg left swaps, then k_neg right swaps,
+    as (positive index, left, right) rows."""
     def unit_rows(table):
         return table / np.sqrt((table * table).sum(axis=1))[:, None]
 
@@ -523,9 +524,9 @@ def reference_nearest_negatives(pairs, source_finals: np.ndarray, target_finals:
     negatives = []
     for index, (e, e_star) in enumerate(pairs):
         for substitute in ranked_neighbors(source_unit, e):
-            negatives.append((index, (int(substitute), e_star)))
+            negatives.append((index, int(substitute), int(e_star)))
         for substitute in ranked_neighbors(target_unit, e_star):
-            negatives.append((index, (e, int(substitute))))
+            negatives.append((index, int(e), int(substitute)))
     return negatives
 
 
@@ -571,6 +572,16 @@ def reference_pessimistic_rank(scores: np.ndarray, true_index: int, excluded: se
         if value >= true_score:
             better_or_equal += 1
     return better_or_equal + 1, candidates + 1
+
+
+def reference_known_tails(multikg: MultiKg, kg_id: str) -> dict[tuple[int, int], set[int]]:
+    """(head, relation) -> known true tails over the kgc splits, the ranking
+    filter as a dict of sets. Transferred triples never enter it."""
+    table: dict[tuple[int, int], set[int]] = {}
+    for split in ("train", "valid", "test"):
+        for h, r, t in multikg.kgc_splits[kg_id][split].tolist():
+            table.setdefault((h, r), set()).add(t)
+    return table
 
 
 def reference_score_all_tails(head: int, relation: int, entity_values: list[np.ndarray],
