@@ -1,10 +1,11 @@
 """Alignment component: per-layer fusion of completion embeddings into the
 alignment encoder, the final entity head over the layer stack, the dense
 similarity matrix, nearest-entity negatives, the margin loss over aligned
-pairs, and greedy one-to-one matching. The fusion and head MLPs record one
-`diff.affine` node per layer over column parts, no taped concatenation, and
-the margin loss reads its pairs' rows through `diff.cosine_distance`, no
-taped gathers.
+pairs, and greedy one-to-one matching. The fusion reads the completion
+tables in place, as constants valid until the next completion step. The
+fusion and head MLPs record one `diff.affine` node per layer over column
+parts, no taped concatenation, and the margin loss reads its pairs' rows
+through `diff.cosine_distance`, no taped gathers.
 
 The similarity matrix is a plain (source x target) ndarray of cosines.
 Aligned pairs are (left, right) rows, as in `SeedSet.pairs`; negatives are
@@ -30,8 +31,6 @@ class FusionParams(ParameterBlock):
     """One entity and one relation fusion MLP (2n -> n) per layer 0..K."""
 
     def __init__(self, entity_fusers: list[Mlp], relation_fusers: list[Mlp]):
-        if len(entity_fusers) != len(relation_fusers):
-            raise AlignmentError("fusion MLP lists must have equal length")
         self.entity_fusers = entity_fusers
         self.relation_fusers = relation_fusers
 
@@ -42,10 +41,6 @@ class FusionParams(ParameterBlock):
         relation_fusers = [Mlp.create([2 * dim, dim, dim], ("leakyrelu", "identity"), rng)
                            for _ in range(layer_count + 1)]
         return cls(entity_fusers, relation_fusers)
-
-    @property
-    def layer_count(self) -> int:
-        return len(self.entity_fusers) - 1
 
     def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
         named: list[tuple[str, Tensor]] = []
@@ -59,25 +54,27 @@ def make_fusion_hook(completion_layers: LayerEmbeddings, fusion: FusionParams) -
     """Hook for the alignment encoder that applies the per-layer fusion
     MLP(completion || alignment) to the entity and the relation table.
 
-    Completion tables enter as detached constant column parts: the alignment
-    loss must not reach completion parameters through the fusion.
+    Completion tables enter as constant column parts that share the
+    completion arrays, so the alignment loss cannot reach completion
+    parameters and no table is copied. Layer 0 is the completion
+    parameters, which each completion step updates in place: a hook is
+    valid only until the next completion step.
     """
-    constants = completion_layers.detached()
-    if fusion.layer_count != constants.layer_count:
-        raise AlignmentError("fusion depth does not match encoder depth")
+    entities = [diff.tensor(t.values) for t in completion_layers.entities]
+    relations = [diff.tensor(t.values) for t in completion_layers.relations]
 
     def hook(entity: Tensor, relation: Tensor, layer: int) -> tuple[Tensor, Tensor]:
-        return (fusion.entity_fusers[layer]([constants.entities[layer], entity]),
-                fusion.relation_fusers[layer]([constants.relations[layer], relation]))
+        return (fusion.entity_fusers[layer]([entities[layer], entity]),
+                fusion.relation_fusers[layer]([relations[layer], relation]))
 
     return hook
 
 
-def final_embeddings(layers: LayerEmbeddings, head: Mlp) -> tuple[Tensor, Tensor]:
+def final_embeddings(layers: LayerEmbeddings, head: Mlp) -> tuple[Tensor, list[Tensor]]:
     """The entity finals, `head` over the layer 0..K entity tables as column
-    parts, and the concatenated layer 0..K relation vectors, unmapped: only
+    parts, and the layer 0..K relation tables as given, with no node: only
     the entity finals enter the loss, ranking and matching."""
-    return head(list(layers.entities)), diff.concat(layers.relations, axis=1)
+    return head(list(layers.entities)), layers.relations
 
 
 def _unit_rows(table: np.ndarray, side: str) -> np.ndarray:

@@ -160,8 +160,9 @@ def cmd_grid(args) -> int:
     base = apply_env_overrides(read_json(args.config, "config file"))
     names = sorted(grid_spec)
     for name in names:
-        if not isinstance(grid_spec[name], list):
-            raise TrainError(f"grid file {args.grid}: {name} must map to a list of values")
+        if not (isinstance(grid_spec[name], list) and grid_spec[name]):
+            wanted = "a non-empty list" if isinstance(grid_spec[name], list) else "a list"
+            raise TrainError(f"grid file {args.grid}: {name} must map to {wanted} of values")
     multikg_path = Path(args.data)
     out_dir = Path(args.out)
 

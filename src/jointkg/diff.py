@@ -110,9 +110,6 @@ class Tensor:
             raise DiffError(f"item() on tensor of shape {self.values.shape}")
         return float(self.values)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.values.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.values.shape}, op={self._op or 'leaf'})"
 
@@ -730,9 +727,6 @@ class Mlp(ParameterBlock):
                  activations: Sequence[str]):
         if not (len(weights) == len(biases) == len(activations)):
             raise DiffError("Mlp layer lists must have equal length")
-        for act in activations:
-            if act not in _ACTIVATIONS:
-                raise DiffError(f"unknown activation {act!r}")
         self.weights = weights
         self.biases = biases
         self.activations = tuple(activations)
@@ -741,22 +735,12 @@ class Mlp(ParameterBlock):
     def create(cls, dims: Sequence[int], activations: Sequence[str],
                rng: np.random.Generator) -> "Mlp":
         """Glorot-uniform weights, zero biases; dims = [in, hidden..., out]."""
-        if len(dims) < 2 or len(activations) != len(dims) - 1:
-            raise DiffError("Mlp.create needs len(dims) - 1 activations")
         weights, biases = [], []
         for fan_in, fan_out in zip(dims[:-1], dims[1:]):
             bound = np.sqrt(6.0 / (fan_in + fan_out))
             weights.append(param(rng.uniform(-bound, bound, size=(fan_in, fan_out))))
             biases.append(param(np.zeros(fan_out)))
         return cls(weights, biases, activations)
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].values.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].values.shape[1]
 
     def __call__(self, x: Tensor | Sequence[Tensor]) -> Tensor:
         for w, b, act in zip(self.weights, self.biases, self.activations):

@@ -18,10 +18,6 @@ class DiffError(JointKgError):
     module = "diff"
 
 
-class EncoderError(JointKgError):
-    module = "rgnn"
-
-
 class CompletionError(JointKgError):
     module = "completion"
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import diff
 from .diff import Mlp, ParameterBlock, Tensor
-from .errors import EncoderError
 from .kgdata import MultiKg
 
 FusionHook = Callable[[Tensor, Tensor, int], tuple[Tensor, Tensor]]
@@ -75,11 +74,6 @@ class LayerEmbeddings:
     def layer_count(self) -> int:
         return len(self.entities) - 1
 
-    def detached(self) -> "LayerEmbeddings":
-        return LayerEmbeddings(
-            [e.detach() for e in self.entities], [r.detach() for r in self.relations]
-        )
-
     def entity_values(self) -> list[np.ndarray]:
         return [e.values for e in self.entities]
 
@@ -94,23 +88,12 @@ class EncoderParams(ParameterBlock):
     a single-layer attention map (2n -> 1), and the linear+tanh output
     transform. `relation_aware=False` runs the attention on zeros instead of
     comp and att, which gives uniform weights over the bare neighbor vectors.
+    `create` sets this layout, and the `diff` ops check shapes at the forward.
     """
 
     def __init__(self, layer_count: int, dim: int, entity0: Tensor, relation0: Tensor,
                  comp: list[Mlp], rel: list[Mlp], att: list[Mlp], g: list[Mlp],
                  relation_aware: bool = True):
-        if not (len(comp) == len(rel) == len(att) == len(g) == layer_count):
-            raise EncoderError("need exactly one parameter block per layer")
-        for mlp, (i, o) in (
-            *[(m, (dim, dim)) for m in comp],
-            *[(m, (dim, dim)) for m in rel],
-            *[(m, (2 * dim, 1)) for m in att],
-            *[(m, (dim, dim)) for m in g],
-        ):
-            if (mlp.in_dim, mlp.out_dim) != (i, o):
-                raise EncoderError(f"MLP dims {(mlp.in_dim, mlp.out_dim)} != expected {(i, o)}")
-        if any(mlp.activations != ("identity",) for mlp in att):
-            raise EncoderError("each attention map must be one affine layer")
         self.layer_count = layer_count
         self.dim = dim
         self.entity0 = entity0

@@ -480,8 +480,9 @@ class Checkpoint:
     def load(cls, path: Path) -> "Checkpoint":
         """Read a version-3 checkpoint. A missing or non-zip file (versions 1
         and 2 are JSON), a corrupt member, another version, a missing member
-        or key, an undecodable value or a seed set `SeedSet` rejects raises
-        TrainError."""
+        or key, an undecodable value, a step count or epoch that is no
+        integer >= 0, a `val_mrr` or entropy that is no number, non-integer
+        seed or transfer ids or a seed set `SeedSet` rejects raises TrainError."""
         def moments(side: str, key: str) -> list[np.ndarray]:
             by_index = _group(members, f"{side}/{key}")
             return [by_index[str(i)] for i in range(len(by_index))]
@@ -494,6 +495,18 @@ class Checkpoint:
             meta = json.loads(members["meta"].item())
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise TrainError(f"unsupported checkpoint version {meta.get('version')}")
+            for name, value in {"epoch": meta["epoch"],
+                                **{f"t.{side}": t for side, t in meta["t"].items()}}.items():
+                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                    raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+            for name, value in {"val_mrr": meta["val_mrr"],
+                                **{f"h_tilde.{k}": v for k, v in meta["h_tilde"].items()}}.items():
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{name} must be a number, got {value!r}")
+            for name, values in members.items():
+                if name.startswith(("train_seeds/", "test_seeds/", "transferred/")) \
+                        and values.dtype.kind not in "iu":
+                    raise ValueError(f"{name} must hold integers, not {values.dtype}")
             adam = {side: {"t": meta["t"][side], "m": moments(side, "m"), "v": moments(side, "v")}
                     for side in ("adam_completion", "adam_alignment")}
             seeds = {group: {_unpair(k): SeedSet(_unpair(k), pairs, meta["provenance"][group][k])

@@ -91,29 +91,50 @@ class TestSirFuse:
         assert c_table.grad is None
         assert a_table.grad is not None
 
+    def test_hook_reads_the_completion_tables_in_place(self):
+        """Each layer's constant part shares its completion table's array;
+        layer 0's is the completion parameter's own."""
+        rng = np.random.default_rng(7)
+        completion = EncoderParams.create(2, 3, 3, 2, rng)
+        with diff.no_grad():
+            completion_layers = encode(build_edges(single_kg([(0, 0, 1), (1, 1, 2)])),
+                                       completion)
+        assert completion_layers.entities[0] is completion.entity0
+        hook = make_fusion_hook(completion_layers, FusionParams.create(2, 3, rng))
+        for k in range(3):
+            fused = hook(diff.param(rng.normal(size=(3, 3))),
+                         diff.param(rng.normal(size=(2, 3))), k)
+            for out, table in zip(fused, (completion_layers.entities[k],
+                                          completion_layers.relations[k])):
+                [constant] = [t for t in diff._topo(out) if not t.requires_grad]
+                assert np.shares_memory(constant.values, table.values)
+
 
 class TestFinalEmbeddings:
     def test_k0_identity_head_returns_layer_zero(self):
         rng = np.random.default_rng(3)
         table = rng.normal(size=(4, 3))
         rel = rng.normal(size=(2, 3))
-        entity_final, relation_stack = final_embeddings(layers_of([table], [rel]),
-                                                        identity_mlp(3))
+        layers = layers_of([table], [rel])
+        entity_final, relations = final_embeddings(layers, identity_mlp(3))
         assert np.array_equal(entity_final.values, table)
-        assert np.array_equal(relation_stack.values, rel)
+        assert relations == layers.relations
+        assert np.array_equal(relations[0].values, rel)
 
     def test_k1_selector_head_returns_layer_zero(self):
-        """The head maps the entity stack; the relation stack comes back
-        unmapped, layer 0's columns before layer 1's."""
+        """The head maps the entity stack; the relation tables come back
+        unmapped and unstacked, layer 0's before layer 1's."""
         rng = np.random.default_rng(4)
         layer0 = rng.normal(size=(4, 3))
         layer1 = rng.normal(size=(4, 3))
         rel0 = rng.normal(size=(2, 3))
         rel1 = rng.normal(size=(2, 3))
-        entity_final, relation_stack = final_embeddings(
-            layers_of([layer0, layer1], [rel0, rel1]), select_first_block(6, 3))
+        layers = layers_of([layer0, layer1], [rel0, rel1])
+        entity_final, relations = final_embeddings(layers, select_first_block(6, 3))
         assert np.allclose(entity_final.values, layer0)
-        assert np.array_equal(relation_stack.values, np.hstack([rel0, rel1]))
+        assert relations == layers.relations
+        assert np.array_equal(relations[0].values, rel0)
+        assert np.array_equal(relations[1].values, rel1)
 
     def test_permuting_rows_permutes_finals(self):
         rng = np.random.default_rng(5)

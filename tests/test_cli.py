@@ -486,6 +486,19 @@ class TestBadJsonInputs:
         assert code == 1
         assert f"error [train]: grid file {grid_path}: dim must map to a list of values" in err
 
+    def test_grid_value_that_is_an_empty_list(self, dataset, tmp_path, capsys):
+        # an empty list leaves no combination, so nothing would train
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload(epochs=1)))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"beta": [], "dim": [8]}))
+        code, err = self.run(["grid", "--grid", str(grid_path), "--config", str(config_path),
+                              "--data", str(dataset), "--out", str(tmp_path / "grid")], capsys)
+        assert code == 1
+        assert (f"error [train]: grid file {grid_path}: beta must map to a non-empty list "
+                "of values" in err)
+        assert not (tmp_path / "grid").exists()
+
     def test_malformed_checkpoint(self, dataset, trained_checkpoint, tmp_path, capsys):
         # a truncated copy is no zip archive; a copy with one flipped data byte
         # is one, but fails its member's CRC (zipfile's BadZipFile); a missing

@@ -960,7 +960,7 @@ class TestMlp:
     def test_dims_and_forward_shape(self):
         rng = np.random.default_rng(0)
         mlp = diff.Mlp.create([4, 4, 2], ("leakyrelu", "identity"), rng)
-        assert mlp.in_dim == 4 and mlp.out_dim == 2
+        assert [w.values.shape for w in mlp.weights] == [(4, 4), (4, 2)]
         out = mlp(diff.tensor(np.ones((3, 4))))
         assert out.values.shape == (3, 2)
 

@@ -1,6 +1,7 @@
 """Memory guards for the fused and blocked ops: one tape node per `Mlp`
 layer, no per-pair rows on the tape of either cosine loss, no concatenated
-fusion or head input on the alignment tape, traced peaks of the blocked ops
+fusion or head input on the alignment tape, a fusion hook that copies no
+completion table, traced peaks of the blocked ops
 and of greedy matching bounded by their kept tables plus a few block
 budgets or cache tiles,
 checkpoint saves and loads that build no whole-file copy, and a resume that
@@ -12,7 +13,7 @@ import pytest
 import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts its import
 
 from jointkg import diff
-from jointkg.alignment import alignment_loss, greedy_one_to_one
+from jointkg.alignment import FusionParams, alignment_loss, greedy_one_to_one, make_fusion_hook
 from jointkg.completion import alignment_constraint_loss
 from jointkg.entr import matrix_entropy
 from jointkg.rgnn import LayerEmbeddings
@@ -151,6 +152,18 @@ def test_alignment_tape_keeps_no_fusion_or_head_concatenation():
         tracemalloc.stop()
     assert finals.requires_grad
     assert after - before < 16.5 * finals.values.size * 8
+
+
+def test_fusion_hook_copies_no_completion_table():
+    # the hook wraps the K + 1 = 3 completion tables of each kind; a copy of
+    # any one entity table would allocate n * dim float64 values
+    rng = np.random.default_rng(8)
+    n, dim = 2_000, 64
+    layers = LayerEmbeddings([diff.tensor(rng.normal(size=(n, dim))) for _ in range(3)],
+                             [diff.tensor(rng.normal(size=(4, dim))) for _ in range(3)])
+    fusion = FusionParams.create(2, dim, rng)
+    _, peak = traced_peak(lambda: make_fusion_hook(layers, fusion))
+    assert peak < n * dim * 8
 
 
 def _large_checkpoint():

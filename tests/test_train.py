@@ -1,3 +1,4 @@
+import re
 import zipfile
 
 import numpy as np
@@ -451,6 +452,32 @@ class TestCheckpoint:
         edit(members, meta["provenance"]["train_seeds"]["aa|bb"])
         write_checkpoint(path, members, meta)
         with pytest.raises(TrainError, match=f"is malformed: {reason}"):
+            Checkpoint.load(path)
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda members, meta: meta["t"].update(adam_completion="x"),
+         "t.adam_completion must be an integer >= 0, got 'x'"),
+        (lambda members, meta: meta["t"].update(adam_alignment=-5),
+         "t.adam_alignment must be an integer >= 0, got -5"),
+        (lambda members, meta: meta.update(epoch="x"), "epoch must be an integer >= 0, got 'x'"),
+        (lambda members, meta: meta.update(epoch=True), "epoch must be an integer >= 0, got True"),
+        (lambda members, meta: meta.update(val_mrr="x"), "val_mrr must be a number, got 'x'"),
+        (lambda members, meta: meta["h_tilde"].update({"aa|bb": "x"}),
+         "h_tilde.aa|bb must be a number, got 'x'"),
+        (lambda members, meta: members.update({"train_seeds/aa|bb": [[0.9, 1.2]]}),
+         "train_seeds/aa|bb must hold integers, not float64"),
+        (lambda members, meta: members.update({"transferred/aa": [[0.5, 0.0, 1.0, 1.0]]}),
+         "transferred/aa must hold integers, not float64")],
+        ids=["t-string", "t-negative", "epoch-string", "epoch-bool", "val-mrr-string",
+             "entropy-string", "float-seeds", "float-transfers"])
+    def test_meta_value_or_id_dtype_of_the_wrong_kind_is_malformed(self, tmp_path, edit,
+                                                                     reason):
+        # a negative step count would make Adam's bias correction take the
+        # root of a negative number, and float ids used to be truncated
+        path, members, meta = self._saved_payload(tmp_path)
+        edit(members, meta)
+        write_checkpoint(path, members, meta)
+        with pytest.raises(TrainError, match=f"is malformed: {re.escape(reason)}$"):
             Checkpoint.load(path)
 
     def test_parameter_data_not_fitting_its_shape_is_malformed(self, tmp_path):
