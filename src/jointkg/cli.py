@@ -2,8 +2,9 @@
 
 Every run writes a manifest (resolved configuration, input hashes, package
 version, root seed, BLAS library and threads) to reproduce outputs bitwise.
-Config values resolve as: config file < JOINTKG_* environment variables <
-explicit command-line flags.
+A run's settings are its config file's, with `train`'s `--seed` and
+`--ablation` flags on top, and nothing else. Errors print `error [<module>]:
+<message>` (`[io]` for an unreadable or unwritable file) and exit 1.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import itertools
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from .kgdata import load_multikg, write_transfer_sidecar
 from .synth import SynthSpec, generate, write_dataset
 from .train import Checkpoint, TrainConfig, fit, read_json, resume
 
-ENV_PREFIX = "JOINTKG_"
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -39,7 +39,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, settings: dict, inputs: list[Path],
-                    seed: int) -> None:
+                    seed: int | list[int]) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
@@ -54,23 +54,8 @@ def _write_manifest(out_dir: Path, command: str, settings: dict, inputs: list[Pa
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def apply_env_overrides(data: dict, environ=None) -> dict:
-    """Overlay JOINTKG_<FIELD> environment values onto a config dict."""
-    environ = os.environ if environ is None else environ
-    merged = dict(data)
-    for f in fields(TrainConfig):
-        raw = environ.get(ENV_PREFIX + f.name.upper())
-        if raw is None:
-            continue
-        try:
-            merged[f.name] = json.loads(raw)
-        except json.JSONDecodeError:
-            merged[f.name] = raw
-    return merged
-
-
 def _resolved_config(args) -> TrainConfig:
-    data = apply_env_overrides(read_json(args.config, "config file"))
+    data = read_json(args.config, "config file")
     if args.seed is not None:
         data["rng_seed"] = args.seed
     config = TrainConfig.from_dict(data)
@@ -95,28 +80,28 @@ def _data_inputs(data_dir: Path) -> list[Path]:
     return sorted(p for p in Path(data_dir).glob("*.tsv"))
 
 
-def _fit_and_save(multikg, config: TrainConfig, out_dir: Path) -> Checkpoint:
-    """Train, then write checkpoint.npz, metrics.tsv and config.json."""
+def _fit_and_save(data_dir: Path, config: TrainConfig, out_dir: Path) -> Checkpoint:
+    """Train on the data under `data_dir`, then write checkpoint.npz,
+    metrics.tsv, config.json, the selected checkpoint's transferred_<kg>.tsv
+    sidecars (when ENTR runs) and the run's manifest."""
+    multikg = load_multikg(data_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_lines: list[str] = []
     checkpoint = fit(multikg, config, log_lines=log_lines)
     checkpoint.save(out_dir / "checkpoint.npz")
     (out_dir / "metrics.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     config.to_file(out_dir / "config.json")
-    return checkpoint
-
-
-def cmd_train(args) -> int:
-    config = _resolved_config(args)
-    multikg = load_multikg(Path(args.data))
-    out_dir = Path(args.out)
-    checkpoint = _fit_and_save(multikg, config, out_dir)
     if config.entr_active:
         checkpoint.restore_transfers(multikg)
         for kg in multikg.kgs:
             write_transfer_sidecar(kg, out_dir / f"transferred_{kg.id}.tsv")
-    _write_manifest(out_dir, "train", config.to_dict(), _data_inputs(args.data),
+    _write_manifest(out_dir, "train", config.to_dict(), _data_inputs(data_dir),
                     config.rng_seed)
+    return checkpoint
+
+
+def cmd_train(args) -> int:
+    checkpoint = _fit_and_save(Path(args.data), _resolved_config(args), Path(args.out))
     print(f"best epoch {checkpoint.epoch} with validation MRR {checkpoint.val_mrr:.4f}")
     return 0
 
@@ -157,13 +142,12 @@ def cmd_eval(args) -> int:
 
 def cmd_grid(args) -> int:
     grid_spec = read_json(args.grid, "grid file")
-    base = apply_env_overrides(read_json(args.config, "config file"))
+    base = read_json(args.config, "config file")
     names = sorted(grid_spec)
     for name in names:
         if not (isinstance(grid_spec[name], list) and grid_spec[name]):
             wanted = "a non-empty list" if isinstance(grid_spec[name], list) else "a list"
             raise TrainError(f"grid file {args.grid}: {name} must map to {wanted} of values")
-    multikg_path = Path(args.data)
     out_dir = Path(args.out)
 
     combos = [dict(zip(names, values))
@@ -173,8 +157,7 @@ def cmd_grid(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for index, (combo, config) in enumerate(zip(combos, configs)):
-        checkpoint = _fit_and_save(load_multikg(multikg_path), config,
-                                   out_dir / f"run_{index:03d}")
+        checkpoint = _fit_and_save(Path(args.data), config, out_dir / f"run_{index:03d}")
         rows.append((checkpoint.val_mrr, index, combo))
         print(f"run_{index:03d}: val MRR {checkpoint.val_mrr:.4f} {combo}")
 
@@ -184,7 +167,7 @@ def cmd_grid(args) -> int:
               for mrr, index, settings in rows]
     (out_dir / "leaderboard.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     _write_manifest(out_dir, "grid", {"grid": grid_spec, "base": base},
-                    _data_inputs(args.data), int(base.get("rng_seed", 0)))
+                    _data_inputs(args.data), [config.rng_seed for config in configs])
     print(f"leaderboard written to {out_dir / 'leaderboard.tsv'}")
     return 0
 
@@ -236,6 +219,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except JointKgError as error:
         print(f"error [{error.module}]: {error}", file=sys.stderr)
+        return 1
+    except OSError as error:
+        print(f"error [io]: {error}", file=sys.stderr)
         return 1
 
 

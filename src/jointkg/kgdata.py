@@ -33,6 +33,8 @@ from .seeding import substream
 
 GIVEN = "given"
 ENLARGED = "enlarged"
+# share of a KG pair's given seed pairs that trains; the rest are test pairs
+SEED_TRAIN_FRACTION = 0.5
 
 
 @dataclass(frozen=True)
@@ -263,6 +265,8 @@ def _read_lines(path: Path, what: str) -> list[str]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise KgDataError(f"{what} file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: byte {exc.start}") from None
     return text.splitlines()
 
 
@@ -323,15 +327,14 @@ def parse_seeds(path: Path, kg_left: Kg, kg_right: Kg) -> tuple[SeedSet, int]:
     return seed_set, skipped
 
 
-def split_seeds(seed_set: SeedSet, train_fraction: float, rng_seed: int) -> tuple[SeedSet, SeedSet]:
-    """Deterministic disjoint partition; train side takes the floor."""
-    if not 0.0 < train_fraction < 1.0:
-        raise KgDataError(f"train_fraction must be in (0, 1), got {train_fraction}")
+def split_seeds(seed_set: SeedSet, rng_seed: int) -> tuple[SeedSet, SeedSet]:
+    """Deterministic disjoint partition into (train, test); the train side
+    takes the floor of SEED_TRAIN_FRACTION of the pairs."""
     if len(seed_set) < 2:
         raise KgDataError("need at least 2 seed pairs to split")
     rng = substream(rng_seed, "seed-split", seed_set.kg_pair[0], seed_set.kg_pair[1])
     order = rng.permutation(len(seed_set))
-    n_train = int(np.floor(train_fraction * len(seed_set)))
+    n_train = int(np.floor(SEED_TRAIN_FRACTION * len(seed_set)))
     provenance = np.asarray(seed_set.provenance)
     make = lambda idx: SeedSet(seed_set.kg_pair, seed_set.pairs[idx], provenance[idx].tolist())
     return make(np.sort(order[:n_train])), make(np.sort(order[n_train:]))

@@ -38,7 +38,7 @@ from .rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 from .seeding import substream
 
 ABLATIONS = ("no_ra_gnn", "one_gnn", "no_sir", "no_entr", "no_align", "no_comple")
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 # metrics.tsv columns in order, each with the format spec of its values
 LOG_COLUMNS = {"epoch": "", "loss_completion": ".6f", "loss_alignment": ".6f", "budget": "",
                "transferred": "", "val_mrr": ".6f", "loss_ranking": ".6f"}
@@ -46,8 +46,7 @@ LOG_COLUMNS = {"epoch": "", "loss_completion": ".6f", "loss_alignment": ".6f", "
 IDLE_EPOCH = {"epoch": 0, "loss_completion": 0.0, "loss_alignment": 0.0, "budget": 0,
               "transferred": 0, "loss_ranking": 0.0}
 # annotation -> (accepted type, its name in errors); a bool is no int or float here
-_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number"),
-                "bool": (bool, "true or false")}
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
 
 @dataclass
@@ -65,17 +64,15 @@ class TrainConfig:
     si_mode: str = "without"
     ablations: tuple[str, ...] = ()
     rng_seed: int = 0
-    seed_train_fraction: float = 0.5
-    entr_period: int = 1
-    transferred_as_positives: bool = True
     steps_per_epoch: int = 10
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            kind, wanted = _FIELD_KINDS.get(f.type, (object, ""))
-            if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-                raise TrainError(f"{f.name} must be {wanted}, got {value!r}")
+            if f.type in _FIELD_KINDS:
+                kind, wanted = _FIELD_KINDS[f.type]
+                if not isinstance(value, kind) or isinstance(value, bool):
+                    raise TrainError(f"{f.name} must be {wanted}, got {value!r}")
         if (not isinstance(self.ablations, (list, tuple))
                 or not all(isinstance(flag, str) for flag in self.ablations)):
             raise TrainError(f"ablations must be a list of strings, got {self.ablations!r}")
@@ -87,12 +84,9 @@ class TrainConfig:
         for name in ("gamma_completion", "gamma_alignment"):
             if not math.isfinite(getattr(self, name)):
                 raise TrainError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0.0 < self.seed_train_fraction < 1.0:
-            raise TrainError(f"seed_train_fraction must be in (0, 1), "
-                             f"got {self.seed_train_fraction}")
         for name, least in (("rng_seed", 0), ("layers", 0), ("epochs", 0), ("dim", 1),
-                            ("entr_period", 1), ("steps_per_epoch", 1),
-                            ("negatives_per_positive", 1), ("nearest_neighbor_negatives", 1)):
+                            ("steps_per_epoch", 1), ("negatives_per_positive", 1),
+                            ("nearest_neighbor_negatives", 1)):
             if getattr(self, name) < least:
                 raise TrainError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 <= self.beta <= 1.0:
@@ -137,12 +131,14 @@ class TrainConfig:
 
 
 def read_json(path: Path, what: str) -> dict:
-    """Parse a JSON file that holds an object; a missing or malformed file,
-    or one holding any other JSON value, raises TrainError."""
+    """Parse a JSON file that holds an object; a missing, non-UTF-8 or
+    malformed file, or one holding any other JSON value, raises TrainError."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise TrainError(f"{what} not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise TrainError(f"{what} {path} is not UTF-8 text: byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise TrainError(f"{what} {path} is not valid JSON: {exc}") from None
     if not isinstance(data, dict):
@@ -220,7 +216,7 @@ class TrainState:
         self.train_seeds: dict[tuple[str, str], SeedSet] = {}
         self.test_seeds: dict[tuple[str, str], SeedSet] = {}
         for pair, seed_set in sorted(multikg.seed_sets.items()):
-            train, test = split_seeds(seed_set, config.seed_train_fraction, config.rng_seed)
+            train, test = split_seeds(seed_set, config.rng_seed)
             self.train_seeds[pair] = train
             self.test_seeds[pair] = test
         self.edges = build_edges(multikg)
@@ -257,15 +253,14 @@ class TrainState:
         """One completion update; returns (total loss, ranking loss).
 
         A KG's positives are its loaded training triples, then its
-        transferred triples (none unless transferred_as_positives).
-        Corruptions of its loaded positives come from a stream keyed by
-        (kg, epoch, step); those of its transferred positives come from the
-        same key extended by "transferred". So runs that differ only in
-        transferred triples draw identical corruptions for every loaded
-        positive, which keeps ablation comparisons paired. Both draws avoid
-        every training triple of the KG, transferred ones included. The one
-        exception to the pairing: a draw for a loaded positive that hits a
-        transferred triple is rejected, so that KG's re-draws in later
+        transferred triples. Corruptions of its loaded positives come from a
+        stream keyed by (kg, epoch, step); those of its transferred positives
+        come from the same key extended by "transferred". So runs that differ
+        only in transferred triples draw identical corruptions for every
+        loaded positive, which keeps ablation comparisons paired. Both draws
+        avoid every training triple of the KG, transferred ones included. The
+        one exception to the pairing: a draw for a loaded positive that hits
+        a transferred triple is rejected, so that KG's re-draws in later
         rejection rounds of this step differ between the runs; corruptions
         accepted before then stay identical.
         """
@@ -277,11 +272,10 @@ class TrainState:
         base = 0
         for kg in self.multikg.kgs:
             loaded = self.multikg.kgc_splits[kg.id]["train"]
-            transferred = kg.transferred if self.config.transferred_as_positives else loaded[:0]
             offset = self.multikg.entity_offset(kg.id)
             known = np.unique(triple_keys(np.concatenate([loaded, kg.transferred]),
                                           kg.entity_count))
-            for positives, stream in ((loaded, ()), (transferred, ("transferred",))):
+            for positives, stream in ((loaded, ()), (kg.transferred, ("transferred",))):
                 if len(positives) == 0:
                     continue
                 rng = substream(self.config.rng_seed, "negatives", kg.id,
@@ -379,7 +373,7 @@ def train_epoch(state: TrainState) -> dict:
         hook = state.fusion_hook()
         for _ in range(config.steps_per_epoch):
             metrics["loss_alignment"] = state.alignment_step(hook=hook)
-        if config.entr_active and state.epoch % config.entr_period == 0:
+        if config.entr_active:
             metrics["budget"], metrics["transferred"] = state.entr_step(hook=hook)
     return metrics
 
@@ -438,7 +432,7 @@ def _group(members: dict[str, np.ndarray], prefix: str) -> dict[str, np.ndarray]
 @dataclass
 class Checkpoint:
     """Everything needed to evaluate or bit-identically resume a run, saved as
-    one uncompressed `.npz` (version 3). Members `parameters/<name>`,
+    one uncompressed `.npz` (version 4). Members `parameters/<name>`,
     `adam_<side>/m/<i>` and `adam_<side>/v/<i>` (the side's i-th moments),
     `train_seeds/<a>|<b>`, `test_seeds/<a>|<b>` and `transferred/<kg>` hold
     the arrays; the 0-d `meta` member holds the rest as sorted-key JSON."""
@@ -478,7 +472,7 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path: Path) -> "Checkpoint":
-        """Read a version-3 checkpoint. A missing or non-zip file (versions 1
+        """Read a version-4 checkpoint. A missing or non-zip file (versions 1
         and 2 are JSON), a corrupt member, another version, a missing member
         or key, an undecodable value, a step count or epoch that is no
         integer >= 0, a `val_mrr` or entropy that is no number, non-integer

@@ -1,6 +1,9 @@
+import errno
 import hashlib
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +13,10 @@ import pytest
 
 import jointkg
 from jointkg import alignment, cli, evaluate, train
-from jointkg.cli import apply_env_overrides, main
+from jointkg.cli import main
 from jointkg.kgdata import load_multikg
 from jointkg.rgnn import encode
-from jointkg.train import Checkpoint, TrainConfig, resume
+from jointkg.train import Checkpoint, resume
 
 from .util import read_checkpoint, write_checkpoint
 
@@ -23,9 +26,7 @@ def config_payload(**overrides):
         "layers": 1, "dim": 6, "lr_completion": 0.01, "lr_alignment": 0.01,
         "beta": 0.3, "gamma_completion": 2.0, "gamma_alignment": 0.5,
         "epochs": 2, "negatives_per_positive": 2, "nearest_neighbor_negatives": 2,
-        "si_mode": "without", "ablations": [], "rng_seed": 3,
-        "seed_train_fraction": 0.5, "entr_period": 1,
-        "transferred_as_positives": True, "steps_per_epoch": 2,
+        "si_mode": "without", "ablations": [], "rng_seed": 3, "steps_per_epoch": 2,
     }
     payload.update(overrides)
     return payload
@@ -133,20 +134,35 @@ class TestTrainCommand:
     @pytest.mark.parametrize("field, value", [
         ("layers", 2.0), ("dim", 8.0), ("epochs", "1"), ("steps_per_epoch", True),
         ("rng_seed", None), ("beta", "0.2"), ("gamma_alignment", [1.0]),
-        ("transferred_as_positives", "no"), ("ablations", [1]), ("ablations", "no_sir"),
+        ("si_mode", True), ("ablations", [1]), ("ablations", "no_sir"), ("ablations", True),
         ("lr_completion", -1.0), ("lr_completion", 0.0), ("lr_alignment", float("inf")),
         ("lr_alignment", float("nan")), ("negatives_per_positive", 0),
-        ("nearest_neighbor_negatives", 0), ("rng_seed", -1), ("seed_train_fraction", 0.0),
-        ("seed_train_fraction", 1.0), ("seed_train_fraction", 1.5),
+        ("nearest_neighbor_negatives", 0), ("rng_seed", -1),
         ("gamma_completion", float("nan")), ("gamma_alignment", float("-inf")),
     ])
     def test_bad_config_value_is_named(self, dataset, tmp_path, capsys, field, value):
+        # the message names what the field wants, then the value it got
+        wanted = {"si_mode": "'with' or 'without'", "ablations": "a list of strings"}
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_payload(**{field: value})))
         code = main(["train", "--config", str(config_path), "--data", str(dataset),
                      "--out", str(tmp_path / "run")])
         assert code == 1
-        assert f"error [train]: {field} must be" in capsys.readouterr().err
+        assert re.fullmatch(rf"error \[train\]: {field} must be {wanted.get(field, '[^,]+')}, "
+                            rf"got {re.escape(repr(value))}\n", capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed_train_fraction", 0.5), ("entr_period", 1), ("transferred_as_positives", True)])
+    def test_removed_config_field_is_unknown(self, dataset, tmp_path, capsys, field, value):
+        # every run splits half the seeds for training, runs ENTR each epoch
+        # and trains completion on the transferred triples
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload(**{field: value})))
+        code = main(["train", "--config", str(config_path), "--data", str(dataset),
+                     "--out", str(tmp_path / "run")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error [train]: unknown config field: {field}\n"
         assert not (tmp_path / "run").exists()
 
     def test_negative_seed_flag_fails_before_reading_data(self, tmp_path, capsys):
@@ -158,14 +174,14 @@ class TestTrainCommand:
         assert "error [train]: rng_seed must be >= 0, got -1" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
-    def test_bad_env_value_is_named(self, dataset, tmp_path, capsys, monkeypatch):
+    def test_environment_leaves_the_config_alone(self, dataset, tmp_path, monkeypatch):
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config_payload()))
-        monkeypatch.setenv("JOINTKG_LAYERS", "2.0")
-        code = main(["train", "--config", str(config_path), "--data", str(dataset),
-                     "--out", str(tmp_path / "run")])
-        assert code == 1
-        assert "error [train]: layers must be an integer, got 2.0" in capsys.readouterr().err
+        config_path.write_text(json.dumps(config_payload(epochs=2)))
+        monkeypatch.setenv("JOINTKG_EPOCHS", "1")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(config_path), "--data", str(dataset),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "config.json").read_text())["epochs"] == 2
 
     def test_ablation_flag_lands_in_written_config(self, dataset, tmp_path):
         config_path = tmp_path / "config.json"
@@ -344,7 +360,7 @@ class TestCheckpointAgainstData:
         archive = tmp_path / "checkpoint.npz"
         write_checkpoint(archive, members, meta | {"version": 2})
         for checkpoint, reason in (
-                (json_file, f"checkpoint {json_file} is missing or not a version-3 "
+                (json_file, f"checkpoint {json_file} is missing or not a version-4 "
                             "checkpoint (.npz archive)"),
                 (archive, "unsupported checkpoint version 2")):
             code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
@@ -353,6 +369,20 @@ class TestCheckpointAgainstData:
             err = capsys.readouterr().err
             assert err.startswith("error [train]: ")
             assert err.rstrip().endswith(reason)
+
+    def test_version_3_checkpoint_is_refused(self, dataset, trained_checkpoint, tmp_path,
+                                             capsys):
+        # version 3 stored three more config fields; its version is named,
+        # not the first field version 4 does not know
+        members, meta = read_checkpoint(trained_checkpoint)
+        config = meta["config"] | {"seed_train_fraction": 0.5, "entr_period": 1,
+                                   "transferred_as_positives": True}
+        checkpoint = tmp_path / "checkpoint.npz"
+        write_checkpoint(checkpoint, members, meta | {"version": 3, "config": config})
+        code = main(["eval", "--checkpoint", str(checkpoint), "--data", str(dataset),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 1
+        assert capsys.readouterr().err == "error [train]: unsupported checkpoint version 3\n"
 
 
 class TestGridCommand:
@@ -371,25 +401,31 @@ class TestGridCommand:
         values = [float(line.split("\t")[0]) for line in lines[1:]]
         assert values == sorted(values, reverse=True)
 
-
-class TestEnvOverrides:
-    def test_env_values_overlay_config(self):
-        data = config_payload()
-        merged = apply_env_overrides(data, environ={"JOINTKG_DIM": "32",
-                                                    "JOINTKG_SI_MODE": "without",
-                                                    "JOINTKG_ABLATIONS": '["no_entr"]'})
-        config = TrainConfig.from_dict(merged)
-        assert config.dim == 32
-        assert config.ablations == ("no_entr",)
-
-    def test_env_override_through_main(self, dataset, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("base_seed", [None, "x"])
+    def test_each_run_writes_what_train_writes(self, dataset, tmp_path, base_seed):
+        # the grid's rng_seed values replace a base seed that is absent or bad
+        base = config_payload(epochs=1, rng_seed=base_seed)
+        if base_seed is None:
+            del base["rng_seed"]
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config_payload()))
-        monkeypatch.setenv("JOINTKG_EPOCHS", "1")
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(config_path), "--data", str(dataset),
-                     "--out", str(out)]) == 0
-        assert json.loads((out / "config.json").read_text())["epochs"] == 1
+        config_path.write_text(json.dumps(base))
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({"rng_seed": [1, 2]}))
+        out = tmp_path / "grid_out"
+        assert main(["grid", "--grid", str(grid_path), "--config", str(config_path),
+                     "--data", str(dataset), "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["rng_seed"] == [1, 2]
+        for index, seed in enumerate([1, 2]):
+            single = tmp_path / f"train_{seed}"
+            config_path.write_text(json.dumps(config_payload(epochs=1, rng_seed=seed)))
+            assert main(["train", "--config", str(config_path), "--data", str(dataset),
+                         "--out", str(single)]) == 0
+            run = out / f"run_{index:03d}"
+            names = sorted(path.name for path in single.iterdir())
+            assert sorted(path.name for path in run.iterdir()) == names
+            assert "manifest.json" in names and "transferred_kg1.tsv" in names
+            for name in names:
+                assert (run / name).read_bytes() == (single / name).read_bytes(), name
 
 
 class TestBadJsonInputs:
@@ -446,18 +482,6 @@ class TestBadJsonInputs:
                               "--data", str(dataset), "--out", str(out)], capsys)
         assert code == 1
         assert "error [train]: negatives_per_positive must be >= 1, got 0" in err
-        assert not (out / "run_000").exists()
-
-    def test_bad_seed_fraction_fails_before_any_run(self, dataset, tmp_path, capsys):
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config_payload(epochs=1)))
-        grid_path = tmp_path / "grid.json"
-        grid_path.write_text(json.dumps({"seed_train_fraction": [0.5, 1.5]}))
-        out = tmp_path / "grid"
-        code, err = self.run(["grid", "--grid", str(grid_path), "--config", str(config_path),
-                              "--data", str(dataset), "--out", str(out)], capsys)
-        assert code == 1
-        assert "error [train]: seed_train_fraction must be in (0, 1), got 1.5" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, bad_file", [
@@ -507,7 +531,7 @@ class TestBadJsonInputs:
         flipped = bytearray(data)
         flipped[data.index(b"\x93NUMPY") + 200] ^= 0xFF
         checkpoint = tmp_path / "checkpoint.npz"
-        for content, reason in ((data[:len(data) // 2], "is missing or not a version-3"),
+        for content, reason in ((data[:len(data) // 2], "is missing or not a version-4"),
                                 (bytes(flipped), "is malformed: Bad CRC-32")):
             checkpoint.write_bytes(content)
             code, err = self.run(["eval", "--checkpoint", str(checkpoint),
@@ -519,7 +543,47 @@ class TestBadJsonInputs:
         code, err = self.run(["eval", "--checkpoint", str(absent), "--data", str(dataset),
                               "--out", str(tmp_path / "eval")], capsys)
         assert code == 1
-        assert err.startswith(f"error [train]: checkpoint {absent} is missing or not a version-3")
+        assert err.startswith(f"error [train]: checkpoint {absent} is missing or not a version-4")
+
+
+class TestUnreadableInput:
+    """Input the system cannot read, or cannot decode as UTF-8, ends in an
+    `error [...]` line and exit code 1, not in a traceback."""
+
+    @staticmethod
+    def os_message(code: int, path: Path) -> str:
+        return f"error [io]: [Errno {code}] {os.strerror(code)}: '{path}'\n"
+
+    @pytest.mark.parametrize("case", ["triples_byte", "config_byte", "config_directory",
+                                      "triples_directory", "out_file"])
+    def test_refused_with_a_message(self, dataset, tmp_path, capsys, case):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload(epochs=1)))
+        out = tmp_path / "run"
+        if case == "triples_byte":
+            triples = data / "triples_kg1.tsv"
+            offset = triples.stat().st_size
+            triples.write_bytes(triples.read_bytes() + b"\xff\n")
+            expected = f"error [kgdata]: {triples} is not UTF-8 text: byte {offset}\n"
+        elif case == "config_byte":
+            config_path.write_bytes(b'{"layers": 1\xff}')
+            expected = f"error [train]: config file {config_path} is not UTF-8 text: byte 12\n"
+        elif case == "config_directory":
+            config_path = tmp_path / "config_dir"
+            config_path.mkdir()
+            expected = self.os_message(errno.EISDIR, config_path)
+        elif case == "triples_directory":
+            (data / "triples_zz.tsv").mkdir()
+            expected = self.os_message(errno.EISDIR, data / "triples_zz.tsv")
+        else:
+            out.write_text("")
+            expected = self.os_message(errno.EEXIST, out)
+        code = main(["train", "--config", str(config_path), "--data", str(data),
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == expected
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

@@ -164,23 +164,23 @@ class TestSplitSeeds:
         return kgdata.SeedSet(("aa", "bb"), [(i, i) for i in range(n)], ["given"] * n)
 
     def test_even_split(self):
-        train, test = split_seeds(self.make(100), 0.5, rng_seed=3)
+        train, test = split_seeds(self.make(100), rng_seed=3)
         assert (len(train), len(test)) == (50, 50)
         assert set(map(tuple, train.pairs.tolist())).isdisjoint(map(tuple, test.pairs.tolist()))
         assert len(train.pairs) + len(test.pairs) == 100
 
     def test_deterministic(self):
-        a = split_seeds(self.make(40), 0.5, rng_seed=9)
-        b = split_seeds(self.make(40), 0.5, rng_seed=9)
+        a = split_seeds(self.make(40), rng_seed=9)
+        b = split_seeds(self.make(40), rng_seed=9)
         assert [s.pairs.tolist() for s in a] == [s.pairs.tolist() for s in b]
 
     def test_odd_count_floors_train_side(self):
-        train, test = split_seeds(self.make(7), 0.5, rng_seed=1)
+        train, test = split_seeds(self.make(7), rng_seed=1)
         assert (len(train), len(test)) == (3, 4)
 
     def test_too_few_pairs_errors(self):
         with pytest.raises(KgDataError, match="at least 2"):
-            split_seeds(self.make(1), 0.5, rng_seed=0)
+            split_seeds(self.make(1), rng_seed=0)
 
     def test_sizes_add_up_to_file_line_count(self, tmp_path):
         # independent recount of the seed file against the split sizes
@@ -189,7 +189,7 @@ class TestSplitSeeds:
         path = write(tmp_path, "s.tsv", [f"x{i}\ty{i}" for i in range(25)])
         line_count = len(path.read_text().splitlines())
         seeds, skipped = parse_seeds(path, left, right)
-        train, test = split_seeds(seeds, 0.5, rng_seed=17)
+        train, test = split_seeds(seeds, rng_seed=17)
         assert len(train) + len(test) + skipped == line_count
 
 

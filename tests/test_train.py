@@ -142,15 +142,6 @@ class TestTrainEpoch:
         assert {p: s.pairs.tolist() for p, s in state.train_seeds.items()} == seeds_before
         assert {kg.id: kg.triples.tolist() for kg in multikg.kgs} == triples_before
 
-    def test_entr_runs_on_configured_period(self):
-        multikg = toy_pair_dataset(drop_in_first=2)
-        state = TrainState(multikg, small_config(entr_period=2, epochs=2))
-        state.initialize_entropy_baseline()
-        first = train_epoch(state)
-        second = train_epoch(state)
-        assert first["budget"] == 0
-        assert second["budget"] >= 0  # period reached; entr actually executed
-
     def test_identical_runs_have_identical_trajectories(self):
         def run():
             multikg = toy_pair_dataset(drop_in_first=2)
@@ -236,14 +227,13 @@ class TestNegativePairing:
         assert {kg_id for kg_id, *_ in paired} == {"aa", "bb"}
         assert corruptions_of_loaded(transfer=True) == paired
 
-    @pytest.mark.parametrize("as_positives", [True, False])
-    def test_transferred_triples_stay_out_of_the_negatives(self, monkeypatch, as_positives):
+    def test_transferred_triples_stay_out_of_the_negatives(self, monkeypatch):
         multikg = toy_pair_dataset(drop_in_first=3)
         kg_a, kg_b = multikg.by_id["aa"], multikg.by_id["bb"]
         missing = np.array(sorted(set(map(tuple, kg_b.triples.tolist()))
                                   - set(map(tuple, kg_a.triples.tolist()))), dtype=np.int64)
         kg_a.set_transferred(missing, [1] * len(missing))
-        state = TrainState(multikg, small_config(transferred_as_positives=as_positives))
+        state = TrainState(multikg, small_config())
         filters = []
 
         def recording(positives, entity_count, known, *args):
@@ -253,7 +243,7 @@ class TestNegativePairing:
 
         monkeypatch.setattr("jointkg.train.sample_negatives", recording)
         state.completion_step()
-        assert len(filters) == (2 if as_positives else 1)
+        assert len(filters) == 2  # the loaded and the transferred positives
         for known in filters:
             assert np.isin(triple_keys(missing, kg_a.entity_count), known).all()
 
