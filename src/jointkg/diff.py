@@ -17,6 +17,16 @@ scatter-sums (the backward of `gather_rows`, the forward of
 input position from 0.0, the order of `np.add.at`: a CSR product for
 tables, `np.bincount` for vectors.
 
+Exact-zero gradients cost nothing. `backward` runs no grad_fn of a node
+whose gradient is zero everywhere, such as a hinge with no active term, and
+`Adam.step` leaves a parameter alone while its gradient and moments are all
+zero. Nothing is approximated: every grad_fn is a vector-Jacobian product,
+linear in its gradient, so a skipped call would only have passed on zeros;
+every scatter-sum starts from +0.0, to which a zero of either sign adds
+nothing; and Adam's moments start at +0.0, which a zero gradient of either
+sign keeps. Leaf gradients can differ from running every grad_fn only in
+the sign of a zero, and parameters, moments and checkpoints not at all.
+
 The fused ops `affine`, `translation_l1`, `neighbor_attention` and
 `cosine_distance` each record one node where the composed graph they
 replace recorded several; `affine` and `cosine_distance` match theirs bit
@@ -461,7 +471,9 @@ def cosine_distance(table: Tensor, left, right) -> Tensor:
     the backward forms the row gradients in column blocks. Its two parent
     slots are `table` twice, the left rows' scatter-sum then the right
     rows', so `backward` adds them in the order the two gathers did; within
-    each, a row adds its pairs in ascending order.
+    each, a row adds its pairs in ascending order. A pair is refused when
+    either row's squared norm is below the smallest normal float, zero
+    included: the backward divides the cosine by it, and would be infinite.
     """
     x = table.values
     left = np.asarray(left, dtype=np.int64)
@@ -477,8 +489,9 @@ def cosine_distance(table: Tensor, left, right) -> Tensor:
     for rows in blocks(x.shape[0], 8 * dim):
         row_norms[rows] = np.sqrt((x[rows] * x[rows]).sum(axis=1))
     nu, nv = row_norms[left], row_norms[right]
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise DiffError("zero-norm embedding")
+    tiny = np.finfo(np.float64).tiny
+    if np.any(nu * nu < tiny) or np.any(nv * nv < tiny):
+        raise DiffError("zero-norm embedding (or one whose squared norm underflows)")
     dot = np.empty(count)
     for rows in blocks(count, 8 * dim):
         dot[rows] = (x[left[rows]] * x[right[rows]]).sum(axis=1)
@@ -653,28 +666,45 @@ def _topo(root: Tensor) -> list[Tensor]:
     return order
 
 
+# `backward`'s marker for a gradient known to be exactly zero everywhere
+_ZERO = object()
+
+
 def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into .grad of every reachable `param` leaf,
     in one reverse-topological pass that frees each node's gradient once its
-    grad_fn has propagated it. Intermediate tensors get no .grad."""
+    grad_fn has propagated it. Intermediate tensors get no .grad.
+
+    A node whose gradient is exactly zero everywhere does not run its
+    grad_fn (linear in the gradient, so it would pass on only zeros): each
+    parent that needs a gradient gets a zero marker, which a real gradient
+    replaces whether it arrives before or after, and a leaf reached only by
+    markers gets `np.zeros`. Leaving out the zeros a skipped grad_fn would
+    have added changes at most a zero's sign, which no `Adam` step reads."""
     if loss.values.shape != ():
         raise DiffError(f"backward requires a scalar loss, got shape {loss.values.shape}")
     # stored arrays are never mutated in place (accumulation always rebinds),
     # so grad_fn outputs can be kept without defensive copies
-    pending: dict[int, np.ndarray] = {id(loss): np.ones(())}
+    pending: dict[int, object] = {id(loss): np.ones(())}
     for node in reversed(_topo(loss)):
         g = pending.pop(id(node), None)
         if g is None:
             continue
-        if node._grad_fn is not None:
+        if node._grad_fn is None:
+            if node.requires_grad:
+                g = np.zeros(node.values.shape) if g is _ZERO else g.reshape(node.values.shape)
+                node.grad = g if node.grad is None else node.grad + g
+        elif g is _ZERO or not g.any():
+            for parent in node._parents:
+                if parent.requires_grad:
+                    pending.setdefault(id(parent), _ZERO)
+        else:
             for parent, pg in zip(node._parents, node._grad_fn(g)):
                 if not parent.requires_grad or pg is None:
                     continue
                 key = id(parent)
-                pending[key] = pending[key] + pg if key in pending else pg
-        elif node.requires_grad:
-            g = g.reshape(node.values.shape)
-            node.grad = g if node.grad is None else node.grad + g
+                # no local name keeps the replaced sum alive into the next grad_fn
+                pending[key] = pg if pending.get(key, _ZERO) is _ZERO else pending[key] + pg
 
 
 def grad_check(function: Callable[[Tensor], Tensor], x0, step: float = 1e-5) -> float:
@@ -765,7 +795,12 @@ class Adam:
     """Adam with bias correction (update = lr * m_hat / sqrt(v_hat + eps)),
     with beta1, beta2 and eps fixed to ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
 
-    Parameters whose .grad is None at step time are left untouched. Each
+    Parameters whose .grad is None at step time are left untouched, and so
+    are those whose gradient and both moments are all zero, though `t`
+    counts the step: that step would keep m = v = +0.0 (m starts at +0.0,
+    +0.0 plus a zero of either sign is +0.0, and g * g is +0.0) and subtract
+    +0.0, which changes no bit. So a zero's sign in a gradient moves no
+    parameter or moment either. Each
     optimizer keeps one moment buffer per parameter, so two optimizers over
     disjoint parameter sets never interact. `state_dict` holds the step count
     `t` and copies of the moments `m` and `v`; the learning rate comes from
@@ -789,6 +824,8 @@ class Adam:
                 continue
             if not np.all(np.isfinite(g)):
                 raise DiffError("non-finite gradient")
+            if not (g.any() or m.any() or v.any()):
+                continue
             # in place, in the order of lr * m_hat / sqrt(v_hat + eps) with
             # m_hat = m / (1 - beta1^t), v_hat = v / (1 - beta2^t)
             update, denominator = np.empty_like(m), np.empty_like(v)

@@ -51,11 +51,17 @@ def test_cosine_distance_identical_vectors():
 
 
 def test_cosine_distance_zero_vector_errors():
-    table = diff.tensor(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]))
-    for left, right in (([0], [1]), ([1], [0])):
+    # row 2's norm is 1e-160, whose square underflows: its backward would
+    # divide by 0; row 3's squared norm 1e-300 is a normal float
+    table = diff.tensor(np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1e-160, 0.0, 0.0],
+                                  [1e-150, 0.0, 1e-150]]))
+    for left, right in (([0], [1]), ([1], [0]), ([2], [1]), ([1], [2])):
         with pytest.raises(DiffError, match="zero-norm embedding"):
             diff.cosine_distance(table, left, right)
     assert diff.cosine_distance(table, [1], [1]).values.shape == (1,)
+    leaf = diff.param(table.values)
+    diff.backward(diff.sum_all(diff.cosine_distance(leaf, [3, 1], [1, 3])))
+    assert np.all(np.isfinite(leaf.grad))
 
 
 @pytest.mark.parametrize("shape", [(3,), (1, 1, 3)])
@@ -281,10 +287,10 @@ def test_forward_and_gradients_are_deterministic():
     assert np.array_equal(a, a2) and np.array_equal(b, b2) and np.array_equal(c, c2)
 
 
-def _model_losses(seed):
-    """Criterion-2-style graphs on a 6-entity KG: an encoder functional, the
-    completion loss, and the alignment loss through a SIR fusion hook. Each
-    entry is (name, loss, leaves): every parameter the graphs can reach."""
+def _toy_model(seed):
+    """A 6-entity KG's edges, both encoders, the SIR fusion and the entity
+    head, drawn from `seed`: (generator, edges, completion, alignment side,
+    fusion, head, every parameter)."""
     rng = np.random.default_rng(seed)
     triples = sorted({(int(rng.integers(6)), int(rng.integers(2)), int(rng.integers(6)))
                       for _ in range(9)} | {(0, 0, 1), (2, 1, 3), (4, 0, 5)})
@@ -293,24 +299,67 @@ def _model_losses(seed):
     alignment_side = EncoderParams.create(2, 3, 6, 2, rng)
     fusion = FusionParams.create(2, 3, rng)
     head = diff.Mlp.create([9, 3, 3], ("leakyrelu", "identity"), rng)
+    every = (completion.parameters() + alignment_side.parameters() + fusion.parameters()
+             + head.parameters())
+    return rng, edges, completion, alignment_side, fusion, head, every
 
-    layers = encode(edges, completion)
-    encoder = diff.sum_all(diff.mul(layers.entities[2], diff.tensor(rng.normal(size=(6, 3)))))
+
+def _completion_total(layers):
+    """The completion loss of two fixed positives and their corruptions."""
     positives = (np.array([0, 2]), np.array([0, 1]), np.array([1, 3]))
     negatives = (np.array([4, 2]), np.array([0, 1]), np.array([1, 5]), np.array([0, 1]))
-    completion_total = completion_loss(
-        ranking_loss(positives, negatives, 1.0, layers),
-        alignment_constraint_loss(np.array([[0, 3], [1, 4]]), layers))
+    return completion_loss(ranking_loss(positives, negatives, 1.0, layers),
+                           alignment_constraint_loss(np.array([[0, 3], [1, 4]]), layers))
+
+
+def _alignment_finals(edges, completion, alignment_side, fusion, head):
+    """Alignment-side entity finals through an untaped SIR fusion hook."""
     with diff.no_grad():
         hook = make_fusion_hook(encode(edges, completion), fusion)
     finals, _ = final_embeddings(encode(edges, alignment_side, hook), head)
+    return finals
+
+
+def _model_losses(seed):
+    """Criterion-2-style graphs on a 6-entity KG: an encoder functional, the
+    completion loss, and the alignment loss through a SIR fusion hook. Each
+    entry is (name, loss, leaves): every parameter the graphs can reach."""
+    rng, edges, *model, every = _toy_model(seed)
+    layers = encode(edges, model[0])
+    encoder = diff.sum_all(diff.mul(layers.entities[2], diff.tensor(rng.normal(size=(6, 3)))))
+    completion_total = _completion_total(layers)
     alignment_total = alignment_loss([(0, 3), (1, 4)],
                                      [(0, (2, 3)), (0, (0, 5)), (1, (5, 4)), (1, (1, 2))],
-                                     0.5, finals)
-    every = (completion.parameters() + alignment_side.parameters() + fusion.parameters()
-             + head.parameters())
+                                     0.5, _alignment_finals(edges, *model))
     return [("encoder", encoder, every), ("completion", completion_total, every),
             ("alignment", alignment_total, every)]
+
+
+def _zero_branch_losses(seed, margin, self_negatives, dead_first):
+    """`_model_losses`-style graphs with whole branches at exactly zero
+    gradient: "hinge", the alignment loss with every pairing inactive (each
+    negative its own positive, or a margin of -2 or less, as a cosine
+    distance lies in [0, 2]); "hinge+live", that hinge added to a live
+    functional of the same finals; "masked", the completion loss added to a
+    ReLU of its layer-1 entities pushed below 0. `dead_first` puts the dead
+    operand first in each sum. Entries as in `_model_losses`."""
+    rng, edges, *model, every = _toy_model(seed)
+
+    def join(live, dead):
+        return diff.add(dead, live) if dead_first else diff.add(live, dead)
+
+    finals = _alignment_finals(edges, *model)
+    pairs = [(0, 3), (1, 4), (2, 5)]
+    negatives = (list(enumerate(pairs)) if self_negatives else
+                 [(int(rng.integers(3)), (int(rng.integers(6)), int(rng.integers(6))))
+                  for _ in range(6)])
+    hinge = alignment_loss(pairs, negatives, margin, finals)
+    live = diff.sum_all(diff.mul(finals, diff.tensor(rng.normal(size=finals.values.shape))))
+    layers = encode(edges, model[0])
+    below = diff.tensor(layers.entities[1].values.min() - 1.0)
+    masked = diff.sum_all(diff.relu(diff.sub(below, layers.entities[1])))
+    return [("hinge", hinge, every), ("hinge+live", join(live, hinge), every),
+            ("masked", join(_completion_total(layers), masked), every)]
 
 
 class TestBackwardOracle:
@@ -345,6 +394,46 @@ class TestBackwardOracle:
         self._assert_same(once, leaves, name)
         reference_backward(loss)
         self._assert_same(twice, leaves, name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**16), which=st.sampled_from([0, 1, 2]),
+           self_negatives=st.booleans(), margin=st.floats(-5.0, -2.0),
+           dead_first=st.booleans(), scale=st.sampled_from([1.0, -3.0, 1e-3]))
+    def test_zero_gradient_branches_skip_their_grad_fns(self, seed, which, self_negatives,
+                                                        margin, dead_first, scale):
+        name, loss, leaves = _zero_branch_losses(
+            seed, 0.0 if self_negatives else margin, self_negatives, dead_first)[which]
+        loss = diff.scale(loss, scale)
+        nodes = [node for node in diff._topo(loss) if node._grad_fn is not None]
+        calls, live = {}, {}
+
+        def counted(node, grad_fn):
+            def run(g):
+                calls[id(node)] = calls.get(id(node), 0) + 1
+                live[id(node)] = bool(g.any())
+                return grad_fn(g)
+            return run
+
+        for node in nodes:
+            node._grad_fn = counted(node, node._grad_fn)
+        diff.backward(loss)
+        got, ran = [leaf.grad for leaf in leaves], dict(calls)
+
+        calls.clear()
+        for leaf in leaves:
+            leaf.grad = None
+        reference_backward(loss)
+        # the reference runs every node; `backward` ran exactly the ones
+        # whose gradient was not zero everywhere, each once
+        assert set(calls) == {id(node) for node in nodes}, name
+        assert set(ran) == {key for key, nonzero in live.items() if nonzero}, name
+        assert set(ran) < set(calls) and set(ran.values()) == {1}, name
+        reachable = {id(node) for node in diff._topo(loss) if node.requires_grad}
+        for g, leaf in zip(got, leaves):
+            assert (g is None) == (id(leaf) not in reachable), name
+            if g is not None:
+                assert g.dtype == np.float64 and g.shape == leaf.values.shape, name
+                assert np.array_equal(_bits(g), _bits(leaf.grad)), name
 
     def test_constant_root_sets_nothing(self):
         x = diff.param(np.array([1.0, -2.0]))
@@ -845,7 +934,13 @@ class TestCosineDistance:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(diff, "BLOCK_BYTES", budget)
             fused = _run_or_error(build(diff.cosine_distance), table, 1.0)
-        _assert_same_run(fused, _run_or_error(build(reference_cosine_distance), table, 1.0))
+        # a row whose squared norm underflows (0 included) is refused, as its
+        # backward would divide by 0
+        squares = np.sqrt((table * table).sum(axis=1)) ** 2
+        if np.any(squares[np.concatenate([left, right])] < np.finfo(np.float64).tiny):
+            assert isinstance(fused, str) and fused.startswith("zero-norm embedding")
+        else:
+            _assert_same_run(fused, _run_or_error(build(reference_cosine_distance), table, 1.0))
 
     def test_errors(self):
         table = diff.tensor(np.eye(3))
@@ -992,6 +1087,38 @@ class TestAdam:
             p.grad = np.zeros(2)
             opt.step()
         assert p.values.tolist() == [1.0, 2.0]
+
+    def test_zero_gradient_and_moments_write_nothing(self):
+        values = np.array([1.5, -0.0, 0.0, -2.0])
+        p = diff.param(values.copy())
+        opt = diff.Adam([p], lr=0.1)
+        # read-only, so a step that wrote any of them would raise
+        for array in (p.values, opt.m[0], opt.v[0]):
+            array.flags.writeable = False
+        for t, zero in enumerate((0.0, -0.0, 0.0), start=1):
+            p.grad = np.full(4, zero)
+            opt.step()
+            assert opt.t == t
+        assert np.array_equal(_bits(p.values), _bits(values))
+
+    def test_zero_gradients_with_momentum_equal_allocating_formula(self):
+        # a live step, then zero gradients of either sign: the moments still
+        # carry the parameter, bit for bit as the allocating formula does
+        rng = np.random.default_rng(4)
+        expected = [rng.normal(size=(3, 2)), rng.normal(size=(4,))]
+        m, v = [np.zeros(e.shape) for e in expected], [np.zeros(e.shape) for e in expected]
+        params = [diff.param(e.copy()) for e in expected]
+        opt = diff.Adam(params, lr=0.05)
+        for t in range(1, 6):
+            grads = [rng.normal(size=e.shape) if t == 2 else
+                     np.where(rng.random(e.shape) < 0.5, -0.0, 0.0) for e in expected]
+            for p, g in zip(params, grads):
+                p.grad = g
+            opt.step()
+            reference_adam_step(expected, grads, m, v, t, 0.05)
+            for got, want in zip([p.values for p in params] + opt.m + opt.v, expected + m + v):
+                assert np.array_equal(_bits(got), _bits(want))
+        assert opt.t == 5
 
     def test_single_step_hand_value(self):
         # t=1, g=1: m_hat = v_hat = 1 exactly, so the update is lr / sqrt(1 + eps)

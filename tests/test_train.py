@@ -34,7 +34,13 @@ from jointkg.train import (
     validation_mrr,
 )
 
-from .util import read_checkpoint, toy_pair_dataset, write_checkpoint
+from .util import (
+    read_checkpoint,
+    reference_adam_step,
+    reference_backward,
+    toy_pair_dataset,
+    write_checkpoint,
+)
 
 
 def small_config(**overrides):
@@ -262,7 +268,59 @@ class TestNoSirEqualsNoComple:
         assert np.array_equal(finals_for(("no_sir",)), finals_for(("no_comple",)))
 
 
+def mirrored_pair(seed, dim):
+    """`toy_pair_dataset` (two KGs with the same triples) whose entity i of
+    either KG takes the same random surface-information vector."""
+    multikg = toy_pair_dataset(seed=seed)
+    rng = np.random.default_rng(seed)
+    count = multikg.kgs[0].entity_count
+    for row in range(count):
+        multikg.entity_vectors[row] = multikg.entity_vectors[count + row] = rng.normal(size=dim)
+    multikg.vector_dim = dim
+    return multikg
+
+
+def reference_step(adam):
+    """`diff.Adam.step` through the allocating `reference_adam_step`, which
+    steps every parameter that has a gradient."""
+    adam.t += 1
+    values = [p.values for p in adam.params]
+    reference_adam_step(values, [p.grad for p in adam.params], adam.m, adam.v, adam.t, adam.lr)
+    for p, new in zip(adam.params, values):
+        p.values = new
+
+
 class TestFit:
+    @pytest.mark.parametrize("seed, active_steps", [(1, 0), (0, 1)])
+    def test_zero_alignment_loss_saves_the_bytes_of_every_step_run(
+            self, tmp_path, monkeypatch, seed, active_steps):
+        """At gamma_a = 0 on mirrored KGs every alignment hinge is inactive
+        (on seed 0 after the first step), so `backward` skips the alignment
+        side and Adam its no-op steps; the saved checkpoint is byte for byte
+        that of a fit through `reference_backward` and `reference_adam_step`,
+        which run every grad_fn and step every parameter."""
+        config = small_config(gamma_alignment=0.0, si_mode="with", steps_per_epoch=3)
+        losses = []
+        alignment_step = TrainState.alignment_step
+
+        def spy(state, hook=None):
+            losses.append(alignment_step(state, hook=hook))
+            return losses[-1]
+
+        def run(path):
+            losses.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(TrainState, "alignment_step", spy)
+                fit(mirrored_pair(seed, config.dim), config).save(path)
+            return path.read_bytes()
+
+        skipped = run(tmp_path / "skipped.npz")
+        assert len(losses) == 6 and sum(loss != 0.0 for loss in losses) == active_steps
+        with monkeypatch.context() as patch:
+            patch.setattr(diff, "backward", reference_backward)
+            patch.setattr(diff.Adam, "step", reference_step)
+            assert run(tmp_path / "reference.npz") == skipped
+
     def test_epochs_zero_returns_initial_checkpoint(self):
         multikg = toy_pair_dataset()
         checkpoint = fit(multikg, small_config(epochs=0))

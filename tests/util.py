@@ -283,8 +283,9 @@ def _rowwise_cosine_distance(a: Tensor, b: Tensor) -> Tensor:
 
     nu = np.sqrt((u * u).sum(axis=1))
     nv = np.sqrt((v * v).sum(axis=1))
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
-        raise DiffError("zero-norm embedding")
+    tiny = np.finfo(np.float64).tiny
+    if np.any(nu * nu < tiny) or np.any(nv * nv < tiny):
+        raise DiffError("zero-norm embedding (or one whose squared norm underflows)")
     dot = (u * v).sum(axis=1)
     cos = dot / (nu * nv)
     out = 1.0 - cos
