@@ -115,14 +115,12 @@ def cmd_eval(args) -> int:
 
     kgc_results = None
     kga_results = None
-    layers = None
     if args.task in ("kgc", "both"):
         layers = state.completion_layers(tape=False)
         kgc_results = evaluate_kgc(multikg, layers.entity_values(), layers.relation_values(),
                                    split="test")
     if args.task in ("kga", "both"):
-        finals, _ = state.alignment_layers_and_finals(tape=False,
-                                                      hook=state.fusion_hook(layers))
+        finals, _ = state.alignment_layers_and_finals(tape=False)
         kga_results = {}
         for pair, seed_set in sorted(state.test_seeds.items()):
             src, tgt, _, _ = multikg.pair_blocks(pair, finals.values)

@@ -31,9 +31,14 @@ def score_all_tails(heads: np.ndarray, relations: np.ndarray, entity_values: lis
     and one column per candidate tail in one KG's id block
     [offset, offset + count); used by ranking evaluation.
 
-    Each layer subtracts the L1 distances from head + relation to every
-    candidate, computed by `cdist` in query blocks of at most
-    `diff.BLOCK_BYTES` bytes of distances.
+    The query rows run in `diff.pooled_rows` slices, on every core, with
+    at most `diff.BLOCK_BYTES` bytes of distances in the process at once.
+    Each slice gathers its head + relation rows, then layer by layer in
+    order subtracts their L1 distances to every candidate, which `cdist`
+    writes into the slice's buffer, from its own rows of the total. `cdist`
+    adds |a_k - b_k| from k = 0 in order, and each entry reads only its own
+    query row, so the scores are the same bits for any slicing, on any
+    thread and at any core count.
     """
     # imported here, not at module top, so `import jointkg` stays cheap
     from scipy.spatial.distance import cdist
@@ -41,10 +46,14 @@ def score_all_tails(heads: np.ndarray, relations: np.ndarray, entity_values: lis
     heads = np.asarray(heads, dtype=np.int64)
     relations = np.asarray(relations, dtype=np.int64)
     total = np.zeros((heads.size, count))
-    for rows in diff.blocks(heads.size, 8 * count):
+
+    def sweep(rows: slice, distances: np.ndarray) -> None:
         for ek, rk in zip(entity_values, relation_values):
             translated = ek[heads[rows]] + rk[relations[rows]]
-            total[rows] -= cdist(translated, ek[offset:offset + count], "cityblock")
+            cdist(translated, ek[offset:offset + count], "cityblock", out=distances)
+            total[rows] -= distances
+
+    diff.pooled_rows(heads.size, count, sweep)
     return total
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import operator
 import zipfile
 from contextlib import nullcontext
 from dataclasses import dataclass, fields
@@ -220,21 +221,36 @@ class TrainState:
             self.train_seeds[pair] = train
             self.test_seeds[pair] = test
         self.edges = build_edges(multikg)
+        self._untaped: tuple[int, tuple, LayerEmbeddings] | None = None  # (t, inputs, layers)
 
     # ---- forward helpers -------------------------------------------------
 
-    def completion_layers(self, tape: bool):
-        with nullcontext() if tape else diff.no_grad():
-            return encode(self.edges, self.model.completion_encoder)
+    def completion_layers(self, tape: bool) -> LayerEmbeddings:
+        """The completion encoder's layers over the current edges.
 
-    def fusion_hook(self, layers: LayerEmbeddings | None = None):
-        """SIR hook over the current completion parameters (or None); `layers`
-        are their untaped completion layers when the caller has them."""
+        The untaped result is kept and returned again while its inputs stay
+        put: the same `edges` object, the same `adam_completion.t` and the
+        same array in every completion parameter (`resume` rebinds them).
+        Only Adam writes parameters in place, and every step moves `t`;
+        `entr_step` makes new edges when the triples change. A taped encode
+        drops the kept layers, since a completion step follows.
+        """
+        if tape:
+            self._untaped = None
+            return encode(self.edges, self.model.completion_encoder)
+        t = self.adam_completion.t
+        inputs = (self.edges, *(p.values for p in self.model.completion_parameters()))
+        kept = self._untaped
+        if kept is None or kept[0] != t or not all(map(operator.is_, kept[1], inputs)):
+            with diff.no_grad():
+                kept = self._untaped = t, inputs, encode(self.edges, self.model.completion_encoder)
+        return kept[2]
+
+    def fusion_hook(self):
+        """SIR hook over the current completion layers (or None)."""
         if not self.config.sir_active:
             return None
-        if layers is None:
-            layers = self.completion_layers(tape=False)
-        return make_fusion_hook(layers, self.model.fusion)
+        return make_fusion_hook(self.completion_layers(tape=False), self.model.fusion)
 
     def alignment_layers_and_finals(self, tape: bool, hook=None):
         """Alignment-side finals; `hook` defaults to a fresh `fusion_hook()`."""

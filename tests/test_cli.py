@@ -1,4 +1,5 @@
 import errno
+import filecmp
 import hashlib
 import json
 import os
@@ -587,10 +588,55 @@ class TestUnreadableInput:
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    """scipy loads at the first scatter-sum, so start-up does not pay for it."""
+    """scipy loads at the first scatter-sum, so start-up does not pay for it;
+    the row pool starts its threads at its first pooled sweep, not at import."""
     src = str(Path(jointkg.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    probe = "import sys, jointkg.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    probe = ("import sys, threading, jointkg.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy')), "
+             "threading.active_count())")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip() == "[] 1"
+
+
+# Runs the CLI with the row pool taking slices of any size, on the first
+# CPU alone ("one") or on all of them ("all"), and names the path it took.
+# The pin comes after numpy has loaded, so BLAS keeps its thread count and
+# only the row pool sees one core.
+CPU_RUN = """
+import os, sys
+from jointkg import cli, diff
+diff._POOL_MIN_SLICE = 1
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+code = cli.main(sys.argv[2:])
+print("pooled" if diff._pool is not None else "inline", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to compare one with all")
+def test_one_cpu_and_all_cpus_write_the_same_files(dataset, tmp_path):
+    src = str(Path(jointkg.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_payload()))
+    for cpus in ("one", "all"):
+        run = tmp_path / cpus
+        for argv in (["train", "--config", str(config), "--data", str(dataset),
+                      "--out", str(run / "train")],
+                     ["eval", "--checkpoint", str(run / "train" / "checkpoint.npz"),
+                      "--data", str(dataset), "--out", str(run / "eval")]):
+            out = subprocess.run([sys.executable, "-c", CPU_RUN, cpus, *argv], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert out.returncode == 0, out.stderr
+            assert out.stderr.split()[-1] == ("inline" if cpus == "one" else "pooled")
+    written = sorted(p.relative_to(tmp_path / "one") for p in (tmp_path / "one").rglob("*"))
+    assert len(written) > 6
+    assert written == sorted(p.relative_to(tmp_path / "all") for p in (tmp_path / "all").rglob("*"))
+    for name in written:
+        if (tmp_path / "one" / name).is_file():
+            assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "all" / name,
+                               shallow=False), name

@@ -1,7 +1,12 @@
+import multiprocessing
+import threading
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import distance
 
 from jointkg import diff
 from jointkg import evaluate as ev
@@ -12,7 +17,7 @@ from jointkg.kgdata import load_multikg
 from jointkg.synth import SynthSpec, generate, write_dataset
 
 from .util import (append_transferred, reference_known_tails, reference_pessimistic_rank,
-                   reference_score_all_tails, single_kg)
+                   reference_score_all_tails, serial_cdist_scores, single_kg)
 
 
 def brute_force_kgc_rank(scores, true_tail, filtered_tails):
@@ -270,6 +275,108 @@ class TestBatchedScoring:
         for split in ("valid", "test"):
             assert (ev.evaluate_kgc(multikg, entity_values, relation_values, split=split)
                     == reference_sweep(multikg, entity_values, relation_values, split))
+
+
+@contextmanager
+def row_pool(workers: int, block_bytes: int | None = None):
+    """`diff.pooled_rows` with a fresh pool of `workers` threads that takes
+    slices of any size (and a `BLOCK_BYTES` budget, if given); the pool is
+    shut down on exit."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diff, "_cores", lambda: workers)
+        patch.setattr(diff, "_pool", None)
+        patch.setattr(diff, "_POOL_MIN_SLICE", 1)
+        if block_bytes is not None:
+            patch.setattr(diff, "BLOCK_BYTES", block_bytes)
+        try:
+            yield
+        finally:
+            if diff._pool is not None:
+                diff._pool.shutdown()
+
+
+def small_sweep(queries: int, seed: int = 0):
+    rng = np.random.default_rng(seed)
+    entity_values = [rng.normal(size=(7, 4)) for _ in range(2)]
+    relation_values = [rng.normal(size=(2, 4)) for _ in range(2)]
+    return rng.integers(7, size=queries), rng.integers(2, size=queries), entity_values, \
+        relation_values, 1, 6
+
+
+def _score_in_child(case):
+    # the target of a forked child: exit 0 on an exact score
+    scores = score_all_tails(*case)
+    raise SystemExit(0 if scores.tobytes() == serial_cdist_scores(*case).tobytes() else 1)
+
+
+class TestPooledScoring:
+    @settings(max_examples=200, deadline=None)
+    @given(scoring_cases(), st.integers(1, 3))
+    def test_any_pool_equals_the_serial_cdist_loop_bit_for_bit(self, case, workers):
+        """0-12 queries over 1-3 threads under budgets of 1-25 rows per round:
+        no query, one, fewer than the threads and many rounds."""
+        *sweep, block_bytes = case
+        with row_pool(workers, block_bytes):
+            scores = score_all_tails(*sweep)
+        assert scores.tobytes() == serial_cdist_scores(*sweep).tobytes()
+
+    def test_rounds_of_equal_slices_cover_the_rows_on_the_pool(self):
+        calls, lock = [], threading.Lock()
+
+        def work(rows, buffer):
+            with lock:
+                calls.append((rows.start, rows.stop, buffer.shape,
+                              threading.current_thread().name))
+
+        with row_pool(3, block_bytes=8 * 10 * 7):  # a round holds 7 rows of 10
+            diff.pooled_rows(20, 10, work)
+        calls.sort()
+        assert [(start, stop) for start, stop, _, _ in calls] == [
+            (start, start + 2) for start in range(0, 20, 2)]
+        assert all(shape == (2, 10) for _, _, shape, _ in calls)
+        assert all(name.startswith("jointkg-rows") for *_, name in calls)
+
+    def test_one_core_runs_inline(self):
+        names = []
+        with row_pool(1):
+            diff.pooled_rows(50, 4, lambda rows, buffer: names.append(
+                threading.current_thread().name))
+            assert diff._pool is None
+        assert names == [threading.current_thread().name]
+
+    def test_an_error_in_a_slice_reaches_the_caller_and_the_pool_survives(self, monkeypatch):
+        sweep = small_sweep(3)  # two threads: slices of rows 0-1 and of row 2
+        cdist = distance.cdist
+
+        def second_slice_fails(queries, candidates, metric, out):
+            if len(queries) == 1:
+                raise ValueError("second slice")
+            return cdist(queries, candidates, metric, out=out)
+
+        with row_pool(2):
+            monkeypatch.setattr(distance, "cdist", second_slice_fails)
+            with pytest.raises(ValueError, match="second slice"):
+                score_all_tails(*sweep)
+            pool = diff._pool
+            monkeypatch.setattr(distance, "cdist", cdist)
+            scores = score_all_tails(*sweep)
+            assert diff._pool is pool
+        assert scores.tobytes() == serial_cdist_scores(*sweep).tobytes()
+
+    def test_a_forked_child_scores_after_the_parent_used_the_pool(self):
+        sweep = small_sweep(5)
+        with row_pool(2):
+            score_all_tails(*sweep)
+            assert diff._pool is not None  # its threads now wait, idle
+            child = multiprocessing.get_context("fork").Process(target=_score_in_child,
+                                                                args=(sweep,))
+            child.start()
+            child.join(timeout=60)
+            hung = child.is_alive()
+            if hung:
+                child.kill()
+                child.join()
+        assert not hung and child.exitcode == 0
 
 
 @st.composite

@@ -3,7 +3,7 @@ layer, no per-pair rows on the tape of either cosine loss, no concatenated
 fusion or head input on the alignment tape, a fusion hook that copies no
 completion table, traced peaks of the blocked ops
 and of greedy matching bounded by their kept tables plus a few block
-budgets or cache tiles,
+budgets or cache tiles, pooled row slices that share one budget,
 checkpoint saves and loads that build no whole-file copy, and a resume that
 keeps no second copy of the checkpoint's arrays."""
 import tracemalloc
@@ -19,6 +19,7 @@ from jointkg.entr import matrix_entropy
 from jointkg.rgnn import LayerEmbeddings
 from jointkg.train import Checkpoint, TrainState, resume, snapshot
 
+from .test_evaluate import row_pool
 from .test_train import small_config
 from .util import held_arrays, toy_pair_dataset, traced_peak
 
@@ -120,6 +121,16 @@ def test_matrix_entropy_peak_stays_within_one_table_and_budgets(small_budget):
     matrix = np.random.default_rng(4).normal(size=(2_000, 1_500))
     _, peak = traced_peak(lambda: matrix_entropy(matrix))
     assert peak < 4 * BUDGET + 8 * len(matrix)
+
+
+def test_pooled_rounds_share_one_budget_of_buffers():
+    # three threads fill 16 MB of rows; the buffers they are lent hold one
+    # budget between them, not one per thread or one per round
+    with row_pool(3, BUDGET):
+        _, peak = traced_peak(lambda: diff.pooled_rows(
+            2_000, 1_000, lambda rows, buffer: buffer.fill(1.0)))
+        assert diff._pool is not None
+    assert peak < 1.1 * BUDGET
 
 
 def test_greedy_peak_stays_within_vectors_and_budgets(small_budget):

@@ -17,7 +17,7 @@ from jointkg.kgdata import (
     load_initial_vectors,
     triple_keys,
 )
-from jointkg.rgnn import build_edges
+from jointkg.rgnn import build_edges, encode
 from jointkg.train import (
     ABLATIONS,
     IDLE_EPOCH,
@@ -156,6 +156,52 @@ class TestTrainEpoch:
             return [train_epoch(state) for _ in range(3)]
 
         assert run() == run()
+
+
+class TestUntapedCompletionLayers:
+    @staticmethod
+    def assert_fresh(state, layers):
+        with diff.no_grad():
+            fresh = encode(state.edges, state.model.completion_encoder)
+        for kept, new in zip(layers.entities + layers.relations,
+                             fresh.entities + fresh.relations):
+            assert kept.values.tobytes() == new.values.tobytes()
+
+    def test_kept_until_a_completion_step_an_edge_rebuild_or_a_rebinding(self):
+        state = TrainState(toy_pair_dataset(), small_config())
+        layers = state.completion_layers(tape=False)
+        self.assert_fresh(state, layers)
+        state.alignment_step()
+        assert state.completion_layers(tape=False) is layers
+        state.completion_step()
+        after_step = state.completion_layers(tape=False)
+        assert after_step is not layers
+        self.assert_fresh(state, after_step)
+        state.edges = build_edges(state.multikg)
+        after_rebuild = state.completion_layers(tape=False)
+        assert after_rebuild is not after_step
+        assert state.completion_layers(tape=False) is after_rebuild
+        parameter = state.model.completion_parameters()[0]
+        parameter.values = parameter.values + 1.0  # as `resume` rebinds the arrays
+        after_rebinding = state.completion_layers(tape=False)
+        assert after_rebinding is not after_rebuild
+        self.assert_fresh(state, after_rebinding)
+        for parameter in state.model.completion_parameters():
+            parameter.grad = np.ones_like(parameter.values)
+        state.adam_completion.step()  # in place, with no taped encode before it
+        after_update = state.completion_layers(tape=False)
+        assert after_update is not after_rebinding
+        self.assert_fresh(state, after_update)
+
+    def test_one_encode_serves_the_hook_and_validation(self, monkeypatch):
+        state = TrainState(toy_pair_dataset(), small_config())
+        calls = []
+        monkeypatch.setattr("jointkg.train.encode",
+                            lambda edges, params, hook=None:
+                            calls.append(params) or encode(edges, params, hook))
+        state.fusion_hook()
+        validation_mrr(state)
+        assert calls == [state.model.completion_encoder]
 
 
 class TestEntrStep:

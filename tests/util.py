@@ -597,6 +597,19 @@ def reference_score_all_tails(head: int, relation: int, entity_values: list[np.n
     return total
 
 
+def serial_cdist_scores(heads: np.ndarray, relations: np.ndarray,
+                        entity_values: list[np.ndarray], relation_values: list[np.ndarray],
+                        offset: int, count: int) -> np.ndarray:
+    """Every query at once on the calling thread: per layer, subtract one
+    `cdist` over all queries and the candidate block."""
+    from scipy.spatial.distance import cdist
+
+    total = np.zeros((len(heads), count))
+    for ek, rk in zip(entity_values, relation_values):
+        total -= cdist(ek[heads] + rk[relations], ek[offset:offset + count], "cityblock")
+    return total
+
+
 # Triple transfer and negative sampling as plain-tuple loops. A "store" maps
 # each KG id to (loaded triples in order, {transferred triple: epoch} in
 # arrival order), the layout `Kg` had before its columnar arrays.
