@@ -23,7 +23,7 @@ from . import __version__
 from .alignment import build_alignment_matrix, greedy_match, write_matches
 from .errors import JointKgError, TrainError
 from .evaluate import evaluate_kgc, kga_metrics, write_results
-from .kgdata import load_multikg, write_transfer_sidecar
+from .kgdata import MultiKg, load_multikg, write_transfer_sidecar
 from .synth import SynthSpec, generate, write_dataset
 from .train import Checkpoint, TrainConfig, fit, read_json, resume
 
@@ -39,7 +39,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, settings: dict, inputs: list[Path],
-                    seed: int | list[int]) -> None:
+                    seed: int | list[int], multikg: MultiKg | None = None) -> None:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     manifest = {
         "command": command,
@@ -50,6 +50,10 @@ def _write_manifest(out_dir: Path, command: str, settings: dict, inputs: list[Pa
         "blas": {key: blas.get(key) for key in ("name", "version")},
         "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARIABLES},
     }
+    if multikg is not None:  # what loading the data counted
+        manifest["data"] = {"duplicate_triples": {kg.id: kg.duplicate_count for kg in multikg.kgs},
+                            "seeds_skipped": multikg.seeds_skipped,
+                            "vector_coverage": multikg.vector_coverage}
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
@@ -82,21 +86,21 @@ def _data_inputs(data_dir: Path) -> list[Path]:
 
 def _fit_and_save(data_dir: Path, config: TrainConfig, out_dir: Path) -> Checkpoint:
     """Train on the data under `data_dir`, then write checkpoint.npz,
-    metrics.tsv, config.json, the selected checkpoint's transferred_<kg>.tsv
+    events.jsonl, config.json, the selected checkpoint's transferred_<kg>.tsv
     sidecars (when ENTR runs) and the run's manifest."""
     multikg = load_multikg(data_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_lines: list[str] = []
     checkpoint = fit(multikg, config, log_lines=log_lines)
     checkpoint.save(out_dir / "checkpoint.npz")
-    (out_dir / "metrics.tsv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+    (out_dir / "events.jsonl").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
     config.to_file(out_dir / "config.json")
     if config.entr_active:
         checkpoint.restore_transfers(multikg)
         for kg in multikg.kgs:
             write_transfer_sidecar(kg, out_dir / f"transferred_{kg.id}.tsv")
     _write_manifest(out_dir, "train", config.to_dict(), _data_inputs(data_dir),
-                    config.rng_seed)
+                    config.rng_seed, multikg)
     return checkpoint
 
 
@@ -133,7 +137,7 @@ def cmd_eval(args) -> int:
     summary = write_results(out_dir / "results.tsv", kgc_results, kga_results)
     _write_manifest(out_dir, "eval", {"task": args.task,
                                       "checkpoint": _sha256(Path(args.checkpoint))},
-                    _data_inputs(args.data), checkpoint.config.rng_seed)
+                    _data_inputs(args.data), checkpoint.config.rng_seed, multikg)
     print(summary)
     return 0
 

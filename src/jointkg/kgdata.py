@@ -211,6 +211,8 @@ class MultiKg:
         self.entity_vectors: dict[int, np.ndarray] = {}
         self.relation_vectors: dict[int, np.ndarray] = {}
         self.vector_dim: int | None = None
+        self.seeds_skipped: dict[str, int] = {}  # parse_seeds' count, by "<kg1>|<kg2>"
+        self.vector_coverage: dict[str, int] | None = None  # load_initial_vectors' counts
         starts = accumulate((kg.entity_count for kg in self.kgs), initial=0)
         self._offsets: dict[str, int] = dict(zip(self.by_id, starts))
 
@@ -305,8 +307,9 @@ def parse_triples(path: Path, kg_id: str, relations: RelationVocab | None = None
 def parse_seeds(path: Path, kg_left: Kg, kg_right: Kg) -> tuple[SeedSet, int]:
     """Parse entity<TAB>entity alignment seeds; returns (seed set, skip count).
 
-    Lines with a label unknown on either side are skipped and counted. An
-    entity taking part in two pairs violates the one-to-one invariant.
+    Lines with a label unknown on either side are skipped and counted, and
+    a file none of whose lines resolves is a ParseError. An entity taking
+    part in two pairs violates the one-to-one invariant.
     """
     pairs: list[tuple[int, int]] = []
     used_left: set[int] = set()
@@ -323,6 +326,8 @@ def parse_seeds(path: Path, kg_left: Kg, kg_right: Kg) -> tuple[SeedSet, int]:
         used_left.add(left)
         used_right.add(right)
         pairs.append((left, right))
+    if skipped and not pairs:
+        raise ParseError(f"{path}: none of its {skipped} seed lines names two known entities")
     seed_set = SeedSet((kg_left.id, kg_right.id), pairs, [GIVEN] * len(pairs))
     return seed_set, skipped
 
@@ -331,7 +336,8 @@ def split_seeds(seed_set: SeedSet, rng_seed: int) -> tuple[SeedSet, SeedSet]:
     """Deterministic disjoint partition into (train, test); the train side
     takes the floor of SEED_TRAIN_FRACTION of the pairs."""
     if len(seed_set) < 2:
-        raise KgDataError("need at least 2 seed pairs to split")
+        raise KgDataError(f"need at least 2 seed pairs to split {seed_set.kg_pair}, "
+                          f"got {len(seed_set)}")
     rng = substream(rng_seed, "seed-split", seed_set.kg_pair[0], seed_set.kg_pair[1])
     order = rng.permutation(len(seed_set))
     n_train = int(np.floor(SEED_TRAIN_FRACTION * len(seed_set)))
@@ -437,16 +443,16 @@ def load_multikg(data_dir: Path) -> MultiKg:
         for left in multikg.by_id:
             suffix = f"{left}_"
             if name.startswith(suffix) and name.removeprefix(suffix) in multikg.by_id:
-                right = name.removeprefix(suffix)
-                seed_set, _ = parse_seeds(seed_path, multikg.by_id[left], multikg.by_id[right])
-                multikg.seed_sets[(left, right)] = seed_set
+                pair = (left, name.removeprefix(suffix))
+                multikg.seed_sets[pair], multikg.seeds_skipped["|".join(pair)] = parse_seeds(
+                    seed_path, *(multikg.by_id[kg_id] for kg_id in pair))
                 break
         else:
             raise KgDataError(f"seed file {seed_path.name} does not match any KG pair")
 
     vectors = data_dir / "vectors.tsv"
     if vectors.exists():
-        load_initial_vectors(vectors, multikg)
+        multikg.vector_coverage = load_initial_vectors(vectors, multikg)
     return multikg
 
 

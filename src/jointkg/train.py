@@ -34,18 +34,12 @@ from .completion import alignment_constraint_loss, completion_loss, ranking_loss
 from .entr import enlarge_seeds, matrix_entropy, prune_stale_transfers, seed_budget, transfer_triples
 from .errors import KgDataError, TrainError
 from .evaluate import evaluate_kgc, overall_mean
-from .kgdata import MultiKg, SeedSet, split_seeds, triple_keys
+from .kgdata import ENLARGED, MultiKg, SeedSet, split_seeds, triple_keys
 from .rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 from .seeding import substream
 
 ABLATIONS = ("no_ra_gnn", "one_gnn", "no_sir", "no_entr", "no_align", "no_comple")
 CHECKPOINT_VERSION = 4
-# metrics.tsv columns in order, each with the format spec of its values
-LOG_COLUMNS = {"epoch": "", "loss_completion": ".6f", "loss_alignment": ".6f", "budget": "",
-               "transferred": "", "val_mrr": ".6f", "loss_ranking": ".6f"}
-# an epoch's metrics before any phase reports (epoch 0 logs these as they are)
-IDLE_EPOCH = {"epoch": 0, "loss_completion": 0.0, "loss_alignment": 0.0, "budget": 0,
-              "transferred": 0, "loss_ranking": 0.0}
 # annotation -> (accepted type, its name in errors); a bool is no int or float here
 _FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}
 
@@ -265,8 +259,8 @@ class TrainState:
 
     # ---- loss assembly ---------------------------------------------------
 
-    def completion_step(self) -> tuple[float, float]:
-        """One completion update; returns (total loss, ranking loss).
+    def completion_step(self) -> dict[str, float]:
+        """One completion update; returns `loss`, `ranking` and `constraint`.
 
         A KG's positives are its loaded training triples, then its
         transferred triples. Corruptions of its loaded positives come from a
@@ -311,8 +305,9 @@ class TrainState:
             self.train_seeds[pair].pairs + (offset_of(pair[0]), offset_of(pair[1]))
             for pair in sorted(self.train_seeds)])
         constraint = alignment_constraint_loss(seed_pairs, layers)
-        return (self.optimizer_step(completion_loss(ranking, constraint), self.adam_completion,
-                                    "completion"), ranking.item())
+        return {"loss": self.optimizer_step(completion_loss(ranking, constraint),
+                                            self.adam_completion, "completion"),
+                "ranking": ranking.item(), "constraint": constraint.item()}
 
     def alignment_step(self, hook=None) -> float:
         entity_finals, _ = self.alignment_layers_and_finals(tape=True, hook=hook)
@@ -352,19 +347,23 @@ class TrainState:
             src, tgt, _, _ = self.pair_blocks(pair, entity_finals.values)
             yield pair, build_alignment_matrix(src, tgt)
 
-    def entr_step(self, hook=None) -> tuple[int, int]:
-        budget_total = 0
-        for pair, matrix in self.pair_matrices(hook):
-            q = seed_budget(self.h_tilde[pair], matrix_entropy(matrix), self.config.beta,
-                            *matrix.shape)
-            budget_total += q
-            self.train_seeds[pair] = enlarge_seeds(matrix, q, self.train_seeds[pair])
+    def entr_step(self, hook=None) -> dict:
+        """Grow each pair's seeds by its entropy budget, then prune and transfer
+        triples; returns the record's `entr` entry (README lists its fields)."""
+        pairs = {}
+        for (a, b), matrix in self.pair_matrices(hook):
+            entropy = matrix_entropy(matrix)
+            q = seed_budget(self.h_tilde[a, b], entropy, self.config.beta, *matrix.shape)
+            seeds = self.train_seeds[a, b] = enlarge_seeds(matrix, q, self.train_seeds[a, b])
+            enlarged = seeds.provenance.count(ENLARGED)
+            pairs[f"{a}|{b}"] = {"entropy": entropy, "h_tilde": self.h_tilde[a, b], "budget": q,
+                                 "given": len(seeds) - enlarged, "enlarged": enlarged}
         pruned = prune_stale_transfers(self.multikg, self.train_seeds)
         transferred = transfer_triples(
             [self.train_seeds[pair] for pair in sorted(self.train_seeds)], self.multikg, self.epoch)
         if pruned or transferred:
             self.edges = build_edges(self.multikg)
-        return budget_total, transferred
+        return {"pairs": pairs, "pruned": pruned, "transferred": transferred}
 
     def initialize_entropy_baseline(self) -> None:
         """Entropy of the untrained model's alignment matrices (run once)."""
@@ -376,22 +375,23 @@ def train_epoch(state: TrainState) -> dict:
     """One epoch: steps_per_epoch completion updates with the alignment side
     frozen, then steps_per_epoch alignment updates with the completion side
     frozen (its freshly updated embeddings enter the fusion as constants),
-    then seed enlargement and triple transfer. Reported losses are those of
-    each phase's last step."""
+    then seed enlargement and triple transfer. Returns the epoch's record
+    without `version` and `val_mrr`: `epoch` and an entry for each phase that
+    ran (`completion` and `alignment`: the losses of its last step; `entr`)."""
     config = state.config
     state.epoch += 1
     state.step_in_epoch = 0
-    metrics = {**IDLE_EPOCH, "epoch": state.epoch}
+    record = {"epoch": state.epoch}
     if not config.flag("no_comple"):
         for _ in range(config.steps_per_epoch):
-            metrics["loss_completion"], metrics["loss_ranking"] = state.completion_step()
+            record["completion"] = state.completion_step()
     if not config.flag("no_align"):
         hook = state.fusion_hook()
         for _ in range(config.steps_per_epoch):
-            metrics["loss_alignment"] = state.alignment_step(hook=hook)
+            record["alignment"] = {"loss": state.alignment_step(hook=hook)}
         if config.entr_active:
-            metrics["budget"], metrics["transferred"] = state.entr_step(hook=hook)
-    return metrics
+            record["entr"] = state.entr_step(hook=hook)
+    return record
 
 
 def validation_mrr(state: TrainState) -> float:
@@ -409,20 +409,20 @@ def fit(multikg: MultiKg, config: TrainConfig, log_lines: list[str] | None = Non
     """Train up to config.epochs epochs and return the checkpoint with the
     highest validation MRR (earlier epoch wins ties). Under `no_comple` the
     completion side never trains, so validation MRR cannot select, and the
-    last epoch is kept. `log_lines` receives metrics.tsv: the LOG_COLUMNS
-    header, then one row per epoch from the untrained epoch 0."""
+    last epoch is kept. `log_lines` receives each epoch's record from the
+    untrained epoch 0 (`train_epoch`'s, with `version` and `val_mrr`; epoch
+    0 has no phases) as one line of sorted-key strict JSON."""
     state = TrainState(multikg, config)
     if config.entr_active:
         state.initialize_entropy_baseline()
     log = [] if log_lines is None else log_lines
-    log.append("\t".join(LOG_COLUMNS))
     best = None
     for epoch in range(config.epochs + 1):
-        metrics = train_epoch(state) if epoch else dict(IDLE_EPOCH)
-        metrics["val_mrr"] = validation_mrr(state)
-        log.append("\t".join(format(metrics[name], spec) for name, spec in LOG_COLUMNS.items()))
-        if best is None or metrics["val_mrr"] > best.val_mrr or config.flag("no_comple"):
-            best = snapshot(state, metrics["val_mrr"])
+        record = train_epoch(state) if epoch else {"epoch": 0}
+        record |= {"version": 1, "val_mrr": validation_mrr(state)}
+        log.append(json.dumps(record, sort_keys=True, allow_nan=False))
+        if best is None or record["val_mrr"] > best.val_mrr or config.flag("no_comple"):
+            best = snapshot(state, record["val_mrr"])
     return best
 
 

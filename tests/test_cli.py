@@ -42,6 +42,39 @@ def dataset(tmp_path_factory):
     return data_dir
 
 
+@pytest.fixture(scope="module")
+def counted_run(dataset, tmp_path_factory):
+    """A full `train` run, and its data: `dataset` with one repeated triple
+    line, one seed line whose left label is unknown, and a vectors.tsv that
+    covers one entity and one relation and names one unknown label."""
+    root = tmp_path_factory.mktemp("counted")
+    data = root / "data"
+    shutil.copytree(dataset, data)
+    triples = data / "triples_kg1.tsv"
+    triples.write_text(triples.read_text() + triples.read_text().splitlines()[0] + "\n")
+    seeds = data / "seeds_kg1_kg2.tsv"
+    seeds.write_text(seeds.read_text() + "zz\tb00000\n")
+    (data / "vectors.tsv").write_text("a00000\t0.5 1.0\nr0\t1.0 0.5\nzz\t0.0 1.0\n")
+    config_path = root / "config.json"
+    config_path.write_text(json.dumps(config_payload()))
+    out = root / "run"
+    assert main(["train", "--config", str(config_path), "--data", str(data),
+                 "--out", str(out)]) == 0
+    return data, out
+
+
+def record_fields(value, named_by_data=False) -> set[str]:
+    """The field names in a record or manifest section, recursively; the keys
+    of `pairs`, `duplicate_triples` and `seeds_skipped` are KG or pair names,
+    not fields."""
+    if not isinstance(value, dict):
+        return set()
+    names = set() if named_by_data else set(value)
+    return names.union(*(record_fields(item, key in ("pairs", "duplicate_triples",
+                                                     "seeds_skipped"))
+                         for key, item in value.items()))
+
+
 class TestSynthCommand:
     def test_writes_manifest_with_hashes(self, dataset):
         manifest = json.loads((dataset / "manifest.json").read_text())
@@ -94,9 +127,8 @@ class TestTrainCommand:
                      "--out", str(out)])
         assert code == 0
         assert (out / "checkpoint.npz").exists()
-        metrics = (out / "metrics.tsv").read_text().splitlines()
-        assert metrics[0].startswith("epoch\t")
-        assert len(metrics) == 2 + 2  # header + epoch 0 + two epochs
+        events = (out / "events.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in events] == [0, 1, 2]
         assert (out / "manifest.json").exists()
         assert (out / "transferred_kg1.tsv").exists()
 
@@ -194,7 +226,7 @@ class TestTrainCommand:
         written = json.loads((out / "config.json").read_text())
         assert written["ablations"] == ["no_sir"]
 
-    def test_rerun_metrics_are_identical(self, dataset, tmp_path):
+    def test_rerun_events_are_identical(self, dataset, tmp_path):
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config_payload()))
         outs = []
@@ -202,8 +234,57 @@ class TestTrainCommand:
             out = tmp_path / name
             assert main(["train", "--config", str(config_path), "--data", str(dataset),
                          "--out", str(out)]) == 0
-            outs.append((out / "metrics.tsv").read_bytes())
+            outs.append((out / "events.jsonl").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_manifests_report_what_loading_counted(self, counted_run, tmp_path):
+        data, run = counted_run
+        expected = {"duplicate_triples": {"kg1": 1, "kg2": 0}, "seeds_skipped": {"kg1|kg2": 1},
+                    "vector_coverage": {"covered_entities": 1, "covered_relations": 1,
+                                        "unknown_labels": 1}}
+        assert json.loads((run / "manifest.json").read_text())["data"] == expected
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.npz"), "--data", str(data),
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["data"] == expected
+
+    def test_readme_outputs_paragraph_names_every_field(self, counted_run):
+        """Every field of a full run's records and of its manifest's `data`
+        section appears, in backticks, in README's paragraph on `train`'s
+        outputs."""
+        _, run = counted_run
+        records = [json.loads(line) for line in (run / "events.jsonl").read_text().splitlines()]
+        assert {"completion", "alignment", "entr"} <= set(records[-1])
+        fields = record_fields({"data": json.loads((run / "manifest.json").read_text())["data"],
+                                "records": records[-1]}) - {"records"}
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        paragraph = next(p for p in readme.read_text().split("\n\n") if "Outputs:" in p)
+        assert sorted(name for name in fields if f"`{name}`" not in paragraph) == []
+
+    def test_a_seed_file_of_unknown_labels_is_named(self, dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        seeds = data / "seeds_kg1_kg2.tsv"
+        lines = seeds.read_text().splitlines()
+        seeds.write_text("".join(f"zz{line}\n" for line in lines))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload()))
+        assert main(["train", "--config", str(config_path), "--data", str(data),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (f"error [kgdata]: {seeds}: none of its {len(lines)} "
+                                           f"seed lines names two known entities\n")
+
+    def test_too_few_seed_pairs_name_the_pair(self, dataset, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(dataset, data)
+        seeds = data / "seeds_kg1_kg2.tsv"
+        seeds.write_text(seeds.read_text().splitlines()[0] + "\n")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config_payload()))
+        assert main(["train", "--config", str(config_path), "--data", str(data),
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == ("error [kgdata]: need at least 2 seed pairs to split "
+                                           "('kg1', 'kg2'), got 1\n")
 
 
 class TestEvalCommand:

@@ -1,3 +1,4 @@
+import json
 import re
 import zipfile
 
@@ -6,7 +7,7 @@ import pytest
 
 from jointkg import diff
 from jointkg.completion import sample_negatives
-from jointkg.entr import transfer_triples
+from jointkg.entr import seed_budget, transfer_triples
 from jointkg.errors import TrainError
 from jointkg.kgdata import (
     GIVEN,
@@ -20,8 +21,6 @@ from jointkg.kgdata import (
 from jointkg.rgnn import build_edges, encode
 from jointkg.train import (
     ABLATIONS,
-    IDLE_EPOCH,
-    LOG_COLUMNS,
     Checkpoint,
     JointModel,
     TrainConfig,
@@ -111,19 +110,18 @@ class TestTrainEpoch:
         multikg = toy_pair_dataset()
         state = TrainState(multikg, small_config())
         state.initialize_entropy_baseline()
-        metrics = train_epoch(state)
-        assert metrics["epoch"] == 1
-        assert np.isfinite(metrics["loss_completion"])
-        assert np.isfinite(metrics["loss_alignment"])
+        record = train_epoch(state)
+        assert record["epoch"] == 1
+        assert np.isfinite(record["completion"]["loss"])
+        assert np.isfinite(record["alignment"]["loss"])
 
     def test_no_align_skips_alignment_and_entr(self):
         multikg = toy_pair_dataset()
         state = TrainState(multikg, small_config(ablations=("no_align",)))
         before = param_arrays(state, "alignment")
         seeds_before = {p: s.pairs.tolist() for p, s in state.train_seeds.items()}
-        metrics = train_epoch(state)
-        assert metrics["loss_alignment"] == 0.0
-        assert metrics["budget"] == 0 and metrics["transferred"] == 0
+        record = train_epoch(state)
+        assert "alignment" not in record and "entr" not in record
         assert all(np.array_equal(a, b)
                    for a, b in zip(before, param_arrays(state, "alignment")))
         assert {p: s.pairs.tolist() for p, s in state.train_seeds.items()} == seeds_before
@@ -133,8 +131,8 @@ class TestTrainEpoch:
         state = TrainState(multikg, small_config(ablations=("no_comple",)))
         state.initialize_entropy_baseline()
         before = param_arrays(state, "completion")
-        metrics = train_epoch(state)
-        assert metrics["loss_completion"] == 0.0
+        record = train_epoch(state)
+        assert "completion" not in record
         assert all(np.array_equal(a, b)
                    for a, b in zip(before, param_arrays(state, "completion")))
 
@@ -222,7 +220,9 @@ class TestEntrStep:
         state = TrainState(multikg, small_config())
         state.train_seeds = dict(multikg.seed_sets)
         state.initialize_entropy_baseline()
-        assert state.entr_step() == (0, 2)
+        entr = state.entr_step()
+        assert [entry["budget"] for entry in entr["pairs"].values()] == [0, 0]
+        assert (entr["pruned"], entr["transferred"]) == (0, 2)
         assert multikg.by_id["k2"].transferred.tolist() == [[0, 0, 1]]
         assert multikg.by_id["k1"].transferred.tolist() == [[0, 0, 1]]
 
@@ -234,9 +234,9 @@ class TestEntrStep:
         calls = []
         monkeypatch.setattr("jointkg.train.build_edges",
                             lambda multikg: calls.append(multikg) or build_edges(multikg))
-        assert state.entr_step()[1] == 3
+        assert state.entr_step()["transferred"] == 3
         assert len(calls) == 1
-        assert state.entr_step()[1] == 0
+        assert state.entr_step()["transferred"] == 0
         assert len(calls) == 1
         for name in ("centers", "neighbors", "relations"):
             assert np.array_equal(getattr(state.edges, name),
@@ -377,11 +377,10 @@ class TestFit:
         multikg = toy_pair_dataset()
         log = []
         checkpoint = fit(multikg, small_config(epochs=3), log_lines=log)
-        rows = [line.split("\t") for line in log[1:]]
-        mrr_by_epoch = {int(r[0]): float(r[5]) for r in rows}
+        mrr_by_epoch = {record["epoch"]: record["val_mrr"] for record in map(json.loads, log)}
         best_epoch = max(sorted(mrr_by_epoch), key=lambda e: (mrr_by_epoch[e], -e))
         assert checkpoint.epoch == best_epoch
-        assert checkpoint.val_mrr == pytest.approx(mrr_by_epoch[best_epoch], abs=1e-6)
+        assert checkpoint.val_mrr == mrr_by_epoch[best_epoch]
 
     def test_no_comple_keeps_the_last_epoch(self):
         """Validation completion MRR cannot rise when the completion side never
@@ -395,23 +394,68 @@ class TestFit:
                    for name, values in checkpoint.parameters.items()
                    if name.startswith(("alignment/", "heads/")))
 
-    def test_log_follows_the_column_table(self):
-        multikg = toy_pair_dataset()
+    @pytest.mark.parametrize("ablation, phases", [
+        (None, {"completion", "alignment", "entr"}),
+        ("no_comple", {"alignment", "entr"}),
+        ("no_align", {"completion"}),
+        ("no_entr", {"completion", "alignment"}),
+        ("no_sir", {"completion", "alignment", "entr"}),
+    ], ids=["full", "no_comple", "no_align", "no_entr", "no_sir"])
+    def test_record_holds_the_phases_that_ran(self, ablation, phases):
+        """Each line is a sorted-key strict-JSON record; a phase that did not
+        run is absent from it, not reported as 0, and epoch 0 ran none."""
         log = []
-        fit(multikg, small_config(epochs=1), log_lines=log)
-        assert log[0] == ("epoch\tloss_completion\tloss_alignment\tbudget\ttransferred"
-                          "\tval_mrr\tloss_ranking")
-        idle, trained = (dict(zip(LOG_COLUMNS, row.split("\t"))) for row in log[1:])
-        assert {name: float(idle[name]) for name in IDLE_EPOCH} == IDLE_EPOCH
-        assert 0.0 < float(trained["loss_ranking"]) <= float(trained["loss_completion"])
-        assert len(log) == 3
+        ablations = () if ablation is None else (ablation,)
+        fit(toy_pair_dataset(drop_in_first=2), small_config(epochs=1, ablations=ablations),
+            log_lines=log)
+        untrained, trained = records = [json.loads(line) for line in log]
+        assert log == [json.dumps(record, sort_keys=True, allow_nan=False) for record in records]
+        assert sorted(untrained) == ["epoch", "val_mrr", "version"]
+        assert (untrained["epoch"], trained["epoch"]) == (0, 1)
+        assert untrained["version"] == trained["version"] == 1
+        assert set(trained) == {"epoch", "val_mrr", "version"} | phases
+        entries = {"completion": ["constraint", "loss", "ranking"], "alignment": ["loss"],
+                   "entr": ["pairs", "pruned", "transferred"]}
+        for phase in phases:
+            assert sorted(trained[phase]) == entries[phase]
+        if "entr" in phases:
+            assert list(trained["entr"]["pairs"]) == ["aa|bb"]
+            assert sorted(trained["entr"]["pairs"]["aa|bb"]) == [
+                "budget", "enlarged", "entropy", "given", "h_tilde"]
+
+    def test_record_agrees_with_the_state(self):
+        """The record reports what the epoch did. A raised baseline gives
+        ENTR budgets above 0, so seeds are enlarged and triples transferred
+        and pruned."""
+        state = TrainState(toy_pair_dataset(drop_in_first=2), small_config(beta=1.0))
+        state.initialize_entropy_baseline()
+        state.h_tilde = {pair: 2 * h for pair, h in state.h_tilde.items()}
+        acted = set()
+        for _ in range(3):
+            rows_before = sum(len(kg.transferred) for kg in state.multikg.kgs)
+            record = train_epoch(state)
+            completion, entr = record["completion"], record["entr"]
+            assert completion["ranking"] + completion["constraint"] == completion["loss"]
+            rows_after = sum(len(kg.transferred) for kg in state.multikg.kgs)
+            assert entr["transferred"] - entr["pruned"] == rows_after - rows_before
+            for (a, b), seed_set in state.train_seeds.items():
+                entry = entr["pairs"][f"{a}|{b}"]
+                counts = [state.multikg.by_id[kg_id].entity_count for kg_id in (a, b)]
+                assert entry["h_tilde"] == state.h_tilde[a, b]
+                assert entry["budget"] == seed_budget(entry["h_tilde"], entry["entropy"],
+                                                      state.config.beta, *counts)
+                assert entry["given"] + entry["enlarged"] == len(seed_set)
+                assert entry["given"] == len(seed_set.given_pairs())
+                acted |= {name for name in ("budget", "enlarged") if entry[name]}
+            acted |= {name for name in ("pruned", "transferred") if entr[name]}
+        assert acted == {"budget", "enlarged", "pruned", "transferred"}
 
     def test_ranking_loss_decreases_on_memorizable_instance(self):
         multikg = toy_pair_dataset(entities=50, relations=3, extra_edges=60, seed_pairs=8,
                                    seed=4)
         state = TrainState(multikg, small_config(dim=16, epochs=0, lr_completion=0.05,
                                                  ablations=("no_align",)))
-        losses = [train_epoch(state)["loss_ranking"] for _ in range(12)]
+        losses = [train_epoch(state)["completion"]["ranking"] for _ in range(12)]
         assert losses[-1] < losses[0]
 
     def test_empty_validation_split_errors(self):
