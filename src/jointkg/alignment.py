@@ -84,13 +84,27 @@ def _unit_rows(table: np.ndarray, side: str) -> np.ndarray:
     return table / norms[:, None]
 
 
+def cosine_rows(source_finals: np.ndarray, target_finals: np.ndarray, out=None):
+    """Yield (rows, unit(source)[rows] @ unit(target).T) over source row
+    blocks of a third of `diff.BLOCK_BYTES` (`entr.matrix_entropy` makes two
+    tables of each), written into out[rows] if `out` is given. BLAS rounds a
+    cosine by its row's place in a product, so all callers take these blocks."""
+    source = _unit_rows(source_finals, "source")
+    target = _unit_rows(target_finals, "target").T
+    for rows in diff.blocks(len(source), 3 * 8 * target.shape[1]):
+        yield rows, np.matmul(source[rows], target, out=None if out is None else out[rows])
+
+
 def build_alignment_matrix(source_finals: np.ndarray, target_finals: np.ndarray,
                            kg_pair: tuple[str, str] = ("", "")) -> np.ndarray:
     """Entries are 1 - cosine_distance = cosine similarity, in [-1, 1].
 
     `kg_pair` is unused; it stays only because `perfbench/worker.py` still
     passes the pair."""
-    return _unit_rows(source_finals, "source") @ _unit_rows(target_finals, "target").T
+    matrix = np.empty((len(source_finals), len(target_finals)))
+    for _ in cosine_rows(source_finals, target_finals, matrix):
+        pass
+    return matrix
 
 
 def top_columns(values: np.ndarray, k: int) -> np.ndarray:

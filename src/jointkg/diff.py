@@ -33,9 +33,10 @@ replace recorded several; `affine` and `cosine_distance` match theirs bit
 for bit, in values and gradients. `affine` reads a list of column parts as
 their `concat`, and `cosine_distance` reads its pairs' rows from the table,
 so no concatenated or gathered table is taped. Their (rows x dim)
-temporaries come in two kinds of loop. Memory budgets of at most
-`BLOCK_BYTES` bytes (`blocks`) bound `cosine_distance`'s row and column
-blocks and `translation_l1`'s backward column blocks. Cache tiles of
+temporaries come in two kinds of loop. Memory budgets (`blocks`) bound
+`cosine_distance`'s row and column blocks and `translation_l1`'s backward
+column blocks: all the temporaries one such loop holds take at most
+`BLOCK_BYTES` together, backward columns in reused buffers. Cache tiles of
 `_EDGE_BLOCK` rows, sized for speed, carry `translation_l1`'s forward and
 `neighbor_attention`'s per-edge weight gradient. Rows are split where each
 output row reads only its own input rows, columns where a scatter-sum adds
@@ -81,12 +82,12 @@ from .errors import DiffError
 
 _grad_enabled = True
 
-# A memory budget, not a cache tile: bytes per blocked temporary in
-# `cosine_distance`'s (rows x dim) tables and `translation_l1`'s backward
-# columns, in the softmax rows of `entr.matrix_entropy`, and in the
-# similarity and value rows of `alignment.nearest_negatives` and greedy
-# matching's head blocks (fixed `blocks`); and bytes of all the buffers
-# `pooled_rows` lends its threads at once, the distance rows of
+# A memory budget, not a cache tile: bytes of all the temporaries one
+# blocked loop holds at once (fixed `blocks`): `cosine_distance`'s (rows x
+# dim) tables, `translation_l1`'s backward columns, `entr.matrix_entropy`'s
+# cosine and softmax rows, `alignment.nearest_negatives`' similarity rows
+# with `top_columns`' two copies and greedy's head blocks; and bytes of all
+# the buffers `pooled_rows` lends its threads at once, the distance rows of
 # `completion.score_all_tails` (pooled slices of independent rows). Large
 # enough that a criterion-6-sized call runs in one block.
 BLOCK_BYTES = 16 << 20
@@ -110,6 +111,16 @@ def blocks(count: int, unit_bytes: int):
     // unit_bytes units (at least one)."""
     step = max(1, BLOCK_BYTES // max(1, unit_bytes))
     return (slice(start, min(start + step, count)) for start in range(0, count, step))
+
+
+def _column_blocks(rows: int, width: int, tables: int):
+    """(cols, views) per block of `blocks(width, tables * 8 * rows)`: `tables`
+    (rows x block width) float64 views of buffers made once, for all blocks."""
+    spans = list(blocks(width, tables * 8 * rows))
+    buffers = [np.empty(rows * (spans[0].stop if spans else 0)) for _ in range(tables)]
+    for cols in spans:
+        size = rows * (cols.stop - cols.start)
+        yield cols, [buffer[:size].reshape(rows, cols.stop - cols.start) for buffer in buffers]
 
 
 def _cores() -> int:
@@ -542,8 +553,8 @@ def translation_l1(entities: Tensor, relations: Tensor, heads, rels, tails) -> T
         by_relation = _scatter_plan(r, rel.shape[0], h.size)
         entity_grad, relation_grad = np.empty(e.shape), np.empty(rel.shape)
         minus_g = (-g)[:, None]
-        for cols in blocks(dim, 8 * h.size):
-            u = sign[:, cols] * minus_g
+        for cols, (u,) in _column_blocks(h.size, dim, 1):
+            np.multiply(sign[:, cols], minus_g, out=u)
             entity_grad[:, cols] = ends @ u
             relation_grad[:, cols] = by_relation @ u
         return entity_grad, relation_grad
@@ -583,7 +594,7 @@ def cosine_distance(table: Tensor, left, right) -> Tensor:
     if np.any(nu * nu < tiny) or np.any(nv * nv < tiny):
         raise DiffError("zero-norm embedding (or one whose squared norm underflows)")
     dot = np.empty(count)
-    for rows in blocks(count, 8 * dim):
+    for rows in blocks(count, 3 * 8 * dim):  # two gathered tables and their product
         dot[rows] = (x[left[rows]] * x[right[rows]]).sum(axis=1)
     cos = dot / (nu * nv)
 
@@ -593,10 +604,16 @@ def cosine_distance(table: Tensor, left, right) -> Tensor:
         left_plan = _scatter_plan(left, x.shape[0], count)
         right_plan = _scatter_plan(right, x.shape[0], count)
         left_grad, right_grad = np.empty(x.shape), np.empty(x.shape)
-        for cols in blocks(dim, 8 * count):
-            u, v = x[left, cols], x[right, cols]
-            left_grad[:, cols] = left_plan @ (gcol * (v / nunv - cos_nu * u))
-            right_grad[:, cols] = right_plan @ (gcol * (u / nunv - cos_nv * v))
+        for cols, (u, v, work, term) in _column_blocks(count, dim, 4):
+            np.take(x[:, cols], left, axis=0, out=u, mode="clip")  # clip: indices checked
+            np.take(x[:, cols], right, axis=0, out=v, mode="clip")
+            # in place, gcol * (v / nunv - cos_nu * u), then with u and v swapped
+            for grad, plan, own, other, cos_own in ((left_grad, left_plan, u, v, cos_nu),
+                                                    (right_grad, right_plan, v, u, cos_nv)):
+                np.divide(other, nunv, out=work)
+                work -= np.multiply(cos_own, own, out=term)
+                work *= gcol
+                grad[:, cols] = plan @ work
         return left_grad, right_grad
 
     return _result(1.0 - cos, (table, table), grad_fn, "cosine_distance")
@@ -896,7 +913,8 @@ class Adam:
     `t` and copies of the moments `m` and `v`; the learning rate comes from
     the caller. Moments start as `np.zeros` (calloc), whose pages become
     resident only when a step writes them, and never if `load_state_dict`
-    replaces them first.
+    replaces them first; `state_dict` gives a moment whose bits are all zero
+    (+0.0 throughout; a -0.0 is copied) as a fresh `np.zeros` likewise.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float):
@@ -936,12 +954,14 @@ class Adam:
             p.grad = None
 
     def state_dict(self) -> dict:
-        return {"t": self.t, "m": [m.copy() for m in self.m], "v": [v.copy() for v in self.v]}
+        def copy(moment: np.ndarray) -> np.ndarray:
+            return moment.copy() if moment.view(np.uint64).any() else np.zeros(moment.shape)
+        return {"t": self.t, "m": [copy(m) for m in self.m], "v": [copy(v) for v in self.v]}
 
     def load_state_dict(self, state: dict) -> None:
         """Take the given moment arrays, so later steps write into them; only
         a non-float64, non-C-contiguous or read-only one is copied first."""
-        if len(state["m"]) != len(self.params):
+        if not len(state["m"]) == len(state["v"]) == len(self.params):
             raise DiffError("optimizer state does not match parameter count")
         self.t = int(state["t"])
         self.m = [np.require(m, np.float64, ("C", "A", "W")) for m in state["m"]]

@@ -7,34 +7,38 @@ covered by the current seed mapping are copied into the paired KG, in both
 directions, and copies whose supporting alignment has since disappeared are
 pruned again.
 
-Alignment matrices are plain (source x target) cosine arrays from
-`build_alignment_matrix`; seed pairs are the (n x 2) int64 rows of
-`SeedSet.pairs`, and transfers land on each `Kg` through `set_transferred`.
+Entropies read cosines in `alignment.cosine_rows` blocks; greedy enlargement
+alone builds a whole (source x target) matrix. Seed pairs are `SeedSet.pairs`
+rows, and transfers land on each `Kg` through `set_transferred`.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from . import diff
-from .alignment import greedy_one_to_one
+from .alignment import cosine_rows, greedy_one_to_one
 from .errors import EnTrError
 from .kgdata import ENLARGED, GIVEN, MultiKg, SeedSet, triple_keys
 
 
-def matrix_entropy(matrix: np.ndarray) -> float:
+def matrix_entropy(matrix: np.ndarray, target_finals: np.ndarray | None = None) -> float:
     """Shannon entropy (natural log) of the row softmax, summed over rows.
 
     With s = row - max(row) and Z = sum_j e^{s_j}, a row gives
     log Z - sum_j e^{s_j} s_j / Z; an e^{s_j} that underflows to 0 adds 0,
-    the limit of p log p. Rows run in blocks of at most `diff.BLOCK_BYTES`
-    bytes into one (rows,) vector, whose single flat sum is the entropy, so
-    no table spans the matrix and blocking moves no bit."""
+    the limit of p log p. With `target_finals`, `matrix` is the source finals
+    and the matrix `build_alignment_matrix(matrix, target_finals)`, taken in
+    its `alignment.cosine_rows` blocks, not whole. A row block and its two
+    softmax tables take at most `diff.BLOCK_BYTES`; the rows fill one vector,
+    whose single flat sum is the entropy, so blocking moves no bit."""
     values = np.asarray(matrix)
-    if values.ndim != 2 or values.size == 0:
-        raise EnTrError(f"entropy needs a non-empty matrix, got shape {values.shape}")
-    row_entropy = np.empty(values.shape[0])
-    for rows in diff.blocks(values.shape[0], values.itemsize * values.shape[1]):
-        block = values[rows]
+    shape = values.shape if target_finals is None else (len(values), len(target_finals))
+    if len(shape) != 2 or 0 in shape:
+        raise EnTrError(f"entropy needs a non-empty matrix, got shape {shape}")
+    row_blocks = (((rows, values[rows]) for rows in diff.blocks(shape[0], 3 * 8 * shape[1]))
+                  if target_finals is None else cosine_rows(values, target_finals))
+    row_entropy = np.empty(shape[0])
+    for rows, block in row_blocks:
         if not np.all(np.isfinite(block)):
             raise EnTrError("entropy requires a finite matrix")
         s = block - block.max(axis=1, keepdims=True)
@@ -42,6 +46,7 @@ def matrix_entropy(matrix: np.ndarray) -> float:
         z = e.sum(axis=1)
         e *= s
         row_entropy[rows] = np.log(z) - e.sum(axis=1) / z
+        del block, s, e  # freed before the next block is made
     return float(row_entropy.sum())
 
 
@@ -59,11 +64,12 @@ def seed_budget(h_tilde: float, h_current: float, beta: float,
 def enlarge_seeds(matrix: np.ndarray, q: int, seed_set: SeedSet) -> SeedSet:
     """Given train pairs plus up to q fresh pairs picked greedily by
     descending similarity (greedy_one_to_one), skipping any entity already
-    claimed. Previously enlarged pairs are discarded and recomputed."""
+    claimed. Previously enlarged pairs are discarded and recomputed. Only a
+    positive q reads `matrix`, which may be None otherwise."""
     if q < 0:
         raise EnTrError(f"negative enlargement budget {q}")
     given = seed_set.given_pairs()
-    fresh = np.asarray(greedy_one_to_one(matrix, q, given[:, 0], given[:, 1]),
+    fresh = np.asarray(greedy_one_to_one(matrix, q, given[:, 0], given[:, 1]) if q else [],
                        dtype=np.int64).reshape(-1, 2)
     return SeedSet(seed_set.kg_pair, np.concatenate([given, fresh]),
                    [GIVEN] * len(given) + [ENLARGED] * len(fresh))

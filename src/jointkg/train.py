@@ -339,22 +339,22 @@ class TrainState:
         self.adam_alignment.zero_grad()
         return value
 
-    def pair_matrices(self, hook=None):
-        """Yield each seeded pair and its alignment matrix over the untaped
-        alignment-side finals (`hook` as in `alignment_layers_and_finals`)."""
+    def pair_finals(self, hook=None):
+        """Yield each seeded pair and its KGs' rows of the untaped alignment
+        finals (`hook` as in `alignment_layers_and_finals`)."""
         entity_finals, _ = self.alignment_layers_and_finals(tape=False, hook=hook)
         for pair in sorted(self.train_seeds):
-            src, tgt, _, _ = self.pair_blocks(pair, entity_finals.values)
-            yield pair, build_alignment_matrix(src, tgt)
+            yield pair, *self.pair_blocks(pair, entity_finals.values)[:2]
 
     def entr_step(self, hook=None) -> dict:
         """Grow each pair's seeds by its entropy budget, then prune and transfer
         triples; returns the record's `entr` entry (README lists its fields)."""
         pairs = {}
-        for (a, b), matrix in self.pair_matrices(hook):
-            entropy = matrix_entropy(matrix)
-            q = seed_budget(self.h_tilde[a, b], entropy, self.config.beta, *matrix.shape)
-            seeds = self.train_seeds[a, b] = enlarge_seeds(matrix, q, self.train_seeds[a, b])
+        for (a, b), src, tgt in self.pair_finals(hook):
+            entropy = matrix_entropy(src, tgt)
+            q = seed_budget(self.h_tilde[a, b], entropy, self.config.beta, len(src), len(tgt))
+            seeds = self.train_seeds[a, b] = enlarge_seeds(
+                build_alignment_matrix(src, tgt) if q else None, q, self.train_seeds[a, b])
             enlarged = seeds.provenance.count(ENLARGED)
             pairs[f"{a}|{b}"] = {"entropy": entropy, "h_tilde": self.h_tilde[a, b], "budget": q,
                                  "given": len(seeds) - enlarged, "enlarged": enlarged}
@@ -367,8 +367,8 @@ class TrainState:
 
     def initialize_entropy_baseline(self) -> None:
         """Entropy of the untrained model's alignment matrices (run once)."""
-        for pair, matrix in self.pair_matrices():
-            self.h_tilde[pair] = matrix_entropy(matrix)
+        for pair, src, tgt in self.pair_finals():
+            self.h_tilde[pair] = matrix_entropy(src, tgt)
 
 
 def train_epoch(state: TrainState) -> dict:

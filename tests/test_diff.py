@@ -1179,6 +1179,28 @@ class TestAdam:
             for got, want in zip([p.values for p in params] + opt.m + opt.v, expected + m + v):
                 assert np.array_equal(_bits(got), _bits(want))
 
+    def test_load_state_dict_refuses_moment_lists_of_another_length(self):
+        # a short `v` list would leave the trailing parameters unstepped
+        params = [diff.param(np.ones(2)), diff.param(np.ones(3))]
+        state = diff.Adam(params, lr=0.1).state_dict()
+        for key in ("m", "v"):
+            with pytest.raises(DiffError, match="parameter count"):
+                diff.Adam(params, lr=0.1).load_state_dict(dict(state, **{key: state[key][:1]}))
+
+    def test_state_dict_copies_signed_zeros_and_gives_plus_zeros_fresh(self):
+        p = diff.param(np.ones(4))
+        opt = diff.Adam([p], lr=0.1)
+        opt.m[0][1] = -0.0
+        state = opt.state_dict()
+        assert np.array_equal(_bits(state["m"][0]), _bits(opt.m[0]))
+        assert np.signbit(state["m"][0][1])
+        assert not _bits(state["v"][0]).any()
+        for saved, kept in ((state["m"][0], opt.m[0]), (state["v"][0], opt.v[0])):
+            assert not np.shares_memory(saved, kept)
+        clone = diff.Adam([diff.param(np.ones(4))], lr=0.1)
+        clone.load_state_dict(state)
+        assert np.array_equal(_bits(clone.m[0]), _bits(opt.m[0]))
+
     def test_state_dict_round_trip(self):
         p = diff.param(np.array([1.0, 2.0]))
         opt = diff.Adam([p], lr=0.01)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from jointkg import diff
+from jointkg.alignment import build_alignment_matrix, cosine_rows
 from jointkg.entr import (
     enlarge_seeds,
     matrix_entropy,
@@ -116,6 +117,67 @@ class TestMatrixEntropy:
                 matrix_entropy(values)
 
 
+def alignment_finals(rng, n1, n2, dim, kind):
+    """Source and target finals: random, with duplicated rows (every third
+    source row and every second target row repeat one vector), or collapsed
+    (every row of both the same vector)."""
+    source, target = rng.normal(size=(n1, dim)), rng.normal(size=(n2, dim))
+    if kind == "duplicated":
+        source[::3], target[::2] = source[0], source[0]
+    elif kind == "collapsed":
+        source[:], target[:] = source[0], source[0]
+    return source, target
+
+
+class TestCosineRowEntropy:
+    """The training path's entropy, read from `cosine_rows` blocks, against
+    the entropy of the matrix `build_alignment_matrix` returns. BLAS may
+    round a cosine by its row's place in a product, so block offsets that
+    are no tile multiple (1, 3, 5, 7, 13 rows) are drawn with the rest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_the_entropy_of_the_whole_matrix_bitwise(self, data):
+        n1, n2 = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+        dim = data.draw(st.sampled_from([32, 33, 128]))
+        kind = data.draw(st.sampled_from(["random", "duplicated", "collapsed"]))
+        block_rows = data.draw(st.sampled_from([1, 2, 3, 5, 7, 8, 13, n1]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        source, target = alignment_finals(rng, n1, n2, dim, kind)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diff, "BLOCK_BYTES", block_rows * 3 * 8 * n2)
+            first, _ = next(cosine_rows(source, target))
+            assert first == slice(0, min(block_rows, n1))
+            got = matrix_entropy(source, target)
+            matrix = build_alignment_matrix(source, target)
+            expected = matrix_entropy(matrix)
+        assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+        # the blocks hold the cosines of the one whole product, up to rounding
+        unit = [x / np.linalg.norm(x, axis=1, keepdims=True) for x in (source, target)]
+        np.testing.assert_allclose(matrix, unit[0] @ unit[1].T, rtol=0, atol=1e-14)
+        assert got == pytest.approx(reference_matrix_entropy(unit[0] @ unit[1].T), rel=1e-12)
+
+    def test_one_block_is_the_whole_product(self):
+        source, target = alignment_finals(np.random.default_rng(3), 300, 299, 33, "random")
+        whole = (source / np.linalg.norm(source, axis=1, keepdims=True)) @ (
+            target / np.linalg.norm(target, axis=1, keepdims=True)).T
+        assert len(list(cosine_rows(source, target))) == 1
+        assert np.array_equal(build_alignment_matrix(source, target), whole)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_finals_error(self, bad):
+        source, target = alignment_finals(np.random.default_rng(4), 6, 5, 32, "random")
+        source[4, 1] = bad
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diff, "BLOCK_BYTES", 3 * 8 * 5)
+            with pytest.raises(EnTrError, match="finite"):
+                matrix_entropy(source, target)
+
+    def test_empty_finals_error(self):
+        with pytest.raises(EnTrError, match="non-empty"):
+            matrix_entropy(np.ones((0, 4)), np.ones((3, 4)))
+
+
 class TestSeedBudget:
     def test_no_entropy_drop_means_zero(self):
         assert seed_budget(3.7, 3.7, beta=0.3, e_count=50, e_star_count=80) == 0
@@ -162,6 +224,12 @@ class TestEnlargeSeeds:
     def test_two_by_two_brute_force(self):
         out = enlarge_seeds(self.matrix([[0.9, 0.1], [0.2, 0.8]]), 2, seeds([]))
         assert set(map(tuple, out.pairs.tolist())) == {(0, 0), (1, 1)}
+
+    def test_zero_budget_reads_no_matrix(self):
+        base = seeds([(0, 0), (1, 1)], [GIVEN, ENLARGED])
+        out = enlarge_seeds(None, 0, base)
+        assert out.pairs.tolist() == [[0, 0]]
+        assert out.provenance == [GIVEN]
 
     def test_previous_enlarged_pairs_are_recomputed(self):
         base = seeds([(0, 0), (1, 1)], [GIVEN, ENLARGED])

@@ -1,19 +1,26 @@
 """Memory guards for the fused and blocked ops: one tape node per `Mlp`
 layer, no per-pair rows on the tape of either cosine loss, no concatenated
 fusion or head input on the alignment tape, a fusion hook that copies no
-completion table, traced peaks of the blocked ops
-and of greedy matching bounded by their kept tables plus a few block
-budgets or cache tiles, pooled row slices that share one budget,
-checkpoint saves and loads that build no whole-file copy, and a resume that
-keeps no second copy of the checkpoint's arrays."""
+completion table, traced peaks of the blocked ops, of the entropy and of
+greedy matching bounded by their kept tables plus one block budget (a few
+cache tiles for the tiled forward), an ENTR step at budget 0 that builds no
+alignment matrix, pooled row slices that share one budget, checkpoint saves
+and loads that build no whole-file copy, and a resume that keeps no second
+copy of the checkpoint's arrays."""
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse  # noqa: F401 - imported before tracing, so no peak counts its import
 
-from jointkg import diff
-from jointkg.alignment import FusionParams, alignment_loss, greedy_one_to_one, make_fusion_hook
+from jointkg import diff, train
+from jointkg.alignment import (
+    FusionParams,
+    alignment_loss,
+    build_alignment_matrix,
+    greedy_one_to_one,
+    make_fusion_hook,
+)
 from jointkg.completion import alignment_constraint_loss
 from jointkg.entr import matrix_entropy
 from jointkg.rgnn import LayerEmbeddings
@@ -69,8 +76,9 @@ def test_hinge_node_holds_no_per_pairing_rows():
 
 # Peaks on shapes that span about twenty blocks. Each bound is what the op
 # must keep (its int8 signs, one-dimensional per-row arrays and sparse scatter
-# plans, or its output table) plus a few block budgets; a single whole
-# (rows x dim) float64 temporary exceeds it.
+# plans, or its output table) plus one block budget, which holds every
+# temporary of a blocked loop at once; a single whole (rows x dim) float64
+# temporary exceeds it, and so does a second budget.
 
 ROWS, DIM = 40_000, 64
 VECTOR = 8 * ROWS
@@ -88,8 +96,11 @@ def test_translation_l1_peak_stays_within_signs_and_budgets(small_budget):
         scores = diff.translation_l1(entities, relations, heads, rels, tails)
         diff.backward(diff.sum_all(diff.mul(scores, weights)))
 
+    # the signs, about eleven (rows,) vectors (the scatter plans' orders and
+    # entries, the index arrays, the scores and their gradients) and one
+    # buffer of u, which every column block reuses
     _, peak = traced_peak(step)
-    assert peak < ROWS * DIM + 16 * VECTOR + 6 * BUDGET
+    assert peak < ROWS * DIM + 12 * VECTOR + BUDGET
 
 
 def test_translation_l1_forward_peak_stays_within_signs_output_and_tiles():
@@ -111,8 +122,12 @@ def test_hinge_peak_stays_within_vectors_and_budgets(small_budget):
     finals = diff.param(rng.normal(size=(2_000, DIM)))
     pairs = rng.integers(2_000, size=(ROWS, 2))
     negatives = list(zip(range(ROWS), map(tuple, rng.integers(2_000, size=(ROWS, 2)).tolist())))
+    # about 37 (pairings,) vectors (both nodes' norms, cosines and scatter
+    # plans, the hinge's terms) and the backward's four tables (u, v and two
+    # work tables), which take one budget, or one column each when a column
+    # of them is more: one column of the four is 1.28 MB at 40,000 pairings
     _, peak = traced_peak(lambda: diff.backward(alignment_loss(pairs, negatives, 0.5, finals)))
-    assert peak < 32 * VECTOR + 8 * BUDGET
+    assert peak < 38 * VECTOR + max(BUDGET, 4 * VECTOR)
 
 
 def test_matrix_entropy_peak_stays_within_one_table_and_budgets(small_budget):
@@ -120,7 +135,33 @@ def test_matrix_entropy_peak_stays_within_one_table_and_budgets(small_budget):
     # the matrix's size exceeds the bound
     matrix = np.random.default_rng(4).normal(size=(2_000, 1_500))
     _, peak = traced_peak(lambda: matrix_entropy(matrix))
-    assert peak < 4 * BUDGET + 8 * len(matrix)
+    assert peak < BUDGET + 8 * len(matrix)
+
+
+def test_cosine_entropy_peak_stays_within_unit_finals_and_one_budget(small_budget):
+    # the unit finals and the (rows,) vector of row entropies are kept; each
+    # block of cosines and its two softmax tables take one budget together,
+    # where the whole 2,000 x 1,500 matrix would take 24 MB
+    rng = np.random.default_rng(4)
+    source, target = rng.normal(size=(2_000, DIM)), rng.normal(size=(1_500, DIM))
+    _, peak = traced_peak(lambda: matrix_entropy(source, target))
+    assert peak < source.nbytes + target.nbytes + BUDGET + 8 * 8 * len(source)
+
+
+def test_entr_step_at_budget_zero_builds_no_alignment_matrix(small_budget, monkeypatch):
+    # the untrained model's entropy equals its baseline, so the budget is 0
+    # and greedy enlargement needs no matrix: the step's peak stays below
+    # one 2,000 x 2,000 float64 table
+    state = TrainState(toy_pair_dataset(entities=2_000, extra_edges=4_000, seed_pairs=200),
+                       small_config(layers=1, dim=8))
+    state.initialize_entropy_baseline()
+    built = []
+    monkeypatch.setattr(train, "build_alignment_matrix",
+                        lambda *args: built.append(args) or build_alignment_matrix(*args))
+    record, peak = traced_peak(state.entr_step)
+    assert record["pairs"]["aa|bb"]["budget"] == 0
+    assert peak < 8 * 2_000 * 2_000
+    assert built == []
 
 
 def test_pooled_rounds_share_one_budget_of_buffers():

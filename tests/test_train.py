@@ -5,9 +5,10 @@ import zipfile
 import numpy as np
 import pytest
 
-from jointkg import diff
+from jointkg import diff, train
+from jointkg.alignment import build_alignment_matrix
 from jointkg.completion import sample_negatives
-from jointkg.entr import seed_budget, transfer_triples
+from jointkg.entr import enlarge_seeds, matrix_entropy, seed_budget, transfer_triples
 from jointkg.errors import TrainError
 from jointkg.kgdata import (
     GIVEN,
@@ -225,6 +226,30 @@ class TestEntrStep:
         assert (entr["pruned"], entr["transferred"]) == (0, 2)
         assert multikg.by_id["k2"].transferred.tolist() == [[0, 0, 1]]
         assert multikg.by_id["k1"].transferred.tolist() == [[0, 0, 1]]
+
+    def test_a_positive_budget_enlarges_as_from_the_whole_matrix(self, monkeypatch):
+        # the baseline is raised so the budget is positive; the step builds the
+        # pair's matrix once, and its seeds are those greedy takes from it
+        state = TrainState(toy_pair_dataset(entities=40, extra_edges=40, seed_pairs=10),
+                           small_config())
+        state.initialize_entropy_baseline()
+        pair = ("aa", "bb")
+        ((_, source, target),) = state.pair_finals()
+        entropy = matrix_entropy(build_alignment_matrix(source, target))
+        state.h_tilde[pair] = 2.0 * entropy
+        budget = seed_budget(2.0 * entropy, entropy, state.config.beta, 40, 40)
+        assert budget > 0
+        expected = enlarge_seeds(build_alignment_matrix(source, target), budget,
+                                 state.train_seeds[pair])
+        built = []
+        monkeypatch.setattr(train, "build_alignment_matrix",
+                            lambda *args: built.append(args) or build_alignment_matrix(*args))
+        entry = state.entr_step()["pairs"]["aa|bb"]
+        assert (entry["entropy"], entry["budget"]) == (entropy, budget)
+        assert entry["enlarged"] == len(expected) - len(expected.given_pairs()) > 0
+        assert len(built) == 1
+        assert np.array_equal(state.train_seeds[pair].pairs, expected.pairs)
+        assert state.train_seeds[pair].provenance == expected.provenance
 
     def test_edges_are_rebuilt_only_when_the_triples_change(self, monkeypatch):
         state = TrainState(toy_pair_dataset(drop_in_first=3), small_config())
@@ -485,6 +510,31 @@ class TestCheckpoint:
         path2 = tmp_path / "checkpoint2.json"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_epoch_zero_snapshot_holds_fresh_zero_moments(self, tmp_path):
+        # each moment is a +0.0 array of its own, which later steps leave zero,
+        # and the file is the one plain copies of the moments give
+        state = TrainState(toy_pair_dataset(drop_in_first=2), small_config())
+        state.initialize_entropy_baseline()
+        checkpoint = snapshot(state, validation_mrr(state))
+        copies = {side: {"t": adam.t, "m": [m.copy() for m in adam.m],
+                         "v": [v.copy() for v in adam.v]}
+                  for side, adam in (("adam_completion", state.adam_completion),
+                                     ("adam_alignment", state.adam_alignment))}
+        live, saved = self._moments(state), self._saved_moments(checkpoint)
+        assert [m.shape for m in saved] == [m.shape for m in live]
+        for moment in saved:
+            assert not any(np.shares_memory(moment, other) for other in live)
+        train_epoch(state)
+        assert any(moment.any() for moment in self._moments(state))
+        assert not any(moment.view(np.uint64).any() for moment in saved)
+        first, second, copied = (tmp_path / f"{name}.npz" for name in ("a", "b", "copied"))
+        checkpoint.save(first)
+        Checkpoint.load(first).save(second)
+        assert first.read_bytes() == second.read_bytes()
+        checkpoint.adam_completion, checkpoint.adam_alignment = copies.values()
+        checkpoint.save(copied)
+        assert copied.read_bytes() == first.read_bytes()
 
     def test_two_saves_are_byte_equal_with_pinned_member_names(self, tmp_path):
         # every member carries np.savez's fixed timestamp, so equal bytes do
