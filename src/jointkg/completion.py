@@ -31,14 +31,14 @@ def score_all_tails(heads: np.ndarray, relations: np.ndarray, entity_values: lis
     and one column per candidate tail in one KG's id block
     [offset, offset + count); used by ranking evaluation.
 
-    The query rows run in `diff.pooled_rows` slices, on every core, with
-    at most `diff.BLOCK_BYTES` bytes of distances in the process at once.
-    Each slice gathers its head + relation rows, then layer by layer in
-    order subtracts their L1 distances to every candidate, which `cdist`
-    writes into the slice's buffer, from its own rows of the total. `cdist`
-    adds |a_k - b_k| from k = 0 in order, and each entry reads only its own
-    query row, so the scores are the same bits for any slicing, on any
-    thread and at any core count.
+    The query rows run in `diff.pooled_rows` ranges, one thread per core
+    made for this call, with at most `diff.BLOCK_BYTES` bytes of distances
+    at once. Each slice of a range gathers its head + relation rows, then
+    layer by layer in order subtracts their L1 distances to every
+    candidate, which `cdist` writes into the range's buffer, from its own
+    rows of the total. `cdist` adds |a_k - b_k| from k = 0 in order, and
+    each entry reads only its own query row, so the scores are the same
+    bits for any slicing, on any thread and at any core count.
     """
     # imported here, not at module top, so `import jointkg` stays cheap
     from scipy.spatial.distance import cdist

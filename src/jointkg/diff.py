@@ -45,10 +45,9 @@ input position and no block or tile size moves a bit.
 
 Row loops split one of two ways within the one `BLOCK_BYTES` budget: fixed
 `blocks` on the calling thread where the arithmetic may depend on the block
-(BLAS rounds by position), and `pooled_rows`' equal slices on one thread
-per core, sharing one budget per process, for independent rows summed in
-an order no split moves (`completion.score_all_tails`), which so give the
-same bits at any core count.
+(BLAS rounds by position), and `pooled_rows`' equal ranges, one thread each
+for one call, for independent rows summed in an order no split moves
+(`completion.score_all_tails`), so the same bits at any core count.
 
 `translation_l1` gives -sum_j |e[h] + r[rel] - e[t]|_j per row, the same
 values as three gathers, add, sub, `l1_norm_row` and `scale(-1)`; its node
@@ -71,8 +70,7 @@ uniform 1/deg(c) sum of bare neighbor rows bit for bit. Its node keeps no
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -86,10 +84,10 @@ _grad_enabled = True
 # blocked loop holds at once (fixed `blocks`): `cosine_distance`'s (rows x
 # dim) tables, `translation_l1`'s backward columns, `entr.matrix_entropy`'s
 # cosine and softmax rows, `alignment.nearest_negatives`' similarity rows
-# with `top_columns`' two copies and greedy's head blocks; and bytes of all
-# the buffers `pooled_rows` lends its threads at once, the distance rows of
-# `completion.score_all_tails` (pooled slices of independent rows). Large
-# enough that a criterion-6-sized call runs in one block.
+# with `top_columns`' two copies and greedy's head blocks; and bytes of the
+# buffers of all of one `pooled_rows` call's ranges, the distance rows of
+# `completion.score_all_tails` (independent rows). Large enough that a
+# criterion-6-sized call runs in one block.
 BLOCK_BYTES = 16 << 20
 
 # A cache tile, not a memory budget: rows per tile of `translation_l1`'s
@@ -98,9 +96,9 @@ BLOCK_BYTES = 16 << 20
 _EDGE_BLOCK = 256
 
 # A handoff cost, not a memory budget: the fewest (rows x width) entries of
-# a `pooled_rows` slice sent to a thread. For `score_all_tails` at dim 128
+# a `pooled_rows` range sent to a thread. For `score_all_tails` at dim 128
 # and three layers on 2 cores, two threads matched inline wall time at about
-# 2,000 distances per slice and cost more CPU time below about 16,000, past
+# 2,000 distances per range and cost more CPU time below about 16,000, past
 # which they took 0.55-0.6 of the wall time for the same CPU time.
 # Criterion 6's sweeps (23 queries x 200 candidates) stay inline.
 _POOL_MIN_SLICE = 1 << 14
@@ -131,66 +129,40 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _drop_pool() -> None:
-    """Forget the pool in a forked child, whose copy of it has no threads
-    (work sent there would wait forever), and the lock, which a parent
-    thread may have held at the fork."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _row_pool() -> ThreadPoolExecutor:
-    """The process-wide pool, made at first use with one thread per core."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_cores(), thread_name_prefix="jointkg-rows")
-        return _pool
-
-
 def pooled_rows(count: int, width: int, work: Callable[[slice, np.ndarray], None]) -> None:
-    """Call work(rows, buffer) once for each of equal consecutive row slices
+    """Call work(rows, buffer) once for each of consecutive row slices
     covering range(count); `buffer` is an uninitialised C-contiguous
     float64 (rows x width) array for the call to fill.
 
-    The rows make as many slices as have `_POOL_MIN_SLICE` entries each, up
-    to one per core, which run on the pool in rounds of one per thread; one
-    slice, or one core, runs inline and starts no thread. The calling thread
-    allocates one buffer per slice of a round, together at most BLOCK_BYTES,
-    and lends them to every round, so the budget holds per process and the
-    buffers stay in the caller's malloc arena.
+    The rows split into equal consecutive ranges, as many as have
+    `_POOL_MIN_SLICE` entries each, up to one per core and one per row a
+    `BLOCK_BYTES` budget holds. Each range fills a buffer the caller makes,
+    slice by slice, on its own thread of an executor shut down before this
+    call returns; one range runs inline. The buffers take at most
+    BLOCK_BYTES together, unless one row alone takes more.
 
     For independent rows only: each call writes its own rows alone, in an
     order of arithmetic no slicing moves (so no BLAS), and calls nothing
-    that records graph nodes or reenters the pool. The first exception a
-    slice raises reaches the caller once the rest of its round has finished.
+    that records graph nodes. The first exception a range raises reaches
+    the caller once every range has finished.
     """
-    parts = min(_cores(), max(1, count * width // _POOL_MIN_SLICE))
-    budget = max(1, BLOCK_BYTES // max(1, 8 * width))  # buffer rows per round
-    step = max(1, min(-(-count // parts), budget // parts))
-    per_round = min(parts, budget // step)
-    slices = [slice(start, min(start + step, count)) for start in range(0, count, step)]
-    if per_round < 2 or len(slices) < 2:
-        buffer = np.empty((min(step, count), width))
-        for rows in slices:
-            work(rows, buffer[:rows.stop - rows.start])
+    budget = BLOCK_BYTES // max(1, 8 * width)  # rows one budget holds
+    parts = max(1, min(_cores(), count * width // _POOL_MIN_SLICE, count, budget))
+    step = max(1, -(-count // parts))  # rows per range
+    size = max(1, min(step, budget // parts))  # rows per buffer
+
+    def run(start: int, stop: int, buffer: np.ndarray) -> None:
+        for first in range(start, stop, size):
+            work(slice(first, min(first + size, stop)), buffer[:min(size, stop - first)])
+
+    if parts == 1:
+        run(0, count, np.empty((min(size, count), width)))
         return
-    pool = _row_pool()
-    buffers = [np.empty((step, width)) for _ in range(per_round)]
-    for first in range(0, len(slices), per_round):
-        futures = [pool.submit(work, rows, buffer[:rows.stop - rows.start])
-                   for rows, buffer in zip(slices[first:first + per_round], buffers)]
-        wait(futures)
-        for future in futures:
-            future.result()
+    with ThreadPoolExecutor(parts, thread_name_prefix="jointkg-rows") as pool:
+        futures = [pool.submit(run, start, min(start + step, count), np.empty((size, width)))
+                   for start in range(0, count, step)]
+    for future in futures:
+        future.result()
 
 
 @contextmanager

@@ -35,6 +35,10 @@ def matrix_entropy(matrix: np.ndarray, target_finals: np.ndarray | None = None) 
     shape = values.shape if target_finals is None else (len(values), len(target_finals))
     if len(shape) != 2 or 0 in shape:
         raise EnTrError(f"entropy needs a non-empty matrix, got shape {shape}")
+    if target_finals is not None:  # before `cosine_rows` divides an inf row by its norm
+        for side, finals in (("source", values), ("target", target_finals)):
+            if not np.all(np.isfinite(finals)):
+                raise EnTrError(f"entropy requires finite {side} finals")
     row_blocks = (((rows, values[rows]) for rows in diff.blocks(shape[0], 3 * 8 * shape[1]))
                   if target_finals is None else cosine_rows(values, target_finals))
     row_entropy = np.empty(shape[0])

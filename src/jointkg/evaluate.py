@@ -8,10 +8,11 @@ transferred ones): the known tails of (h, r) are its keys in [key(h, r, 0),
 key(h, r, n)). A KG's whole split is scored in one `score_all_tails` call:
 a (queries x candidates) matrix that starts at 0.0 and subtracts, layer by
 layer in order, scipy's cityblock distance from head + relation to each
-candidate (summed over dimensions in order). Its query rows are scored on
-every core, in slices that leave each entry's sum as it is, so the ranks
-are the same at any core count. Each row is then ranked on its own. Alignment: the true counterpart is ranked among all target entities by
-cosine similarity.
+candidate (summed over dimensions in order). Its query rows are scored in
+equal ranges, one thread per core made for the call, that leave each
+entry's sum as it is, so the ranks are the same at any core count. Each
+row is then ranked on its own. Alignment: the true counterpart is ranked
+among all target entities by cosine similarity.
 """
 from __future__ import annotations
 

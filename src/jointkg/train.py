@@ -241,17 +241,15 @@ class TrainState:
         return kept[2]
 
     def fusion_hook(self):
-        """SIR hook over the current completion layers (or None)."""
+        """SIR hook wrapping the kept untaped completion layers (or None)."""
         if not self.config.sir_active:
             return None
         return make_fusion_hook(self.completion_layers(tape=False), self.model.fusion)
 
-    def alignment_layers_and_finals(self, tape: bool, hook=None):
-        """Alignment-side finals; `hook` defaults to a fresh `fusion_hook()`."""
-        if hook is None:
-            hook = self.fusion_hook()
+    def alignment_layers_and_finals(self, tape: bool):
+        """Alignment-side finals over `fusion_hook()`'s kept completion layers."""
         with nullcontext() if tape else diff.no_grad():
-            layers = encode(self.edges, self.model.alignment_side_encoder, hook)
+            layers = encode(self.edges, self.model.alignment_side_encoder, self.fusion_hook())
             return final_embeddings(layers, self.model.entity_head)
 
     def pair_blocks(self, pair: tuple[str, str], finals: np.ndarray):
@@ -309,8 +307,9 @@ class TrainState:
                                             self.adam_completion, "completion"),
                 "ranking": ranking.item(), "constraint": constraint.item()}
 
-    def alignment_step(self, hook=None) -> float:
-        entity_finals, _ = self.alignment_layers_and_finals(tape=True, hook=hook)
+    def alignment_step(self) -> float:
+        """One alignment update; returns its loss, summed over seeded pairs."""
+        entity_finals, _ = self.alignment_layers_and_finals(tape=True)
         total = None
         for pair in sorted(self.train_seeds):
             seed_set = self.train_seeds[pair]
@@ -339,18 +338,18 @@ class TrainState:
         self.adam_alignment.zero_grad()
         return value
 
-    def pair_finals(self, hook=None):
+    def pair_finals(self):
         """Yield each seeded pair and its KGs' rows of the untaped alignment
-        finals (`hook` as in `alignment_layers_and_finals`)."""
-        entity_finals, _ = self.alignment_layers_and_finals(tape=False, hook=hook)
+        finals."""
+        entity_finals, _ = self.alignment_layers_and_finals(tape=False)
         for pair in sorted(self.train_seeds):
             yield pair, *self.pair_blocks(pair, entity_finals.values)[:2]
 
-    def entr_step(self, hook=None) -> dict:
+    def entr_step(self) -> dict:
         """Grow each pair's seeds by its entropy budget, then prune and transfer
         triples; returns the record's `entr` entry (README lists its fields)."""
         pairs = {}
-        for (a, b), src, tgt in self.pair_finals(hook):
+        for (a, b), src, tgt in self.pair_finals():
             entropy = matrix_entropy(src, tgt)
             q = seed_budget(self.h_tilde[a, b], entropy, self.config.beta, len(src), len(tgt))
             seeds = self.train_seeds[a, b] = enlarge_seeds(
@@ -386,11 +385,10 @@ def train_epoch(state: TrainState) -> dict:
         for _ in range(config.steps_per_epoch):
             record["completion"] = state.completion_step()
     if not config.flag("no_align"):
-        hook = state.fusion_hook()
         for _ in range(config.steps_per_epoch):
-            record["alignment"] = {"loss": state.alignment_step(hook=hook)}
+            record["alignment"] = {"loss": state.alignment_step()}
         if config.entr_active:
-            record["entr"] = state.entr_step(hook=hook)
+            record["entr"] = state.entr_step()
     return record
 
 

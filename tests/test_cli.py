@@ -670,7 +670,7 @@ class TestUnreadableInput:
 
 def test_importing_the_cli_leaves_scipy_unloaded():
     """scipy loads at the first scatter-sum, so start-up does not pay for it;
-    the row pool starts its threads at its first pooled sweep, not at import."""
+    no thread starts at import, as each pooled sweep makes its own threads."""
     src = str(Path(jointkg.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, threading, jointkg.cli; "
@@ -681,18 +681,25 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[] 1"
 
 
-# Runs the CLI with the row pool taking slices of any size, on the first
-# CPU alone ("one") or on all of them ("all"), and names the path it took.
-# The pin comes after numpy has loaded, so BLAS keeps its thread count and
-# only the row pool sees one core.
+# Runs the CLI with pooled sweeps sending ranges of any size to threads, on
+# the first CPU alone ("one") or on all of them ("all"), and names the path
+# its sweeps' rows took. The pin comes after numpy has loaded, so BLAS keeps
+# its thread count and only `pooled_rows` sees one core.
 CPU_RUN = """
-import os, sys
+import os, sys, threading
 from jointkg import cli, diff
 diff._POOL_MIN_SLICE = 1
 if sys.argv[1] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+names, pooled_rows = set(), diff.pooled_rows
+def named(rows, buffer, work):
+    names.add(threading.current_thread().name)
+    work(rows, buffer)
+diff.pooled_rows = lambda count, width, work: pooled_rows(
+    count, width, lambda rows, buffer: named(rows, buffer, work))
 code = cli.main(sys.argv[2:])
-print("pooled" if diff._pool is not None else "inline", file=sys.stderr)
+pooled = any(name.startswith("jointkg-rows") for name in names)
+print("pooled" if pooled else "inline", file=sys.stderr)
 sys.exit(code)
 """
 

@@ -279,20 +279,32 @@ class TestBatchedScoring:
 
 @contextmanager
 def row_pool(workers: int, block_bytes: int | None = None):
-    """`diff.pooled_rows` with a fresh pool of `workers` threads that takes
-    slices of any size (and a `BLOCK_BYTES` budget, if given); the pool is
-    shut down on exit."""
+    """`diff.pooled_rows` on `workers` cores, sending ranges of any size to
+    threads (and under a `BLOCK_BYTES` budget, if given)."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(diff, "_cores", lambda: workers)
-        patch.setattr(diff, "_pool", None)
         patch.setattr(diff, "_POOL_MIN_SLICE", 1)
         if block_bytes is not None:
             patch.setattr(diff, "BLOCK_BYTES", block_bytes)
-        try:
-            yield
-        finally:
-            if diff._pool is not None:
-                diff._pool.shutdown()
+        yield
+
+
+def recorded_rows(count: int, width: int, meet: int = 1):
+    """(start, stop, buffer shape, buffer base, thread name) of every call
+    `diff.pooled_rows(count, width, ...)` makes, in row order. Each thread's
+    first call waits until `meet` threads have made theirs."""
+    calls, lock, first = [], threading.Lock(), threading.local()
+    barrier = threading.Barrier(meet)
+
+    def work(rows, buffer):
+        if not hasattr(first, "met"):
+            first.met = barrier.wait(timeout=30)
+        with lock:
+            calls.append((rows.start, rows.stop, buffer.shape, id(buffer.base),
+                          threading.current_thread().name))
+
+    diff.pooled_rows(count, width, work)
+    return sorted(calls)
 
 
 def small_sweep(queries: int, seed: int = 0):
@@ -313,36 +325,47 @@ class TestPooledScoring:
     @settings(max_examples=200, deadline=None)
     @given(scoring_cases(), st.integers(1, 3))
     def test_any_pool_equals_the_serial_cdist_loop_bit_for_bit(self, case, workers):
-        """0-12 queries over 1-3 threads under budgets of 1-25 rows per round:
-        no query, one, fewer than the threads and many rounds."""
+        """0-12 queries over 1-3 threads under budgets of 0-25 rows: no
+        query, one, fewer than the threads and many slices per range."""
         *sweep, block_bytes = case
         with row_pool(workers, block_bytes):
             scores = score_all_tails(*sweep)
         assert scores.tobytes() == serial_cdist_scores(*sweep).tobytes()
 
-    def test_rounds_of_equal_slices_cover_the_rows_on_the_pool(self):
-        calls, lock = [], threading.Lock()
-
-        def work(rows, buffer):
-            with lock:
-                calls.append((rows.start, rows.stop, buffer.shape,
-                              threading.current_thread().name))
-
-        with row_pool(3, block_bytes=8 * 10 * 7):  # a round holds 7 rows of 10
-            diff.pooled_rows(20, 10, work)
-        calls.sort()
-        assert [(start, stop) for start, stop, _, _ in calls] == [
-            (start, start + 2) for start in range(0, 20, 2)]
-        assert all(shape == (2, 10) for _, _, shape, _ in calls)
+    def test_equal_ranges_fill_one_buffer_each_on_one_thread_each(self):
+        # a budget of 7 rows of 10 makes 3 ranges of 7, 7 and 6 rows, each
+        # filling a buffer of 7 // 3 = 2 rows on its own thread, all at once
+        with row_pool(3, block_bytes=8 * 10 * 7):
+            calls = recorded_rows(20, 10, meet=3)
+        assert [(start, stop) for start, stop, *_ in calls] == [
+            (0, 2), (2, 4), (4, 6), (6, 7), (7, 9), (9, 11), (11, 13), (13, 14),
+            (14, 16), (16, 18), (18, 20)]
+        assert all(shape == (stop - start, 10) for start, stop, shape, *_ in calls)
+        ranges = [calls[0:4], calls[4:8], calls[8:11]]
+        for part in ranges:
+            assert len({(base, name) for *_, base, name in part}) == 1
+        assert len({part[0][-1] for part in ranges}) == 3
         assert all(name.startswith("jointkg-rows") for *_, name in calls)
 
+    def test_no_row_thread_outlives_the_call(self):
+        with row_pool(2):
+            calls = recorded_rows(40, 3)
+        assert {name for *_, name in calls} != {threading.current_thread().name}
+        assert not [t for t in threading.enumerate() if t.name.startswith("jointkg-rows")]
+
+    def test_a_budget_of_one_row_runs_inline(self):
+        # three ranges would hold three one-row buffers, three times the budget
+        with row_pool(3, block_bytes=8 * 10):
+            calls = recorded_rows(5, 10)
+        assert [(start, stop, shape) for start, stop, shape, *_ in calls] == [
+            (row, row + 1, (1, 10)) for row in range(5)]
+        assert {name for *_, name in calls} == {threading.current_thread().name}
+
     def test_one_core_runs_inline(self):
-        names = []
         with row_pool(1):
-            diff.pooled_rows(50, 4, lambda rows, buffer: names.append(
-                threading.current_thread().name))
-            assert diff._pool is None
-        assert names == [threading.current_thread().name]
+            calls = recorded_rows(50, 4)
+        assert [(start, stop, name) for start, stop, _, _, name in calls] == [
+            (0, 50, threading.current_thread().name)]
 
     def test_an_error_in_a_slice_reaches_the_caller_and_the_pool_survives(self, monkeypatch):
         sweep = small_sweep(3)  # two threads: slices of rows 0-1 and of row 2
@@ -357,17 +380,14 @@ class TestPooledScoring:
             monkeypatch.setattr(distance, "cdist", second_slice_fails)
             with pytest.raises(ValueError, match="second slice"):
                 score_all_tails(*sweep)
-            pool = diff._pool
             monkeypatch.setattr(distance, "cdist", cdist)
             scores = score_all_tails(*sweep)
-            assert diff._pool is pool
         assert scores.tobytes() == serial_cdist_scores(*sweep).tobytes()
 
     def test_a_forked_child_scores_after_the_parent_used_the_pool(self):
         sweep = small_sweep(5)
         with row_pool(2):
             score_all_tails(*sweep)
-            assert diff._pool is not None  # its threads now wait, idle
             child = multiprocessing.get_context("fork").Process(target=_score_in_child,
                                                                 args=(sweep,))
             child.start()

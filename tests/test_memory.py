@@ -4,9 +4,10 @@ fusion or head input on the alignment tape, a fusion hook that copies no
 completion table, traced peaks of the blocked ops, of the entropy and of
 greedy matching bounded by their kept tables plus one block budget (a few
 cache tiles for the tiled forward), an ENTR step at budget 0 that builds no
-alignment matrix, pooled row slices that share one budget, checkpoint saves
-and loads that build no whole-file copy, and a resume that keeps no second
-copy of the checkpoint's arrays."""
+alignment matrix, pooled row ranges whose buffers share one budget,
+checkpoint saves and loads that build no whole-file copy, and a resume that
+keeps no second copy of the checkpoint's arrays."""
+import threading
 import tracemalloc
 
 import numpy as np
@@ -164,13 +165,18 @@ def test_entr_step_at_budget_zero_builds_no_alignment_matrix(small_budget, monke
     assert built == []
 
 
-def test_pooled_rounds_share_one_budget_of_buffers():
+def test_pooled_ranges_share_one_budget_of_buffers():
     # three threads fill 16 MB of rows; the buffers they are lent hold one
-    # budget between them, not one per thread or one per round
+    # budget between them, not one per thread
+    names = set()
+
+    def fill(rows, buffer):
+        names.add(threading.current_thread().name)
+        buffer.fill(1.0)
+
     with row_pool(3, BUDGET):
-        _, peak = traced_peak(lambda: diff.pooled_rows(
-            2_000, 1_000, lambda rows, buffer: buffer.fill(1.0)))
-        assert diff._pool is not None
+        _, peak = traced_peak(lambda: diff.pooled_rows(2_000, 1_000, fill))
+    assert names and all(name.startswith("jointkg-rows") for name in names)
     assert peak < 1.1 * BUDGET
 
 
@@ -194,11 +200,11 @@ def test_alignment_tape_keeps_no_fusion_or_head_concatenation():
     # them alone adds at least 2
     state = TrainState(toy_pair_dataset(entities=2_000, extra_edges=4_000, seed_pairs=200),
                        small_config(layers=2, dim=32))
-    hook = state.fusion_hook()
+    state.fusion_hook()  # keeps the untaped completion layers, outside the trace
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        finals, _ = state.alignment_layers_and_finals(tape=True, hook=hook)
+        finals, _ = state.alignment_layers_and_finals(tape=True)
         after, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -193,14 +193,22 @@ class TestUntapedCompletionLayers:
         self.assert_fresh(state, after_update)
 
     def test_one_encode_serves_the_hook_and_validation(self, monkeypatch):
-        state = TrainState(toy_pair_dataset(), small_config())
+        """With SIR, an epoch's alignment steps, its ENTR step and validation
+        share one untaped completion encode, made after the completion steps."""
+        state = TrainState(toy_pair_dataset(), small_config(steps_per_epoch=3))
+        state.initialize_entropy_baseline()
+        side = {id(state.model.completion_encoder): "completion",
+                id(state.model.alignment_side_encoder): "alignment"}
         calls = []
         monkeypatch.setattr("jointkg.train.encode",
                             lambda edges, params, hook=None:
-                            calls.append(params) or encode(edges, params, hook))
-        state.fusion_hook()
+                            calls.append((side[id(params)], diff._grad_enabled))
+                            or encode(edges, params, hook))
+        record = train_epoch(state)
         validation_mrr(state)
-        assert calls == [state.model.completion_encoder]
+        assert state.config.sir_active and record["entr"]["transferred"] == 0
+        assert calls == ([("completion", True)] * 3 + [("completion", False)]
+                         + [("alignment", True)] * 3 + [("alignment", False)])
 
 
 class TestEntrStep:
@@ -374,8 +382,8 @@ class TestFit:
         losses = []
         alignment_step = TrainState.alignment_step
 
-        def spy(state, hook=None):
-            losses.append(alignment_step(state, hook=hook))
+        def spy(state):
+            losses.append(alignment_step(state))
             return losses[-1]
 
         def run(path):
