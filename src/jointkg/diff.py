@@ -27,6 +27,17 @@ nothing; and Adam's moments start at +0.0, which a zero gradient of either
 sign keeps. Leaf gradients can differ from running every grad_fn only in
 the sign of a zero, and parameters, moments and checkpoints not at all.
 
+Exact-zero rows cost nothing either, in the two hinge backwards:
+`translation_l1` and `cosine_distance` build their scatter plans and
+column-block tables over the rows whose incoming gradient is nonzero
+(`_live_rows`), in ascending order, and no others. The rule is the one
+above, applied per row: a dropped row's term is its zero gradient times a
+finite factor, so it would add only zeros of either sign; each CSR target
+starts from +0.0 and adds its rows in ascending input order, and a partial
+sum that starts from +0.0 is never -0.0, so no bit moves. A row whose
+factor is not finite (a cosine of inf / inf) is kept, as 0 * nan is nan.
+When every row is live, nothing is copied.
+
 The fused ops `affine`, `translation_l1`, `neighbor_attention` and
 `cosine_distance` each record one node where the composed graph they
 replace recorded several; `affine` and `cosine_distance` match theirs bit
@@ -475,6 +486,17 @@ def _row_scatter_sum(index: np.ndarray, rows: np.ndarray, num_rows: int) -> np.n
     return _scatter_plan(index, num_rows, rows.shape[0]) @ rows
 
 
+def _live_rows(g: np.ndarray, factor: np.ndarray | None = None):
+    """The rows a hinge backward scatters: those whose gradient g is nonzero,
+    and those whose `factor` (a per-row value g multiplies) is not finite,
+    as 0 * inf and 0 * nan are nan. slice(None) when that is every row, so
+    nothing is copied; else their ascending positions."""
+    live = g != 0
+    if factor is not None:
+        live |= ~np.isfinite(factor)
+    return slice(None) if np.all(live) else np.flatnonzero(live)
+
+
 def _check_range(index: np.ndarray, size: int, what: str) -> None:
     if index.size and (index.min() < 0 or index.max() >= size):
         raise DiffError(f"{what} out of range")
@@ -497,7 +519,8 @@ def translation_l1(entities: Tensor, relations: Tensor, heads, rels, tails) -> T
 
     The forward runs in tiles of `_EDGE_BLOCK` rows; the backward scatters
     u = sign * -g in column blocks, with the accumulation order of the
-    module docstring."""
+    module docstring, over the rows whose g is nonzero: a zero g[i] makes
+    u[i] zeros of either sign, which would change no sum."""
     h = np.asarray(heads, dtype=np.int64)
     r = np.asarray(rels, dtype=np.int64)
     t = np.asarray(tails, dtype=np.int64)
@@ -520,13 +543,16 @@ def translation_l1(entities: Tensor, relations: Tensor, heads, rels, tails) -> T
         out[rows] = np.abs(delta, out=delta).sum(axis=1) * -1.0
 
     def grad_fn(g):
-        ends = _scatter_plan(np.concatenate([h, t]), e.shape[0], h.size,
-                             np.repeat(np.array([1, -1], dtype=np.int8), h.size))
-        by_relation = _scatter_plan(r, rel.shape[0], h.size)
+        live = _live_rows(g)
+        ends = np.concatenate([h[live], t[live]])  # live heads, then live tails
+        count = ends.size // 2
+        ends = _scatter_plan(ends, e.shape[0], count,
+                             np.repeat(np.array([1, -1], dtype=np.int8), count))
+        by_relation = _scatter_plan(r[live], rel.shape[0], count)
+        minus_g = -g[live]  # made after the plans, whose build sets the peak
         entity_grad, relation_grad = np.empty(e.shape), np.empty(rel.shape)
-        minus_g = (-g)[:, None]
-        for cols, (u,) in _column_blocks(h.size, dim, 1):
-            np.multiply(sign[:, cols], minus_g, out=u)
+        for cols, (u,) in _column_blocks(count, dim, 1):
+            np.multiply(sign[live, cols], minus_g[:, None], out=u)
             entity_grad[:, cols] = ends @ u
             relation_grad[:, cols] = by_relation @ u
         return entity_grad, relation_grad
@@ -541,11 +567,14 @@ def cosine_distance(table: Tensor, left, right) -> Tensor:
     cosine distance of the two gathered matrices. The node keeps the index
     arrays and each pair's norms and cosine, but no gathered (pairs x dim)
     rows: the forward takes row norms and dot products in row blocks, and
-    the backward forms the row gradients in column blocks. Its two parent
-    slots are `table` twice, the left rows' scatter-sum then the right
-    rows', so `backward` adds them in the order the two gathers did; within
-    each, a row adds its pairs in ascending order. A pair is refused when
-    either row's squared norm is below the smallest normal float, zero
+    the backward forms the row gradients in column blocks, over the pairs
+    whose gradient is nonzero or whose cosine is not finite (see the module
+    docstring). Each side gathers its pairs' rows into two tables and forms
+    its gradient terms in them in place, in the gathered form's order. Its
+    two parent slots are `table` twice, the left rows' scatter-sum then the
+    right rows', so `backward` adds them in the order the two gathers did;
+    within each, a row adds its pairs in ascending order. A pair is refused
+    when either row's squared norm is below the smallest normal float, zero
     included: the backward divides the cosine by it, and would be infinite.
     """
     x = table.values
@@ -571,19 +600,25 @@ def cosine_distance(table: Tensor, left, right) -> Tensor:
     cos = dot / (nu * nv)
 
     def grad_fn(g):
-        gcol, nunv = -g[:, None], (nu * nv)[:, None]
-        cos_nu, cos_nv = (cos / (nu * nu))[:, None], (cos / (nv * nv))[:, None]
-        left_plan = _scatter_plan(left, x.shape[0], count)
-        right_plan = _scatter_plan(right, x.shape[0], count)
+        live = _live_rows(g, cos)
+        gcol, nunv = -g[live][:, None], (nu * nv)[live][:, None]
+        cos_nu, cos_nv = (cos / (nu * nu))[live][:, None], (cos / (nv * nv))[live][:, None]
+        live_left, live_right = left[live], right[live]
+        del live  # freed before the plans and tables are made
+        left_plan = _scatter_plan(live_left, x.shape[0], live_left.size)
+        right_plan = _scatter_plan(live_right, x.shape[0], live_left.size)
         left_grad, right_grad = np.empty(x.shape), np.empty(x.shape)
-        for cols, (u, v, work, term) in _column_blocks(count, dim, 4):
-            np.take(x[:, cols], left, axis=0, out=u, mode="clip")  # clip: indices checked
-            np.take(x[:, cols], right, axis=0, out=v, mode="clip")
-            # in place, gcol * (v / nunv - cos_nu * u), then with u and v swapped
-            for grad, plan, own, other, cos_own in ((left_grad, left_plan, u, v, cos_nu),
-                                                    (right_grad, right_plan, v, u, cos_nv)):
-                np.divide(other, nunv, out=work)
-                work -= np.multiply(cos_own, own, out=term)
+        for cols, (work, term) in _column_blocks(live_left.size, dim, 2):
+            # u, v the left and right rows: in place, gcol * (v / nunv -
+            # cos_nu * u), then with u and v swapped, each side gathering
+            # its two row tables afresh
+            for grad, plan, own, other, cos_own in (
+                    (left_grad, left_plan, live_left, live_right, cos_nu),
+                    (right_grad, right_plan, live_right, live_left, cos_nv)):
+                np.take(x[:, cols], other, axis=0, out=work, mode="clip")  # clip: indices checked
+                np.take(x[:, cols], own, axis=0, out=term, mode="clip")
+                work /= nunv
+                work -= np.multiply(cos_own, term, out=term)
                 work *= gcol
                 grad[:, cols] = plan @ work
         return left_grad, right_grad
@@ -879,7 +914,8 @@ class Adam:
     counts the step: that step would keep m = v = +0.0 (m starts at +0.0,
     +0.0 plus a zero of either sign is +0.0, and g * g is +0.0) and subtract
     +0.0, which changes no bit. So a zero's sign in a gradient moves no
-    parameter or moment either. Each
+    parameter or moment either. A step that meets a non-finite gradient
+    raises DiffError before it changes `t`, a moment or a parameter. Each
     optimizer keeps one moment buffer per parameter, so two optimizers over
     disjoint parameter sets never interact. `state_dict` holds the step count
     `t` and copies of the moments `m` and `v`; the learning rate comes from
@@ -897,13 +933,14 @@ class Adam:
         self.v = [np.zeros(p.values.shape) for p in self.params]
 
     def step(self) -> None:
+        # every gradient is checked before `t`, a moment or a parameter moves
+        if not all(p.grad is None or np.all(np.isfinite(p.grad)) for p in self.params):
+            raise DiffError("non-finite gradient")
         self.t += 1
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if g is None:
                 continue
-            if not np.all(np.isfinite(g)):
-                raise DiffError("non-finite gradient")
             if not (g.any() or m.any() or v.any()):
                 continue
             # in place, in the order of lr * m_hat / sqrt(v_hat + eps) with

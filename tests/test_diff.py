@@ -1024,6 +1024,109 @@ class TestCosineHinge:
             alignment_loss([(0, 2)], [(0, (0, 3))], 0.5, table)
 
 
+@st.composite
+def _masked_gradient(draw, count):
+    """A (count,) hinge gradient whose dead rows hold 0.0 or -0.0, in one of
+    four patterns: a random mask, one live row, every row live, or all rows
+    live but one."""
+    pattern = draw(st.sampled_from(["random", "one", "all", "all but one"]))
+    if pattern == "random":
+        live = draw(arrays(np.bool_, (count,)))
+    else:
+        live = np.full(count, pattern != "one")
+        if pattern != "all":
+            live[draw(st.integers(0, count - 1))] = pattern == "one"
+    values = draw(arrays(np.float64, (count,), elements=st.one_of(
+        st.sampled_from([1.0, -1.0, 0.5, 1e16, -1e-17]), st.floats(1e-3, 1e3))))
+    zeros = draw(arrays(np.float64, (count,), elements=st.sampled_from([0.0, -0.0])))
+    return np.where(live, values, zeros)
+
+
+class TestLiveRows:
+    """Both hinge backwards scatter the rows whose gradient is nonzero, and
+    no other: their gradients equal the full-row oracles of `tests/util.py`
+    bit for bit, and every scatter plan they build has one input per live
+    row (`translation_l1`'s entity plan two: its heads, then its tails)."""
+
+    @staticmethod
+    def _grad_fn_with_plans(build, g, budget):
+        """The op's grad_fn outputs for `g` under a `BLOCK_BYTES` budget, and
+        the (index size, input count) of each scatter plan it built."""
+        plans, scatter_plan = [], diff._scatter_plan
+
+        def spy(index, num_rows, num_inputs, signs=None):
+            plans.append((index.size, num_inputs))
+            return scatter_plan(index, num_rows, num_inputs, signs)
+
+        node = build()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diff, "BLOCK_BYTES", budget)
+            patch.setattr(diff, "_scatter_plan", spy)
+            return node._grad_fn(g), plans
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_translation_l1_equals_full_rows_bitwise(self, data):
+        # few entities, so heads and tails repeat; values of 0 and +-1 give
+        # exact zero deltas (sign 0); some rows are forced self-loops
+        entity_count, relation_count = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        dim, count = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 30))
+        ids = arrays(np.int64, (count,), elements=st.integers(0, entity_count - 1))
+        heads, tails = data.draw(ids), data.draw(ids)
+        tails = np.where(data.draw(arrays(np.bool_, (count,))), heads, tails)
+        rels = data.draw(arrays(np.int64, (count,), elements=st.integers(0, relation_count - 1)))
+        e = data.draw(arrays(np.float64, (entity_count, dim), elements=_SCATTER_VALUES))
+        r = data.draw(arrays(np.float64, (relation_count, dim), elements=_SCATTER_VALUES))
+        g = data.draw(_masked_gradient(count))
+        got, plans = self._grad_fn_with_plans(
+            lambda: diff.translation_l1(diff.param(e), diff.param(r), heads, rels, tails),
+            g, data.draw(_BUDGETS))
+        expected = reference_translation_l1(diff.param(e), diff.param(r), heads, rels,
+                                            tails)._grad_fn(g)
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(_bits(a), _bits(b))
+        live = np.count_nonzero(g)
+        assert plans == [(2 * live, live), (live, live)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_cosine_distance_equals_full_rows_bitwise(self, data):
+        n, dim = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 5))
+        count = data.draw(st.integers(1, 25))
+        ids = arrays(np.int64, (count,), elements=st.integers(0, n - 1))
+        left, right = data.draw(ids), data.draw(ids)
+        table = data.draw(arrays(np.float64, (n, dim), elements=_COSINE_VALUES))
+        # rows whose squared norm underflows are refused; give them a 1.0
+        table[np.sqrt((table * table).sum(axis=1)) ** 2 < np.finfo(np.float64).tiny, 0] = 1.0
+        g = data.draw(_masked_gradient(count))
+        got, plans = self._grad_fn_with_plans(
+            lambda: diff.cosine_distance(diff.param(table), left, right),
+            g, data.draw(_BUDGETS))
+        gathered = reference_cosine_distance(diff.param(table), left, right)
+        expected = [gather._grad_fn(rows)[0]
+                    for gather, rows in zip(gathered._parents, gathered._grad_fn(g))]
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(_bits(a), _bits(b))
+        live = np.count_nonzero(g)
+        assert plans == [(live, live), (live, live)]
+
+    def test_cosine_dead_pair_with_a_non_finite_cosine_still_scatters(self):
+        # row 0's norm and its dot product with itself overflow, so pair 0's
+        # cosine is inf / inf = nan; at a zero gradient its full-row term is
+        # 0 * nan = nan, which the live-row backward passes on too
+        table = np.array([[1e200, 1e200], [1.0, 2.0], [3.0, -1.0]])
+        left, right, g = np.array([0, 1, 2]), np.array([0, 2, 1]), np.array([0.0, 1.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            node = diff.cosine_distance(diff.param(table), left, right)
+            got = node._grad_fn(g)
+            gathered = reference_cosine_distance(diff.param(table), left, right)
+            expected = [gather._grad_fn(rows)[0]
+                        for gather, rows in zip(gathered._parents, gathered._grad_fn(g))]
+        assert np.isnan(node.values[0])
+        for a, b in zip(got, expected, strict=True):
+            assert np.isnan(a[0]).all() and np.array_equal(_bits(a), _bits(b))
+
+
 @pytest.mark.parametrize("seed", [8000, 8001, 8002])
 @settings(max_examples=8, deadline=None)
 @given(budget=_BUDGETS)
@@ -1147,6 +1250,27 @@ class TestAdam:
         p.grad = np.array([1.0, np.nan])
         with pytest.raises(DiffError, match="non-finite gradient"):
             opt.step()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_refused_step_changes_nothing(self, bad, warm):
+        # the second parameter's gradient is non-finite, and the first
+        # parameter, stepped before it is reached, must not move either; a
+        # warm optimizer has taken one live step, so its moments are nonzero
+        params = [diff.param(np.array([1.0, -2.0])), diff.param(np.array([3.0, 4.0]))]
+        opt = diff.Adam(params, lr=0.1)
+        if warm:
+            for p in params:
+                p.grad = np.array([0.5, -0.25])
+            opt.step()
+        before = [a.copy() for a in [p.values for p in params] + opt.m + opt.v]
+        params[0].grad = np.array([1.0, 1.0])
+        params[1].grad = np.array([1.0, bad])
+        with pytest.raises(DiffError, match="non-finite gradient"):
+            opt.step()
+        assert opt.t == int(warm)
+        for got, want in zip([p.values for p in params] + opt.m + opt.v, before):
+            assert np.array_equal(_bits(got), _bits(want))
 
     def test_none_gradients_are_skipped(self):
         p = diff.param(np.array([3.0]))

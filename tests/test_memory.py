@@ -85,23 +85,36 @@ ROWS, DIM = 40_000, 64
 VECTOR = 8 * ROWS
 
 
-def test_translation_l1_peak_stays_within_signs_and_budgets(small_budget):
+def _translation_l1_peak(live_share):
+    """The traced peak of one `translation_l1` forward and backward whose
+    incoming gradient is nonzero on about `live_share` of the rows."""
     rng = np.random.default_rng(2)
     entities = diff.param(rng.normal(size=(500, DIM)))
     relations = diff.param(rng.normal(size=(10, DIM)))
     heads, tails = rng.integers(500, size=ROWS), rng.integers(500, size=ROWS)
     rels = rng.integers(10, size=ROWS)
-    weights = diff.tensor(rng.normal(size=ROWS))
+    weights = diff.tensor(np.where(rng.random(ROWS) < live_share, rng.normal(size=ROWS), 0.0))
 
     def step():
         scores = diff.translation_l1(entities, relations, heads, rels, tails)
         diff.backward(diff.sum_all(diff.mul(scores, weights)))
 
-    # the signs, about eleven (rows,) vectors (the scatter plans' orders and
-    # entries, the index arrays, the scores and their gradients) and one
-    # buffer of u, which every column block reuses
-    _, peak = traced_peak(step)
-    assert peak < ROWS * DIM + 12 * VECTOR + BUDGET
+    return traced_peak(step)[1]
+
+
+# the signs, about eleven (rows,) vectors (the scatter plans' orders and
+# entries, the index arrays, the scores and their gradients) and one buffer
+# of u, which every column block reuses; with fewer live rows the plans, the
+# live rows' indices and u shrink
+TRANSLATION_L1_BOUND = ROWS * DIM + 12 * VECTOR + BUDGET
+
+
+def test_translation_l1_peak_stays_within_signs_and_budgets(small_budget):
+    assert _translation_l1_peak(1.0) < TRANSLATION_L1_BOUND
+
+
+def test_half_live_translation_l1_peak_stays_within_signs_and_budgets(small_budget):
+    assert _translation_l1_peak(0.5) < TRANSLATION_L1_BOUND
 
 
 def test_translation_l1_forward_peak_stays_within_signs_output_and_tiles():
@@ -118,17 +131,41 @@ def test_translation_l1_forward_peak_stays_within_signs_output_and_tiles():
     assert peak < rows * DIM + 8 * rows + 6 * 8 * diff._EDGE_BLOCK * DIM
 
 
-def test_hinge_peak_stays_within_vectors_and_budgets(small_budget):
+def _hinge_peak(margin):
+    """(share of live pairings, traced peak of the alignment hinge's forward
+    and backward) over 40,000 random pairings at `margin`."""
     rng = np.random.default_rng(3)
     finals = diff.param(rng.normal(size=(2_000, DIM)))
     pairs = rng.integers(2_000, size=(ROWS, 2))
-    negatives = list(zip(range(ROWS), map(tuple, rng.integers(2_000, size=(ROWS, 2)).tolist())))
-    # about 37 (pairings,) vectors (both nodes' norms, cosines and scatter
-    # plans, the hinge's terms) and the backward's four tables (u, v and two
-    # work tables), which take one budget, or one column each when a column
-    # of them is more: one column of the four is 1.28 MB at 40,000 pairings
-    _, peak = traced_peak(lambda: diff.backward(alignment_loss(pairs, negatives, 0.5, finals)))
-    assert peak < 38 * VECTOR + max(BUDGET, 4 * VECTOR)
+    negative_pairs = rng.integers(2_000, size=(ROWS, 2))
+    negatives = list(zip(range(ROWS), map(tuple, negative_pairs.tolist())))
+    unit = finals.values / np.linalg.norm(finals.values, axis=1, keepdims=True)
+
+    def distance(rows):
+        return 1.0 - (unit[rows[:, 0]] * unit[rows[:, 1]]).sum(axis=1)
+
+    share = np.mean(margin + distance(pairs) - distance(negative_pairs) > 0)
+    _, peak = traced_peak(lambda: diff.backward(alignment_loss(pairs, negatives, margin, finals)))
+    return share, peak
+
+
+# about 37 (pairings,) vectors (both nodes' norms, cosines and scatter plans,
+# the hinge's terms) and the backward's two tables (each side's gathered rows,
+# then its work in place), which take one budget, or one column each when a
+# column of them is more: one column of the two is 0.64 MB at 40,000
+# pairings, and the bound leaves room for four
+HINGE_BOUND = 38 * VECTOR + max(BUDGET, 4 * VECTOR)
+
+
+def test_hinge_peak_stays_within_vectors_and_budgets(small_budget):
+    share, peak = _hinge_peak(0.5)
+    assert share > 0.99 and peak < HINGE_BOUND
+
+
+def test_half_live_hinge_peak_stays_within_vectors_and_budgets(small_budget):
+    # at margin 0 a pairing is live when its positive is the farther pair
+    share, peak = _hinge_peak(0.0)
+    assert 0.4 < share < 0.6 and peak < HINGE_BOUND
 
 
 def test_matrix_entropy_peak_stays_within_one_table_and_budgets(small_budget):

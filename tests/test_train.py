@@ -38,6 +38,8 @@ from .util import (
     read_checkpoint,
     reference_adam_step,
     reference_backward,
+    reference_cosine_distance,
+    reference_translation_l1,
     toy_pair_dataset,
     write_checkpoint,
 )
@@ -399,6 +401,47 @@ class TestFit:
             patch.setattr(diff, "backward", reference_backward)
             patch.setattr(diff.Adam, "step", reference_step)
             assert run(tmp_path / "reference.npz") == skipped
+
+    def test_live_row_backwards_save_the_bytes_of_full_row_ones(self, tmp_path, monkeypatch):
+        """With a partly inactive completion hinge and, at gamma_a = 0.5, an
+        alignment hinge live in some steps, both hinge backwards scatter only
+        their live rows; the saved checkpoint is byte for byte that of a fit
+        through the full-row `reference_translation_l1` and
+        `reference_cosine_distance`."""
+        config = small_config(gamma_alignment=0.5, si_mode="with", steps_per_epoch=3)
+        calls, losses = [], []
+        alignment_step = TrainState.alignment_step
+
+        def spy(state):
+            losses.append(alignment_step(state))
+            return losses[-1]
+
+        def recorded(op):
+            def build(*args):
+                node = op(*args)
+                grad_fn = node._grad_fn
+
+                def run(g):
+                    calls.append((op.__name__, np.count_nonzero(g), g.size))
+                    return grad_fn(g)
+                node._grad_fn = run
+                return node
+            return build
+
+        path = tmp_path / "live_rows.npz"
+        with monkeypatch.context() as patch:
+            patch.setattr(TrainState, "alignment_step", spy)
+            for name in ("translation_l1", "cosine_distance"):
+                patch.setattr(diff, name, recorded(getattr(diff, name)))
+            fit(mirrored_pair(0, config.dim), config).save(path)
+        assert any(loss > 0.0 for loss in losses)
+        for name in ("translation_l1", "cosine_distance"):
+            assert any(0 < live < size for op, live, size in calls if op == name), name
+        with monkeypatch.context() as patch:
+            patch.setattr(diff, "translation_l1", reference_translation_l1)
+            patch.setattr(diff, "cosine_distance", reference_cosine_distance)
+            fit(mirrored_pair(0, config.dim), config).save(tmp_path / "full_rows.npz")
+        assert (tmp_path / "full_rows.npz").read_bytes() == path.read_bytes()
 
     def test_epochs_zero_returns_initial_checkpoint(self):
         multikg = toy_pair_dataset()
