@@ -76,7 +76,8 @@ each center sums alpha[i] * e[nb[i]] in one CSR product and
 alpha[i] * comp[rel[i]] in another, both in ascending edge order, then takes
 the second sum from the first. Zero relations, weight and bias give the
 uniform 1/deg(c) sum of bare neighbor rows bit for bit. Its node keeps no
-(edges x dim) array; see its docstring for the backward.
+(edges x dim) array; see its docstring for the backward. Its `EdgeList`
+checks the edge layout once, when it is made, so no call scans the ids.
 """
 from __future__ import annotations
 
@@ -676,22 +677,54 @@ def segment_softmax(logits: Tensor, segments, num_segments: int) -> Tensor:
     return _result(out, (logits,), grad_fn, "segment_softmax")
 
 
+class EdgeList:
+    """Center-sorted (center, neighbor, relation) rows over `num_entities`
+    entities, checked once here: one-dimensional ids of one length, centers
+    and neighbors in [0, num_entities), relations non-negative, centers
+    sorted. Read-only copies, so the check cannot go stale. Center c owns rows
+    indptr[c]:indptr[c + 1]; `csr_index` is (indptr, neighbors, relations) in
+    scipy's index dtype (int32 where they fit), so CSR plans convert nothing."""
+
+    def __init__(self, centers, neighbors, relations, num_entities: int):
+        c, nb, rel = (np.array(a, dtype=np.int64, order="C")
+                      for a in (centers, neighbors, relations))
+        if c.ndim != 1 or not c.shape == nb.shape == rel.shape:
+            raise DiffError("EdgeList needs three one-dimensional index arrays of one length")
+        n = self.num_entities = int(num_entities)
+        self.max_relation = int(rel.max()) if rel.size else -1
+        _check_range(c, n, "EdgeList center")
+        _check_range(nb, n, "EdgeList neighbor")
+        _check_range(rel, self.max_relation + 1, "EdgeList relation")  # a negative id
+        if np.any(c[1:] < c[:-1]):
+            raise DiffError("EdgeList centers must be sorted")
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(c, minlength=n))])
+        fits = max(n, c.size, self.max_relation) <= np.iinfo(np.int32).max
+        self.csr_index = tuple(a.astype(np.int32) if fits else a for a in (ptr, nb, rel))
+        for a in (c, nb, rel, ptr, *self.csr_index):
+            a.flags.writeable = False
+        self.centers, self.neighbors, self.relations, self.indptr = c, nb, rel, ptr
+
+    @property
+    def count(self) -> int:
+        return int(self.centers.size)
+
+
 def neighbor_attention(entities: Tensor, composed: Tensor, weight: Tensor, bias: Tensor,
-                       centers, neighbors, relations, indptr) -> Tensor:
+                       edges: EdgeList) -> Tensor:
     """Attention-weighted neighbor sum of one encoder layer:
     out[c] = sum over edges i of center c of alpha[i] * (e[nb[i]] - comp[rel[i]]).
 
     alpha is the softmax over each center's edges of the logits
     att(concat[e[c], e[nb] - comp[rel]]), with `weight` (2n x 1) and `bias`
-    (1,). `centers` must be sorted, and `indptr` is its row pointer (center c
-    owns edges indptr[c]:indptr[c+1]).
+    (1,). `edges` checked its own layout when it was made, so this op checks
+    only shapes, and that `composed` has a row for every relation id.
 
     The logits come from node projections gathered to the edges, added in
     the order (e.w_c)[c] + (e.w_m)[nb] - (comp.w_m)[rel] + b. The output is
-    A @ e - B @ comp, where A and B are CSR matrices on `indptr` with the
-    alphas as entries and the neighbors (A) or relations (B) as columns,
-    so each center adds alpha[i] * row in ascending edge order. The node
-    keeps only edge-length vectors and the index arrays. Its backward takes
+    A @ e - B @ comp, where A and B are CSR matrices on `edges.csr_index`
+    with the alphas as entries and the neighbors (A) or relations (B) as
+    columns, so each center adds alpha[i] * row in ascending edge order. The
+    node keeps only edge-length vectors and the edge list. Its backward takes
     A^T @ g and B^T @ g (each target adds in ascending edge order), the
     per-edge weight gradient g[c] . (e[nb] - comp[rel]) in blocks of
     `_EDGE_BLOCK` edges, and the logits' gradient back to the node
@@ -700,29 +733,15 @@ def neighbor_attention(entities: Tensor, composed: Tensor, weight: Tensor, bias:
     # imported here, not at module top, so `import jointkg` stays cheap
     from scipy.sparse import csr_matrix
 
-    c = np.asarray(centers, dtype=np.int64)
-    nb = np.asarray(neighbors, dtype=np.int64)
-    rel = np.asarray(relations, dtype=np.int64)
-    ptr = np.asarray(indptr, dtype=np.int64)
-    e = entities.values
-    if c.ndim != 1 or not c.shape == nb.shape == rel.shape:
-        raise DiffError("neighbor_attention needs three one-dimensional index arrays of one length")
-    if e.ndim != 2:
-        raise DiffError(f"neighbor_attention expects an entity matrix, got shape {e.shape}")
-    n, dim = e.shape
-    _check_range(c, n, "neighbor_attention center")
-    _check_range(nb, n, "neighbor_attention neighbor")
-    if np.any(c[1:] < c[:-1]):
-        raise DiffError("neighbor_attention centers must be sorted")
-    degrees = np.bincount(c, minlength=n)
-    if ptr.shape != (n + 1,) or ptr[0] != 0 or not np.array_equal(np.diff(ptr), degrees):
-        raise DiffError("neighbor_attention indptr is not the row pointer of the centers")
-    comp = composed.values
-    w, b = weight.values, bias.values
-    if comp.ndim != 2 or comp.shape[1] != dim or w.shape != (2 * dim, 1) or b.shape != (1,):
+    c, nb, rel, n = edges.centers, edges.neighbors, edges.relations, edges.num_entities
+    e, comp, w, b = entities.values, composed.values, weight.values, bias.values
+    if (e.ndim != 2 or e.shape[0] != n or comp.ndim != 2 or comp.shape[1] != e.shape[1]
+            or w.shape != (2 * e.shape[1], 1) or b.shape != (1,)):
         raise DiffError(f"neighbor_attention shape mismatch {e.shape} / {comp.shape} / "
-                        f"{w.shape} / {b.shape}")
-    _check_range(rel, comp.shape[0], "neighbor_attention relation")
+                        f"{w.shape} / {b.shape} for {n} entities")
+    dim = e.shape[1]
+    if comp.shape[0] <= edges.max_relation:
+        raise DiffError("neighbor_attention relation out of range")
     w_c, w_m = w[:dim, 0], w[dim:, 0]
     center_projected, neighbor_projected = e @ w_c, e @ w_m
     composed_projected = comp @ w_m
@@ -730,8 +749,9 @@ def neighbor_attention(entities: Tensor, composed: Tensor, weight: Tensor, bias:
     logits -= composed_projected[rel]
     logits += b[0]
     alpha, logits_grad = _segment_softmax(logits, c, n)
-    a_plan = csr_matrix((alpha, nb, ptr), shape=(n, n))
-    b_plan = csr_matrix((alpha, rel, ptr), shape=(n, comp.shape[0]))
+    ptr, nb_index, rel_index = edges.csr_index
+    a_plan = csr_matrix((alpha, nb_index, ptr), shape=(n, n))
+    b_plan = csr_matrix((alpha, rel_index, ptr), shape=(n, comp.shape[0]))
     out = a_plan @ e
     out -= b_plan @ comp
 

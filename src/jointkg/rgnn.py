@@ -7,49 +7,29 @@ map of center||message, and each entity update passes the attended sum plus
 the entity's own embedding through a linear + tanh transform. The attention
 and the attended sum are one `diff.neighbor_attention` node per layer, which
 projects at the nodes and aggregates with sparse products over the
-center-sorted edges, so no per-edge vector table is ever built. The same
+center-sorted edges (one `diff.EdgeList`, checked once, when `build_edges`
+makes it), so no per-edge vector table is ever built. The same
 architecture is instantiated twice, once per model component; an optional
 fusion hook rewrites the entity/relation tables at every layer before they
 feed the next one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import diff
-from .diff import Mlp, ParameterBlock, Tensor
+from .diff import EdgeList, Mlp, ParameterBlock, Tensor
 from .kgdata import MultiKg
 
 FusionHook = Callable[[Tensor, Tensor, int], tuple[Tensor, Tensor]]
 
 
-@dataclass
-class EdgeList:
-    """Flattened neighbor sets: one row per (center, neighbor, relation),
-    sorted by center; `indptr` is the row pointer of the centers (center c
-    owns rows indptr[c]:indptr[c + 1]), built once with the list."""
-
-    centers: np.ndarray
-    neighbors: np.ndarray
-    relations: np.ndarray
-    num_entities: int
-    indptr: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.indptr = np.zeros(self.num_entities + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.centers, minlength=self.num_entities),
-                  out=self.indptr[1:])
-
-    @property
-    def count(self) -> int:
-        return int(self.centers.size)
-
-
 def build_edges(multikg: MultiKg) -> EdgeList:
-    """Every KG's N(e) rows (Kg.neighbor_index) in one id space.
+    """Every KG's N(e) rows (Kg.neighbor_index) in one id space, as one
+    `EdgeList`, checked once, that serves every encode until the triples change.
 
     Each KG's rows are sorted by (center, neighbor, relation) and KGs occupy
     consecutive id blocks, so the stacked rows stay sorted, which fixes the
@@ -59,7 +39,7 @@ def build_edges(multikg: MultiKg) -> EdgeList:
     for kg in multikg.kgs:
         offset = multikg.entity_offset(kg.id)
         rows.append(kg.neighbor_index() + [offset, offset, 0])
-    centers, neighbors, relations = np.ascontiguousarray(np.concatenate(rows).T)
+    centers, neighbors, relations = np.concatenate(rows).T
     return EdgeList(centers, neighbors, relations, num_entities=multikg.total_entities)
 
 
@@ -143,8 +123,7 @@ def layer_forward(edges: EdgeList, entity_k: Tensor, relation_k: Tensor,
     else:
         attention = (diff.tensor(np.zeros(relation_k.values.shape)),
                      diff.tensor(np.zeros((2 * params.dim, 1))), diff.tensor(np.zeros(1)))
-    aggregated = diff.neighbor_attention(entity_k, *attention, edges.centers,
-                                         edges.neighbors, edges.relations, edges.indptr)
+    aggregated = diff.neighbor_attention(entity_k, *attention, edges)
     entity_next = params.g[layer](diff.add(aggregated, entity_k))
     relation_next = params.rel[layer](relation_k)
     return entity_next, relation_next

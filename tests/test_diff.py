@@ -12,8 +12,9 @@ from jointkg.alignment import (
     make_fusion_hook,
 )
 from jointkg.completion import alignment_constraint_loss, completion_loss, ranking_loss
+from jointkg.diff import EdgeList
 from jointkg.errors import DiffError
-from jointkg.rgnn import EdgeList, EncoderParams, build_edges, encode, layer_forward
+from jointkg.rgnn import EncoderParams, build_edges, encode, layer_forward
 
 from .util import (
     reference_adam_step,
@@ -712,7 +713,7 @@ class TestNeighborAttention:
     CENTERS = np.array([0, 0, 0, 1, 2, 2, 2])
     NEIGHBORS = np.array([0, 1, 1, 2, 0, 1, 2])
     RELATIONS = np.array([1, 0, 1, 1, 0, 0, 1])
-    INDPTR = np.array([0, 3, 4, 7, 7])
+    EDGES = EdgeList(CENTERS, NEIGHBORS, RELATIONS, num_entities=4)
 
     @staticmethod
     def zero_attention(relation_count, dim):
@@ -722,12 +723,10 @@ class TestNeighborAttention:
                 diff.tensor(np.zeros((2 * dim, 1))), diff.tensor(np.zeros(1)))
 
     @classmethod
-    def _call(cls, entities, composed, weight, bias, **index):
-        arrays = {"centers": cls.CENTERS, "neighbors": cls.NEIGHBORS,
-                  "relations": cls.RELATIONS, "indptr": cls.INDPTR, **index}
-        return diff.neighbor_attention(entities, composed, weight, bias, arrays["centers"],
-                                       arrays["neighbors"], arrays["relations"],
-                                       arrays["indptr"])
+    def _call(cls, entities, composed, weight, bias, edges=None):
+        """The op over `edges`, by default the one list above, built once."""
+        return diff.neighbor_attention(entities, composed, weight, bias,
+                                       cls.EDGES if edges is None else edges)
 
     @settings(max_examples=200, deadline=None)
     @given(_edge_lists(), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1),
@@ -780,27 +779,76 @@ class TestNeighborAttention:
         ("neighbors", [0, 1, 1, 2, 0, 1, 4]), ("neighbors", [0, 1, -1, 2, 0, 1, 2]),
         ("relations", [1, 0, 1, 1, 0, 0, 2]), ("relations", [1, 0, -1, 1, 0, 0, 1])])
     def test_out_of_range_indices_rejected(self, which, bad):
-        name = which[:-1]
-        with pytest.raises(DiffError, match=f"neighbor_attention {name} out of range"):
-            self._call(diff.tensor(np.ones((4, 3))), diff.tensor(np.ones((2, 3))),
-                       diff.tensor(np.ones((6, 1))), diff.tensor(np.ones(1)),
-                       **{which: np.array(bad)})
+        """The edge list refuses every id it can judge: a center or neighbor
+        outside [0, num_entities) and a negative relation. Only a relation
+        past the composed table's rows is left to the op."""
+        index = {"centers": self.CENTERS, "neighbors": self.NEIGHBORS,
+                 "relations": self.RELATIONS, which: np.array(bad)}
+        if which == "relations" and min(bad) >= 0:
+            edges = EdgeList(**index, num_entities=4)
+            with pytest.raises(DiffError, match="neighbor_attention relation out of range"):
+                self._call(diff.tensor(np.ones((4, 3))), diff.tensor(np.ones((2, 3))),
+                           diff.tensor(np.ones((6, 1))), diff.tensor(np.ones(1)), edges)
+        else:
+            with pytest.raises(DiffError, match=f"EdgeList {which[:-1]} out of range"):
+                EdgeList(**index, num_entities=4)
 
     def test_unsorted_centers_rejected(self):
-        with pytest.raises(DiffError, match="centers must be sorted"):
-            self._call(diff.tensor(np.ones((4, 3))), *self.zero_attention(2, 3),
-                       centers=np.array([0, 0, 1, 0, 2, 2, 2]))
+        with pytest.raises(DiffError, match="EdgeList centers must be sorted"):
+            EdgeList([0, 0, 1, 0, 2, 2, 2], self.NEIGHBORS, self.RELATIONS, num_entities=4)
 
-    @pytest.mark.parametrize("indptr", [[0, 3, 4, 7], [0, 3, 4, 6, 7], [1, 3, 4, 7, 7]])
-    def test_wrong_row_pointer_rejected(self, indptr):
-        with pytest.raises(DiffError, match="indptr is not the row pointer"):
-            self._call(diff.tensor(np.ones((4, 3))), *self.zero_attention(2, 3),
-                       indptr=np.array(indptr))
+    def test_call_checks_no_edge_id(self, monkeypatch):
+        """The list checked its ids when it was made, and a call, forward or
+        backward, checks none of them again."""
+        monkeypatch.setattr(diff, "_check_range", None)
+        entities = diff.param(np.ones((4, 3)))
+        diff.backward(diff.sum_all(self._call(entities, *self.zero_attention(2, 3))))
+        assert entities.grad.shape == (4, 3)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DiffError, match="shape mismatch"):
-            self._call(diff.tensor(np.ones((4, 3))), diff.tensor(np.ones((2, 3))),
-                       diff.tensor(np.ones((3, 1))), diff.tensor(np.ones(1)))
+        """A weight of the wrong length, or an entity table whose rows are not
+        the edge list's 4 entities."""
+        for entities, weight in [((4, 3), (3, 1)), ((5, 3), (6, 1)), ((3, 3), (6, 1))]:
+            with pytest.raises(DiffError, match="shape mismatch"):
+                self._call(diff.tensor(np.ones(entities)), diff.tensor(np.ones((2, 3))),
+                           diff.tensor(np.ones(weight)), diff.tensor(np.ones(1)))
+
+
+class TestEdgeList:
+    """The layout `neighbor_attention` trusts is checked once, when the list
+    is made, and cannot change after."""
+
+    def test_keeps_row_pointer_and_an_index_scipy_takes_as_is(self):
+        from scipy.sparse import csr_matrix
+
+        edges = TestNeighborAttention.EDGES
+        assert edges.indptr.tolist() == [0, 3, 4, 7, 7]
+        assert (edges.count, edges.max_relation) == (7, 1)
+        for got, want in zip(edges.csr_index, (edges.indptr, edges.neighbors, edges.relations)):
+            assert got.dtype == np.int32 and np.array_equal(got, want)
+        ptr, neighbors, _ = edges.csr_index
+        plan = csr_matrix((np.ones(edges.count), neighbors, ptr), shape=(4, 4))
+        assert np.shares_memory(plan.indices, neighbors) and np.shares_memory(plan.indptr, ptr)
+
+    @pytest.mark.parametrize("centers, neighbors, relations, message", [
+        ([0, 5], [0, 1], [0, 0], "EdgeList center out of range"),
+        ([-1, 0], [0, 1], [0, 0], "EdgeList center out of range"),
+        ([1, 0], [0, 1], [0, 0], "EdgeList centers must be sorted"),
+        ([0, 1], [0, 1], [0], "one-dimensional index arrays of one length"),
+        ([[0, 1]], [[0, 1]], [[0, 0]], "one-dimensional index arrays of one length")])
+    def test_refuses_what_it_cannot_hold(self, centers, neighbors, relations, message):
+        with pytest.raises(DiffError, match=message):
+            EdgeList(centers, neighbors, relations, num_entities=3)
+
+    def test_arrays_are_read_only_copies(self):
+        centers = np.array([0, 1])
+        edges = EdgeList(centers, [1, 0], [0, 0], num_entities=3)
+        centers[0] = 2
+        assert edges.centers.tolist() == [0, 1]
+        for array in (edges.centers, edges.neighbors, edges.relations, edges.indptr,
+                      *edges.csr_index):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 class TestAffine:

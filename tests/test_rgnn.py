@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jointkg import diff
+from jointkg.diff import EdgeList
 from jointkg.kgdata import Kg, MultiKg, RelationVocab
-from jointkg.rgnn import EdgeList, EncoderParams, build_edges, encode, layer_forward
+from jointkg.rgnn import EncoderParams, build_edges, encode, layer_forward
 
 from .util import (
     append_transferred,

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 
 from jointkg import diff
-from jointkg.diff import Mlp, Tensor
+from jointkg.diff import EdgeList, Mlp, Tensor
 from jointkg.errors import CompletionError, DiffError
 from jointkg.kgdata import Kg, MultiKg, RelationVocab
-from jointkg.rgnn import EdgeList, EncoderParams, LayerEmbeddings
+from jointkg.rgnn import EncoderParams, LayerEmbeddings
 
 
 def zero_mlp(dims, activations):
