@@ -10,10 +10,10 @@ through `diff.cosine_distance`, no taped gathers.
 The similarity matrix is a plain (source x target) ndarray of cosines.
 Aligned pairs are (left, right) rows, as in `SeedSet.pairs`; negatives are
 int64 (positive index, left, right) rows, the form `nearest_negatives`
-returns and `alignment_loss` reads. Nearest negatives rank columns through
-`top_columns`, and greedy matching computes each row's best free column;
-both work in row blocks of at most `diff.BLOCK_BYTES` bytes of float64
-values."""
+returns and `alignment_loss` reads. `cosine_rows`, the one untaped cosine
+kernel and the one check of the finals, feeds the matrix, nearest negatives
+(ranked by `top_columns`) and ENTR; it and greedy's best free columns work
+in row blocks of at most `diff.BLOCK_BYTES` bytes of float64 values."""
 from __future__ import annotations
 
 import heapq
@@ -78,6 +78,8 @@ def final_embeddings(layers: LayerEmbeddings, head: Mlp) -> tuple[Tensor, list[T
 
 
 def _unit_rows(table: np.ndarray, side: str) -> np.ndarray:
+    if not np.all(np.isfinite(table)):
+        raise AlignmentError(f"non-finite embedding in {side} final table")
     norms = np.sqrt((table * table).sum(axis=1))
     if np.any(norms == 0.0):
         raise AlignmentError(f"zero-norm embedding in {side} final table")
@@ -86,9 +88,10 @@ def _unit_rows(table: np.ndarray, side: str) -> np.ndarray:
 
 def cosine_rows(source_finals: np.ndarray, target_finals: np.ndarray, out=None):
     """Yield (rows, unit(source)[rows] @ unit(target).T) over source row
-    blocks of a third of `diff.BLOCK_BYTES` (`entr.matrix_entropy` makes two
-    tables of each), written into out[rows] if `out` is given. BLAS rounds a
-    cosine by its row's place in a product, so all callers take these blocks."""
+    blocks of a third of `diff.BLOCK_BYTES` (ENTR and `top_columns` make two
+    more tables of each), written into out[rows] if `out` is given. BLAS
+    rounds a cosine by its row's place in a product, so all callers take
+    these blocks. A non-finite or zero-norm row raises AlignmentError."""
     source = _unit_rows(source_finals, "source")
     target = _unit_rows(target_finals, "target").T
     for rows in diff.blocks(len(source), 3 * 8 * target.shape[1]):
@@ -132,19 +135,17 @@ def nearest_negatives(pairs: np.ndarray, source_finals: np.ndarray,
     cosines of identical rows differently, so duplicated or collapsed finals
     can rank by rounding rather than by id. Returns an int64 (pairs * 2k_neg
     x 3) array of (positive index, left, right) rows, each positive's left
-    swaps before its right swaps."""
+    swaps before its right swaps. Each side ranks `cosine_rows(finals[seed
+    rows], finals)`, so an error's "source" table is that side's seed rows."""
     if k_neg < 1:
         raise AlignmentError(f"k_neg must be >= 1, got {k_neg}")
     if len(source_finals) <= k_neg or len(target_finals) <= k_neg:
         raise AlignmentError(f"KG smaller than k_neg + 1 = {k_neg + 1} entities")
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     nearest = np.empty((2, len(pairs), k_neg), dtype=np.int64)
-    for s, (side, finals) in enumerate((("source", source_finals), ("target", target_finals))):
-        unit = _unit_rows(finals, side)
-        for rows in diff.blocks(len(pairs), 3 * 8 * len(unit)):
-            block = pairs[rows, s]
-            sims = unit[block] @ unit.T
-            sims[np.arange(block.size), block] = -np.inf
+    for s, finals in enumerate((source_finals, target_finals)):
+        for rows, sims in cosine_rows(finals[pairs[:, s]], finals):
+            sims[np.arange(sims.shape[0]), pairs[rows, s]] = -np.inf
             nearest[s, rows] = top_columns(sims, k_neg)
     left = np.hstack([nearest[0], np.repeat(pairs[:, :1], k_neg, axis=1)])
     right = np.hstack([np.repeat(pairs[:, 1:], k_neg, axis=1), nearest[1]])

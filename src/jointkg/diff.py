@@ -94,12 +94,12 @@ _grad_enabled = True
 
 # A memory budget, not a cache tile: bytes of all the temporaries one
 # blocked loop holds at once (fixed `blocks`): `cosine_distance`'s (rows x
-# dim) tables, `translation_l1`'s backward columns, `entr.matrix_entropy`'s
-# cosine and softmax rows, `alignment.nearest_negatives`' similarity rows
-# with `top_columns`' two copies and greedy's head blocks; and bytes of the
-# buffers of all of one `pooled_rows` call's ranges, the distance rows of
-# `completion.score_all_tails` (independent rows). Large enough that a
-# criterion-6-sized call runs in one block.
+# dim) tables, `translation_l1`'s backward columns, `alignment.cosine_rows`'
+# cosine rows with `entr.matrix_entropy`'s two softmax tables or with
+# `nearest_negatives`' two `top_columns` copies, and greedy's head blocks;
+# and bytes of the buffers of all of one `pooled_rows` call's ranges, the
+# distance rows of `completion.score_all_tails` (independent rows). Large
+# enough that a criterion-6-sized call runs in one block.
 BLOCK_BYTES = 16 << 20
 
 # A cache tile, not a memory budget: rows per tile of `translation_l1`'s

@@ -7,9 +7,9 @@ covered by the current seed mapping are copied into the paired KG, in both
 directions, and copies whose supporting alignment has since disappeared are
 pruned again.
 
-Entropies read cosines in `alignment.cosine_rows` blocks; greedy enlargement
-alone builds a whole (source x target) matrix. Seed pairs are `SeedSet.pairs`
-rows, and transfers land on each `Kg` through `set_transferred`.
+Entropies read cosines in `alignment.cosine_rows` blocks, which check the
+finals; greedy enlargement alone builds a whole (source x target) matrix.
+Seed pairs are `SeedSet.pairs` rows; transfers land through `Kg.set_transferred`.
 """
 from __future__ import annotations
 
@@ -35,10 +35,6 @@ def matrix_entropy(matrix: np.ndarray, target_finals: np.ndarray | None = None) 
     shape = values.shape if target_finals is None else (len(values), len(target_finals))
     if len(shape) != 2 or 0 in shape:
         raise EnTrError(f"entropy needs a non-empty matrix, got shape {shape}")
-    if target_finals is not None:  # before `cosine_rows` divides an inf row by its norm
-        for side, finals in (("source", values), ("target", target_finals)):
-            if not np.all(np.isfinite(finals)):
-                raise EnTrError(f"entropy requires finite {side} finals")
     row_blocks = (((rows, values[rows]) for rows in diff.blocks(shape[0], 3 * 8 * shape[1]))
                   if target_finals is None else cosine_rows(values, target_finals))
     row_entropy = np.empty(shape[0])

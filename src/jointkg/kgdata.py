@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, product
 from pathlib import Path
 
 import numpy as np
@@ -203,6 +203,8 @@ class MultiKg:
         self.by_id = {kg.id: kg for kg in self.kgs}
         if len(self.by_id) != len(self.kgs):
             raise KgDataError("duplicate KG ids")
+        if piped := [kg_id for kg_id in self.by_id if "|" in kg_id]:
+            raise KgDataError(f"KG id {piped[0]!r} contains '|', which joins a KG pair's ids")
         self.seed_sets: dict[tuple[str, str], SeedSet] = {}
         self.kgc_splits: dict[str, dict[str, np.ndarray]] = {
             kg.id: {split: np.empty((0, 3), dtype=np.int64)
@@ -437,18 +439,19 @@ def load_multikg(data_dir: Path) -> MultiKg:
             split_path = data_dir / f"kgc_{split}_{kg.id}.tsv"
             if split_path.exists():
                 multikg.set_kgc_split(kg.id, split, _resolve_split_triples(split_path, kg))
+        rows = np.concatenate([multikg.kgc_splits[kg.id][s] for s in ("valid", "test")])
+        n = kg.entity_count
+        if inside := rows[np.isin(triple_keys(rows, n), triple_keys(kg.loaded, n))].tolist():
+            (h, r, t), name = inside[0], kg.entity_labels
+            raise KgDataError(f"held-out triple ({name[h]}, {relations.labels[r]}, {name[t]}) "
+                              f"of KG {kg.id} is in triples_{kg.id}.tsv")
 
     for seed_path in sorted(data_dir.glob("seeds_*.tsv")):
-        name = seed_path.stem.removeprefix("seeds_")
-        for left in multikg.by_id:
-            suffix = f"{left}_"
-            if name.startswith(suffix) and name.removeprefix(suffix) in multikg.by_id:
-                pair = (left, name.removeprefix(suffix))
-                multikg.seed_sets[pair], multikg.seeds_skipped["|".join(pair)] = parse_seeds(
-                    seed_path, *(multikg.by_id[kg_id] for kg_id in pair))
-                break
-        else:
-            raise KgDataError(f"seed file {seed_path.name} does not match any KG pair")
+        pairs = [p for p in product(multikg.by_id, repeat=2) if seed_path.stem == "seeds_%s_%s" % p]
+        if len(pairs) != 1:
+            raise KgDataError(f"seed file {seed_path.name} matches {len(pairs)} KG pairs, not one")
+        multikg.seed_sets[pairs[0]], multikg.seeds_skipped["|".join(pairs[0])] = parse_seeds(
+            seed_path, *(multikg.by_id[kg_id] for kg_id in pairs[0]))
 
     vectors = data_dir / "vectors.tsv"
     if vectors.exists():

@@ -17,11 +17,12 @@ from jointkg.alignment import (
     nearest_negatives,
     top_columns,
 )
+from jointkg.entr import matrix_entropy
 from jointkg.errors import AlignmentError
 from jointkg.rgnn import EncoderParams, LayerEmbeddings, build_edges, encode
 
-from .util import (const_mlp, identity_mlp, reference_greedy, reference_nearest_negatives,
-                   single_kg, weight_mlp)
+from .util import (const_mlp, identity_mlp, reference_blocked_nearest_negatives, reference_greedy,
+                   reference_nearest_negatives, single_kg, weight_mlp)
 
 
 def layers_of(entity_tables, relation_tables):
@@ -277,6 +278,83 @@ class TestNearestNegativesOracle:
         assert (negatives.tolist()
                 == [list(row) for row in reference_nearest_negatives(pairs, source, target,
                                                                      k_neg)])
+
+
+@st.composite
+def cosine_kernel_cases(draw):
+    """Finals of 30-400 rows at dim 8, 32 or 128, a third of them with half
+    their rows collapsed onto one vector (scaled), seed pairs drawn one to
+    one, k from 1 to n - 2, and in a fifth of the cases a `BLOCK_BYTES` that
+    splits the larger side's seed rows into 1-63 blocks."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n1, n2 = draw(st.integers(30, 400)), draw(st.integers(30, 400))
+    dim = draw(st.sampled_from([8, 32, 128]))
+    source, target = rng.normal(size=(n1, dim)), rng.normal(size=(n2, dim))
+    if draw(st.integers(0, 2)) == 0:
+        for table in (source, target):
+            half = rng.permutation(len(table))[:len(table) // 2]
+            table[half] = table[0] * rng.uniform(0.5, 2.0, size=(half.size, 1))
+    count = draw(st.integers(0, min(n1, n2)))
+    pairs = np.column_stack([rng.permutation(n1)[:count], rng.permutation(n2)[:count]])
+    block_bytes = diff.BLOCK_BYTES
+    if draw(st.integers(0, 4)) == 0 and count:
+        per_block = -(-count // draw(st.integers(1, min(63, count))))
+        block_bytes = per_block * 3 * 8 * max(n1, n2)
+    return pairs, source, target, draw(st.integers(1, min(n1, n2) - 2)), block_bytes
+
+
+class TestNearestNegativesKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(cosine_kernel_cases())
+    def test_equals_the_blocked_loop_bitwise(self, case):
+        """Reading `cosine_rows` over the gathered seed rows gives the same
+        bits as normalising the whole table and gathering its rows."""
+        pairs, source, target, k_neg, block_bytes = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diff, "BLOCK_BYTES", block_bytes)
+            negatives = nearest_negatives(pairs, source, target, k_neg)
+            expected = reference_blocked_nearest_negatives(pairs, source, target, k_neg)
+        assert np.array_equal(negatives, expected)
+
+
+def finals_with_bad_row(bad, table):
+    """Random (6 x 4) source and (5 x 4) target finals whose row 3 of
+    `table` holds a nan or inf component, or is all zero."""
+    rng = np.random.default_rng(11)
+    finals = {"source": rng.normal(size=(6, 4)), "target": rng.normal(size=(5, 4))}
+    if bad == 0.0:
+        finals[table][3] = 0.0
+    else:
+        finals[table][3, 1] = bad
+    return finals["source"], finals["target"]
+
+
+BAD_ROWS = [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"),
+            (0.0, "zero-norm")]
+
+
+@pytest.mark.parametrize("bad, kind", BAD_ROWS)
+@pytest.mark.parametrize("table", ["source", "target"])
+class TestFinalsRefusals:
+    """`cosine_rows` refuses a non-finite or zero-norm row of either table,
+    by name, for each of its callers."""
+
+    def test_alignment_matrix(self, bad, kind, table):
+        with pytest.raises(AlignmentError, match=f"^{kind} embedding in {table} final table$"):
+            build_alignment_matrix(*finals_with_bad_row(bad, table))
+
+    def test_matrix_entropy(self, bad, kind, table):
+        with pytest.raises(AlignmentError, match=f"^{kind} embedding in {table} final table$"):
+            matrix_entropy(*finals_with_bad_row(bad, table))
+
+    @pytest.mark.parametrize("seeded", [False, True])
+    def test_nearest_negatives(self, bad, kind, table, seeded):
+        """A side's seed rows are the kernel's "source" table and its whole
+        table the "target" one, whichever argument holds the row."""
+        pairs = [(0, 0), (3, 3)] if seeded else [(0, 0), (1, 1)]
+        expected = "source" if seeded else "target"
+        with pytest.raises(AlignmentError, match=f"^{kind} embedding in {expected} final table$"):
+            nearest_negatives(pairs, *finals_with_bad_row(bad, table), k_neg=2)
 
 
 class TestAlignmentLoss:

@@ -13,7 +13,7 @@ from jointkg.entr import (
     seed_budget,
     transfer_triples,
 )
-from jointkg.errors import EnTrError
+from jointkg.errors import AlignmentError, EnTrError
 from jointkg.kgdata import ENLARGED, GIVEN, Kg, MultiKg, RelationVocab, SeedSet
 
 from .util import (
@@ -170,7 +170,7 @@ class TestCosineRowEntropy:
         source[4, 1] = bad
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(diff, "BLOCK_BYTES", 3 * 8 * 5)
-            with pytest.raises(EnTrError, match="finite"):
+            with pytest.raises(AlignmentError, match="non-finite embedding in source final"):
                 matrix_entropy(source, target)
 
     def test_empty_finals_error(self):

@@ -299,7 +299,7 @@ class TestMultiKg:
 
 class TestLoadMultiKg:
     def test_load_directory_layout(self, tmp_path):
-        write(tmp_path, "triples_aa.tsv", ["a\tr\tb", "b\tr\tc", "c\ts\ta"])
+        write(tmp_path, "triples_aa.tsv", ["a\tr\tb", "b\tr\tc", "b\ts\ta"])
         write(tmp_path, "triples_bb.tsv", ["x\tr\ty", "y\ts\tz", "z\tr\tx"])
         write(tmp_path, "seeds_aa_bb.tsv", ["a\tx", "b\ty"])
         write(tmp_path, "kgc_train_aa.tsv", ["a\tr\tb", "b\tr\tc"])
@@ -316,6 +316,37 @@ class TestLoadMultiKg:
         write(tmp_path, "kgc_train_aa.tsv", ["a\tr\tzzz"])
         with pytest.raises(ParseError, match="unknown entity"):
             load_multikg(tmp_path)
+
+    def test_pipe_in_kg_id_errors(self, tmp_path):
+        """"|" joins the two ids of a KG pair in checkpoint keys and logs."""
+        write(tmp_path, "triples_x|1.tsv", ["a\tr\tb", "b\tr\tc"])
+        write(tmp_path, "triples_kg2.tsv", ["x\tr\ty", "y\tr\tz"])
+        write(tmp_path, "seeds_x|1_kg2.tsv", ["a\tx", "b\ty"])
+        with pytest.raises(KgDataError, match=re.escape("KG id 'x|1' contains '|'")):
+            load_multikg(tmp_path)
+
+    def test_seed_file_names_one_pair_exactly(self, tmp_path):
+        for kg_id in ("x", "x_y", "y_z", "z"):
+            write(tmp_path, f"triples_{kg_id}.tsv", ["a\tr\tb", "b\tr\tc"])
+        write(tmp_path, "seeds_x_y_z.tsv", ["a\ta", "b\tb"])  # ('x', 'y_z') or ('x_y', 'z')
+        with pytest.raises(KgDataError, match=r"^seed file seeds_x_y_z.tsv matches 2 KG pairs"):
+            load_multikg(tmp_path)
+        (tmp_path / "seeds_x_y_z.tsv").rename(tmp_path / "seeds_y_z_x.tsv")
+        assert list(load_multikg(tmp_path).seed_sets) == [("y_z", "x")]
+        write(tmp_path, "seeds_x_w.tsv", ["a\ta"])
+        with pytest.raises(KgDataError, match=r"^seed file seeds_x_w.tsv matches 0 KG pairs"):
+            load_multikg(tmp_path)
+
+    @pytest.mark.parametrize("split, line", [("valid", "b\tr\tc"), ("test", "c\tr\td")])
+    def test_held_out_triple_in_the_graph_errors(self, tmp_path, split, line):
+        write(tmp_path, "triples_aa.tsv", ["a\tr\tb", "b\tr\tc", "c\tr\td"])
+        write(tmp_path, f"kgc_{split}_aa.tsv", [line])
+        triple = ", ".join(line.split("\t"))
+        with pytest.raises(KgDataError, match=re.escape(
+                f"held-out triple ({triple}) of KG aa is in triples_aa.tsv")):
+            load_multikg(tmp_path)
+        write(tmp_path, f"kgc_{split}_aa.tsv", ["a\tr\tc"])
+        assert load_multikg(tmp_path).kgc_splits["aa"][split].tolist() == [[0, 0, 2]]
 
 
 class TestTransferredTriples:

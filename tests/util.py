@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from jointkg import diff
+from jointkg.alignment import top_columns
 from jointkg.diff import EdgeList, Mlp, Tensor
 from jointkg.errors import CompletionError, DiffError
 from jointkg.kgdata import Kg, MultiKg, RelationVocab
@@ -529,6 +530,28 @@ def reference_nearest_negatives(pairs, source_finals: np.ndarray, target_finals:
         for substitute in ranked_neighbors(target_unit, e_star):
             negatives.append((index, int(e), int(substitute)))
     return negatives
+
+
+def reference_blocked_nearest_negatives(pairs, source_finals: np.ndarray,
+                                        target_finals: np.ndarray, k_neg: int) -> np.ndarray:
+    """`nearest_negatives`' own per-side loop before it read `cosine_rows`:
+    each side's whole table normalised once, then the seed rows' similarity
+    rows in blocks of `diff.blocks(pairs, 3 * 8 * rows)`, gathered from the
+    unit table and multiplied by its transpose. Bit-equal, not just equal in
+    order, to what the kernel gives, since BLAS sees the same operands."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    nearest = np.empty((2, len(pairs), k_neg), dtype=np.int64)
+    for s, finals in enumerate((source_finals, target_finals)):
+        unit = finals / np.sqrt((finals * finals).sum(axis=1))[:, None]
+        for rows in diff.blocks(len(pairs), 3 * 8 * len(unit)):
+            block = pairs[rows, s]
+            sims = unit[block] @ unit.T
+            sims[np.arange(block.size), block] = -np.inf
+            nearest[s, rows] = top_columns(sims, k_neg)
+    left = np.hstack([nearest[0], np.repeat(pairs[:, :1], k_neg, axis=1)])
+    right = np.hstack([np.repeat(pairs[:, 1:], k_neg, axis=1), nearest[1]])
+    index = np.repeat(np.arange(len(pairs), dtype=np.int64), 2 * k_neg)
+    return np.column_stack([index, left.ravel(), right.ravel()])
 
 
 def reference_greedy(values: np.ndarray, limit: int, taken_rows=(), taken_cols=()
